@@ -5,6 +5,11 @@ along a random direction and rescales the forward difference.  Its mean over
 directions is the gradient of the Gaussian-smoothed objective
 f_mu(x) = E_v f(x + mu v), not of f itself; the bias and second-moment
 behaviour are validated in the oracle module.
+
+q directions at one point share the base value f(x; i), so a q-direction
+estimate costs q + 1 objective values, as in the two-point scheme of
+Nesterov & Spokoiny (Random Gradient-Free Minimization of Convex Functions,
+FoCM 2017).
 """
 from __future__ import annotations
 
@@ -55,10 +60,16 @@ def _two_point_values(
     mu: float,
     v: np.ndarray,
     block: Block,
+    base: float | None = None,
 ) -> np.ndarray:
-    """Raw-array single-direction estimate; inputs assumed validated."""
+    """Raw-array single-direction estimate; inputs assumed validated.
+
+    ``base`` is f(values; i) when the caller has it already; otherwise it is
+    evaluated here, for two objective values in all.
+    """
     sl = obj.layout.slice_of(block)
-    base = obj.value_at(values, i)
+    if base is None:
+        base = obj.value_at(values, i)
     perturbed = values.copy()
     perturbed[sl] += mu * v
     shifted = obj.value_at(perturbed, i)
@@ -108,21 +119,29 @@ def estimate_block_gradient(
     rng: RngStream,
     block: Block,
 ) -> np.ndarray:
-    """Raw-array mean of cfg.directions_per_step Gaussian-direction estimates."""
+    """Raw-array mean of cfg.directions_per_step Gaussian-direction estimates.
+
+    The base value f(values; i) is read once and shared by every direction,
+    so the estimate costs directions_per_step + 1 objective values.
+    """
     if block is Block.FULL:
         raise ValueError("estimate one block at a time: target must be X or Y")
     dim = obj.layout.dim_of(block)
+    base = obj.value_at(values, i)
     acc = np.zeros(dim)
     for _ in range(cfg.directions_per_step):
         v = sample_gaussian(rng, dim)
-        acc += _two_point_values(obj, values, i, cfg.mu, v, block)
+        acc += _two_point_values(obj, values, i, cfg.mu, v, block, base)
     return acc / cfg.directions_per_step
 
 
 def estimate_x_gradient(
     obj: FiniteSumObjective, w: HybridPoint, i: int, cfg: ZoConfig, rng: RngStream
 ) -> np.ndarray:
-    """Average of cfg.directions_per_step independent x-block estimates."""
+    """Average of cfg.directions_per_step independent x-block estimates.
+
+    Costs cfg.directions_per_step + 1 objective values (one shared base).
+    """
     values = obj.check_point(w)
     i = obj.check_sample(i)
     return estimate_block_gradient(obj, values, i, cfg, rng, Block.X)

@@ -7,7 +7,16 @@ after construction and safe to evaluate concurrently.
 
 Two API layers: ``eval_sample``/``grad_sample``/``eval_full``/``grad_full``
 validate :class:`HybridPoint` inputs, while ``value_at``/``grad_at`` and the
-``full_*`` variants work on raw float64 arrays for hot loops.
+``full_*`` variants work on raw float64 arrays for hot loops.  The raw layer
+has a batched part: ``values_all``/``grads_all`` return every sample's value
+(shape (n,)) or gradient (shape (n, d)) at once, and ``full_value_at``,
+``full_grad_at`` and ``sample_variance`` are built on them.  In the base class
+they loop over ``value_at``/``grad_at``; that loop is the reference.  Each
+family here overrides them with one vectorised expression whose results are
+bit-identical to its own per-sample path (``np.vecdot`` and ``np.matvec``,
+not ``@`` or ``einsum``, which can round differently).  A family that
+overrides ``value_at``/``grad_at`` must also override ``values_all``/
+``grads_all`` to match, or inherit the loop from :class:`FiniteSumObjective`.
 """
 from __future__ import annotations
 
@@ -65,12 +74,19 @@ class FiniteSumObjective(abc.ABC):
     def grad_at(self, values: np.ndarray, i: int) -> np.ndarray:
         """Analytic gradient of f(w; i) for raw values; no validation."""
 
+    def values_all(self, values: np.ndarray) -> np.ndarray:
+        """f(w; i) for every sample, shape (n,); the loop is the reference."""
+        return np.array([self.value_at(values, i) for i in range(self._n)], dtype=np.float64)
+
+    def grads_all(self, values: np.ndarray) -> np.ndarray:
+        """grad f(w; i) for every sample, shape (n, d); the loop is the reference."""
+        return np.stack([self.grad_at(values, i) for i in range(self._n)])
+
     def full_value_at(self, values: np.ndarray) -> float:
-        return float(np.mean([self.value_at(values, i) for i in range(self._n)]))
+        return float(np.mean(self.values_all(values)))
 
     def full_grad_at(self, values: np.ndarray) -> np.ndarray:
-        grads = [self.grad_at(values, i) for i in range(self._n)]
-        return np.mean(grads, axis=0)
+        return np.mean(self.grads_all(values), axis=0)
 
     # -- validated layer -------------------------------------------------
 
@@ -104,8 +120,7 @@ class FiniteSumObjective(abc.ABC):
 
     def sample_variance(self, w: HybridPoint) -> float:
         """(1/n) sum_i ||grad f(w; i) - grad f(w)||^2, from analytic gradients."""
-        values = self.check_point(w)
-        grads = np.stack([self.grad_at(values, i) for i in range(self._n)])
+        grads = self.grads_all(self.check_point(w))
         mean = grads.mean(axis=0)
         return float(np.mean(np.sum((grads - mean) ** 2, axis=1)))
 
@@ -165,6 +180,13 @@ class BlockQuadratic(FiniteSumObjective):
     def grad_at(self, values: np.ndarray, i: int) -> np.ndarray:
         return self._diag * (values - self.centers[i])
 
+    def values_all(self, values: np.ndarray) -> np.ndarray:
+        dv = values - self.centers
+        return 0.5 * np.vecdot(dv, self._diag * dv)
+
+    def grads_all(self, values: np.ndarray) -> np.ndarray:
+        return self._diag * (values - self.centers)
+
     @property
     def f_star(self) -> float | None:
         return self._f_star
@@ -210,6 +232,12 @@ class CoshObjective(FiniteSumObjective):
 
     def grad_at(self, values: np.ndarray, i: int) -> np.ndarray:
         return np.sinh(values - self.shifts[i])
+
+    def values_all(self, values: np.ndarray) -> np.ndarray:
+        return np.sum(np.cosh(values - self.shifts), axis=1)
+
+    def grads_all(self, values: np.ndarray) -> np.ndarray:
+        return np.sinh(values - self.shifts)
 
     @property
     def f_star(self) -> float | None:
@@ -262,6 +290,15 @@ class LogisticObjective(FiniteSumObjective):
         p = float(np.exp(-np.logaddexp(0.0, margin)))
         return (-self.labels[i] * p) * self.features[i] + self.lam * values
 
+    def values_all(self, values: np.ndarray) -> np.ndarray:
+        margin = self.labels * np.vecdot(self.features, values)
+        return np.logaddexp(0.0, -margin) + 0.5 * self.lam * float(np.dot(values, values))
+
+    def grads_all(self, values: np.ndarray) -> np.ndarray:
+        margin = self.labels * np.vecdot(self.features, values)
+        p = np.exp(-np.logaddexp(0.0, margin))
+        return (-self.labels * p)[:, None] * self.features + self.lam * values
+
     def block_lipschitz_bound(self) -> tuple[float, float]:
         d_x = self.layout.d_x
         l_x = float(np.max(np.sum(self.features[:, :d_x] ** 2, axis=1))) / 4.0 + self.lam
@@ -297,6 +334,12 @@ class LinearObjective(FiniteSumObjective):
 
     def grad_at(self, values: np.ndarray, i: int) -> np.ndarray:
         return self.slopes[i].copy()
+
+    def values_all(self, values: np.ndarray) -> np.ndarray:
+        return np.vecdot(self.slopes, values)
+
+    def grads_all(self, values: np.ndarray) -> np.ndarray:
+        return self.slopes.copy()
 
     def block_lipschitz_bound(self) -> tuple[float, float]:
         return (0.0, 0.0)
@@ -346,6 +389,13 @@ class DenseQuadratic(FiniteSumObjective):
 
     def grad_at(self, values: np.ndarray, i: int) -> np.ndarray:
         return self.hessian @ (values - self.centers[i])
+
+    def values_all(self, values: np.ndarray) -> np.ndarray:
+        dv = values - self.centers
+        return 0.5 * np.vecdot(dv, np.matvec(self.hessian, dv))
+
+    def grads_all(self, values: np.ndarray) -> np.ndarray:
+        return np.matvec(self.hessian, values - self.centers)
 
     @property
     def f_star(self) -> float | None:

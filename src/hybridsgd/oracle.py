@@ -151,12 +151,13 @@ def check_estimator_bounds(
     d_x = obj.layout.d_x
     g = obj.grad_at(values, i)[:d_x]
     g_norm = float(np.linalg.norm(g))
+    base = obj.value_at(values, i)  # shared by every trial, as in the estimator
 
     bias = np.empty(trials)
     sq_err = np.empty(trials)
     for t in range(trials):
         v = sample_gaussian(rng, d_x)
-        err = _two_point_values(obj, values, i, float(mu), v, Block.X) - g
+        err = _two_point_values(obj, values, i, float(mu), v, Block.X, base) - g
         bias[t] = float(np.dot(g, err))
         sq_err[t] = float(np.dot(err, err))
 

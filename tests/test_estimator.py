@@ -105,6 +105,32 @@ def test_q3_average_replays_single_direction_estimates():
     assert np.array_equal(averaged, acc / 3)
 
 
+class _ValueCounting(OffsetObjective):
+    """Counts per-sample value calls; adds nothing to the values."""
+
+    def __init__(self, base):
+        super().__init__(base, 0.0)
+        self.value_calls = 0
+
+    def value_at(self, values, i):
+        self.value_calls += 1
+        return self.base.value_at(values, i)
+
+
+@pytest.mark.parametrize("q", [1, 2, 5])
+def test_q_direction_estimate_costs_q_plus_one_values(q):
+    base = BlockQuadratic.random(LAYOUT, 3, 2.0, 1.0, RngStream(30, 0xDA7A), center_spread=0.5)
+    counted = _ValueCounting(base)
+    w = HybridPoint(LAYOUT, [1.0, 2.0, -1.0])
+    cfg = ZoConfig(mu=1e-3, directions_per_step=q)
+    est = estimate_x_gradient(counted, w, 2, cfg, RngStream(31, 1))
+    assert counted.value_calls == q + 1
+    assert np.array_equal(est, estimate_x_gradient(base, w, 2, cfg, RngStream(31, 1)))
+    counted.value_calls = 0
+    two_point_estimate(counted, w, 2, 1e-3, np.array([1.0, 0.5]))
+    assert counted.value_calls == 2
+
+
 def test_estimate_replays_bitwise():
     obj = CoshObjective.random(LAYOUT, 2, RngStream(28, 0xDA7A))
     w = HybridPoint(LAYOUT, [0.1, 0.2, 0.3])
@@ -140,9 +166,10 @@ def test_non_finite_perturbed_value_is_reported():
 def test_underflow_warning_when_mu_below_float_resolution():
     obj = BlockQuadratic(BlockLayout(1, 1), np.zeros((1, 2)), 1.0, 1.0)
     w = HybridPoint(obj.layout, [1e12, 0.0])
-    with pytest.warns(PerturbationUnderflowWarning):
+    with pytest.warns(PerturbationUnderflowWarning) as record:
         est = two_point_estimate(obj, w, 0, 1e-9, np.array([1.0]))
     assert np.all(np.isfinite(est))
+    assert record[0].filename == __file__  # attributed to the caller
 
 
 def test_smoothed_reference_linear_recovers_slope():

@@ -3,12 +3,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hybridsgd import (
     BlockLayout,
     BlockQuadratic,
     CoshObjective,
     DenseQuadratic,
+    FiniteSumObjective,
     HybridPoint,
     LinearObjective,
     LogisticObjective,
@@ -18,6 +22,8 @@ from hybridsgd import (
     objective_from_dict,
     sample_gaussian,
 )
+
+from conftest import OffsetObjective, ScaledObjective
 
 LAYOUT = BlockLayout(3, 2)
 
@@ -220,3 +226,116 @@ def test_spec_errors():
         objective_from_dict({"kind": "unknown_kind", "d_x": 1, "d_y": 1})
     with pytest.raises(ValueError):
         objective_from_dict({"kind": "block_quadratic", "d_x": 1, "d_y": 1})
+
+
+# -- batched kernels ------------------------------------------------------
+
+# Builders take (layout, n, rng, scale); scale widens the data so logistic
+# margins and cosh arguments reach the saturating and overflowing ranges.
+_BUILDERS = {
+    "block_quadratic": lambda layout, n, rng, scale: BlockQuadratic.random(
+        layout, n, 5.0, 0.5, rng, center_scale=scale, center_spread=1.0
+    ),
+    "cosh": lambda layout, n, rng, scale: CoshObjective.random(
+        layout, n, rng, shift_scale=scale, shift_spread=0.3
+    ),
+    "logistic": lambda layout, n, rng, scale: LogisticObjective.random(
+        layout, n, rng, lam=0.1, feature_scale=scale
+    ),
+    "linear": lambda layout, n, rng, scale: LinearObjective.random(
+        layout, n, rng, slope_scale=scale
+    ),
+    "dense_quadratic": lambda layout, n, rng, scale: DenseQuadratic.random(
+        layout, n, rng, entry_scale=scale, center_scale=1.0
+    ),
+}
+
+
+def _per_sample(obj, values):
+    """The per-sample reference: every sample's value and gradient, one call each."""
+    vals = np.array([obj.value_at(values, i) for i in range(obj.n)])
+    grads = np.stack([obj.grad_at(values, i) for i in range(obj.n)])
+    return vals, grads
+
+
+def _assert_batched_matches(obj, values):
+    with np.errstate(over="ignore"):
+        vals, grads = obj.values_all(values), obj.grads_all(values)
+        ref_vals, ref_grads = _per_sample(obj, values)
+    assert vals.shape == (obj.n,) and grads.shape == (obj.n, obj.layout.d)
+    assert np.array_equal(vals, ref_vals)
+    assert np.array_equal(grads, ref_grads)
+    return vals, grads
+
+
+@st.composite
+def _family_and_point(draw):
+    kind = draw(st.sampled_from(sorted(_BUILDERS)))
+    layout = BlockLayout(draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    n = draw(st.sampled_from([1, 2, 7]))
+    scale = draw(st.sampled_from([1e-3, 1.0, 30.0]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    obj = _BUILDERS[kind](layout, n, RngStream(seed, 0xDA7A), scale)
+    values = draw(hnp.arrays(np.float64, layout.d, elements=st.floats(-1e3, 1e3)))
+    return obj, values
+
+
+@given(_family_and_point())
+def test_batched_kernels_bit_identical_to_per_sample(case):
+    obj, values = case
+    _assert_batched_matches(obj, values)
+
+
+def test_batched_logistic_saturated_margins():
+    # margins of +-900 and +-5000 saturate logaddexp: loss 0 or -margin, p 0 or 1
+    layout = BlockLayout(1, 1)
+    features = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    obj = LogisticObjective(layout, features, [1.0, 1.0, -1.0, 1.0], lam=0.0)
+    vals, grads = _assert_batched_matches(obj, np.array([900.0, 5000.0]))
+    assert np.array_equal(vals, [0.0, 900.0, 5000.0, 5000.0])
+    assert np.array_equal(grads[0], [0.0, 0.0])
+    assert np.array_equal(grads[1], [1.0, 0.0])
+
+
+def test_batched_cosh_overflow_lands_at_same_positions():
+    layout = BlockLayout(2, 1)
+    shifts = np.array([[0.0, 0.0, 0.0], [800.0, 0.0, 0.0], [0.0, -800.0, 800.0]])
+    obj = CoshObjective(layout, shifts)
+    vals, grads = _assert_batched_matches(obj, np.array([750.0, 0.5, 0.0]))
+    assert np.array_equal(np.isinf(vals), [True, False, True])
+    assert np.array_equal(np.isinf(grads), [[True, False, False], [False] * 3, [True] * 3])
+    assert np.array_equal(grads[2], [np.inf, np.inf, -np.inf])
+
+
+@pytest.mark.parametrize("kind", sorted(_BUILDERS))
+def test_family_overrides_batched_kernels(kind):
+    cls = type(_BUILDERS[kind](LAYOUT, 2, RngStream(15, 0xDA7A), 1.0))
+    assert cls.values_all is not FiniteSumObjective.values_all
+    assert cls.grads_all is not FiniteSumObjective.grads_all
+
+
+def test_subclass_without_kernels_uses_base_loop():
+    rng = RngStream(16, 1)
+    for name, base in _families().items():
+        offset = OffsetObjective(base, 2.5)
+        scaled = ScaledObjective(base, -3.0)
+        for wrapper in (offset, scaled):
+            assert type(wrapper).values_all is FiniteSumObjective.values_all
+            assert type(wrapper).grads_all is FiniteSumObjective.grads_all
+        values = sample_gaussian(rng, LAYOUT.d)
+        w = HybridPoint(LAYOUT, values)
+        base_vals, base_grads = base.values_all(values), base.grads_all(values)
+        # offset: values shift by the constant, gradients are untouched
+        assert np.array_equal(offset.values_all(values), base_vals + 2.5)
+        assert np.array_equal(offset.grads_all(values), base_grads)
+        assert offset.full_value_at(values) == pytest.approx(np.mean(base_vals) + 2.5, rel=1e-14)
+        assert np.array_equal(offset.full_grad_at(values), base.full_grad_at(values))
+        assert offset.sample_variance(w) == base.sample_variance(w)
+        # scaled: values and gradients scale by alpha, the variance by alpha^2
+        assert np.array_equal(scaled.values_all(values), -3.0 * base_vals)
+        assert np.array_equal(scaled.grads_all(values), -3.0 * base_grads)
+        assert scaled.eval_full(w) == pytest.approx(-3.0 * base.eval_full(w), rel=1e-14), name
+        assert np.allclose(scaled.grad_full(w), -3.0 * base.grad_full(w), rtol=1e-14, atol=1e-15)
+        assert scaled.sample_variance(w) == pytest.approx(
+            9.0 * base.sample_variance(w), rel=1e-13, abs=1e-300
+        )
