@@ -179,12 +179,38 @@ def sample_unit_sphere(rng: RngStream, dim: int) -> np.ndarray:
     A zero draw (possible only in degenerate floating-point corners) is
     rejected and redrawn, so the result always has unit norm.
     """
-    dim = _check_dim("dim", dim)
+    return _unit_sphere_rows(rng, 1, _check_dim("dim", dim))[0]
+
+
+def _unit_sphere_rows(rng: RngStream, m: int, dim: int) -> np.ndarray:
+    """m unit-sphere draws as the rows of an (m, dim) array.
+
+    Equal bit for bit, and in stream position, to m sequential
+    :func:`sample_unit_sphere` calls: the (m, dim) Gaussian block consumes the
+    stream in the same order as m draws of dim, and a zero row is dropped and
+    the block topped up from the stream in order, as the sequential redraw
+    would.  ``np.sqrt(np.vecdot(.))`` equals ``np.linalg.norm`` row by row.
+    """
+    rows = rng.generator.standard_normal((m, dim))
+    norms = np.sqrt(np.vecdot(rows, rows))
     while True:
-        v = rng.generator.standard_normal(dim)
-        norm = float(np.linalg.norm(v))
-        if norm > 0.0:
-            return v / norm
+        keep = norms > 0.0
+        if keep.all():
+            return rows / norms[:, None]
+        extra = rng.generator.standard_normal((m - np.count_nonzero(keep), dim))
+        rows = np.concatenate([rows[keep], extra])
+        norms = np.concatenate([norms[keep], np.sqrt(np.vecdot(extra, extra))])
+
+
+def _shifted_rows(values: np.ndarray, sl: slice, shifts: np.ndarray) -> np.ndarray:
+    """One copy of values per row of shifts, with that row added to values[sl].
+
+    Row k is bit for bit ``values.copy()`` after ``[sl] += shifts[k]``.
+    """
+    rows = np.empty((len(shifts), len(values)))
+    rows[:] = values
+    rows[:, sl] += shifts
+    return rows
 
 
 def shuffle_permutation(rng: RngStream, n: int) -> np.ndarray:

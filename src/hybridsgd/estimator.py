@@ -9,16 +9,19 @@ behaviour are validated in the oracle module.
 q directions at one point share the base value f(x; i), so a q-direction
 estimate costs q + 1 objective values, as in the two-point scheme of
 Nesterov & Spokoiny (Random Gradient-Free Minimization of Convex Functions,
-FoCM 2017).
+FoCM 2017).  The q directions are drawn as one (q, dim) block and their q
+shifted values read with one ``values_at_points`` call; a single-direction
+estimate is the one-row case of the same helper.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Block, HybridPoint, NumericError, RngStream, sample_gaussian
+from .core import Block, HybridPoint, NumericError, RngStream, _shifted_rows, sample_gaussian
 from .objectives import FiniteSumObjective
 
 __all__ = [
@@ -53,39 +56,38 @@ class ZoConfig:
             raise ValueError(f"directions_per_step must be an integer >= 1, got {q!r}")
 
 
-def _two_point_values(
+def _two_point_rows(
     obj: FiniteSumObjective,
     values: np.ndarray,
     i: int,
     mu: float,
-    v: np.ndarray,
+    directions: np.ndarray,
     block: Block,
-    base: float | None = None,
+    base: float,
 ) -> np.ndarray:
-    """Raw-array single-direction estimate; inputs assumed validated.
+    """Raw-array estimates, one row per row of directions; inputs assumed validated.
 
-    ``base`` is f(values; i) when the caller has it already; otherwise it is
-    evaluated here, for two objective values in all.
+    ``base`` is f(values; i).  The m shifted values come from one
+    ``values_at_points`` call, so the rows cost m objective values.
     """
     sl = obj.layout.slice_of(block)
-    if base is None:
-        base = obj.value_at(values, i)
-    perturbed = values.copy()
-    perturbed[sl] += mu * v
-    shifted = obj.value_at(perturbed, i)
-    if not (np.isfinite(base) and np.isfinite(shifted)):
+    shifted = obj.values_at_points(_shifted_rows(values, sl, mu * directions), i)
+    if not (math.isfinite(base) and np.isfinite(shifted).all()):
         raise NumericError(
             f"objective returned a non-finite value in a two-point probe (sample {i})"
         )
-    block_norm = float(np.linalg.norm(values[sl]))
-    if mu * float(np.linalg.norm(v)) < 1e3 * _EPS * block_norm:
+    # sqrt(x . x) is np.linalg.norm(x) bit for bit, and mu * sqrt(.) is
+    # monotone, so the shortest direction decides whether any falls under.
+    x = values[sl]
+    shortest = math.sqrt(np.vecdot(directions, directions).min())
+    if mu * shortest < 1e3 * _EPS * math.sqrt(x.dot(x)):
         warnings.warn(
             "two-point perturbation mu*||v|| is below 1e3*eps of the block norm; "
             "the returned estimate is dominated by rounding error",
             PerturbationUnderflowWarning,
             stacklevel=3,
         )
-    return ((shifted - base) / mu) * v
+    return ((shifted - base) / mu)[:, None] * directions
 
 
 def _check_mu(mu: float) -> float:
@@ -108,7 +110,7 @@ def two_point_estimate(
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (obj.layout.d_x,):
         raise ValueError(f"v must have shape ({obj.layout.d_x},), got {v.shape}")
-    return _two_point_values(obj, values, i, mu, v, Block.X)
+    return _two_point_rows(obj, values, i, mu, v[None, :], Block.X, obj.value_at(values, i))[0]
 
 
 def estimate_block_gradient(
@@ -122,17 +124,20 @@ def estimate_block_gradient(
     """Raw-array mean of cfg.directions_per_step Gaussian-direction estimates.
 
     The base value f(values; i) is read once and shared by every direction,
-    so the estimate costs directions_per_step + 1 objective values.
+    so the estimate costs directions_per_step + 1 objective values.  The q
+    directions are one (q, dim) draw, which consumes the stream exactly as q
+    draws of dim, and the rows are summed in draw order.
     """
     if block is Block.FULL:
         raise ValueError("estimate one block at a time: target must be X or Y")
+    q = cfg.directions_per_step
     dim = obj.layout.dim_of(block)
     base = obj.value_at(values, i)
+    directions = sample_gaussian(rng, q * dim).reshape(q, dim)
     acc = np.zeros(dim)
-    for _ in range(cfg.directions_per_step):
-        v = sample_gaussian(rng, dim)
-        acc += _two_point_values(obj, values, i, cfg.mu, v, block, base)
-    return acc / cfg.directions_per_step
+    for row in _two_point_rows(obj, values, i, cfg.mu, directions, block, base):
+        acc += row
+    return acc / q
 
 
 def estimate_x_gradient(
@@ -174,12 +179,10 @@ def smoothed_gradient_reference(
     if not isinstance(draws, (int, np.integer)) or isinstance(draws, bool) or draws < 2:
         raise ValueError(f"draws must be an integer >= 2, got {draws!r}")
     d_x = obj.layout.d_x
-    total = np.zeros(d_x)
-    total_sq = np.zeros(d_x)
-    for _ in range(draws):
-        est = _two_point_values(obj, values, i, mu, sample_gaussian(rng, d_x), Block.X)
-        total += est
-        total_sq += est * est
+    directions = sample_gaussian(rng, draws * d_x).reshape(draws, d_x)
+    est = _two_point_rows(obj, values, i, mu, directions, Block.X, obj.value_at(values, i))
+    total = np.sum(est, axis=0)
+    total_sq = np.sum(est * est, axis=0)
     mean = total / draws
     var = np.maximum(total_sq / draws - mean * mean, 0.0) * (draws / (draws - 1))
     return MonteCarloGradient(mean, np.sqrt(var / draws), int(draws))

@@ -8,15 +8,20 @@ after construction and safe to evaluate concurrently.
 Two API layers: ``eval_sample``/``grad_sample``/``eval_full``/``grad_full``
 validate :class:`HybridPoint` inputs, while ``value_at``/``grad_at`` and the
 ``full_*`` variants work on raw float64 arrays for hot loops.  The raw layer
-has a batched part: ``values_all``/``grads_all`` return every sample's value
-(shape (n,)) or gradient (shape (n, d)) at once, and ``full_value_at``,
-``full_grad_at`` and ``sample_variance`` are built on them.  In the base class
-they loop over ``value_at``/``grad_at``; that loop is the reference.  Each
-family here overrides them with one vectorised expression whose results are
-bit-identical to its own per-sample path (``np.vecdot`` and ``np.matvec``,
-not ``@`` or ``einsum``, which can round differently).  A family that
-overrides ``value_at``/``grad_at`` must also override ``values_all``/
-``grads_all`` to match, or inherit the loop from :class:`FiniteSumObjective`.
+has two batched pairs.  ``values_all``/``grads_all`` return every sample's
+value (shape (n,)) or gradient (shape (n, d)) at one point, and
+``full_value_at``, ``full_grad_at``, ``full_value_and_grad_at`` and
+``sample_variance`` are built on them.  ``values_at_points``/
+``grads_at_points`` return one sample's value (shape (m,)) or gradient
+(shape (m, d)) at every row of an (m, d) array of points; the estimator,
+probes and oracle evaluate all their random directions through them.  In the
+base class all four loop over ``value_at``/``grad_at``; that loop is the
+reference.  Each family here overrides all four with one vectorised
+expression each whose results are bit-identical to its own per-sample path
+(``np.vecdot`` and ``np.matvec``, not ``@`` or ``einsum``, which can round
+differently).  A family that overrides ``value_at``/``grad_at`` must override
+all four batched kernels to match, or none of them and inherit the loops from
+:class:`FiniteSumObjective`.
 """
 from __future__ import annotations
 
@@ -82,11 +87,23 @@ class FiniteSumObjective(abc.ABC):
         """grad f(w; i) for every sample, shape (n, d); the loop is the reference."""
         return np.stack([self.grad_at(values, i) for i in range(self._n)])
 
+    def values_at_points(self, points: np.ndarray, i: int) -> np.ndarray:
+        """f(p; i) for every row p of points, shape (m,); the loop is the reference."""
+        return np.array([self.value_at(p, i) for p in points], dtype=np.float64)
+
+    def grads_at_points(self, points: np.ndarray, i: int) -> np.ndarray:
+        """grad f(p; i) for every row p of points, shape (m, d); the loop is the reference."""
+        return np.stack([self.grad_at(p, i) for p in points])
+
     def full_value_at(self, values: np.ndarray) -> float:
         return float(np.mean(self.values_all(values)))
 
     def full_grad_at(self, values: np.ndarray) -> np.ndarray:
         return np.mean(self.grads_all(values), axis=0)
+
+    def full_value_and_grad_at(self, values: np.ndarray) -> tuple[float, np.ndarray]:
+        """(full_value_at, full_grad_at) in one call, for families that share work."""
+        return self.full_value_at(values), self.full_grad_at(values)
 
     # -- validated layer -------------------------------------------------
 
@@ -187,6 +204,13 @@ class BlockQuadratic(FiniteSumObjective):
     def grads_all(self, values: np.ndarray) -> np.ndarray:
         return self._diag * (values - self.centers)
 
+    def values_at_points(self, points: np.ndarray, i: int) -> np.ndarray:
+        dv = points - self.centers[i]
+        return 0.5 * np.vecdot(dv, self._diag * dv)
+
+    def grads_at_points(self, points: np.ndarray, i: int) -> np.ndarray:
+        return self._diag * (points - self.centers[i])
+
     @property
     def f_star(self) -> float | None:
         return self._f_star
@@ -238,6 +262,12 @@ class CoshObjective(FiniteSumObjective):
 
     def grads_all(self, values: np.ndarray) -> np.ndarray:
         return np.sinh(values - self.shifts)
+
+    def values_at_points(self, points: np.ndarray, i: int) -> np.ndarray:
+        return np.sum(np.cosh(points - self.shifts[i]), axis=1)
+
+    def grads_at_points(self, points: np.ndarray, i: int) -> np.ndarray:
+        return np.sinh(points - self.shifts[i])
 
     @property
     def f_star(self) -> float | None:
@@ -291,13 +321,33 @@ class LogisticObjective(FiniteSumObjective):
         return (-self.labels[i] * p) * self.features[i] + self.lam * values
 
     def values_all(self, values: np.ndarray) -> np.ndarray:
-        margin = self.labels * np.vecdot(self.features, values)
-        return np.logaddexp(0.0, -margin) + 0.5 * self.lam * float(np.dot(values, values))
+        return self._losses(self.labels * np.vecdot(self.features, values), values)
 
     def grads_all(self, values: np.ndarray) -> np.ndarray:
+        return self._grads(self.labels * np.vecdot(self.features, values), values)
+
+    def full_value_and_grad_at(self, values: np.ndarray) -> tuple[float, np.ndarray]:
         margin = self.labels * np.vecdot(self.features, values)
+        return (
+            float(np.mean(self._losses(margin, values))),
+            np.mean(self._grads(margin, values), axis=0),
+        )
+
+    def _losses(self, margin: np.ndarray, values: np.ndarray) -> np.ndarray:
+        return np.logaddexp(0.0, -margin) + 0.5 * self.lam * float(np.dot(values, values))
+
+    def _grads(self, margin: np.ndarray, values: np.ndarray) -> np.ndarray:
         p = np.exp(-np.logaddexp(0.0, margin))
         return (-self.labels * p)[:, None] * self.features + self.lam * values
+
+    def values_at_points(self, points: np.ndarray, i: int) -> np.ndarray:
+        margin = self.labels[i] * np.vecdot(points, self.features[i])
+        return np.logaddexp(0.0, -margin) + 0.5 * self.lam * np.vecdot(points, points)
+
+    def grads_at_points(self, points: np.ndarray, i: int) -> np.ndarray:
+        margin = self.labels[i] * np.vecdot(points, self.features[i])
+        p = np.exp(-np.logaddexp(0.0, margin))
+        return (-self.labels[i] * p)[:, None] * self.features[i] + self.lam * points
 
     def block_lipschitz_bound(self) -> tuple[float, float]:
         d_x = self.layout.d_x
@@ -340,6 +390,12 @@ class LinearObjective(FiniteSumObjective):
 
     def grads_all(self, values: np.ndarray) -> np.ndarray:
         return self.slopes.copy()
+
+    def values_at_points(self, points: np.ndarray, i: int) -> np.ndarray:
+        return np.vecdot(points, self.slopes[i])
+
+    def grads_at_points(self, points: np.ndarray, i: int) -> np.ndarray:
+        return np.tile(self.slopes[i], (len(points), 1))
 
     def block_lipschitz_bound(self) -> tuple[float, float]:
         return (0.0, 0.0)
@@ -396,6 +452,13 @@ class DenseQuadratic(FiniteSumObjective):
 
     def grads_all(self, values: np.ndarray) -> np.ndarray:
         return np.matvec(self.hessian, values - self.centers)
+
+    def values_at_points(self, points: np.ndarray, i: int) -> np.ndarray:
+        dv = points - self.centers[i]
+        return 0.5 * np.vecdot(dv, np.matvec(self.hessian, dv))
+
+    def grads_at_points(self, points: np.ndarray, i: int) -> np.ndarray:
+        return np.matvec(self.hessian, points - self.centers[i])
 
     @property
     def f_star(self) -> float | None:

@@ -15,6 +15,7 @@ The default pairing (x zeroth-order, y first-order) is the hybrid scheme;
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -198,6 +199,12 @@ def step(
     return HybridPoint(layout, new_values)
 
 
+def _norm(v: np.ndarray) -> float:
+    # np.linalg.norm of a 1-d float array is sqrt(v . v); the same bits,
+    # without its per-call dispatch on ord and axis
+    return math.sqrt(v.dot(v))
+
+
 def run_epoch(
     obj: FiniteSumObjective,
     w: HybridPoint,
@@ -227,12 +234,10 @@ def run_epoch(
             w = step(obj, w, int(idx), cfg, rng)
         except NumericError as exc:
             raise NumericError(f"epoch {epoch}, step {global_step}: {exc}") from exc
-        f = obj.full_value_at(w.values)
-        g = obj.full_grad_at(w.values)
-        gx = float(np.linalg.norm(g[: layout.d_x]))
-        gy = float(np.linalg.norm(g[layout.d_x :]))
+        f, g = obj.full_value_and_grad_at(w.values)
         trace.append(
-            TraceRecord(epoch, global_step, f, float(np.linalg.norm(g)), gx, gy)
+            TraceRecord(epoch, global_step, f, _norm(g), _norm(g[: layout.d_x]),
+                        _norm(g[layout.d_x :]))
         )
         if snapshots is not None and snapshot_every > 0:
             if (global_step + 1) % snapshot_every == 0:

@@ -5,7 +5,9 @@ probe implementations: gradients come from value-only central differences,
 Hessians from coordinate-wise central differences of analytic gradients, and
 the estimator bounds from plain Monte Carlo.  Production code never imports
 this module; tests use it so that agreement is evidence rather than the same
-formula evaluated twice.
+formula evaluated twice.  The Monte Carlo trials of one bound check are one
+(trials, d_x) Gaussian draw evaluated through the estimator's row helper,
+the same bits as drawing and evaluating them one at a time.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Block, HybridPoint, RngStream, sample_gaussian
-from .estimator import _two_point_values
+from .estimator import _two_point_rows
 from .objectives import FiniteSumObjective
 
 __all__ = [
@@ -153,13 +155,11 @@ def check_estimator_bounds(
     g_norm = float(np.linalg.norm(g))
     base = obj.value_at(values, i)  # shared by every trial, as in the estimator
 
-    bias = np.empty(trials)
-    sq_err = np.empty(trials)
-    for t in range(trials):
-        v = sample_gaussian(rng, d_x)
-        err = _two_point_values(obj, values, i, float(mu), v, Block.X, base) - g
-        bias[t] = float(np.dot(g, err))
-        sq_err[t] = float(np.dot(err, err))
+    directions = sample_gaussian(rng, trials * d_x).reshape(trials, d_x)
+    err = _two_point_rows(obj, values, i, float(mu), directions, Block.X, base)
+    err -= g
+    bias = np.vecdot(err, g)
+    sq_err = np.vecdot(err, err)
 
     rhs_bias = 0.5 * mu * lipschitz * (d_x + 3.0) ** 1.5 * g_norm
     rhs_sq = 32.0 * d_x * g_norm**2 + 108.0 * mu**2 * lipschitz**2 * d_x**4

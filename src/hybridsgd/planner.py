@@ -14,13 +14,13 @@ from them are best-effort, not certified.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import Block, HybridPoint, RngStream
 from .objectives import FiniteSumObjective
-from .probe import ProbeConfig, block_config, estimate_block_lipschitz
+from .probe import ProbeConfig, estimate_block_lipschitz
 
 __all__ = [
     "SmoothnessConstants",
@@ -187,7 +187,7 @@ def estimate_constants(
     sigma = 0.0
     for w in pts:
         for block in (Block.X, Block.Y):
-            bcfg = block_config(cfg, block)
+            bcfg = replace(cfg, target=block)
             full_lb = estimate_block_lipschitz(obj, w, bcfg, rng).operator_lb
             sample_lb = max(
                 estimate_block_lipschitz(obj, w, bcfg, rng, sample=i).operator_lb

@@ -9,17 +9,30 @@ to the same block, so the statistics describe the diagonal sub-Hessian
 For unit-sphere directions E[v^T H^2 v] = ||H||_F^2 / dim, so the raw
 quadratic-mean statistic sqrt(mean ||Hv||^2) underestimates the Frobenius
 norm by sqrt(dim); both the raw and the corrected value are reported.
+
+K probes at one point are batched: one (K, dim) unit-sphere draw, and for a
+single sample one ``grads_at_points`` call for all K perturbed gradients.
+The draw consumes the stream exactly as K sequential draws would, so the
+statistics are the same bits as probing one direction at a time.
 """
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import sqrt
 from pathlib import Path
 
 import numpy as np
 
-from .core import Block, HybridPoint, NumericError, RngStream, fmt17, sample_unit_sphere
+from .core import (
+    Block,
+    HybridPoint,
+    NumericError,
+    RngStream,
+    _shifted_rows,
+    _unit_sphere_rows,
+    fmt17,
+)
 from .objectives import FiniteSumObjective
 
 __all__ = [
@@ -70,27 +83,27 @@ class ProbeReport:
     block: Block
 
 
-def _grad_fn(obj: FiniteSumObjective, sample: int | None):
-    if sample is None:
-        return obj.full_grad_at
-    return lambda values: obj.grad_at(values, sample)
-
-
-def _hvp_values(
+def _hvp_rows(
     obj: FiniteSumObjective,
     values: np.ndarray,
-    v: np.ndarray,
+    directions: np.ndarray,
     h: float,
     block: Block,
     sample: int | None,
-    base_grad: np.ndarray | None,
 ) -> np.ndarray:
-    grad = _grad_fn(obj, sample)
-    if base_grad is None:
-        base_grad = grad(values)
-    perturbed = values.copy()
-    perturbed[obj.layout.slice_of(block)] += h * v
-    out = (grad(perturbed) - base_grad) / h
+    """Products for every row of directions, shape (m, d); inputs assumed validated.
+
+    The base gradient is evaluated once for all rows.  A sample's m perturbed
+    gradients come from one ``grads_at_points`` call; the full objective is
+    evaluated point by point.
+    """
+    base_grad = obj.full_grad_at(values) if sample is None else obj.grad_at(values, sample)
+    perturbed = _shifted_rows(values, obj.layout.slice_of(block), h * directions)
+    if sample is None:
+        grads = np.stack([obj.full_grad_at(p) for p in perturbed])
+    else:
+        grads = obj.grads_at_points(perturbed, sample)
+    out = (grads - base_grad) / h
     if not np.all(np.isfinite(out)):
         raise NumericError("non-finite gradient in a curvature probe")
     return out
@@ -119,7 +132,7 @@ def hvp(
     dim = obj.layout.dim_of(block)
     if v.shape != (dim,):
         raise ValueError(f"v must have shape ({dim},) for block {block.value}, got {v.shape}")
-    return _hvp_values(obj, values, v, float(h), block, sample, None)
+    return _hvp_rows(obj, values, v[None, :], float(h), block, sample)[0]
 
 
 def estimate_block_lipschitz(
@@ -131,22 +144,19 @@ def estimate_block_lipschitz(
 ) -> ProbeReport:
     """Probe the target block's curvature with cfg.probes unit directions.
 
-    The base gradient is evaluated once and shared by all probes, so a probe
-    costs one gradient evaluation.
+    The base gradient is evaluated once and shared by all probes, so K probes
+    cost K + 1 gradients.  The K directions are one (K, dim) draw, and a
+    sample's K perturbed gradients one batched call.
     """
     values = obj.check_point(w)
     if sample is not None:
         sample = obj.check_sample(sample)
     sl = obj.layout.slice_of(cfg.target)
     dim = obj.layout.dim_of(cfg.target)
-    base_grad = _grad_fn(obj, sample)(values)
-    sq = np.empty(cfg.probes)
-    operator_lb = 0.0
-    for k in range(cfg.probes):
-        v = sample_unit_sphere(rng, dim)
-        hv = _hvp_values(obj, values, v, cfg.h, cfg.target, sample, base_grad)[sl]
-        sq[k] = float(np.dot(hv, hv))
-        operator_lb = max(operator_lb, sqrt(sq[k]))
+    directions = _unit_sphere_rows(rng, cfg.probes, dim)
+    hv = _hvp_rows(obj, values, directions, cfg.h, cfg.target, sample)[:, sl]
+    sq = np.vecdot(hv, hv)
+    operator_lb = float(np.max(np.sqrt(sq)))
     mean_sq = float(np.mean(sq))
     raw = sqrt(mean_sq)
     scaled = sqrt(dim * mean_sq)
@@ -208,8 +218,3 @@ def write_probe_csv(rows, path) -> None:
                     fmt17(rep.h),
                 ]
             )
-
-
-def block_config(cfg: ProbeConfig, target: Block) -> ProbeConfig:
-    """cfg with a different target block."""
-    return replace(cfg, target=target)

@@ -14,6 +14,7 @@ from hybridsgd import (
     sample_unit_sphere,
     shuffle_permutation,
 )
+from hybridsgd.core import _unit_sphere_rows
 
 
 def test_layout_dimensions():
@@ -138,6 +139,58 @@ def test_unit_sphere_mean_is_centered():
     for _ in range(draws):
         total += sample_unit_sphere(rng, 2)
     assert np.all(np.abs(total / draws) <= 4.0 / np.sqrt(draws))
+
+
+def _sequential_unit_sphere(rng, dim):
+    """One direction at a time: redraw while the Gaussian draw is zero."""
+    while True:
+        v = rng.generator.standard_normal(dim)
+        norm = float(np.linalg.norm(v))
+        if norm > 0.0:
+            return v / norm
+
+
+class _ReplayStream:
+    """Stands in for an RngStream: replays fixed Gaussian values in order."""
+
+    def __init__(self, values):
+        self.generator = self
+        self._values = np.asarray(values, dtype=np.float64).ravel()
+        self.position = 0
+
+    def standard_normal(self, size):
+        count = int(np.prod(size))
+        out = self._values[self.position : self.position + count]
+        self.position += count
+        return out.reshape(size)
+
+
+@pytest.mark.parametrize("k,dim", [(1, 1), (7, 3), (100, 5), (40, 10)])
+def test_batched_unit_sphere_equals_sequential_draws(k, dim):
+    batched_rng, sequential_rng, public_rng = (RngStream(61, 7) for _ in range(3))
+    batched = _unit_sphere_rows(batched_rng, k, dim)
+    assert batched.shape == (k, dim)
+    sequential = np.stack([_sequential_unit_sphere(sequential_rng, dim) for _ in range(k)])
+    public = np.stack([sample_unit_sphere(public_rng, dim) for _ in range(k)])
+    assert np.array_equal(batched, sequential) and np.array_equal(batched, public)
+    # the stream is left at the same position
+    after = [rng.generator.standard_normal(3) for rng in (batched_rng, sequential_rng, public_rng)]
+    assert np.array_equal(after[0], after[1]) and np.array_equal(after[0], after[2])
+
+
+def test_batched_unit_sphere_rejects_zero_rows_like_sequential_draws():
+    # rows 1, 3 and 4 are zero: the first block keeps rows 0 and 2, the
+    # top-up of two rows keeps row 5, the next top-up takes row 6
+    rows = [[3.0, 4.0], [0.0, 0.0], [-1.0, 0.0], [0.0, 0.0],
+            [0.0, 0.0], [0.0, 2.0], [1.0, 1.0], [7.0, 7.0]]
+    batched, sequential = _ReplayStream(rows), _ReplayStream(rows)
+    out = _unit_sphere_rows(batched, 4, 2)
+    expected = np.stack([_sequential_unit_sphere(sequential, 2) for _ in range(4)])
+    assert np.array_equal(out, expected)
+    assert np.array_equal(out[:3], [[0.6, 0.8], [-1.0, 0.0], [0.0, 1.0]])
+    assert batched.position == sequential.position == 14
+    public = _ReplayStream(rows)
+    assert np.array_equal(np.stack([sample_unit_sphere(public, 2) for _ in range(4)]), out)
 
 
 def test_shuffle_single_and_bijection():

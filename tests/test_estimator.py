@@ -3,20 +3,28 @@ import numpy as np
 import pytest
 
 from hybridsgd import (
+    Block,
     BlockLayout,
+    BlockMode,
     BlockQuadratic,
     CoshObjective,
     HybridPoint,
+    LearningRates,
     LinearObjective,
+    Mode,
     NumericError,
+    OptimizerConfig,
     PerturbationUnderflowWarning,
     RngStream,
     ZoConfig,
     estimate_x_gradient,
     sample_gaussian,
     smoothed_gradient_reference,
+    step,
     two_point_estimate,
 )
+from hybridsgd import optimizer
+from hybridsgd.estimator import _two_point_rows
 from conftest import BlockGuardObjective, OffsetObjective, ScaledObjective
 
 LAYOUT = BlockLayout(2, 1)
@@ -170,6 +178,36 @@ def test_underflow_warning_when_mu_below_float_resolution():
         est = two_point_estimate(obj, w, 0, 1e-9, np.array([1.0]))
     assert np.all(np.isfinite(est))
     assert record[0].filename == __file__  # attributed to the caller
+
+
+def test_step_reports_non_finite_direction_value_and_underflow_at_caller():
+    # mu = 1e3 pushes some of the q = 4 cosh arguments past overflow
+    obj = CoshObjective(BlockLayout(2, 1), np.zeros((1, 3)))
+    w = HybridPoint(obj.layout, [0.5, -0.5, 0.25])
+    cfg = OptimizerConfig(LearningRates(0.1, 0.1), BlockMode(Mode.ZO, Mode.FO),
+                          zo=ZoConfig(mu=1e3, directions_per_step=4))
+    message = r"non-finite value in a two-point probe \(sample 0\)"
+    with pytest.raises(NumericError, match=message), np.errstate(over="ignore"):
+        step(obj, w, 0, cfg, RngStream(36, 1))
+    # mu * ||v|| far below the float resolution of ||x|| = 1e12
+    quad = BlockQuadratic(BlockLayout(1, 1), np.zeros((1, 2)), 1.0, 1.0)
+    w = HybridPoint(quad.layout, [1e12, 0.0])
+    cfg = OptimizerConfig(LearningRates(0.0, 0.0), BlockMode(Mode.ZO, Mode.FO),
+                          zo=ZoConfig(mu=1e-9, directions_per_step=3))
+    with pytest.warns(PerturbationUnderflowWarning) as record:
+        out = step(quad, w, 0, cfg, RngStream(37, 1))
+    assert np.all(np.isfinite(out.values))
+    assert record[0].filename == optimizer.__file__  # step, the estimator's caller
+
+
+def test_underflow_warning_when_any_direction_is_short():
+    obj = BlockQuadratic(BlockLayout(1, 1), np.zeros((1, 2)), 1.0, 1.0)
+    values = np.array([1e6, 0.0])
+    base = obj.value_at(values, 0)
+    # threshold 1e3 * eps * 1e6 ~ 2.2e-7: mu * 1 is above it, mu * 1e-6 below
+    _two_point_rows(obj, values, 0, 1e-3, np.array([[1.0], [2.0]]), Block.X, base)
+    with pytest.warns(PerturbationUnderflowWarning):
+        _two_point_rows(obj, values, 0, 1e-3, np.array([[1.0], [1e-6]]), Block.X, base)
 
 
 def test_smoothed_reference_linear_recovers_slope():

@@ -1,12 +1,15 @@
 """Batched kernels against the per-sample loop, end to end.
 
 Each workload is run twice: with the objective as built, and with the same
-objective built as a subclass whose ``values_all``/``grads_all`` are reset to
-the :class:`FiniteSumObjective` loop over ``value_at``/``grad_at``.  Traces,
-final iterates, run results and output files must agree bit for bit, so the
-check holds on any BLAS build without hard-coded hashes.
+objective built as a subclass whose batched kernels (``values_all``/
+``grads_all``, ``values_at_points``/``grads_at_points``) and fused
+``full_value_and_grad_at`` are reset to the :class:`FiniteSumObjective` loops
+over ``value_at``/``grad_at``.  Traces, final iterates, run results and
+output files must agree bit for bit, so the check holds on any BLAS build
+without hard-coded hashes.
 """
 import contextlib
+import inspect
 import json
 
 import numpy as np
@@ -46,11 +49,25 @@ HYBRID = {"modes": {"x": "zo", "y": "fo"}, "zo": {"mu": 1e-3, "directions_per_st
           "init": {"kind": "gaussian", "scale": 1.0}, "seed": 5}
 
 
+BATCHED_KERNELS = ("values_all", "grads_all", "values_at_points", "grads_at_points")
+
+
 def _looped(cls):
-    return type(f"Looped{cls.__name__}", (cls,), {
-        "values_all": FiniteSumObjective.values_all,
-        "grads_all": FiniteSumObjective.grads_all,
-    })
+    reset = BATCHED_KERNELS + ("full_value_and_grad_at",)
+    return type(f"Looped{cls.__name__}", (cls,),
+                {name: getattr(FiniteSumObjective, name) for name in reset})
+
+
+def test_every_family_overrides_all_batched_kernels_or_none():
+    families = [
+        cls for _, cls in inspect.getmembers(objectives, inspect.isclass)
+        if issubclass(cls, FiniteSumObjective) and cls is not FiniteSumObjective
+    ]
+    assert set(families) == set(FAMILIES)
+    for cls in families:
+        overridden = {name for name in BATCHED_KERNELS
+                      if getattr(cls, name) is not getattr(FiniteSumObjective, name)}
+        assert overridden in (set(), set(BATCHED_KERNELS)), (cls.__name__, overridden)
 
 
 @pytest.fixture
@@ -71,8 +88,9 @@ def _both(spec, per_sample_loop):
     batched = objective_from_dict(spec)
     with per_sample_loop():
         looped = objective_from_dict(spec)
-    assert type(batched).grads_all is not FiniteSumObjective.grads_all
-    assert type(looped).grads_all is FiniteSumObjective.grads_all
+    for name in BATCHED_KERNELS:
+        assert getattr(type(batched), name) is not getattr(FiniteSumObjective, name)
+        assert getattr(type(looped), name) is getattr(FiniteSumObjective, name)
     return batched, looped
 
 

@@ -258,14 +258,38 @@ def _per_sample(obj, values):
     return vals, grads
 
 
+def _per_row(obj, points, i):
+    """The per-row reference: sample i's value and gradient at every row, one call each."""
+    vals = np.array([obj.value_at(p, i) for p in points])
+    grads = np.stack([obj.grad_at(p, i) for p in points])
+    return vals, grads
+
+
 def _assert_batched_matches(obj, values):
     with np.errstate(over="ignore"):
         vals, grads = obj.values_all(values), obj.grads_all(values)
         ref_vals, ref_grads = _per_sample(obj, values)
+        fused = obj.full_value_and_grad_at(values)
+        full = (obj.full_value_at(values), obj.full_grad_at(values))
     assert vals.shape == (obj.n,) and grads.shape == (obj.n, obj.layout.d)
     assert np.array_equal(vals, ref_vals)
     assert np.array_equal(grads, ref_grads)
+    assert repr(fused[0]) == repr(full[0]) and np.array_equal(fused[1], full[1])
     return vals, grads
+
+
+def _assert_at_points_matches(obj, points):
+    """values_at_points/grads_at_points against the per-row loop, for every sample."""
+    out = []
+    for i in range(obj.n):
+        with np.errstate(over="ignore"):
+            vals, grads = obj.values_at_points(points, i), obj.grads_at_points(points, i)
+            ref_vals, ref_grads = _per_row(obj, points, i)
+        assert vals.shape == (len(points),) and grads.shape == points.shape
+        assert np.array_equal(vals, ref_vals)
+        assert np.array_equal(grads, ref_grads)
+        out.append((vals, grads))
+    return out
 
 
 @st.composite
@@ -277,13 +301,16 @@ def _family_and_point(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     obj = _BUILDERS[kind](layout, n, RngStream(seed, 0xDA7A), scale)
     values = draw(hnp.arrays(np.float64, layout.d, elements=st.floats(-1e3, 1e3)))
-    return obj, values
+    m = draw(st.sampled_from([1, 2, 7]))
+    points = draw(hnp.arrays(np.float64, (m, layout.d), elements=st.floats(-1e3, 1e3)))
+    return obj, values, points
 
 
 @given(_family_and_point())
 def test_batched_kernels_bit_identical_to_per_sample(case):
-    obj, values = case
+    obj, values, points = case
     _assert_batched_matches(obj, values)
+    _assert_at_points_matches(obj, points)
 
 
 def test_batched_logistic_saturated_margins():
@@ -295,6 +322,11 @@ def test_batched_logistic_saturated_margins():
     assert np.array_equal(vals, [0.0, 900.0, 5000.0, 5000.0])
     assert np.array_equal(grads[0], [0.0, 0.0])
     assert np.array_equal(grads[1], [1.0, 0.0])
+    # the same saturation with the sample fixed and the points varying
+    points = np.array([[900.0, 5000.0], [-900.0, 5000.0], [5000.0, -900.0]])
+    (vals, grads), *_ = _assert_at_points_matches(obj, points)
+    assert np.array_equal(vals, [0.0, 900.0, 0.0])
+    assert np.array_equal(grads[:, 0], [0.0, -1.0, 0.0])
 
 
 def test_batched_cosh_overflow_lands_at_same_positions():
@@ -305,13 +337,17 @@ def test_batched_cosh_overflow_lands_at_same_positions():
     assert np.array_equal(np.isinf(vals), [True, False, True])
     assert np.array_equal(np.isinf(grads), [[True, False, False], [False] * 3, [True] * 3])
     assert np.array_equal(grads[2], [np.inf, np.inf, -np.inf])
+    points = np.array([[750.0, 0.5, 0.0], [0.0, 0.5, 0.0], [-750.0, 800.0, -1.0]])
+    (vals, grads), *_ = _assert_at_points_matches(obj, points)
+    assert np.array_equal(np.isinf(vals), [True, False, True])
+    assert np.array_equal(grads[2], [-np.inf, np.inf, np.sinh(-1.0)])
 
 
 @pytest.mark.parametrize("kind", sorted(_BUILDERS))
 def test_family_overrides_batched_kernels(kind):
     cls = type(_BUILDERS[kind](LAYOUT, 2, RngStream(15, 0xDA7A), 1.0))
-    assert cls.values_all is not FiniteSumObjective.values_all
-    assert cls.grads_all is not FiniteSumObjective.grads_all
+    for name in ("values_all", "grads_all", "values_at_points", "grads_at_points"):
+        assert getattr(cls, name) is not getattr(FiniteSumObjective, name), name
 
 
 def test_subclass_without_kernels_uses_base_loop():
@@ -320,11 +356,15 @@ def test_subclass_without_kernels_uses_base_loop():
         offset = OffsetObjective(base, 2.5)
         scaled = ScaledObjective(base, -3.0)
         for wrapper in (offset, scaled):
-            assert type(wrapper).values_all is FiniteSumObjective.values_all
-            assert type(wrapper).grads_all is FiniteSumObjective.grads_all
+            for kernel in ("values_all", "grads_all", "values_at_points", "grads_at_points"):
+                assert getattr(type(wrapper), kernel) is getattr(FiniteSumObjective, kernel)
         values = sample_gaussian(rng, LAYOUT.d)
         w = HybridPoint(LAYOUT, values)
         base_vals, base_grads = base.values_all(values), base.grads_all(values)
+        points = np.stack([values, 2.0 * values])
+        base_at_points = base.values_at_points(points, 1), base.grads_at_points(points, 1)
+        assert np.array_equal(offset.values_at_points(points, 1), base_at_points[0] + 2.5)
+        assert np.array_equal(scaled.grads_at_points(points, 1), -3.0 * base_at_points[1])
         # offset: values shift by the constant, gradients are untouched
         assert np.array_equal(offset.values_all(values), base_vals + 2.5)
         assert np.array_equal(offset.grads_all(values), base_grads)

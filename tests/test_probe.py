@@ -1,4 +1,6 @@
 """Finite-difference curvature probes against closed-form Hessians."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from hybridsgd import (
     ProbeConfig,
     ProbeReport,
     RngStream,
-    block_config,
     dense_hessian,
     estimate_block_lipschitz,
     hvp,
@@ -97,8 +98,8 @@ def test_block_probes_recover_block_curvatures():
     obj = _diag_quad(100.0, 1.0)
     w = HybridPoint(LAYOUT, np.zeros(5))
     cfg = ProbeConfig(probes=50)
-    rep_x = estimate_block_lipschitz(obj, w, block_config(cfg, Block.X), RngStream(75, 1))
-    rep_y = estimate_block_lipschitz(obj, w, block_config(cfg, Block.Y), RngStream(75, 1))
+    rep_x = estimate_block_lipschitz(obj, w, replace(cfg, target=Block.X), RngStream(75, 1))
+    rep_y = estimate_block_lipschitz(obj, w, replace(cfg, target=Block.Y), RngStream(75, 1))
     assert rep_x.operator_lb == pytest.approx(100.0, rel=1e-9)
     assert rep_y.operator_lb == pytest.approx(1.0, rel=1e-9)
     assert rep_x.block == Block.X and rep_y.block == Block.Y
