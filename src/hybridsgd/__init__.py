@@ -18,12 +18,10 @@ from .core import (
     shuffle_permutation,
 )
 from .estimator import (
-    MonteCarloGradient,
     PerturbationUnderflowWarning,
     ZoConfig,
     estimate_block_gradient,
     estimate_x_gradient,
-    smoothed_gradient_reference,
     two_point_estimate,
 )
 from .objectives import (
@@ -39,13 +37,11 @@ from .objectives import (
 from .optimizer import (
     BlockMode,
     DivergenceError,
-    DivergenceReport,
     LearningRates,
     Mode,
     OptimizerConfig,
     RunResult,
     TraceRecord,
-    resolve_divergence_threshold,
     run,
     run_epoch,
     step,
@@ -53,10 +49,12 @@ from .optimizer import (
 )
 from .oracle import (
     BoundCheckReport,
+    MonteCarloGradient,
     check_estimator_bounds,
     check_hybrid_smoothness,
     dense_hessian,
     fd_gradient,
+    smoothed_gradient_reference,
 )
 from .planner import (
     PlanInputs,
@@ -87,7 +85,6 @@ __all__ = [
     "CoshObjective",
     "DenseQuadratic",
     "DivergenceError",
-    "DivergenceReport",
     "FiniteSumObjective",
     "HybridPoint",
     "LearningRates",
@@ -122,7 +119,6 @@ __all__ = [
     "load_objective",
     "objective_from_dict",
     "plan_rates",
-    "resolve_divergence_threshold",
     "run",
     "run_epoch",
     "sample_gaussian",

@@ -14,40 +14,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
-from .core import Block, BlockLayout, HybridPoint, NumericError, RngStream, fmt17, sample_gaussian
+from .core import Block, BlockLayout, HybridPoint, NumericError, RngStream, _gaussian_point, fmt17
 from .estimator import ZoConfig
-from .objectives import (
-    BlockQuadratic,
-    CoshObjective,
-    DenseQuadratic,
-    FiniteSumObjective,
-    LinearObjective,
-    LogisticObjective,
-    load_objective,
-    objective_from_dict,
-)
-from .optimizer import (
-    BlockMode,
-    LearningRates,
-    Mode,
-    OptimizerConfig,
-    resolve_divergence_threshold,
-    run,
-    write_trace_csv,
-)
-from .oracle import (
-    BoundCheckReport,
-    check_estimator_bounds,
-    check_hybrid_smoothness,
-    dense_hessian,
-    fd_gradient,
-)
+from .objectives import FiniteSumObjective, load_objective, objective_from_dict
+from .optimizer import BlockMode, LearningRates, Mode, OptimizerConfig, run, write_trace_csv
+from .oracle import _check_suite
 from .planner import PlanInputs, SmoothnessConstants, binding_term, epoch_budget, estimate_constants, plan_rates
-from .probe import ProbeConfig, estimate_block_lipschitz, trajectory_scan, write_probe_csv
+from .probe import ProbeConfig, trajectory_scan, write_probe_csv
 
 __all__ = ["main", "ConfigError", "EXIT_OK", "EXIT_CHECK_FAILED", "EXIT_CONFIG", "EXIT_DIVERGED", "EXIT_NUMERIC"]
 
@@ -109,8 +87,7 @@ def _initial_point(cfg: dict, layout: BlockLayout, seed: int) -> HybridPoint:
         return HybridPoint(layout, values)
     if kind == "gaussian":
         scale = float(spec.get("scale", 1.0))
-        rng = RngStream(seed, INIT_STREAM_ID)
-        return HybridPoint(layout, scale * sample_gaussian(rng, layout.d))
+        return _gaussian_point(layout, RngStream(seed, INIT_STREAM_ID), scale)
     raise ConfigError(f"init: unknown kind {kind!r}; expected zeros, explicit, or gaussian")
 
 
@@ -164,11 +141,9 @@ def _resolved_run_meta(cfg: dict, opt: OptimizerConfig, seed: int, guard: float)
     return {
         "objective": cfg.get("objective"),
         "init": cfg.get("init", {"kind": "zeros"}),
-        "rates": {"eta_x": opt.rates.eta_x, "eta_y": opt.rates.eta_y},
+        "rates": asdict(opt.rates),
         "modes": {"x": opt.modes.x_mode.value, "y": opt.modes.y_mode.value},
-        "zo": None
-        if opt.zo is None
-        else {"mu": opt.zo.mu, "directions_per_step": opt.zo.directions_per_step},
+        "zo": None if opt.zo is None else asdict(opt.zo),
         "epochs": opt.epochs,
         "divergence_threshold": opt.divergence_threshold,
         "divergence_threshold_resolved": guard,
@@ -199,7 +174,6 @@ def cmd_run(args) -> int:
     obj = _objective(cfg, args.config)
     opt = _optimizer_config(cfg, _rates(cfg))
     w0 = _initial_point(cfg, obj.layout, seed)
-    guard = resolve_divergence_threshold(opt, obj.eval_full(w0))
     # Same stream as sweep cell 0, so a 1x1 sweep reproduces a plain run.
     result = run(
         obj,
@@ -209,12 +183,12 @@ def cmd_run(args) -> int:
         snapshot_every=int(cfg.get("snapshot_every", 0)),
     )
     write_trace_csv(result.trace, args.out)
+    guard = result.divergence_threshold
     meta = _resolved_run_meta(cfg, opt, seed, guard)
     meta["command"] = "run"
     _write_meta(args.out, meta)
-    final_f = result.trace[-1].f_value if result.trace else obj.eval_full(w0)
     print(
-        f"final_f={fmt17(final_f)} min_grad_sq={fmt17(result.min_grad_sq)} "
+        f"final_f={fmt17(result.trace[-1].f_value)} min_grad_sq={fmt17(result.min_grad_sq)} "
         f"epochs_completed={result.epochs_completed} diverged={str(result.diverged).lower()}"
     )
     if result.diverged:
@@ -358,7 +332,7 @@ def cmd_probe(args) -> int:
 
 # -- plan -------------------------------------------------------------------
 
-_CONSTANT_FIELDS = ("L_x", "L_y", "L_x_max", "L_y_max", "G", "sigma", "f_gap")
+_CONSTANT_FIELDS = tuple(f.name for f in fields(SmoothnessConstants))
 
 
 def _plan_report(constants: SmoothnessConstants, n: int, horizon: int, d_x: int,
@@ -459,165 +433,19 @@ def _plan_points(cfg: dict, obj: FiniteSumObjective, seed: int) -> list:
             raise ConfigError("points: count must be >= 1")
         scale = float(spec.get("scale", 1.0))
         rng = RngStream(seed, INIT_STREAM_ID)
-        return [
-            HybridPoint(obj.layout, scale * sample_gaussian(rng, obj.layout.d))
-            for _ in range(count)
-        ]
+        return [_gaussian_point(obj.layout, rng, scale) for _ in range(count)]
     raise ConfigError(f"points: unknown kind {kind!r}; expected explicit or gaussian")
 
 
 # -- check -------------------------------------------------------------------
 
 
-def _grad_agreement_report(name: str, obj: FiniteSumObjective, points, h: float = 1e-5) -> BoundCheckReport:
-    worst = 0.0
-    for w in points:
-        targets = [None] + list(range(obj.n))
-        for i in targets:
-            approx = fd_gradient(obj, w, i, h)
-            exact = obj.grad_full(w) if i is None else obj.grad_sample(w, i)
-            scale = max(float(np.linalg.norm(exact)), 1e-12)
-            worst = max(worst, float(np.linalg.norm(approx - exact)) / scale)
-    return BoundCheckReport(
-        bound_name=name,
-        empirical_lhs=worst,
-        empirical_stderr=0.0,
-        theoretical_rhs=1e-6,
-        trials=len(points),
-        passed=bool(worst <= 1e-6),
-    )
-
-
-def _check_suite(seed: int, trials: int, negative_control: bool) -> list[BoundCheckReport]:
-    root = RngStream(seed, CHECK_STREAM_ID)
-    reports: list[BoundCheckReport] = []
-    salt = 0
-
-    def next_rng() -> RngStream:
-        nonlocal salt
-        salt += 1
-        return root.child(salt)
-
-    def gauss_point(layout: BlockLayout, scale: float = 1.0) -> HybridPoint:
-        return HybridPoint(layout, scale * sample_gaussian(next_rng(), layout.d))
-
-    # estimator error bounds on the analytically tractable families
-    for d_x in (2, 8):
-        layout = BlockLayout(d_x, 2)
-        families = {
-            "linear": LinearObjective.random(layout, 3, next_rng()),
-            "block_quadratic": BlockQuadratic.random(
-                layout, 3, 4.0, 1.0, next_rng(), center_spread=0.5
-            ),
-        }
-        for fam_name, obj in families.items():
-            w = gauss_point(layout)
-            for mu in (1e-2, 1e-3, 1e-4):
-                bias_rep, sq_rep = check_estimator_bounds(obj, w, 0, mu, trials, next_rng())
-                for rep in (bias_rep, sq_rep):
-                    reports.append(
-                        BoundCheckReport(
-                            bound_name=f"{rep.bound_name}[{fam_name},d_x={d_x},mu={mu:g}]",
-                            empirical_lhs=rep.empirical_lhs,
-                            empirical_stderr=rep.empirical_stderr,
-                            theoretical_rhs=rep.theoretical_rhs,
-                            trials=rep.trials,
-                            passed=rep.passed,
-                        )
-                    )
-
-    # curvature envelopes
-    layout = BlockLayout(3, 3)
-    quad = BlockQuadratic.random(layout, 4, 3.0, 1.0, next_rng(), center_spread=0.5)
-    pts = [gauss_point(layout) for _ in range(5)]
-    rep = check_hybrid_smoothness(quad, pts, lambda u: 3.0, lambda u: 1.0)
-    reports.append(
-        BoundCheckReport(
-            "hybrid_smoothness_envelope[block_quadratic]",
-            rep.empirical_lhs,
-            rep.empirical_stderr,
-            rep.theoretical_rhs,
-            rep.trials,
-            rep.passed,
-        )
-    )
-    cosh = CoshObjective.random(layout, 4, next_rng())
-    pts = [gauss_point(layout) for _ in range(5)]
-    rep = check_hybrid_smoothness(cosh, pts, lambda u: 1.0 + u, lambda u: 1.0 + u)
-    reports.append(
-        BoundCheckReport(
-            "hybrid_smoothness_envelope[cosh]",
-            rep.empirical_lhs,
-            rep.empirical_stderr,
-            rep.theoretical_rhs,
-            rep.trials,
-            rep.passed,
-        )
-    )
-    if negative_control:
-        rep = check_hybrid_smoothness(cosh, pts, lambda u: 0.5, lambda u: 0.5)
-        reports.append(
-            BoundCheckReport(
-                "hybrid_smoothness_envelope[cosh,negative_control]",
-                rep.empirical_lhs,
-                rep.empirical_stderr,
-                rep.theoretical_rhs,
-                rep.trials,
-                rep.passed,
-            )
-        )
-
-    # analytic gradients versus value-only finite differences
-    layout = BlockLayout(3, 2)
-    families = {
-        "block_quadratic": BlockQuadratic.random(layout, 3, 5.0, 0.5, next_rng(), center_spread=1.0),
-        "cosh": CoshObjective.random(layout, 3, next_rng(), shift_spread=0.3),
-        "logistic": LogisticObjective.random(layout, 4, next_rng(), lam=0.1),
-        "linear": LinearObjective.random(layout, 3, next_rng()),
-        "dense_quadratic": DenseQuadratic.random(layout, 2, next_rng(), center_scale=1.0),
-    }
-    for fam_name, obj in families.items():
-        pts = [gauss_point(layout) for _ in range(5)]
-        reports.append(_grad_agreement_report(f"grad_fd_agreement[{fam_name}]", obj, pts))
-
-    # probe exactness on isotropic blocks, and against the dense-spectrum oracle
-    layout = BlockLayout(4, 3)
-    iso = BlockQuadratic(layout, np.zeros((2, layout.d)), 100.0, 1.0)
-    origin = HybridPoint(layout, np.zeros(layout.d))
-    for block, expected in ((Block.X, 100.0), (Block.Y, 1.0)):
-        probe_rep = estimate_block_lipschitz(
-            iso, origin, ProbeConfig(probes=25, target=block), next_rng()
-        )
-        err = abs(probe_rep.operator_lb - expected)
-        reports.append(
-            BoundCheckReport(
-                f"probe_operator_exact[a_{block.value}]",
-                err,
-                0.0,
-                1e-9,
-                probe_rep.probes,
-                bool(err <= 1e-9),
-            )
-        )
-    dense = DenseQuadratic.random(BlockLayout(3, 3), 1, next_rng())
-    w = HybridPoint(BlockLayout(3, 3), np.zeros(6))
-    probe_rep = estimate_block_lipschitz(dense, w, ProbeConfig(probes=500), next_rng())
-    eigs = np.linalg.eigvalsh(dense_hessian(dense, w))
-    frob = float(np.sqrt(np.sum(eigs**2)))
-    rel = abs(probe_rep.frobenius_scaled - frob) / frob
-    reports.append(
-        BoundCheckReport(
-            "probe_frobenius_vs_dense_oracle", rel, 0.0, 0.10, probe_rep.probes, bool(rel <= 0.10)
-        )
-    )
-    return reports
-
-
 def cmd_check(args) -> int:
     trials = args.trials
     if trials < 2:
         raise ConfigError("check: --trials must be >= 2")
-    reports = _check_suite(args.seed if args.seed is not None else 0, trials, args.negative_control)
+    root = RngStream(args.seed if args.seed is not None else 0, CHECK_STREAM_ID)
+    reports = _check_suite(root, trials, args.negative_control)
     width = max(len(r.bound_name) for r in reports) + 2
     lines = [f"{'check':<{width}} {'lhs':>24} {'rhs':>24} result"]
     failed = [r for r in reports if not r.passed]
@@ -692,9 +520,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (ValueError, KeyError, TypeError, IndexError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -32,6 +32,27 @@ def fmt17(x: float) -> str:
 _U64 = 0xFFFFFFFFFFFFFFFF
 
 
+def _check_int(name: str, value, lo: int = 1, hi: int | None = None) -> int:
+    """value as an int, if it is an integer (not a bool) in [lo, hi]; else ValueError."""
+    if (
+        not isinstance(value, (int, np.integer))
+        or isinstance(value, bool)
+        or value < lo
+        or (hi is not None and value > hi)
+    ):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+    return int(value)
+
+
+def _check_real(name: str, value, *, allow_zero: bool = False) -> float:
+    """value as a float, if it is finite and > 0 (>= 0 with allow_zero); else ValueError."""
+    if not np.isfinite(value) or (value < 0 if allow_zero else value <= 0):
+        bound = ">= 0" if allow_zero else "positive"
+        raise ValueError(f"{name} must be {bound} and finite, got {value}")
+    return float(value)
+
+
 class NumericError(RuntimeError):
     """A computation produced a non-finite value where a finite one is required."""
 
@@ -52,12 +73,8 @@ class BlockLayout:
     d_y: int
 
     def __post_init__(self) -> None:
-        for name in ("d_x", "d_y"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+        _check_int("d_x", self.d_x)
+        _check_int("d_y", self.d_y)
 
     @property
     def d(self) -> int:
@@ -116,14 +133,6 @@ def _splitmix64(z: int) -> int:
     return (z ^ (z >> 31)) & _U64
 
 
-def _check_u64(name: str, value: int) -> int:
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if not 0 <= value <= _U64:
-        raise ValueError(f"{name} must fit in an unsigned 64-bit integer, got {value}")
-    return int(value)
-
-
 @dataclass(eq=False)
 class RngStream:
     """Deterministic random stream keyed by (seed, stream_id).
@@ -138,8 +147,8 @@ class RngStream:
     stream_id: int = 0
 
     def __post_init__(self) -> None:
-        self.seed = _check_u64("seed", self.seed)
-        self.stream_id = _check_u64("stream_id", self.stream_id)
+        self.seed = _check_int("seed", self.seed, 0, _U64)
+        self.stream_id = _check_int("stream_id", self.stream_id, 0, _U64)
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         self._generator = np.random.Generator(np.random.Philox(key=key))
 
@@ -154,23 +163,20 @@ class RngStream:
         of distinct indices, and children of distinct parents, do not collide.
         Deriving a child does not advance this stream.
         """
-        index = _check_u64("index", index)
+        index = _check_int("index", index, 0, _U64)
         derived = _splitmix64((_splitmix64(self.stream_id) + index + 1) & _U64)
         return RngStream(self.seed, derived)
 
 
-def _check_dim(name: str, value: int) -> int:
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
-    return int(value)
-
-
 def sample_gaussian(rng: RngStream, dim: int) -> np.ndarray:
     """Draw a standard Gaussian vector of the given dimension."""
-    dim = _check_dim("dim", dim)
+    dim = _check_int("dim", dim)
     return rng.generator.standard_normal(dim)
+
+
+def _gaussian_point(layout: BlockLayout, rng: RngStream, scale: float = 1.0) -> HybridPoint:
+    """A point with scale * N(0, I) entries, drawn with one sample_gaussian call."""
+    return HybridPoint(layout, scale * sample_gaussian(rng, layout.d))
 
 
 def sample_unit_sphere(rng: RngStream, dim: int) -> np.ndarray:
@@ -179,7 +185,7 @@ def sample_unit_sphere(rng: RngStream, dim: int) -> np.ndarray:
     A zero draw (possible only in degenerate floating-point corners) is
     rejected and redrawn, so the result always has unit norm.
     """
-    return _unit_sphere_rows(rng, 1, _check_dim("dim", dim))[0]
+    return _unit_sphere_rows(rng, 1, _check_int("dim", dim))[0]
 
 
 def _unit_sphere_rows(rng: RngStream, m: int, dim: int) -> np.ndarray:
@@ -215,5 +221,5 @@ def _shifted_rows(values: np.ndarray, sl: slice, shifts: np.ndarray) -> np.ndarr
 
 def shuffle_permutation(rng: RngStream, n: int) -> np.ndarray:
     """Draw a uniformly random permutation of range(n)."""
-    n = _check_dim("n", n)
+    n = _check_int("n", n)
     return rng.generator.permutation(n)

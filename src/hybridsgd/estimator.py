@@ -21,17 +21,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Block, HybridPoint, NumericError, RngStream, _shifted_rows, sample_gaussian
+from .core import (
+    Block,
+    HybridPoint,
+    NumericError,
+    RngStream,
+    _check_int,
+    _check_real,
+    _shifted_rows,
+    sample_gaussian,
+)
 from .objectives import FiniteSumObjective
 
 __all__ = [
     "ZoConfig",
-    "MonteCarloGradient",
     "PerturbationUnderflowWarning",
     "two_point_estimate",
     "estimate_x_gradient",
     "estimate_block_gradient",
-    "smoothed_gradient_reference",
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -49,11 +56,8 @@ class ZoConfig:
     directions_per_step: int = 1
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.mu) or self.mu <= 0:
-            raise ValueError(f"mu must be positive and finite, got {self.mu}")
-        q = self.directions_per_step
-        if not isinstance(q, (int, np.integer)) or isinstance(q, bool) or q < 1:
-            raise ValueError(f"directions_per_step must be an integer >= 1, got {q!r}")
+        _check_real("mu", self.mu)
+        _check_int("directions_per_step", self.directions_per_step)
 
 
 def _two_point_rows(
@@ -90,12 +94,6 @@ def _two_point_rows(
     return ((shifted - base) / mu)[:, None] * directions
 
 
-def _check_mu(mu: float) -> float:
-    if not np.isfinite(mu) or mu <= 0:
-        raise ValueError(f"mu must be positive and finite, got {mu}")
-    return float(mu)
-
-
 def two_point_estimate(
     obj: FiniteSumObjective, w: HybridPoint, i: int, mu: float, v: np.ndarray
 ) -> np.ndarray:
@@ -106,7 +104,7 @@ def two_point_estimate(
     """
     values = obj.check_point(w)
     i = obj.check_sample(i)
-    mu = _check_mu(mu)
+    mu = _check_real("mu", mu)
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (obj.layout.d_x,):
         raise ValueError(f"v must have shape ({obj.layout.d_x},), got {v.shape}")
@@ -150,39 +148,3 @@ def estimate_x_gradient(
     values = obj.check_point(w)
     i = obj.check_sample(i)
     return estimate_block_gradient(obj, values, i, cfg, rng, Block.X)
-
-
-@dataclass(frozen=True)
-class MonteCarloGradient:
-    """Monte Carlo mean of single-direction estimates with per-coordinate stderr."""
-
-    mean: np.ndarray
-    stderr: np.ndarray
-    draws: int
-
-
-def smoothed_gradient_reference(
-    obj: FiniteSumObjective,
-    w: HybridPoint,
-    i: int,
-    mu: float,
-    draws: int,
-    rng: RngStream,
-) -> MonteCarloGradient:
-    """Brute-force reference for the smoothed x-gradient E_v [(f(x+mu v)-f(x))/mu] v.
-
-    Test oracle only; nothing in the optimizer path calls this.
-    """
-    values = obj.check_point(w)
-    i = obj.check_sample(i)
-    mu = _check_mu(mu)
-    if not isinstance(draws, (int, np.integer)) or isinstance(draws, bool) or draws < 2:
-        raise ValueError(f"draws must be an integer >= 2, got {draws!r}")
-    d_x = obj.layout.d_x
-    directions = sample_gaussian(rng, draws * d_x).reshape(draws, d_x)
-    est = _two_point_rows(obj, values, i, mu, directions, Block.X, obj.value_at(values, i))
-    total = np.sum(est, axis=0)
-    total_sq = np.sum(est * est, axis=0)
-    mean = total / draws
-    var = np.maximum(total_sq / draws - mean * mean, 0.0) * (draws / (draws - 1))
-    return MonteCarloGradient(mean, np.sqrt(var / draws), int(draws))

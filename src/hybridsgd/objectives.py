@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import BlockLayout, HybridPoint, RngStream, sample_gaussian
+from .core import BlockLayout, HybridPoint, RngStream, _check_int, _check_real, sample_gaussian
 
 __all__ = [
     "FiniteSumObjective",
@@ -56,10 +56,8 @@ class FiniteSumObjective(abc.ABC):
     def __init__(self, layout: BlockLayout, n: int):
         if not isinstance(layout, BlockLayout):
             raise ValueError(f"layout must be a BlockLayout, got {layout!r}")
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-            raise ValueError(f"n must be an integer >= 1, got {n!r}")
         self._layout = layout
-        self._n = int(n)
+        self._n = _check_int("n", n)
 
     @property
     def layout(self) -> BlockLayout:
@@ -177,11 +175,8 @@ class BlockQuadratic(FiniteSumObjective):
     def __init__(self, layout: BlockLayout, centers, a_x: float, a_y: float):
         centers = _as_matrix("centers", centers, *_infer_rows(centers, layout.d))
         super().__init__(layout, centers.shape[0])
-        for name, a in (("a_x", a_x), ("a_y", a_y)):
-            if not np.isfinite(a) or a <= 0:
-                raise ValueError(f"{name} must be positive and finite, got {a}")
-        self.a_x = float(a_x)
-        self.a_y = float(a_y)
+        self.a_x = _check_real("a_x", a_x)
+        self.a_y = _check_real("a_y", a_y)
         self.centers = centers
         self._diag = np.concatenate(
             [np.full(layout.d_x, self.a_x), np.full(layout.d_y, self.a_y)]
@@ -301,11 +296,9 @@ class LogisticObjective(FiniteSumObjective):
             raise ValueError(f"labels must have shape ({self._n},), got {labels.shape}")
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise ValueError("labels must be -1 or +1")
-        if not np.isfinite(lam) or lam < 0:
-            raise ValueError(f"lam must be >= 0 and finite, got {lam}")
+        self.lam = _check_real("lam", lam, allow_zero=True)
         self.features = features
         self.labels = labels
-        self.lam = float(lam)
         self.features.setflags(write=False)
         self.labels.setflags(write=False)
 

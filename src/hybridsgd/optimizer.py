@@ -27,6 +27,8 @@ from .core import (
     HybridPoint,
     NumericError,
     RngStream,
+    _check_int,
+    _check_real,
     fmt17,
     shuffle_permutation,
 )
@@ -40,12 +42,10 @@ __all__ = [
     "OptimizerConfig",
     "TraceRecord",
     "DivergenceError",
-    "DivergenceReport",
     "RunResult",
     "step",
     "run_epoch",
     "run",
-    "resolve_divergence_threshold",
     "write_trace_csv",
     "TRACE_HEADER",
 ]
@@ -67,10 +67,8 @@ class LearningRates:
     eta_y: float
 
     def __post_init__(self) -> None:
-        for name in ("eta_x", "eta_y"):
-            eta = getattr(self, name)
-            if not np.isfinite(eta) or eta < 0:
-                raise ValueError(f"{name} must be >= 0 and finite, got {eta}")
+        _check_real("eta_x", self.eta_x, allow_zero=True)
+        _check_real("eta_y", self.eta_y, allow_zero=True)
 
 
 @dataclass(frozen=True)
@@ -104,9 +102,7 @@ class OptimizerConfig:
             raise ValueError(f"rates must be LearningRates, got {self.rates!r}")
         if not isinstance(self.modes, BlockMode):
             raise ValueError(f"modes must be a BlockMode, got {self.modes!r}")
-        e = self.epochs
-        if not isinstance(e, (int, np.integer)) or isinstance(e, bool) or e < 1:
-            raise ValueError(f"epochs must be an integer >= 1, got {e!r}")
+        _check_int("epochs", self.epochs)
         if self.modes.uses_zo() and not isinstance(self.zo, ZoConfig):
             raise ValueError("zo config is required when a block uses Mode.ZO")
         f = self.divergence_threshold
@@ -127,15 +123,12 @@ class TraceRecord:
     grad_norm_y: float
 
 
-@dataclass(frozen=True)
-class DivergenceReport:
-    epoch: int
-    step: int
-    f_value: float
-
-
 class DivergenceError(RuntimeError):
-    """The objective exceeded the divergence guard (or went non-finite)."""
+    """The objective exceeded the divergence guard (or went non-finite).
+
+    Raised by :func:`run_epoch`; :func:`run` returns it as the divergence
+    record of its :class:`RunResult`.
+    """
 
     def __init__(self, epoch: int, step: int, f_value: float, point: HybridPoint):
         super().__init__(f"diverged at epoch {epoch}, step {step}: f = {f_value!r}")
@@ -143,9 +136,6 @@ class DivergenceError(RuntimeError):
         self.step = step
         self.f_value = f_value
         self.point = point
-
-    def report(self) -> DivergenceReport:
-        return DivergenceReport(self.epoch, self.step, self.f_value)
 
 
 def resolve_divergence_threshold(cfg: OptimizerConfig, f0: float) -> float:
@@ -255,16 +245,17 @@ class RunResult:
     iterates (the start point and the end of every completed epoch), the
     quantity the rate planner budgets for.  snapshots holds (steps taken,
     point) pairs when snapshotting was requested, starting with the start
-    point at 0 steps.
+    point at 0 steps.  divergence_threshold is the guard the run resolved.
     """
 
     point: HybridPoint
     trace: list
     epochs_completed: int
     diverged: bool
-    divergence: DivergenceReport | None
+    divergence: DivergenceError | None
     min_grad_sq: float
     snapshots: list
+    divergence_threshold: float
 
 
 def run(
@@ -282,8 +273,7 @@ def run(
     it per cell; the CLI maps it to its own exit code.
     """
     values = obj.check_point(w0)
-    if not isinstance(snapshot_every, (int, np.integer)) or snapshot_every < 0:
-        raise ValueError(f"snapshot_every must be an integer >= 0, got {snapshot_every!r}")
+    _check_int("snapshot_every", snapshot_every, 0)
     f0 = obj.full_value_at(values)
     if not np.isfinite(f0):
         raise NumericError("objective is non-finite at the start point")
@@ -313,12 +303,13 @@ def run(
                 trace=trace,
                 epochs_completed=epoch,
                 diverged=True,
-                divergence=exc.report(),
+                divergence=exc,
                 min_grad_sq=min_grad_sq,
                 snapshots=snapshots,
+                divergence_threshold=guard,
             )
         min_grad_sq = min(min_grad_sq, trace[-1].grad_norm ** 2)
-    return RunResult(w, trace, cfg.epochs, False, None, min_grad_sq, snapshots)
+    return RunResult(w, trace, cfg.epochs, False, None, min_grad_sq, snapshots, guard)
 
 
 TRACE_HEADER = ("epoch", "step", "f", "grad_norm", "grad_norm_x", "grad_norm_y")

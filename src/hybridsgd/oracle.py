@@ -1,31 +1,54 @@
-"""Brute-force validators for gradients, Hessians, and estimator bounds.
+"""Brute-force validators for gradients, Hessians, and estimator bounds,
+and the check suite behind ``hybridsgd check``.
 
-Everything here is deliberately slow and independent of the estimator and
-probe implementations: gradients come from value-only central differences,
-Hessians from coordinate-wise central differences of analytic gradients, and
-the estimator bounds from plain Monte Carlo.  Production code never imports
-this module; tests use it so that agreement is evidence rather than the same
-formula evaluated twice.  The Monte Carlo trials of one bound check are one
-(trials, d_x) Gaussian draw evaluated through the estimator's row helper,
-the same bits as drawing and evaluating them one at a time.
+The validators are deliberately slow: gradients come from value-only central
+differences, Hessians from coordinate-wise central differences of analytic
+gradients, and the estimator bounds and the smoothed-gradient reference from
+plain Monte Carlo.  The optimizer, estimator, probe and planner never import
+this module; tests and the CLI's ``check`` command use it, so that agreement
+is evidence rather than the same formula evaluated twice.  The check suite
+also compares the curvature probes with exact block curvatures and with this
+module's dense Hessian.  The Monte Carlo draws of one bound check or one
+reference are a single (draws, d_x) Gaussian block evaluated through the
+estimator's row helper, the same bits as drawing and evaluating them one at a
+time.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Block, HybridPoint, RngStream, sample_gaussian
+from .core import (
+    Block,
+    BlockLayout,
+    HybridPoint,
+    RngStream,
+    _check_int,
+    _check_real,
+    _gaussian_point,
+    sample_gaussian,
+)
 from .estimator import _two_point_rows
-from .objectives import FiniteSumObjective
+from .objectives import (
+    BlockQuadratic,
+    CoshObjective,
+    DenseQuadratic,
+    FiniteSumObjective,
+    LinearObjective,
+    LogisticObjective,
+)
+from .probe import ProbeConfig, estimate_block_lipschitz
 
 __all__ = [
     "BoundCheckReport",
+    "MonteCarloGradient",
     "fd_gradient",
     "dense_hessian",
     "check_estimator_bounds",
     "check_hybrid_smoothness",
+    "smoothed_gradient_reference",
 ]
 
 
@@ -43,8 +66,7 @@ def fd_gradient(
     values = obj.check_point(w)
     if i is not None:
         i = obj.check_sample(i)
-    if not np.isfinite(h) or h <= 0:
-        raise ValueError(f"h must be positive and finite, got {h}")
+    _check_real("h", h)
     value = obj.full_value_at if i is None else (lambda vals: obj.value_at(vals, i))
     grad = np.empty(obj.layout.d)
     for j in range(obj.layout.d):
@@ -70,8 +92,7 @@ def dense_hessian(
     to (the raw asymmetry is itself a consistency diagnostic).
     """
     values = obj.check_point(w)
-    if not np.isfinite(h) or h <= 0:
-        raise ValueError(f"h must be positive and finite, got {h}")
+    _check_real("h", h)
     d = obj.layout.d
     columns = np.empty((d, d))
     for j in range(d):
@@ -115,6 +136,41 @@ def _mc_report(name: str, samples: np.ndarray, rhs: float) -> BoundCheckReport:
     )
 
 
+@dataclass(frozen=True)
+class MonteCarloGradient:
+    """Monte Carlo mean of single-direction estimates with per-coordinate stderr."""
+
+    mean: np.ndarray
+    stderr: np.ndarray
+    draws: int
+
+
+def smoothed_gradient_reference(
+    obj: FiniteSumObjective,
+    w: HybridPoint,
+    i: int,
+    mu: float,
+    draws: int,
+    rng: RngStream,
+) -> MonteCarloGradient:
+    """Brute-force reference for the smoothed x-gradient E_v [(f(x+mu v)-f(x))/mu] v.
+
+    Test oracle only; nothing in the optimizer path calls this.
+    """
+    values = obj.check_point(w)
+    i = obj.check_sample(i)
+    mu = _check_real("mu", mu)
+    draws = _check_int("draws", draws, 2)
+    d_x = obj.layout.d_x
+    directions = sample_gaussian(rng, draws * d_x).reshape(draws, d_x)
+    est = _two_point_rows(obj, values, i, mu, directions, Block.X, obj.value_at(values, i))
+    total = np.sum(est, axis=0)
+    total_sq = np.sum(est * est, axis=0)
+    mean = total / draws
+    var = np.maximum(total_sq / draws - mean * mean, 0.0) * (draws / (draws - 1))
+    return MonteCarloGradient(mean, np.sqrt(var / draws), draws)
+
+
 def check_estimator_bounds(
     obj: FiniteSumObjective,
     w: HybridPoint,
@@ -138,17 +194,14 @@ def check_estimator_bounds(
     """
     values = obj.check_point(w)
     i = obj.check_sample(i)
-    if not np.isfinite(mu) or mu <= 0:
-        raise ValueError(f"mu must be positive and finite, got {mu}")
-    if not isinstance(trials, (int, np.integer)) or isinstance(trials, bool) or trials < 2:
-        raise ValueError(f"trials must be an integer >= 2, got {trials!r}")
+    _check_real("mu", mu)
+    _check_int("trials", trials, 2)
     if lipschitz is None:
         bounds = obj.block_lipschitz_bound()
         if bounds is None:
             raise ValueError("objective has unbounded curvature; pass lipschitz explicitly")
         lipschitz = bounds[0]
-    if not np.isfinite(lipschitz) or lipschitz < 0:
-        raise ValueError(f"lipschitz must be >= 0 and finite, got {lipschitz}")
+    _check_real("lipschitz", lipschitz, allow_zero=True)
 
     d_x = obj.layout.d_x
     g = obj.grad_at(values, i)[:d_x]
@@ -203,3 +256,109 @@ def check_hybrid_smoothness(
         trials=len(pts),
         passed=bool(worst <= tol),
     )
+
+
+def _grad_agreement_report(name: str, obj: FiniteSumObjective, points, h: float = 1e-5) -> BoundCheckReport:
+    worst = 0.0
+    for w in points:
+        targets = [None] + list(range(obj.n))
+        for i in targets:
+            approx = fd_gradient(obj, w, i, h)
+            exact = obj.grad_full(w) if i is None else obj.grad_sample(w, i)
+            scale = max(float(np.linalg.norm(exact)), 1e-12)
+            worst = max(worst, float(np.linalg.norm(approx - exact)) / scale)
+    return BoundCheckReport(
+        bound_name=name,
+        empirical_lhs=worst,
+        empirical_stderr=0.0,
+        theoretical_rhs=1e-6,
+        trials=len(points),
+        passed=bool(worst <= 1e-6),
+    )
+
+
+def _check_suite(root: RngStream, trials: int, negative_control: bool) -> list[BoundCheckReport]:
+    """Every check of ``hybridsgd check``, each drawing from its own child of root."""
+    reports: list[BoundCheckReport] = []
+    salt = 0
+
+    def next_rng() -> RngStream:
+        nonlocal salt
+        salt += 1
+        return root.child(salt)
+
+    # estimator error bounds on the analytically tractable families
+    for d_x in (2, 8):
+        layout = BlockLayout(d_x, 2)
+        families = {
+            "linear": LinearObjective.random(layout, 3, next_rng()),
+            "block_quadratic": BlockQuadratic.random(
+                layout, 3, 4.0, 1.0, next_rng(), center_spread=0.5
+            ),
+        }
+        for fam_name, obj in families.items():
+            w = _gaussian_point(layout, next_rng())
+            for mu in (1e-2, 1e-3, 1e-4):
+                for rep in check_estimator_bounds(obj, w, 0, mu, trials, next_rng()):
+                    name = f"{rep.bound_name}[{fam_name},d_x={d_x},mu={mu:g}]"
+                    reports.append(replace(rep, bound_name=name))
+
+    # curvature envelopes
+    layout = BlockLayout(3, 3)
+    quad = BlockQuadratic.random(layout, 4, 3.0, 1.0, next_rng(), center_spread=0.5)
+    pts = [_gaussian_point(layout, next_rng()) for _ in range(5)]
+    rep = check_hybrid_smoothness(quad, pts, lambda u: 3.0, lambda u: 1.0)
+    reports.append(replace(rep, bound_name="hybrid_smoothness_envelope[block_quadratic]"))
+    cosh = CoshObjective.random(layout, 4, next_rng())
+    pts = [_gaussian_point(layout, next_rng()) for _ in range(5)]
+    rep = check_hybrid_smoothness(cosh, pts, lambda u: 1.0 + u, lambda u: 1.0 + u)
+    reports.append(replace(rep, bound_name="hybrid_smoothness_envelope[cosh]"))
+    if negative_control:
+        rep = check_hybrid_smoothness(cosh, pts, lambda u: 0.5, lambda u: 0.5)
+        name = "hybrid_smoothness_envelope[cosh,negative_control]"
+        reports.append(replace(rep, bound_name=name))
+
+    # analytic gradients versus value-only finite differences
+    layout = BlockLayout(3, 2)
+    families = {
+        "block_quadratic": BlockQuadratic.random(layout, 3, 5.0, 0.5, next_rng(), center_spread=1.0),
+        "cosh": CoshObjective.random(layout, 3, next_rng(), shift_spread=0.3),
+        "logistic": LogisticObjective.random(layout, 4, next_rng(), lam=0.1),
+        "linear": LinearObjective.random(layout, 3, next_rng()),
+        "dense_quadratic": DenseQuadratic.random(layout, 2, next_rng(), center_scale=1.0),
+    }
+    for fam_name, obj in families.items():
+        pts = [_gaussian_point(layout, next_rng()) for _ in range(5)]
+        reports.append(_grad_agreement_report(f"grad_fd_agreement[{fam_name}]", obj, pts))
+
+    # probe exactness on isotropic blocks, and against the dense-spectrum oracle
+    layout = BlockLayout(4, 3)
+    iso = BlockQuadratic(layout, np.zeros((2, layout.d)), 100.0, 1.0)
+    origin = HybridPoint(layout, np.zeros(layout.d))
+    for block, expected in ((Block.X, 100.0), (Block.Y, 1.0)):
+        probe_rep = estimate_block_lipschitz(
+            iso, origin, ProbeConfig(probes=25, target=block), next_rng()
+        )
+        err = abs(probe_rep.operator_lb - expected)
+        reports.append(
+            BoundCheckReport(
+                f"probe_operator_exact[a_{block.value}]",
+                err,
+                0.0,
+                1e-9,
+                probe_rep.probes,
+                bool(err <= 1e-9),
+            )
+        )
+    dense = DenseQuadratic.random(BlockLayout(3, 3), 1, next_rng())
+    w = HybridPoint(BlockLayout(3, 3), np.zeros(6))
+    probe_rep = estimate_block_lipschitz(dense, w, ProbeConfig(probes=500), next_rng())
+    eigs = np.linalg.eigvalsh(dense_hessian(dense, w))
+    frob = float(np.sqrt(np.sum(eigs**2)))
+    rel = abs(probe_rep.frobenius_scaled - frob) / frob
+    reports.append(
+        BoundCheckReport(
+            "probe_frobenius_vs_dense_oracle", rel, 0.0, 0.10, probe_rep.probes, bool(rel <= 0.10)
+        )
+    )
+    return reports

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Block, HybridPoint, RngStream
+from .core import Block, HybridPoint, RngStream, _check_int, _check_real
 from .objectives import FiniteSumObjective
 from .probe import ProbeConfig, estimate_block_lipschitz
 
@@ -31,24 +31,6 @@ __all__ = [
     "estimate_constants",
     "binding_term",
 ]
-
-
-def _check_positive(name: str, value: float) -> float:
-    if not np.isfinite(value) or value <= 0:
-        raise ValueError(f"{name} must be positive and finite, got {value}")
-    return float(value)
-
-
-def _check_nonneg(name: str, value: float) -> float:
-    if not np.isfinite(value) or value < 0:
-        raise ValueError(f"{name} must be >= 0 and finite, got {value}")
-    return float(value)
-
-
-def _check_count(name: str, value: int) -> int:
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -71,9 +53,9 @@ class SmoothnessConstants:
 
     def __post_init__(self) -> None:
         for name in ("L_x", "L_y", "L_x_max", "L_y_max", "G"):
-            _check_positive(name, getattr(self, name))
-        _check_nonneg("sigma", self.sigma)
-        _check_nonneg("f_gap", self.f_gap)
+            _check_real(name, getattr(self, name))
+        _check_real("sigma", self.sigma, allow_zero=True)
+        _check_real("f_gap", self.f_gap, allow_zero=True)
 
 
 @dataclass(frozen=True)
@@ -86,9 +68,9 @@ class PlanInputs:
     def __post_init__(self) -> None:
         if not isinstance(self.constants, SmoothnessConstants):
             raise ValueError(f"constants must be SmoothnessConstants, got {self.constants!r}")
-        _check_count("n", self.n)
-        _check_count("T", self.T)
-        _check_count("d_x", self.d_x)
+        _check_int("n", self.n)
+        _check_int("T", self.T)
+        _check_int("d_x", self.d_x)
 
 
 @dataclass(frozen=True)
@@ -150,12 +132,12 @@ def epoch_budget(epsilon: float, delta: float, G: float, f_gap: float, n: int) -
     ceil of eps^-2 [2/delta + G^2/8] + eps^-4 [(f_gap + 3)/n]; delta is the
     allowed failure probability.
     """
-    _check_positive("epsilon", epsilon)
+    _check_real("epsilon", epsilon)
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    _check_nonneg("G", G)
-    _check_nonneg("f_gap", f_gap)
-    n = _check_count("n", n)
+    _check_real("G", G, allow_zero=True)
+    _check_real("f_gap", f_gap, allow_zero=True)
+    n = _check_int("n", n)
     total = epsilon**-2 * (2.0 / delta + G * G / 8.0) + epsilon**-4 * ((f_gap + 3.0) / n)
     return int(math.ceil(total))
 

@@ -29,6 +29,8 @@ from .core import (
     HybridPoint,
     NumericError,
     RngStream,
+    _check_int,
+    _check_real,
     _shifted_rows,
     _unit_sphere_rows,
     fmt17,
@@ -55,11 +57,8 @@ class ProbeConfig:
     target: Block = Block.FULL
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.h) or self.h <= 0:
-            raise ValueError(f"h must be positive and finite, got {self.h}")
-        k = self.probes
-        if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
-            raise ValueError(f"probes must be an integer >= 1, got {k!r}")
+        _check_real("h", self.h)
+        _check_int("probes", self.probes)
         if not isinstance(self.target, Block):
             raise ValueError(f"target must be a Block, got {self.target!r}")
 
@@ -126,13 +125,12 @@ def hvp(
     values = obj.check_point(w)
     if sample is not None:
         sample = obj.check_sample(sample)
-    if not np.isfinite(h) or h <= 0:
-        raise ValueError(f"h must be positive and finite, got {h}")
+    h = _check_real("h", h)
     v = np.asarray(v, dtype=np.float64)
     dim = obj.layout.dim_of(block)
     if v.shape != (dim,):
         raise ValueError(f"v must have shape ({dim},) for block {block.value}, got {v.shape}")
-    return _hvp_rows(obj, values, v[None, :], float(h), block, sample)[0]
+    return _hvp_rows(obj, values, v[None, :], h, block, sample)[0]
 
 
 def estimate_block_lipschitz(

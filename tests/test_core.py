@@ -1,9 +1,14 @@
 """Block layouts, points, deterministic streams, and sampling primitives."""
+import ast
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hybridsgd
 from hybridsgd import (
     Block,
     BlockLayout,
@@ -222,3 +227,29 @@ def test_shuffle_frequencies_n3():
     assert len(counts) == 6
     for count in counts.values():
         assert abs(count / draws - 1.0 / 6.0) <= 0.01
+
+
+def test_validation_idioms_live_only_in_core():
+    # "An integer >= k, not a bool" and "a finite real > 0 (or >= 0)" have one
+    # home, core._check_int and core._check_real.  check_sample keeps its own
+    # integer check because an out-of-range sample index is an IndexError.
+    idioms = re.compile(
+        r"isinstance\([^()]*,\s*\(int,\s*np\.integer\)\)"
+        r"|not np\.isfinite\(([\w.]+)\) or \1 <=? 0"
+    )
+    assert idioms.search("if not isinstance(q, (int, np.integer)) or q < 1:")
+    assert idioms.search("if not np.isfinite(self.h) or self.h <= 0:")
+    assert idioms.search("if not np.isfinite(lam) or lam < 0:")
+    found = []
+    for path in sorted(Path(hybridsgd.__file__).parent.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        source = path.read_text(encoding="utf-8")
+        allowed = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.FunctionDef) and node.name == "check_sample":
+                allowed.update(range(node.lineno, node.end_lineno + 1))
+        for lineno, line in enumerate(source.splitlines(), 1):
+            if idioms.search(line) and lineno not in allowed:
+                found.append(f"{path.name}:{lineno}: {line.strip()}")
+    assert found == []

@@ -154,6 +154,7 @@ def test_quadratic_stability_boundary():
     # 1.21^k > 1e6 is 73, reported as zero-based step 72.
     assert unstable.divergence.step == 72
     assert unstable.epochs_completed == 72
+    assert unstable.divergence_threshold == 1e6
 
 
 def test_large_uniform_rate_reproduces_loss_explosion_regime():
@@ -199,6 +200,16 @@ def test_snapshot_schedule():
     assert [s for s, _ in result.snapshots] == [0, 5, 10, 15, 20]
 
 
+@pytest.mark.parametrize("every", [True, False, -1, 2.0, "5"])
+def test_run_rejects_snapshot_every_that_is_not_a_count(every):
+    # A bool is not a count: True used to snapshot every step.
+    obj = _quad(BlockLayout(1, 1), 1.0, 1.0, n=4)
+    w0 = HybridPoint(obj.layout, [1.0, 1.0])
+    cfg = OptimizerConfig(LearningRates(0.01, 0.01), FO)
+    with pytest.raises(ValueError, match="snapshot_every"):
+        run(obj, w0, cfg, RngStream(56, 1), snapshot_every=every)
+
+
 def test_numeric_failure_carries_step_context():
     layout = BlockLayout(1, 1)
     obj = LinearObjective(layout, np.array([[1e300, 1e300]]))
@@ -219,6 +230,8 @@ def test_divergence_sets_report_and_partial_trace():
     assert result.divergence.f_value > 100.0
     assert result.trace[-1].step == result.divergence.step
     assert result.trace[-1].f_value == result.divergence.f_value
+    assert result.divergence.point is result.point
+    assert result.divergence_threshold == 100.0
 
 
 def test_trace_csv_roundtrip_and_byte_identity(tmp_path):
