@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Block, BlockLayout, HybridPoint, NumericError, RngStream, _gaussian_point, fmt17
+from .core import Block, BlockLayout, HybridPoint, NumericError, RngStream, _check_int, _gaussian_point, fmt17
 from .estimator import ZoConfig
 from .objectives import FiniteSumObjective, load_objective, objective_from_dict
 from .optimizer import BlockMode, LearningRates, Mode, OptimizerConfig, run, write_trace_csv
@@ -111,7 +111,7 @@ def _zo_config(cfg: dict, modes: BlockMode) -> ZoConfig | None:
         raise ConfigError("config: 'zo' must be an object")
     return ZoConfig(
         mu=float(_require(spec, "mu", "zo")),
-        directions_per_step=int(spec.get("directions_per_step", 1)),
+        directions_per_step=spec.get("directions_per_step", 1),
     )
 
 
@@ -132,7 +132,7 @@ def _optimizer_config(cfg: dict, rates: LearningRates) -> OptimizerConfig:
         rates=rates,
         modes=modes,
         zo=_zo_config(cfg, modes),
-        epochs=int(cfg.get("epochs", 1)),
+        epochs=cfg.get("epochs", 1),
         divergence_threshold=None if threshold is None else float(threshold),
     )
 
@@ -148,7 +148,7 @@ def _resolved_run_meta(cfg: dict, opt: OptimizerConfig, seed: int, guard: float)
         "divergence_threshold": opt.divergence_threshold,
         "divergence_threshold_resolved": guard,
         "seed": seed,
-        "snapshot_every": int(cfg.get("snapshot_every", 0)),
+        "snapshot_every": cfg.get("snapshot_every", 0),
     }
 
 
@@ -175,12 +175,13 @@ def cmd_run(args) -> int:
     opt = _optimizer_config(cfg, _rates(cfg))
     w0 = _initial_point(cfg, obj.layout, seed)
     # Same stream as sweep cell 0, so a 1x1 sweep reproduces a plain run.
+    # run validates snapshot_every (an integer >= 0) before any compute.
     result = run(
         obj,
         w0,
         opt,
         RngStream(seed, RUN_STREAM_ID).child(0),
-        snapshot_every=int(cfg.get("snapshot_every", 0)),
+        snapshot_every=cfg.get("snapshot_every", 0),
     )
     write_trace_csv(result.trace, args.out)
     guard = result.divergence_threshold
@@ -255,7 +256,7 @@ def cmd_sweep(args) -> int:
         "init": cfg.get("init", {"kind": "zeros"}),
         "modes": cfg.get("modes", {"x": "zo", "y": "fo"}),
         "zo": cfg.get("zo"),
-        "epochs": int(cfg.get("epochs", 1)),
+        "epochs": cfg.get("epochs", 1),
         "divergence_threshold": cfg.get("divergence_threshold"),
         "eta_x_grid": eta_x_grid,
         "eta_y_grid": eta_y_grid,
@@ -298,9 +299,7 @@ def _trajectory(cfg: dict, obj: FiniteSumObjective, seed: int) -> list:
         return points
     if kind == "run":
         opt = _optimizer_config(spec, _rates(spec))
-        every = int(spec.get("snapshot_every", obj.n))
-        if every < 1:
-            raise ConfigError("trajectory: snapshot_every must be >= 1")
+        every = _check_int("snapshot_every", spec.get("snapshot_every", obj.n))
         w0 = _initial_point(spec, obj.layout, seed)
         result = run(
             obj, w0, opt, RngStream(seed, RUN_STREAM_ID).child(0), snapshot_every=every

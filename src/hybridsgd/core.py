@@ -108,7 +108,7 @@ class HybridPoint:
             raise ValueError(
                 f"values must have shape ({self.layout.d},), got {vals.shape}"
             )
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("values must be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)

@@ -66,15 +66,15 @@ def _two_point_rows(
     i: int,
     mu: float,
     directions: np.ndarray,
-    block: Block,
+    sl: slice,
     base: float,
 ) -> np.ndarray:
     """Raw-array estimates, one row per row of directions; inputs assumed validated.
 
-    ``base`` is f(values; i).  The m shifted values come from one
-    ``values_at_points`` call, so the rows cost m objective values.
+    ``sl`` is the perturbed block's slice of values and ``base`` is
+    f(values; i).  The m shifted values come from one ``values_at_points``
+    call, so the rows cost m objective values.
     """
-    sl = obj.layout.slice_of(block)
     shifted = obj.values_at_points(_shifted_rows(values, sl, mu * directions), i)
     if not (math.isfinite(base) and np.isfinite(shifted).all()):
         raise NumericError(
@@ -83,7 +83,7 @@ def _two_point_rows(
     # sqrt(x . x) is np.linalg.norm(x) bit for bit, and mu * sqrt(.) is
     # monotone, so the shortest direction decides whether any falls under.
     x = values[sl]
-    shortest = math.sqrt(np.vecdot(directions, directions).min())
+    shortest = math.sqrt(np.minimum.reduce(np.vecdot(directions, directions)))
     if mu * shortest < 1e3 * _EPS * math.sqrt(x.dot(x)):
         warnings.warn(
             "two-point perturbation mu*||v|| is below 1e3*eps of the block norm; "
@@ -108,7 +108,8 @@ def two_point_estimate(
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (obj.layout.d_x,):
         raise ValueError(f"v must have shape ({obj.layout.d_x},), got {v.shape}")
-    return _two_point_rows(obj, values, i, mu, v[None, :], Block.X, obj.value_at(values, i))[0]
+    sl = obj.layout.slice_of(Block.X)
+    return _two_point_rows(obj, values, i, mu, v[None, :], sl, obj.value_at(values, i))[0]
 
 
 def estimate_block_gradient(
@@ -129,13 +130,15 @@ def estimate_block_gradient(
     if block is Block.FULL:
         raise ValueError("estimate one block at a time: target must be X or Y")
     q = cfg.directions_per_step
-    dim = obj.layout.dim_of(block)
+    sl = obj.layout.slice_of(block)
     base = obj.value_at(values, i)
-    directions = sample_gaussian(rng, q * dim).reshape(q, dim)
-    acc = np.zeros(dim)
-    for row in _two_point_rows(obj, values, i, cfg.mu, directions, block, base):
-        acc += row
-    return acc / q
+    directions = sample_gaussian(rng, q * (sl.stop - sl.start)).reshape(q, -1)
+    rows = _two_point_rows(obj, values, i, cfg.mu, directions, sl, base)
+    # The rows are summed in draw order from +0.0.  add.accumulate adds them
+    # one after another (a reduce over axis 0 turns pairwise once dim == 1
+    # and q >= 8), and + 0.0 turns a -0.0 total into the +0.0 that a sum
+    # started at +0.0 gives, leaving every other value unchanged.
+    return (np.add.accumulate(rows)[-1] + 0.0) / q
 
 
 def estimate_x_gradient(

@@ -94,10 +94,10 @@ class FiniteSumObjective(abc.ABC):
         return np.stack([self.grad_at(p, i) for p in points])
 
     def full_value_at(self, values: np.ndarray) -> float:
-        return float(np.mean(self.values_all(values)))
+        return float(np.add.reduce(self.values_all(values)) / self._n)
 
     def full_grad_at(self, values: np.ndarray) -> np.ndarray:
-        return np.mean(self.grads_all(values), axis=0)
+        return np.add.reduce(self.grads_all(values), 0) / self._n
 
     def full_value_and_grad_at(self, values: np.ndarray) -> tuple[float, np.ndarray]:
         """(full_value_at, full_grad_at) in one call, for families that share work."""
@@ -136,8 +136,8 @@ class FiniteSumObjective(abc.ABC):
     def sample_variance(self, w: HybridPoint) -> float:
         """(1/n) sum_i ||grad f(w; i) - grad f(w)||^2, from analytic gradients."""
         grads = self.grads_all(self.check_point(w))
-        mean = grads.mean(axis=0)
-        return float(np.mean(np.sum((grads - mean) ** 2, axis=1)))
+        mean = np.add.reduce(grads, 0) / self._n
+        return float(np.add.reduce(np.sum((grads - mean) ** 2, axis=1)) / self._n)
 
     # -- optional analytic structure --------------------------------------
 
@@ -159,7 +159,7 @@ def _as_matrix(name: str, data, rows: int, cols: int) -> np.ndarray:
     arr = np.array(data, dtype=np.float64, copy=True)
     if arr.shape != (rows, cols):
         raise ValueError(f"{name} must have shape ({rows}, {cols}), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     return arr
 
@@ -322,8 +322,8 @@ class LogisticObjective(FiniteSumObjective):
     def full_value_and_grad_at(self, values: np.ndarray) -> tuple[float, np.ndarray]:
         margin = self.labels * np.vecdot(self.features, values)
         return (
-            float(np.mean(self._losses(margin, values))),
-            np.mean(self._grads(margin, values), axis=0),
+            float(np.add.reduce(self._losses(margin, values)) / self._n),
+            np.add.reduce(self._grads(margin, values), 0) / self._n,
         )
 
     def _losses(self, margin: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -414,7 +414,7 @@ class DenseQuadratic(FiniteSumObjective):
         d = layout.d
         if hessian.shape != (d, d):
             raise ValueError(f"hessian must have shape ({d}, {d}), got {hessian.shape}")
-        if not np.all(np.isfinite(hessian)):
+        if not np.isfinite(hessian).all():
             raise ValueError("hessian must be finite")
         scale = float(np.max(np.abs(hessian))) or 1.0
         if not np.allclose(hessian, hessian.T, rtol=0.0, atol=1e-12 * scale):

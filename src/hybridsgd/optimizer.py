@@ -11,6 +11,13 @@ so neither block sees the other's update within the step.  Block rules:
 
 The default pairing (x zeroth-order, y first-order) is the hybrid scheme;
 (FO, FO), (ZO, ZO) and (FROZEN, FO) express the standard baselines.
+
+:func:`step` belongs to the raw-array layer, next to the objectives'
+``value_at`` and the estimator's ``estimate_block_gradient``: it maps a
+float64 array to a new one and validates nothing.  :func:`run` and
+:func:`run_epoch` are the validated boundary: each checks its start point
+once, steps on raw arrays, and builds a :class:`HybridPoint` only for
+snapshots, the :class:`DivergenceError` point and the returned point.
 """
 from __future__ import annotations
 
@@ -147,46 +154,42 @@ def resolve_divergence_threshold(cfg: OptimizerConfig, f0: float) -> float:
 
 def step(
     obj: FiniteSumObjective,
-    w: HybridPoint,
+    values: np.ndarray,
     i: int,
     cfg: OptimizerConfig,
     rng: RngStream,
-) -> HybridPoint:
-    """One simultaneous update of both blocks from the incoming point.
+) -> np.ndarray:
+    """Raw-array simultaneous update of both blocks from the incoming values.
 
-    ZO draws come from rng in a fixed order (x block first, then y), so a
-    replay with an equal stream reproduces the step bit for bit.  A frozen
-    block is copied unchanged.
+    Inputs are assumed validated (run and run_epoch check the start point
+    once); returns a new array and never writes to values.  Both block
+    directions are read at the incoming values, x block first: ZO draws come
+    from rng in that order, so a replay with an equal stream reproduces the
+    step bit for bit.  The FO gradient is evaluated at most once and shared
+    by the two blocks; a frozen block is copied unchanged.
     """
-    values = obj.check_point(w)
-    i = obj.check_sample(i)
-    layout = obj.layout
-    full_grad: np.ndarray | None = None
-
-    def fo_gradient() -> np.ndarray:
-        nonlocal full_grad
-        if full_grad is None:
-            full_grad = obj.grad_at(values, i)
-        return full_grad
-
-    def direction(block: Block, mode: Mode) -> np.ndarray | None:
-        if mode is Mode.FROZEN:
-            return None
-        if mode is Mode.FO:
-            return fo_gradient()[layout.slice_of(block)]
-        return estimate_block_gradient(obj, values, i, cfg.zo, rng, block)
-
-    x_dir = direction(Block.X, cfg.modes.x_mode)
-    y_dir = direction(Block.Y, cfg.modes.y_mode)
-
+    d_x = obj.layout.d_x
+    x_mode, y_mode = cfg.modes.x_mode, cfg.modes.y_mode
+    grad = None
     new_values = values.copy()
-    if x_dir is not None:
-        new_values[: layout.d_x] -= cfg.rates.eta_x * x_dir
-    if y_dir is not None:
-        new_values[layout.d_x :] -= cfg.rates.eta_y * y_dir
-    if not np.all(np.isfinite(new_values)):
+    if x_mode is Mode.FO:
+        grad = obj.grad_at(values, i)
+        new_values[:d_x] -= cfg.rates.eta_x * grad[:d_x]
+    elif x_mode is Mode.ZO:
+        new_values[:d_x] -= cfg.rates.eta_x * estimate_block_gradient(
+            obj, values, i, cfg.zo, rng, Block.X
+        )
+    if y_mode is Mode.FO:
+        if grad is None:
+            grad = obj.grad_at(values, i)
+        new_values[d_x:] -= cfg.rates.eta_y * grad[d_x:]
+    elif y_mode is Mode.ZO:
+        new_values[d_x:] -= cfg.rates.eta_y * estimate_block_gradient(
+            obj, values, i, cfg.zo, rng, Block.Y
+        )
+    if not np.isfinite(new_values).all():
         raise NumericError(f"non-finite update from sample {i}")
-    return HybridPoint(layout, new_values)
+    return new_values
 
 
 def _norm(v: np.ndarray) -> float:
@@ -210,31 +213,33 @@ def run_epoch(
 ) -> HybridPoint:
     """One reshuffled pass over all n samples.
 
-    Appends one TraceRecord per step (metrics at the updated point).  Raises
-    DivergenceError as soon as f exceeds the guard or goes non-finite; records
-    appended so far stay in the trace.
+    Validates w once and steps on raw arrays; HybridPoints are built only for
+    snapshots, the DivergenceError point and the returned point.  Appends one
+    TraceRecord per step (metrics at the updated point).  Raises
+    DivergenceError as soon as f exceeds the guard or goes non-finite;
+    records appended so far stay in the trace.
     """
+    values = obj.check_point(w)
     if divergence_threshold is None:
-        divergence_threshold = resolve_divergence_threshold(cfg, obj.eval_full(w))
+        divergence_threshold = resolve_divergence_threshold(cfg, obj.full_value_at(values))
     layout = obj.layout
-    perm = shuffle_permutation(rng, obj.n)
-    for k, idx in enumerate(perm):
+    d_x = layout.d_x
+    for k, idx in enumerate(shuffle_permutation(rng, obj.n).tolist()):
         global_step = step_offset + k
         try:
-            w = step(obj, w, int(idx), cfg, rng)
+            values = step(obj, values, idx, cfg, rng)
         except NumericError as exc:
             raise NumericError(f"epoch {epoch}, step {global_step}: {exc}") from exc
-        f, g = obj.full_value_and_grad_at(w.values)
+        f, g = obj.full_value_and_grad_at(values)
         trace.append(
-            TraceRecord(epoch, global_step, f, _norm(g), _norm(g[: layout.d_x]),
-                        _norm(g[layout.d_x :]))
+            TraceRecord(epoch, global_step, f, _norm(g), _norm(g[:d_x]), _norm(g[d_x:]))
         )
         if snapshots is not None and snapshot_every > 0:
             if (global_step + 1) % snapshot_every == 0:
-                snapshots.append((global_step + 1, w))
-        if not np.isfinite(f) or f > divergence_threshold:
-            raise DivergenceError(epoch, global_step, f, w)
-    return w
+                snapshots.append((global_step + 1, HybridPoint(layout, values)))
+        if not math.isfinite(f) or f > divergence_threshold:
+            raise DivergenceError(epoch, global_step, f, HybridPoint(layout, values))
+    return HybridPoint(layout, values)
 
 
 @dataclass
@@ -275,7 +280,7 @@ def run(
     values = obj.check_point(w0)
     _check_int("snapshot_every", snapshot_every, 0)
     f0 = obj.full_value_at(values)
-    if not np.isfinite(f0):
+    if not math.isfinite(f0):
         raise NumericError("objective is non-finite at the start point")
     guard = resolve_divergence_threshold(cfg, f0)
     g0 = obj.full_grad_at(values)

@@ -163,7 +163,7 @@ def smoothed_gradient_reference(
     draws = _check_int("draws", draws, 2)
     d_x = obj.layout.d_x
     directions = sample_gaussian(rng, draws * d_x).reshape(draws, d_x)
-    est = _two_point_rows(obj, values, i, mu, directions, Block.X, obj.value_at(values, i))
+    est = _two_point_rows(obj, values, i, mu, directions, slice(0, d_x), obj.value_at(values, i))
     total = np.sum(est, axis=0)
     total_sq = np.sum(est * est, axis=0)
     mean = total / draws
@@ -209,7 +209,7 @@ def check_estimator_bounds(
     base = obj.value_at(values, i)  # shared by every trial, as in the estimator
 
     directions = sample_gaussian(rng, trials * d_x).reshape(trials, d_x)
-    err = _two_point_rows(obj, values, i, float(mu), directions, Block.X, base)
+    err = _two_point_rows(obj, values, i, float(mu), directions, slice(0, d_x), base)
     err -= g
     bias = np.vecdot(err, g)
     sq_err = np.vecdot(err, err)

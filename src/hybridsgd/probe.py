@@ -103,7 +103,7 @@ def _hvp_rows(
     else:
         grads = obj.grads_at_points(perturbed, sample)
     out = (grads - base_grad) / h
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NumericError("non-finite gradient in a curvature probe")
     return out
 

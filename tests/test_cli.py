@@ -108,6 +108,32 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["run", "--config", missing, "--out", out]) == EXIT_CONFIG
 
 
+COUNT_FIELDS = [
+    (command, key, value)
+    for command, key in (("run", "epochs"), ("run", "snapshot_every"),
+                         ("run", "directions_per_step"), ("probe", "snapshot_every"))
+    for value in (True, 2.9, "5")
+] + [("probe", "snapshot_every", 0)]
+
+
+@pytest.mark.parametrize("command, key, value", COUNT_FIELDS)
+def test_count_fields_must_be_integers(tmp_path, capsys, command, key, value):
+    run_cfg = _run_config()
+    if key == "directions_per_step":
+        run_cfg["zo"] = {"mu": 1e-3, key: value}
+    else:
+        run_cfg[key] = value
+    if command == "probe":
+        cfg = {"objective": run_cfg.pop("objective"), "trajectory": {"kind": "run", **run_cfg}}
+    else:
+        cfg = run_cfg
+    out = tmp_path / "out.csv"
+    code = main([command, "--config", _write_config(tmp_path, "c.json", cfg), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert f"config error: {key} must be an integer >= " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_divergent_run_exits_3(tmp_path, capsys):
     cfg = _write_config(
         tmp_path,

@@ -1,30 +1,36 @@
-"""Batched kernels against the per-sample loop, end to end.
+"""Batched kernels and the raw-array step loop against their references.
 
 Each workload is run twice: with the objective as built, and with the same
 objective built as a subclass whose batched kernels (``values_all``/
 ``grads_all``, ``values_at_points``/``grads_at_points``) and fused
 ``full_value_and_grad_at`` are reset to the :class:`FiniteSumObjective` loops
-over ``value_at``/``grad_at``.  Traces, final iterates, run results and
-output files must agree bit for bit, so the check holds on any BLAS build
-without hard-coded hashes.
+over ``value_at``/``grad_at``.  The optimizer's raw-array loop is run against
+a reference loop that validates its inputs and builds a HybridPoint on every
+step, with the estimator's rows summed one by one into a zero accumulator.
+Traces, final iterates, run results and output files must agree bit for bit,
+so the check holds on any BLAS build without hard-coded hashes.
 """
 import contextlib
 import inspect
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 from hybridsgd import (
+    BlockLayout,
     BlockMode,
     FiniteSumObjective,
     HybridPoint,
     LearningRates,
+    LinearObjective,
     Mode,
     OptimizerConfig,
     ProbeConfig,
     RngStream,
     ZoConfig,
+    estimate_block_gradient,
     estimate_constants,
     objective_from_dict,
     run,
@@ -32,6 +38,14 @@ from hybridsgd import (
 )
 from hybridsgd import objectives
 from hybridsgd.cli import main
+from hybridsgd.core import Block, NumericError, shuffle_permutation
+from hybridsgd.estimator import _two_point_rows
+from hybridsgd.optimizer import (
+    DivergenceError,
+    RunResult,
+    TraceRecord,
+    resolve_divergence_threshold,
+)
 
 FAMILIES = (
     objectives.BlockQuadratic,
@@ -104,6 +118,12 @@ def _assert_same_run(a, b):
     assert [k for k, _ in a.snapshots] == [k for k, _ in b.snapshots]
     for (_, p), (_, q) in zip(a.snapshots, b.snapshots):
         assert np.array_equal(p.values, q.values)
+    assert repr(a.divergence_threshold) == repr(b.divergence_threshold)
+    if a.diverged:
+        assert (a.divergence.epoch, a.divergence.step, repr(a.divergence.f_value)) == (
+            b.divergence.epoch, b.divergence.step, repr(b.divergence.f_value)
+        )
+        assert np.array_equal(a.divergence.point.values, b.divergence.point.values)
 
 
 def _cli(tmp_path, name, command, cfg, capsys):
@@ -193,3 +213,161 @@ def test_dense_quadratic_plan_estimate_matches_per_sample_loop(
         tmp_path, ["plan", "--estimate"], cfg, capsys, per_sample_loop
     )
     assert code == 0 and "constants:" in stdout
+
+
+# -- the raw-array step loop against a validating reference loop ------------
+
+
+def _reference_block_estimate(obj, values, i, zo, rng, block):
+    """The estimator's mean with its rows added one by one to np.zeros."""
+    q, sl = zo.directions_per_step, obj.layout.slice_of(block)
+    base = obj.value_at(values, i)
+    directions = sample_gaussian(rng, q * obj.layout.dim_of(block)).reshape(q, -1)
+    acc = np.zeros(directions.shape[1])
+    for row in _two_point_rows(obj, values, i, zo.mu, directions, sl, base):
+        acc += row
+    return acc / q
+
+
+def _reference_step(obj, w, i, cfg, rng):
+    """A step that checks its inputs and returns a new HybridPoint."""
+    values = obj.check_point(w)
+    i = obj.check_sample(i)
+    layout = obj.layout
+    full_grad = None
+
+    def fo_gradient():
+        nonlocal full_grad
+        if full_grad is None:
+            full_grad = obj.grad_at(values, i)
+        return full_grad
+
+    def direction(block, mode):
+        if mode is Mode.FROZEN:
+            return None
+        if mode is Mode.FO:
+            return fo_gradient()[layout.slice_of(block)]
+        return _reference_block_estimate(obj, values, i, cfg.zo, rng, block)
+
+    x_dir = direction(Block.X, cfg.modes.x_mode)
+    y_dir = direction(Block.Y, cfg.modes.y_mode)
+    new_values = values.copy()
+    if x_dir is not None:
+        new_values[: layout.d_x] -= cfg.rates.eta_x * x_dir
+    if y_dir is not None:
+        new_values[layout.d_x :] -= cfg.rates.eta_y * y_dir
+    if not np.all(np.isfinite(new_values)):
+        raise NumericError(f"non-finite update from sample {i}")
+    return HybridPoint(layout, new_values)
+
+
+def _reference_run(obj, w0, cfg, rng, snapshot_every=0):
+    """run() driven by _reference_step, one HybridPoint per step."""
+    f0 = obj.eval_full(w0)
+    guard = resolve_divergence_threshold(cfg, f0)
+    g0 = obj.grad_full(w0)
+    min_grad_sq = float(np.dot(g0, g0))
+    d_x = obj.layout.d_x
+    trace, snapshots = [], [(0, w0)] if snapshot_every > 0 else []
+    w = w0
+    for epoch in range(cfg.epochs):
+        for k, idx in enumerate(shuffle_permutation(rng, obj.n)):
+            global_step = epoch * obj.n + k
+            try:
+                w = _reference_step(obj, w, int(idx), cfg, rng)
+            except NumericError as exc:
+                raise NumericError(f"epoch {epoch}, step {global_step}: {exc}") from exc
+            f, g = obj.full_value_and_grad_at(w.values)
+            norms = (float(np.linalg.norm(v)) for v in (g, g[:d_x], g[d_x:]))
+            trace.append(TraceRecord(epoch, global_step, f, *norms))
+            if snapshot_every > 0 and (global_step + 1) % snapshot_every == 0:
+                snapshots.append((global_step + 1, w))
+            if not np.isfinite(f) or f > guard:
+                report = DivergenceError(epoch, global_step, f, w)
+                return RunResult(w, trace, epoch, True, report, min_grad_sq, snapshots, guard)
+        min_grad_sq = min(min_grad_sq, trace[-1].grad_norm ** 2)
+    return RunResult(w, trace, cfg.epochs, False, None, min_grad_sq, snapshots, guard)
+
+
+def test_block_estimate_sums_rows_in_order_from_positive_zero():
+    # Zero x slopes make every x row +-0.0, and a sum started at +0.0 is +0.0;
+    # with one-coordinate blocks and q = 12 a pairwise sum would round
+    # differently from the in-order one.
+    slopes = np.array([[0.0, 0.0, 1.5], [0.0, 0.0, -2.0]])
+    linear = LinearObjective(BlockLayout(2, 1), slopes)
+    cosh = objective_from_dict({"kind": "cosh", "d_x": 1, "d_y": 1, "n": 2, "seed": 24})
+    at = np.array([0.5, -0.5, 2.0])
+    for obj, values in ((linear, at), (cosh, np.array([0.3, -0.8]))):
+        for q, stream in itertools.product((1, 3, 12), range(10)):
+            zo = ZoConfig(mu=1e-2, directions_per_step=q)
+            for block in (Block.X, Block.Y):
+                got = estimate_block_gradient(obj, values, 1, zo, RngStream(24, stream), block)
+                want = _reference_block_estimate(obj, values, 1, zo, RngStream(24, stream), block)
+                assert got.tobytes() == want.tobytes(), (type(obj).__name__, q, stream, block)
+    zero = estimate_block_gradient(linear, at, 0, ZoConfig(mu=1e-2, directions_per_step=3),
+                                   RngStream(25, 1), Block.X)
+    assert np.array_equal(zero, [0.0, 0.0]) and not np.signbit(zero).any()
+
+
+FAMILY_SPECS = {
+    "block_quadratic": {"kind": "block_quadratic", "a_x": 4.0, "a_y": 1.0,
+                        "center_spread": 0.5},
+    "cosh": {"kind": "cosh", "shift_spread": 0.3},
+    "logistic": {"kind": "logistic", "lam": 0.01},
+    "linear": {"kind": "linear"},
+    "dense_quadratic": {"kind": "dense_quadratic", "center_scale": 1.0},
+}
+PAIRINGS = {
+    "zo-fo": BlockMode(Mode.ZO, Mode.FO),
+    "fo-fo": BlockMode(Mode.FO, Mode.FO),
+    "zo-zo": BlockMode(Mode.ZO, Mode.ZO),
+    "frozen-fo": BlockMode(Mode.FROZEN, Mode.FO),
+    "fo-frozen": BlockMode(Mode.FO, Mode.FROZEN),
+}
+
+
+def _assert_run_matches_reference(obj, w0, cfg, seed, snapshot_every=0):
+    result = run(obj, w0, cfg, RngStream(seed, 2), snapshot_every=snapshot_every)
+    reference = _reference_run(obj, w0, cfg, RngStream(seed, 2), snapshot_every)
+    _assert_same_run(result, reference)
+    return result
+
+
+@pytest.mark.parametrize("pairing", sorted(PAIRINGS))
+@pytest.mark.parametrize("kind", sorted(FAMILY_SPECS))
+def test_raw_step_loop_matches_validating_reference(kind, pairing):
+    obj = objective_from_dict({**FAMILY_SPECS[kind], "d_x": 3, "d_y": 2, "n": 5, "seed": 21})
+    w0 = HybridPoint(obj.layout, sample_gaussian(RngStream(21, 1), obj.layout.d))
+    cfg = OptimizerConfig(LearningRates(0.02, 0.05), PAIRINGS[pairing],
+                          zo=ZoConfig(mu=1e-3, directions_per_step=3), epochs=3)
+    result = _assert_run_matches_reference(obj, w0, cfg, 21, snapshot_every=4)
+    assert len(result.trace) == 15 and len(result.snapshots) == 4
+
+
+def test_raw_step_loop_matches_reference_with_one_coordinate_blocks_and_q12():
+    # With dim 1 and q >= 8 a reduce over the rows would sum pairwise; the
+    # estimator must still add its q rows in draw order.
+    obj = objective_from_dict({"kind": "cosh", "d_x": 1, "d_y": 1, "n": 4, "seed": 22,
+                               "shift_spread": 0.5})
+    w0 = HybridPoint(obj.layout, [0.7, -1.3])
+    for modes in (PAIRINGS["zo-fo"], PAIRINGS["zo-zo"]):
+        cfg = OptimizerConfig(LearningRates(0.05, 0.05), modes,
+                              zo=ZoConfig(mu=1e-2, directions_per_step=12), epochs=4)
+        _assert_run_matches_reference(obj, w0, cfg, 22, snapshot_every=3)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_raw_step_loop_matches_reference_when_diverging():
+    obj = objective_from_dict(COSH)
+    w0 = HybridPoint(obj.layout, sample_gaussian(RngStream(5, 1), obj.layout.d))
+    result = _assert_run_matches_reference(obj, w0, _hybrid_config(0.05, 2.5, 5), 23,
+                                           snapshot_every=2)
+    assert result.diverged and result.epochs_completed < 5
+    # a non-finite update raises the same NumericError from both loops
+    cfg = _hybrid_config(0.05, 1e308, 1)
+    messages = []
+    for run_fn in (run, _reference_run):
+        with pytest.raises(NumericError) as info:
+            run_fn(obj, w0, cfg, RngStream(23, 2))
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] and messages[0].startswith("epoch 0, step 0: ")

@@ -292,11 +292,26 @@ def _assert_at_points_matches(obj, points):
     return out
 
 
+def _assert_means_match_np_mean(obj, values):
+    """The full_* means and sample_variance against np.mean, bit for bit."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals, grads = obj.values_all(values), obj.grads_all(values)
+        want_value, want_grad = float(np.mean(vals)), np.mean(grads, axis=0)
+        want_variance = float(np.mean(np.sum((grads - want_grad) ** 2, axis=1)))
+        fused_value, fused_grad = obj.full_value_and_grad_at(values)
+        value, grad = obj.full_value_at(values), obj.full_grad_at(values)
+        variance = obj.sample_variance(HybridPoint(obj.layout, values))
+    assert repr(value) == repr(fused_value) == repr(want_value)
+    assert grad.tobytes() == fused_grad.tobytes() == want_grad.tobytes()
+    assert repr(variance) == repr(want_variance)
+
+
 @st.composite
 def _family_and_point(draw):
     kind = draw(st.sampled_from(sorted(_BUILDERS)))
     layout = BlockLayout(draw(st.integers(1, 9)), draw(st.integers(1, 9)))
-    n = draw(st.sampled_from([1, 2, 7]))
+    # above 128 samples the pairwise sum behind the means splits into blocks
+    n = draw(st.sampled_from([1, 2, 7, 129, 300]))
     scale = draw(st.sampled_from([1e-3, 1.0, 30.0]))
     seed = draw(st.integers(0, 2**32 - 1))
     obj = _BUILDERS[kind](layout, n, RngStream(seed, 0xDA7A), scale)
@@ -310,6 +325,7 @@ def _family_and_point(draw):
 def test_batched_kernels_bit_identical_to_per_sample(case):
     obj, values, points = case
     _assert_batched_matches(obj, values)
+    _assert_means_match_np_mean(obj, values)
     _assert_at_points_matches(obj, points)
 
 

@@ -21,6 +21,7 @@ from hybridsgd import (
     step,
     write_trace_csv,
 )
+from hybridsgd import optimizer
 from conftest import IndexRecordingObjective
 
 FO = BlockMode(Mode.FO, Mode.FO)
@@ -35,27 +36,27 @@ def test_zero_rates_leave_point_unchanged():
     obj = _quad(BlockLayout(2, 2), 3.0, 1.0)
     w = HybridPoint(obj.layout, [1.0, 2.0, 3.0, 4.0])
     cfg = OptimizerConfig(LearningRates(0.0, 0.0), FO)
-    assert np.array_equal(step(obj, w, 0, cfg, RngStream(41, 1)).values, w.values)
+    assert np.array_equal(step(obj, w.values, 0, cfg, RngStream(41, 1)), w.values)
 
 
 def test_fo_step_closed_form():
     # f = ||w||^2 / 2, eta = 0.1: (1, 1) -> (0.9, 0.9).
     obj = BlockQuadratic(BlockLayout(1, 1), np.zeros((1, 2)), 1.0, 1.0)
     w = HybridPoint(obj.layout, [1.0, 1.0])
-    out = step(obj, w, 0, OptimizerConfig(LearningRates(0.1, 0.1), FO), RngStream(42, 1))
-    assert np.array_equal(out.values, [0.9, 0.9])
+    out = step(obj, w.values, 0, OptimizerConfig(LearningRates(0.1, 0.1), FO), RngStream(42, 1))
+    assert np.array_equal(out, [0.9, 0.9])
 
 
 def test_frozen_block_is_bit_identical():
     obj = _quad(BlockLayout(3, 2), 2.0, 1.0, n=3, spread=1.0)
     w = HybridPoint(obj.layout, sample_gaussian(RngStream(43, 1), 5))
     cfg = OptimizerConfig(LearningRates(0.1, 0.1), BlockMode(Mode.FROZEN, Mode.FO))
-    out = step(obj, w, 2, cfg, RngStream(44, 1))
-    assert np.array_equal(out.values[:3], w.values[:3])
-    assert not np.array_equal(out.values[3:], w.values[3:])
+    out = step(obj, w.values, 2, cfg, RngStream(44, 1))
+    assert np.array_equal(out[:3], w.values[:3])
+    assert not np.array_equal(out[3:], w.values[3:])
     cfg = OptimizerConfig(LearningRates(0.1, 0.1), BlockMode(Mode.FO, Mode.FROZEN))
-    out = step(obj, w, 2, cfg, RngStream(44, 1))
-    assert np.array_equal(out.values[3:], w.values[3:])
+    out = step(obj, w.values, 2, cfg, RngStream(44, 1))
+    assert np.array_equal(out[3:], w.values[3:])
 
 
 def test_config_validation():
@@ -84,8 +85,8 @@ def test_single_sample_epoch_equals_step():
     w = HybridPoint(obj.layout, [1.0, -1.0, 0.5])
     cfg = OptimizerConfig(LearningRates(0.05, 0.05), FO)
     via_epoch = run_epoch(obj, w, cfg, RngStream(46, 1), [])
-    via_step = step(obj, w, 0, cfg, RngStream(46, 1))
-    assert np.array_equal(via_epoch.values, via_step.values)
+    via_step = step(obj, w.values, 0, cfg, RngStream(46, 1))
+    assert np.array_equal(via_epoch.values, via_step)
 
 
 def test_epoch_contracts_quadratic():
@@ -118,6 +119,28 @@ def test_run_single_epoch_equals_run_epoch():
     end = run_epoch(obj, w0, cfg, RngStream(50, 1), trace)
     assert np.array_equal(result.point.values, end.values)
     assert result.trace == trace
+
+
+@pytest.mark.parametrize("modes", [FO, BlockMode(Mode.ZO, Mode.FO)], ids=["fo-fo", "zo-fo"])
+def test_every_step_goes_through_the_module_level_step(monkeypatch, modes):
+    # The step is the unit of work that profilers and the benchmark count, by
+    # wrapping the module global; run and run_epoch must call it once per step.
+    samples = []
+    original = optimizer.step
+
+    def counting_step(obj, values, i, cfg, rng):
+        samples.append(i)
+        return original(obj, values, i, cfg, rng)
+
+    monkeypatch.setattr(optimizer, "step", counting_step)
+    obj = _quad(BlockLayout(2, 2), 2.0, 1.0, n=5, spread=0.5)
+    w0 = HybridPoint(obj.layout, np.ones(4))
+    cfg = OptimizerConfig(LearningRates(0.01, 0.01), modes, zo=ZoConfig(mu=1e-3), epochs=3)
+    result = run(obj, w0, cfg, RngStream(53, 1))
+    assert len(samples) == 3 * 5 == len(result.trace)
+    samples.clear()
+    run_epoch(obj, w0, cfg, RngStream(53, 1), [])
+    assert sorted(samples) == list(range(5))
 
 
 def test_fo_trajectory_matches_minimal_reshuffled_sgd():
