@@ -6,6 +6,12 @@ point, the run itself, probes, and the check suite are derived from the seed
 with distinct fixed stream ids, and CSV floats carry 17 significant digits,
 so repeated invocations produce byte-identical outputs.
 
+Each config section is read through one key table below by
+``core._read_section``: a key the table does not list is an error, a count
+must be a JSON integer and a real a finite JSON number (an int becomes a
+float, a bool or a string is an error), and null counts as absent.  The
+directory of ``--out`` is checked before any compute.
+
 Exit codes (stable contract): 0 success, 1 check failure, 2 config error,
 3 divergence, 4 numeric failure.
 """
@@ -13,13 +19,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .core import Block, BlockLayout, HybridPoint, NumericError, RngStream, _check_int, _gaussian_point, fmt17
+from .core import (_REQUIRED, Block, BlockLayout, HybridPoint, NumericError, RngStream, _check_finite,
+                   _check_int, _check_u64, _gaussian_point, _load_json, _read_section, fmt17)
 from .estimator import ZoConfig
 from .objectives import FiniteSumObjective, load_objective, objective_from_dict
 from .optimizer import BlockMode, LearningRates, Mode, OptimizerConfig, run, write_trace_csv
@@ -46,110 +55,109 @@ class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
 
 
-def _load_json(path) -> dict:
-    try:
-        with open(Path(path), "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: top-level JSON value must be an object")
-    return data
+def _guard(key: str, value) -> float:
+    # JSON Infinity is a valid divergence guard: it trips on a non-finite f only
+    return value if value == math.inf else _check_finite(key, value)
 
 
-def _require(cfg: dict, key: str, where: str):
-    if key not in cfg:
-        raise ConfigError(f"{where}: missing required key {key!r}")
-    return cfg[key]
+def _rate_grid(key: str, value) -> list[float]:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"config: {key} must be a non-empty list")
+    return [_check_finite(key, v) for v in value]
 
 
-def _objective(cfg: dict, config_path) -> FiniteSumObjective:
-    spec = _require(cfg, "objective", "config")
+# Key tables: key -> (check, default); see core._read_section.
+_RATES_KEYS = {"eta_x": (_check_finite, _REQUIRED), "eta_y": (_check_finite, _REQUIRED)}
+_MODES_KEYS = {"x": (None, "zo"), "y": (None, "fo")}
+_ZO_KEYS = {"mu": (_check_finite, _REQUIRED), "directions_per_step": (_check_int, 1)}
+_INIT_KINDS = {
+    "zeros": {},
+    "explicit": {"values": (None, _REQUIRED)},
+    "gaussian": {"scale": (_check_finite, 1.0)},
+}
+_PROBE_KEYS = {"h": (_check_finite, 1e-5), "probes": (_check_int, 100), "target": (None, "full")}
+_POINTS_KINDS = {
+    "explicit": {"points": (None, _REQUIRED)},
+    "gaussian": {"count": (_check_int, 3), "scale": (_check_finite, 1.0)},
+}
+# The keys of one optimization run, shared by run, sweep and a run trajectory.
+_RUN_KEYS = {
+    "modes": (None, {"x": "zo", "y": "fo"}),
+    "zo": (None, None),
+    "epochs": (_check_int, 1),
+    "divergence_threshold": (_guard, None),
+    "init": (None, {"kind": "zeros"}),
+}
+_TRAJECTORY_KINDS = {
+    "points": {"points": (None, _REQUIRED)},
+    "run": {"rates": (None, _REQUIRED), **_RUN_KEYS, "snapshot_every": (_check_int, None)},
+}
+_HORIZON_KEYS = {"T": (_check_int, None), "epsilon": (_check_finite, None), "delta": (_check_finite, None)}
+_CONSTANT_FIELDS = tuple(f.name for f in fields(SmoothnessConstants))
+_COMMAND_KEYS = {
+    "run": {"objective": (None, _REQUIRED), "rates": (None, _REQUIRED), **_RUN_KEYS,
+            "snapshot_every": (partial(_check_int, lo=0), 0), "seed": (_check_u64, 0)},
+    "sweep": {"objective": (None, _REQUIRED), "eta_x_grid": (_rate_grid, _REQUIRED),
+              "eta_y_grid": (_rate_grid, _REQUIRED), "f_target": (_check_finite, None),
+              **_RUN_KEYS, "seed": (_check_u64, 0)},
+    "probe": {"objective": (None, _REQUIRED), "probe": (None, {}),
+              "trajectory": (None, _REQUIRED), "seed": (_check_u64, 0)},
+    "plan": {"objective": (None, _REQUIRED), "probe": (None, {}), "points": (None, {}),
+             "f_star": (_check_finite, None), **_HORIZON_KEYS, "seed": (_check_u64, 0)},
+    "constants": {**{name: (_check_finite, _REQUIRED) for name in _CONSTANT_FIELDS},
+                  "n": (_check_int, _REQUIRED), "d_x": (_check_int, _REQUIRED), **_HORIZON_KEYS},
+}
+
+
+def _config(args) -> dict:
+    """The top-level values of the command's config file, with the seed resolved."""
+    cfg = _read_section("config", _load_json(args.config), _COMMAND_KEYS[args.command])
+    if args.seed is not None:
+        cfg["seed"] = args.seed
+    return cfg
+
+
+def _objective(spec, config_path) -> FiniteSumObjective:
     if isinstance(spec, str):
         path = Path(spec)
         if not path.is_absolute():
             path = Path(config_path).parent / path
         return load_objective(path)
-    if isinstance(spec, dict):
-        return objective_from_dict(spec)
-    raise ConfigError("config: 'objective' must be an object or a file path string")
+    return objective_from_dict(spec)
 
 
-def _initial_point(cfg: dict, layout: BlockLayout, seed: int) -> HybridPoint:
-    spec = cfg.get("init", {"kind": "zeros"})
-    if not isinstance(spec, dict):
-        raise ConfigError("config: 'init' must be an object")
-    kind = spec.get("kind", "zeros")
-    if kind == "zeros":
-        return HybridPoint(layout, np.zeros(layout.d))
-    if kind == "explicit":
-        values = np.asarray(_require(spec, "values", "init"), dtype=np.float64)
-        return HybridPoint(layout, values)
-    if kind == "gaussian":
-        scale = float(spec.get("scale", 1.0))
-        return _gaussian_point(layout, RngStream(seed, INIT_STREAM_ID), scale)
-    raise ConfigError(f"init: unknown kind {kind!r}; expected zeros, explicit, or gaussian")
+def _point_list(where: str, raw, layout: BlockLayout) -> list:
+    points = [HybridPoint(layout, np.asarray(p, dtype=np.float64)) for p in raw]
+    if not points:
+        raise ConfigError(f"{where}: points list is empty")
+    return points
 
 
-def _modes(cfg: dict) -> BlockMode:
-    spec = cfg.get("modes", {"x": "zo", "y": "fo"})
-    if not isinstance(spec, dict):
-        raise ConfigError("config: 'modes' must be an object")
+def _initial_point(spec, layout: BlockLayout, seed: int) -> HybridPoint:
+    init = _read_section("init", spec, {"kind": (None, "zeros")}, _INIT_KINDS)
+    if init["kind"] == "explicit":
+        return HybridPoint(layout, np.asarray(init["values"], dtype=np.float64))
+    if init["kind"] == "gaussian":
+        return _gaussian_point(layout, RngStream(seed, INIT_STREAM_ID), init["scale"])
+    return HybridPoint(layout, np.zeros(layout.d))
+
+
+def _optimizer_config(cfg: dict, rates) -> OptimizerConfig:
+    """The optimizer config of a run, sweep or run trajectory section, with a rates section."""
+    modes = _read_section("modes", cfg["modes"], _MODES_KEYS)
     try:
-        return BlockMode(Mode(spec.get("x", "zo")), Mode(spec.get("y", "fo")))
+        modes = BlockMode(Mode(modes["x"]), Mode(modes["y"]))
     except ValueError as exc:
         raise ConfigError(f"modes: {exc}") from exc
-
-
-def _zo_config(cfg: dict, modes: BlockMode) -> ZoConfig | None:
-    spec = cfg.get("zo")
-    if spec is None:
-        if modes.uses_zo():
-            raise ConfigError("config: 'zo' (mu, directions_per_step) is required for ZO modes")
-        return None
-    if not isinstance(spec, dict):
-        raise ConfigError("config: 'zo' must be an object")
-    return ZoConfig(
-        mu=float(_require(spec, "mu", "zo")),
-        directions_per_step=spec.get("directions_per_step", 1),
-    )
-
-
-def _rates(cfg: dict) -> LearningRates:
-    spec = _require(cfg, "rates", "config")
-    if not isinstance(spec, dict):
-        raise ConfigError("config: 'rates' must be an object")
-    return LearningRates(
-        eta_x=float(_require(spec, "eta_x", "rates")),
-        eta_y=float(_require(spec, "eta_y", "rates")),
-    )
-
-
-def _optimizer_config(cfg: dict, rates: LearningRates) -> OptimizerConfig:
-    modes = _modes(cfg)
-    threshold = cfg.get("divergence_threshold")
+    if cfg["zo"] is None and modes.uses_zo():
+        raise ConfigError("config: 'zo' (mu, directions_per_step) is required for ZO modes")
     return OptimizerConfig(
-        rates=rates,
+        rates=LearningRates(**_read_section("rates", rates, _RATES_KEYS)),
         modes=modes,
-        zo=_zo_config(cfg, modes),
-        epochs=cfg.get("epochs", 1),
-        divergence_threshold=None if threshold is None else float(threshold),
+        zo=None if cfg["zo"] is None else ZoConfig(**_read_section("zo", cfg["zo"], _ZO_KEYS)),
+        epochs=cfg["epochs"],
+        divergence_threshold=cfg["divergence_threshold"],
     )
-
-
-def _resolved_run_meta(cfg: dict, opt: OptimizerConfig, seed: int, guard: float) -> dict:
-    return {
-        "objective": cfg.get("objective"),
-        "init": cfg.get("init", {"kind": "zeros"}),
-        "rates": asdict(opt.rates),
-        "modes": {"x": opt.modes.x_mode.value, "y": opt.modes.y_mode.value},
-        "zo": None if opt.zo is None else asdict(opt.zo),
-        "epochs": opt.epochs,
-        "divergence_threshold": opt.divergence_threshold,
-        "divergence_threshold_resolved": guard,
-        "seed": seed,
-        "snapshot_every": cfg.get("snapshot_every", 0),
-    }
 
 
 def _write_meta(out_path, payload: dict) -> None:
@@ -159,35 +167,32 @@ def _write_meta(out_path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _seed(args, cfg: dict) -> int:
-    if args.seed is not None:
-        return args.seed
-    return int(cfg.get("seed", 0))
-
-
 # -- run -------------------------------------------------------------------
 
 
 def cmd_run(args) -> int:
-    cfg = _load_json(args.config)
-    seed = _seed(args, cfg)
-    obj = _objective(cfg, args.config)
-    opt = _optimizer_config(cfg, _rates(cfg))
-    w0 = _initial_point(cfg, obj.layout, seed)
+    cfg = _config(args)
+    obj = _objective(cfg["objective"], args.config)
+    opt = _optimizer_config(cfg, cfg["rates"])
+    w0 = _initial_point(cfg["init"], obj.layout, cfg["seed"])
     # Same stream as sweep cell 0, so a 1x1 sweep reproduces a plain run.
-    # run validates snapshot_every (an integer >= 0) before any compute.
-    result = run(
-        obj,
-        w0,
-        opt,
-        RngStream(seed, RUN_STREAM_ID).child(0),
-        snapshot_every=cfg.get("snapshot_every", 0),
-    )
+    rng = RngStream(cfg["seed"], RUN_STREAM_ID).child(0)
+    result = run(obj, w0, opt, rng, snapshot_every=cfg["snapshot_every"])
     write_trace_csv(result.trace, args.out)
     guard = result.divergence_threshold
-    meta = _resolved_run_meta(cfg, opt, seed, guard)
-    meta["command"] = "run"
-    _write_meta(args.out, meta)
+    _write_meta(args.out, {
+        "command": "run",
+        "objective": cfg["objective"],
+        "init": cfg["init"],
+        "rates": asdict(opt.rates),
+        "modes": {"x": opt.modes.x_mode.value, "y": opt.modes.y_mode.value},
+        "zo": None if opt.zo is None else asdict(opt.zo),
+        "epochs": opt.epochs,
+        "divergence_threshold": opt.divergence_threshold,
+        "divergence_threshold_resolved": guard,
+        "seed": cfg["seed"],
+        "snapshot_every": cfg["snapshot_every"],
+    })
     print(
         f"final_f={fmt17(result.trace[-1].f_value)} min_grad_sq={fmt17(result.min_grad_sq)} "
         f"epochs_completed={result.epochs_completed} diverged={str(result.diverged).lower()}"
@@ -216,113 +221,89 @@ def _steps_to_threshold(trace, f_target) -> int | None:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_json(args.config)
-    seed = _seed(args, cfg)
-    obj = _objective(cfg, args.config)
-    eta_x_grid = [float(v) for v in _require(cfg, "eta_x_grid", "config")]
-    eta_y_grid = [float(v) for v in _require(cfg, "eta_y_grid", "config")]
-    if not eta_x_grid or not eta_y_grid:
-        raise ConfigError("config: eta grids must be non-empty")
-    f_target = cfg.get("f_target")
-    f_target = None if f_target is None else float(f_target)
-    w0 = _initial_point(cfg, obj.layout, seed)
+    cfg = _config(args)
+    obj = _objective(cfg["objective"], args.config)
+    eta_x_grid, eta_y_grid = cfg["eta_x_grid"], cfg["eta_y_grid"]
+    # every cell's rates are checked before the first cell runs
+    cells = [_optimizer_config(cfg, {"eta_x": eta_x, "eta_y": eta_y})
+             for eta_x in eta_x_grid for eta_y in eta_y_grid]
+    f_target = cfg["f_target"]
+    w0 = _initial_point(cfg["init"], obj.layout, cfg["seed"])
     f0 = obj.eval_full(w0)
-    base_rng = RngStream(seed, RUN_STREAM_ID)
+    base_rng = RngStream(cfg["seed"], RUN_STREAM_ID)
 
     lines = ["eta_x,eta_y,final_f,diverged,steps_to_threshold"]
-    cell = 0
-    for eta_x in eta_x_grid:
-        for eta_y in eta_y_grid:
-            opt = _optimizer_config(cfg, LearningRates(eta_x, eta_y))
-            diverged = False
-            try:
-                result = run(obj, w0, opt, base_rng.child(cell))
-                trace = result.trace
-                diverged = result.diverged
-            except NumericError:
-                trace = []
-                diverged = True
-            final_f = trace[-1].f_value if trace else f0
-            steps = _steps_to_threshold(trace, f_target)
-            lines.append(
-                f"{fmt17(eta_x)},{fmt17(eta_y)},{fmt17(final_f)},"
-                f"{str(diverged).lower()},{'' if steps is None else steps}"
-            )
-            cell += 1
+    for cell, opt in enumerate(cells):
+        diverged = False
+        try:
+            result = run(obj, w0, opt, base_rng.child(cell))
+            trace = result.trace
+            diverged = result.diverged
+        except NumericError:
+            trace = []
+            diverged = True
+        final_f = trace[-1].f_value if trace else f0
+        steps = _steps_to_threshold(trace, f_target)
+        lines.append(
+            f"{fmt17(opt.rates.eta_x)},{fmt17(opt.rates.eta_y)},{fmt17(final_f)},"
+            f"{str(diverged).lower()},{'' if steps is None else steps}"
+        )
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     meta = {
         "command": "sweep",
-        "objective": cfg.get("objective"),
-        "init": cfg.get("init", {"kind": "zeros"}),
-        "modes": cfg.get("modes", {"x": "zo", "y": "fo"}),
-        "zo": cfg.get("zo"),
-        "epochs": cfg.get("epochs", 1),
-        "divergence_threshold": cfg.get("divergence_threshold"),
+        "objective": cfg["objective"],
+        "init": cfg["init"],
+        "modes": cfg["modes"],
+        "zo": cfg["zo"],
+        "epochs": cfg["epochs"],
+        "divergence_threshold": cfg["divergence_threshold"],
         "eta_x_grid": eta_x_grid,
         "eta_y_grid": eta_y_grid,
         "f_target": f_target,
-        "seed": seed,
+        "seed": cfg["seed"],
     }
     _write_meta(args.out, meta)
-    print(f"cells={cell} out={args.out}")
+    print(f"cells={len(cells)} out={args.out}")
     return EXIT_OK
 
 
 # -- probe -------------------------------------------------------------------
 
 
-def _probe_config(cfg: dict) -> ProbeConfig:
-    spec = cfg.get("probe", {})
-    if not isinstance(spec, dict):
-        raise ConfigError("config: 'probe' must be an object")
+def _probe_config(spec) -> ProbeConfig:
+    probe = _read_section("probe", spec, _PROBE_KEYS)
     try:
-        target = Block(spec.get("target", "full"))
+        probe["target"] = Block(probe["target"])
     except ValueError as exc:
         raise ConfigError(f"probe: {exc}") from exc
-    return ProbeConfig(
-        h=float(spec.get("h", 1e-5)),
-        probes=int(spec.get("probes", 100)),
-        target=target,
-    )
+    return ProbeConfig(**probe)
 
 
-def _trajectory(cfg: dict, obj: FiniteSumObjective, seed: int) -> list:
-    spec = _require(cfg, "trajectory", "config")
-    if not isinstance(spec, dict):
-        raise ConfigError("config: 'trajectory' must be an object")
-    kind = spec.get("kind")
-    if kind == "points":
-        raw = _require(spec, "points", "trajectory")
-        points = [HybridPoint(obj.layout, np.asarray(p, dtype=np.float64)) for p in raw]
-        if not points:
-            raise ConfigError("trajectory: points list is empty")
-        return points
-    if kind == "run":
-        opt = _optimizer_config(spec, _rates(spec))
-        every = _check_int("snapshot_every", spec.get("snapshot_every", obj.n))
-        w0 = _initial_point(spec, obj.layout, seed)
-        result = run(
-            obj, w0, opt, RngStream(seed, RUN_STREAM_ID).child(0), snapshot_every=every
-        )
-        return [point for _, point in result.snapshots]
-    raise ConfigError(f"trajectory: unknown kind {kind!r}; expected points or run")
+def _trajectory(spec, obj: FiniteSumObjective, seed: int) -> list:
+    traj = _read_section("trajectory", spec, {"kind": (None, _REQUIRED)}, _TRAJECTORY_KINDS)
+    if traj["kind"] == "points":
+        return _point_list("trajectory", traj["points"], obj.layout)
+    opt = _optimizer_config(traj, traj["rates"])
+    every = obj.n if traj["snapshot_every"] is None else traj["snapshot_every"]
+    w0 = _initial_point(traj["init"], obj.layout, seed)
+    result = run(obj, w0, opt, RngStream(seed, RUN_STREAM_ID).child(0), snapshot_every=every)
+    return [point for _, point in result.snapshots]
 
 
 def cmd_probe(args) -> int:
-    cfg = _load_json(args.config)
-    seed = _seed(args, cfg)
-    obj = _objective(cfg, args.config)
-    pcfg = _probe_config(cfg)
-    points = _trajectory(cfg, obj, seed)
-    rows = trajectory_scan(obj, points, pcfg, RngStream(seed, PROBE_STREAM_ID))
+    cfg = _config(args)
+    obj = _objective(cfg["objective"], args.config)
+    pcfg = _probe_config(cfg["probe"])
+    points = _trajectory(cfg["trajectory"], obj, cfg["seed"])
+    rows = trajectory_scan(obj, points, pcfg, RngStream(cfg["seed"], PROBE_STREAM_ID))
     write_probe_csv(rows, args.out)
     meta = {
         "command": "probe",
-        "objective": cfg.get("objective"),
+        "objective": cfg["objective"],
         "probe": {"h": pcfg.h, "probes": pcfg.probes, "target": pcfg.target.value},
-        "trajectory": cfg.get("trajectory"),
+        "trajectory": cfg["trajectory"],
         "points_probed": len(rows),
-        "seed": seed,
+        "seed": cfg["seed"],
     }
     _write_meta(args.out, meta)
     print(f"points={len(rows)} out={args.out}")
@@ -330,8 +311,6 @@ def cmd_probe(args) -> int:
 
 
 # -- plan -------------------------------------------------------------------
-
-_CONSTANT_FIELDS = tuple(f.name for f in fields(SmoothnessConstants))
 
 
 def _plan_report(constants: SmoothnessConstants, n: int, horizon: int, d_x: int,
@@ -365,44 +344,27 @@ def cmd_plan(args) -> int:
         raise ConfigError("plan: pass --constants FILE, or --config FILE with --estimate")
 
     if args.constants is not None:
-        spec = _load_json(args.constants)
-        constants = SmoothnessConstants(
-            **{name: float(_require(spec, name, "constants")) for name in _CONSTANT_FIELDS}
-        )
-        n = int(_require(spec, "n", "constants"))
-        d_x = int(_require(spec, "d_x", "constants"))
-        epsilon = spec.get("epsilon")
-        delta = spec.get("delta")
-        cfg_for_T = spec
+        cfg = _read_section("constants", _load_json(args.constants), _COMMAND_KEYS["constants"])
+        constants = SmoothnessConstants(**{name: cfg[name] for name in _CONSTANT_FIELDS})
+        n, d_x = cfg["n"], cfg["d_x"]
     else:
         if args.config is None:
             raise ConfigError("plan: --estimate requires --config")
-        cfg = _load_json(args.config)
-        seed = _seed(args, cfg)
-        obj = _objective(cfg, args.config)
-        pcfg = _probe_config(cfg)
-        points = _plan_points(cfg, obj, seed)
-        f_star = cfg.get("f_star")
+        cfg = _config(args)
+        obj = _objective(cfg["objective"], args.config)
+        pcfg = _probe_config(cfg["probe"])
+        points = _plan_points(cfg["points"], obj, cfg["seed"])
         constants = estimate_constants(
-            obj,
-            pcfg,
-            points,
-            RngStream(seed, PROBE_STREAM_ID),
-            f_star=None if f_star is None else float(f_star),
+            obj, pcfg, points, RngStream(cfg["seed"], PROBE_STREAM_ID), f_star=cfg["f_star"]
         )
-        n = obj.n
-        d_x = obj.layout.d_x
-        epsilon = cfg.get("epsilon")
-        delta = cfg.get("delta")
-        cfg_for_T = cfg
+        n, d_x = obj.n, obj.layout.d_x
 
-    epsilon = None if epsilon is None else float(epsilon)
-    delta = None if delta is None else float(delta)
+    epsilon, delta = cfg["epsilon"], cfg["delta"]
     budget = None
     if epsilon is not None and delta is not None:
         budget = epoch_budget(epsilon, delta, constants.G, constants.f_gap, n)
-    if "T" in cfg_for_T:
-        horizon = int(cfg_for_T["T"])
+    if cfg["T"] is not None:
+        horizon = cfg["T"]
     elif budget is not None:
         horizon = budget
     else:
@@ -415,36 +377,20 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
-def _plan_points(cfg: dict, obj: FiniteSumObjective, seed: int) -> list:
-    spec = cfg.get("points", {"kind": "gaussian", "count": 3, "scale": 1.0})
-    if not isinstance(spec, dict):
-        raise ConfigError("config: 'points' must be an object")
-    kind = spec.get("kind", "gaussian")
-    if kind == "explicit":
-        raw = _require(spec, "points", "points")
-        pts = [HybridPoint(obj.layout, np.asarray(p, dtype=np.float64)) for p in raw]
-        if not pts:
-            raise ConfigError("points: list is empty")
-        return pts
-    if kind == "gaussian":
-        count = int(spec.get("count", 3))
-        if count < 1:
-            raise ConfigError("points: count must be >= 1")
-        scale = float(spec.get("scale", 1.0))
-        rng = RngStream(seed, INIT_STREAM_ID)
-        return [_gaussian_point(obj.layout, rng, scale) for _ in range(count)]
-    raise ConfigError(f"points: unknown kind {kind!r}; expected explicit or gaussian")
+def _plan_points(spec, obj: FiniteSumObjective, seed: int) -> list:
+    points = _read_section("points", spec, {"kind": (None, "gaussian")}, _POINTS_KINDS)
+    if points["kind"] == "explicit":
+        return _point_list("points", points["points"], obj.layout)
+    rng = RngStream(seed, INIT_STREAM_ID)
+    return [_gaussian_point(obj.layout, rng, points["scale"]) for _ in range(points["count"])]
 
 
 # -- check -------------------------------------------------------------------
 
 
 def cmd_check(args) -> int:
-    trials = args.trials
-    if trials < 2:
-        raise ConfigError("check: --trials must be >= 2")
     root = RngStream(args.seed if args.seed is not None else 0, CHECK_STREAM_ID)
-    reports = _check_suite(root, trials, args.negative_control)
+    reports = _check_suite(root, args.trials, args.negative_control)
     width = max(len(r.bound_name) for r in reports) + 2
     lines = [f"{'check':<{width}} {'lhs':>24} {'rhs':>24} result"]
     failed = [r for r in reports if not r.passed]
@@ -474,13 +420,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True, out_required=True):
-        if config_required:
-            p.add_argument("--config", required=True, help="JSON experiment config")
+    def common(p):
+        p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="overrides the config seed")
-        p.add_argument(
-            "--out", required=out_required, default=None, help="output file path"
-        )
+        p.add_argument("--out", required=True, help="output file path")
 
     p_run = sub.add_parser("run", help="one optimization run; writes the trace CSV")
     common(p_run)
@@ -518,6 +461,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        out = None if args.out is None else Path(args.out)
+        if out is not None and (out.is_dir() or not out.parent.is_dir()):
+            raise ConfigError(f"--out {args.out}: not a file in an existing directory")
         return args.handler(args)
     except (ValueError, KeyError, TypeError, IndexError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -4,11 +4,19 @@ Every stochastic component in the package draws from an :class:`RngStream`,
 a counter-based generator keyed by ``(seed, stream_id)``.  Equal keys replay
 the exact same sequence on every platform and run; distinct stream ids give
 statistically independent streams, so concurrent consumers never share state.
+
+Config values enter through ``_load_json`` and ``_read_section``, which reads
+a JSON object section through a key table, rejects keys the table does not
+list and sends values to the checks ``_check_int``/``_check_real``/
+``_check_finite``: a bool or a string is never a number, an int in a real
+field becomes a float.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 
@@ -30,6 +38,7 @@ def fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 _U64 = 0xFFFFFFFFFFFFFFFF
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 def _check_int(name: str, value, lo: int = 1, hi: int | None = None) -> int:
@@ -45,12 +54,75 @@ def _check_int(name: str, value, lo: int = 1, hi: int | None = None) -> int:
     return int(value)
 
 
+def _check_u64(name: str, value) -> int:
+    """value as an int, if it is an integer (not a bool) that fits in 64 unsigned bits."""
+    return _check_int(name, value, 0, _U64)
+
+
+def _check_finite(name: str, value) -> float:
+    """value as a float, if it is a finite real number (not a bool or a string); else ValueError."""
+    # abs(.) <= max float also rejects an int too large to convert, where isfinite raises
+    real = (int, float, np.integer, np.floating)
+    if isinstance(value, bool) or not isinstance(value, real) or not abs(value) <= _FLOAT_MAX:
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
+
+
 def _check_real(name: str, value, *, allow_zero: bool = False) -> float:
     """value as a float, if it is finite and > 0 (>= 0 with allow_zero); else ValueError."""
-    if not np.isfinite(value) or (value < 0 if allow_zero else value <= 0):
+    x = _check_finite(name, value)
+    if x < 0 if allow_zero else x <= 0:
         bound = ">= 0" if allow_zero else "positive"
         raise ValueError(f"{name} must be {bound} and finite, got {value}")
-    return float(value)
+    return x
+
+
+# Default of a key that a section must contain (see _read_section).
+_REQUIRED = object()
+
+
+def _load_json(path):
+    """The JSON value in a file; a ValueError naming the file if it is not JSON."""
+    with open(Path(path), "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON ({exc})") from exc
+
+
+def _read_section(where: str, spec, table: dict, kinds: dict | None = None) -> dict:
+    """The values of one JSON object section, read through its key table.
+
+    table maps each key the section may hold to (check, default).  An absent or
+    null key takes its default (_REQUIRED: an error); a present value becomes
+    check(key, value), or stays as is where check is None.  With kinds, the
+    section's "kind" picks kinds[kind], the table of the keys of that kind only
+    (or a function of the section returning it).  Other keys are an error.
+    """
+    if not isinstance(spec, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(spec).__name__}")
+    if kinds is not None:
+        default = table["kind"][1]
+        kind = default if spec.get("kind") is None else spec["kind"]
+        if kind is _REQUIRED:
+            raise ValueError(f"{where}: missing required key 'kind'")
+        if kind not in tuple(kinds):
+            raise ValueError(f"{where}: unknown kind {kind!r}; expected one of {', '.join(kinds)}")
+        extra = kinds[kind]
+        table = {**table, **(extra(spec) if callable(extra) else extra)}
+    for key in spec:
+        if key not in table:
+            raise ValueError(f"{where}: unknown key {key!r}; expected one of {', '.join(table)}")
+    values = {}
+    for key, (check, default) in table.items():
+        value = spec.get(key)
+        if value is not None:
+            values[key] = value if check is None else check(key, value)
+        elif default is _REQUIRED:
+            raise ValueError(f"{where}: missing required key {key!r}")
+        else:
+            values[key] = default
+    return values
 
 
 class NumericError(RuntimeError):
@@ -147,8 +219,8 @@ class RngStream:
     stream_id: int = 0
 
     def __post_init__(self) -> None:
-        self.seed = _check_int("seed", self.seed, 0, _U64)
-        self.stream_id = _check_int("stream_id", self.stream_id, 0, _U64)
+        self.seed = _check_u64("seed", self.seed)
+        self.stream_id = _check_u64("stream_id", self.stream_id)
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         self._generator = np.random.Generator(np.random.Philox(key=key))
 
@@ -163,7 +235,7 @@ class RngStream:
         of distinct indices, and children of distinct parents, do not collide.
         Deriving a child does not advance this stream.
         """
-        index = _check_int("index", index, 0, _U64)
+        index = _check_u64("index", index)
         derived = _splitmix64((_splitmix64(self.stream_id) + index + 1) & _U64)
         return RngStream(self.seed, derived)
 

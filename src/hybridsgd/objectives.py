@@ -21,17 +21,17 @@ expression each whose results are bit-identical to its own per-sample path
 (``np.vecdot`` and ``np.matvec``, not ``@`` or ``einsum``, which can round
 differently).  A family that overrides ``value_at``/``grad_at`` must override
 all four batched kernels to match, or none of them and inherit the loops from
-:class:`FiniteSumObjective`.
+:class:`FiniteSumObjective`.  :func:`objective_from_dict` reads a spec
+through its kind's table of data keys, shared keys and generation-only keys.
 """
 from __future__ import annotations
 
 import abc
-import json
-from pathlib import Path
 
 import numpy as np
 
-from .core import BlockLayout, HybridPoint, RngStream, _check_int, _check_real, sample_gaussian
+from .core import (_REQUIRED, BlockLayout, HybridPoint, RngStream, _check_finite, _check_int,
+                   _check_real, _check_u64, _load_json, _read_section, sample_gaussian)
 
 __all__ = [
     "FiniteSumObjective",
@@ -500,21 +500,40 @@ def _spread_rows(
 
 # -- config files ---------------------------------------------------------
 
-_KINDS = ("block_quadratic", "cosh", "logistic", "linear", "dense_quadratic")
+_LAYOUT_KEYS = {
+    "kind": (None, _REQUIRED),
+    "d_x": (_check_int, _REQUIRED),
+    "d_y": (_check_int, _REQUIRED),
+}
+
+# kind: (class name, explicit data keys, keys both paths share, generation-only
+# keys), each key with its default.  Data and shared values go unchecked to the
+# class, which validates them; generation-only values are counts (n) or reals.
+# The class is looked up in this module's globals when a spec is read.
+_KINDS = {
+    "block_quadratic": ("BlockQuadratic", {"centers": _REQUIRED}, {"a_x": _REQUIRED, "a_y": _REQUIRED},
+                        {"n": _REQUIRED, "center_scale": 1.0, "center_spread": 0.0}),
+    "cosh": ("CoshObjective", {"shifts": _REQUIRED}, {},
+             {"n": _REQUIRED, "shift_scale": 1.0, "shift_spread": 0.0}),
+    "logistic": ("LogisticObjective", {"features": _REQUIRED, "labels": _REQUIRED}, {"lam": 0.0},
+                 {"n": _REQUIRED, "feature_scale": 1.0}),
+    "linear": ("LinearObjective", {"slopes": _REQUIRED}, {}, {"n": _REQUIRED, "slope_scale": 1.0}),
+    "dense_quadratic": ("DenseQuadratic", {"hessian": _REQUIRED, "centers": None}, {},
+                        {"n": 1, "entry_scale": 1.0, "center_scale": 0.0}),
+}
 
 
-def _require(spec: dict, key: str):
-    if key not in spec:
-        raise ValueError(f"objective spec missing required key {key!r}")
-    return spec[key]
-
-
-def _layout_of(spec: dict) -> BlockLayout:
-    return BlockLayout(int(_require(spec, "d_x")), int(_require(spec, "d_y")))
-
-
-def _seeded_rng(spec: dict) -> RngStream:
-    return RngStream(int(_require(spec, "seed")), DATA_STREAM_ID)
+def _path_keys(spec: dict) -> dict:
+    """The key table of the path a spec takes: its kind's data keys when the
+    first of them is given, else the seed and the generation-only keys."""
+    _, data, shared, generated = _KINDS[spec["kind"]]
+    table = {key: (None, default) for key, default in shared.items()}
+    if spec.get(next(iter(data))) is not None:
+        return {**{key: (None, default) for key, default in data.items()}, **table}
+    return {"seed": (_check_u64, _REQUIRED), **table, **{
+        key: (_check_int if key == "n" else _check_finite, default)
+        for key, default in generated.items()
+    }}
 
 
 def objective_from_dict(spec: dict) -> FiniteSumObjective:
@@ -523,72 +542,17 @@ def objective_from_dict(spec: dict) -> FiniteSumObjective:
     Data arrays may be given explicitly (``centers``, ``shifts``, ``features``
     + ``labels``, ``slopes``, ``hessian``) or generated from ``seed`` with
     ``n`` rows; generation draws from the dedicated data stream, so any run
-    seeded with the same config reproduces the exact same instance.
+    seeded with the same config reproduces the exact same instance.  A key the
+    chosen path does not read is an error.
     """
-    if not isinstance(spec, dict):
-        raise ValueError(f"objective spec must be a dict, got {type(spec).__name__}")
-    kind = _require(spec, "kind")
-    if kind not in _KINDS:
-        raise ValueError(f"unknown objective kind {kind!r}; expected one of {_KINDS}")
-    layout = _layout_of(spec)
-
-    if kind == "block_quadratic":
-        a_x, a_y = float(_require(spec, "a_x")), float(_require(spec, "a_y"))
-        if "centers" in spec:
-            return BlockQuadratic(layout, spec["centers"], a_x, a_y)
-        return BlockQuadratic.random(
-            layout,
-            int(_require(spec, "n")),
-            a_x,
-            a_y,
-            _seeded_rng(spec),
-            center_scale=float(spec.get("center_scale", 1.0)),
-            center_spread=float(spec.get("center_spread", 0.0)),
-        )
-    if kind == "cosh":
-        if "shifts" in spec:
-            return CoshObjective(layout, spec["shifts"])
-        return CoshObjective.random(
-            layout,
-            int(_require(spec, "n")),
-            _seeded_rng(spec),
-            shift_scale=float(spec.get("shift_scale", 1.0)),
-            shift_spread=float(spec.get("shift_spread", 0.0)),
-        )
-    if kind == "logistic":
-        lam = float(spec.get("lam", 0.0))
-        if "features" in spec:
-            return LogisticObjective(layout, spec["features"], _require(spec, "labels"), lam)
-        return LogisticObjective.random(
-            layout,
-            int(_require(spec, "n")),
-            _seeded_rng(spec),
-            lam=lam,
-            feature_scale=float(spec.get("feature_scale", 1.0)),
-        )
-    if kind == "linear":
-        if "slopes" in spec:
-            return LinearObjective(layout, spec["slopes"])
-        return LinearObjective.random(
-            layout,
-            int(_require(spec, "n")),
-            _seeded_rng(spec),
-            slope_scale=float(spec.get("slope_scale", 1.0)),
-        )
-    # dense_quadratic
-    if "hessian" in spec:
-        return DenseQuadratic(layout, spec["hessian"], spec.get("centers"))
-    return DenseQuadratic.random(
-        layout,
-        int(spec.get("n", 1)),
-        _seeded_rng(spec),
-        entry_scale=float(spec.get("entry_scale", 1.0)),
-        center_scale=float(spec.get("center_scale", 0.0)),
-    )
+    args = _read_section("objective", spec, _LAYOUT_KEYS, dict.fromkeys(_KINDS, _path_keys))
+    cls = globals()[_KINDS[args.pop("kind")][0]]
+    layout = BlockLayout(args.pop("d_x"), args.pop("d_y"))
+    if "seed" not in args:
+        return cls(layout, **args)
+    return cls.random(layout, rng=RngStream(args.pop("seed"), DATA_STREAM_ID), **args)
 
 
 def load_objective(path) -> FiniteSumObjective:
     """Load an objective from a JSON file; see :func:`objective_from_dict`."""
-    with open(Path(path), "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
-    return objective_from_dict(spec)
+    return objective_from_dict(_load_json(path))

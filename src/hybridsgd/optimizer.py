@@ -113,8 +113,8 @@ class OptimizerConfig:
         if self.modes.uses_zo() and not isinstance(self.zo, ZoConfig):
             raise ValueError("zo config is required when a block uses Mode.ZO")
         f = self.divergence_threshold
-        if f is not None and not f > 0:
-            raise ValueError(f"divergence_threshold must be > 0, got {f}")
+        if f is not None and f != math.inf:  # +inf switches the guard off
+            _check_real("divergence_threshold", f)
 
 
 @dataclass(frozen=True)

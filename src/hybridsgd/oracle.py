@@ -279,6 +279,7 @@ def _grad_agreement_report(name: str, obj: FiniteSumObjective, points, h: float 
 
 def _check_suite(root: RngStream, trials: int, negative_control: bool) -> list[BoundCheckReport]:
     """Every check of ``hybridsgd check``, each drawing from its own child of root."""
+    _check_int("trials", trials, 2)
     reports: list[BoundCheckReport] = []
     salt = 0
 

@@ -1,9 +1,16 @@
 """End-to-end command-line behavior: outputs, determinism, exit codes."""
+import contextlib
 import csv
+import io
 import json
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridsgd.cli import (
     EXIT_CHECK_FAILED,
@@ -108,30 +115,207 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["run", "--config", missing, "--out", out]) == EXIT_CONFIG
 
 
-COUNT_FIELDS = [
-    (command, key, value)
-    for command, key in (("run", "epochs"), ("run", "snapshot_every"),
-                         ("run", "directions_per_step"), ("probe", "snapshot_every"))
-    for value in (True, 2.9, "5")
-] + [("probe", "snapshot_every", 0)]
+GENERATED = {
+    "block_quadratic": {"kind": "block_quadratic", "d_x": 2, "d_y": 1, "a_x": 4.0, "a_y": 1.0,
+                        "n": 2, "seed": 3, "center_scale": 1.0, "center_spread": 0.1},
+    "cosh": {"kind": "cosh", "d_x": 1, "d_y": 1, "n": 2, "seed": 3, "shift_scale": 0.5,
+             "shift_spread": 0.1},
+    "logistic": {"kind": "logistic", "d_x": 1, "d_y": 1, "n": 2, "seed": 3, "lam": 0.1,
+                 "feature_scale": 1.0},
+    "linear": {"kind": "linear", "d_x": 1, "d_y": 1, "n": 2, "seed": 3, "slope_scale": 1.0},
+    "dense_quadratic": {"kind": "dense_quadratic", "d_x": 1, "d_y": 1, "n": 2, "seed": 3,
+                        "entry_scale": 1.0, "center_scale": 0.5},
+}
+RUN_KEYS = {"modes": {"x": "zo", "y": "fo"}, "zo": {"mu": 1e-3, "directions_per_step": 2},
+            "epochs": 1, "divergence_threshold": 1e6, "init": {"kind": "gaussian", "scale": 1.0}}
+# One small valid config per command; every section holds every key it reads.
+COMMANDS = {
+    "run": (["run"], {"objective": GENERATED["block_quadratic"],
+                      "rates": {"eta_x": 0.01, "eta_y": 0.05}, **RUN_KEYS,
+                      "snapshot_every": 1, "seed": 7}),
+    "sweep": (["sweep"], {"objective": GENERATED["block_quadratic"], "eta_x_grid": [0.01],
+                          "eta_y_grid": [0.05, 0.1], "f_target": 0.5, **RUN_KEYS, "seed": 7}),
+    "probe": (["probe"], {"objective": GENERATED["block_quadratic"],
+                          "probe": {"h": 1e-5, "probes": 3, "target": "x"},
+                          "trajectory": {"kind": "run", "rates": {"eta_x": 0.01, "eta_y": 0.05},
+                                         **RUN_KEYS, "snapshot_every": 1},
+                          "seed": 7}),
+    "plan": (["plan", "--estimate"], {"objective": GENERATED["block_quadratic"],
+                                      "probe": {"h": 1e-5, "probes": 3, "target": "full"},
+                                      "points": {"kind": "gaussian", "count": 1, "scale": 1.0},
+                                      "f_star": 0.0, "epsilon": 0.5, "delta": 0.5, "T": 10,
+                                      "seed": 7}),
+    "constants": (["plan"], {"L_x": 1.0, "L_y": 1.0, "L_x_max": 1.0, "L_y_max": 1.0, "G": 1.0,
+                             "sigma": 1.0, "f_gap": 1.0, "n": 10, "d_x": 4, "T": 100,
+                             "epsilon": 0.1, "delta": 0.5}),
+}
 
 
-@pytest.mark.parametrize("command, key, value", COUNT_FIELDS)
-def test_count_fields_must_be_integers(tmp_path, capsys, command, key, value):
-    run_cfg = _run_config()
-    if key == "directions_per_step":
-        run_cfg["zo"] = {"mu": 1e-3, key: value}
+def _main_on(tmp_path, command, cfg, out=None):
+    words, _ = COMMANDS[command]
+    flag = "--constants" if command == "constants" else "--config"
+    out = tmp_path / "out.csv" if out is None else out
+    path = _write_config(tmp_path, "c.json", cfg)
+    return main([*words, flag, path, "--out", str(out)]), out
+
+
+def _set(cfg, path, value):
+    cfg = json.loads(json.dumps(cfg))
+    *parents, last = path
+    target = cfg
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return cfg
+
+
+# (command, path to the key); a kind of GENERATED as the command runs `run` on that objective
+COUNTS = [("run", ("epochs",)), ("run", ("snapshot_every",)), ("run", ("zo", "directions_per_step")),
+          ("probe", ("trajectory", "snapshot_every")), ("probe", ("trajectory", "epochs")),
+          ("probe", ("probe", "probes")), ("plan", ("points", "count")), ("plan", ("T",)),
+          ("constants", ("T",)), ("constants", ("n",)), ("constants", ("d_x",)),
+          ("sweep", ("epochs",)), ("block_quadratic", ("objective", "d_x")),
+          ("block_quadratic", ("objective", "d_y")), ("block_quadratic", ("objective", "n"))]
+SEEDS = [("run", ("seed",)), ("sweep", ("seed",)), ("probe", ("seed",)), ("plan", ("seed",)),
+         ("block_quadratic", ("objective", "seed"))]
+REALS = [("run", ("rates", "eta_x")), ("run", ("rates", "eta_y")), ("run", ("zo", "mu")),
+         ("run", ("divergence_threshold",)), ("run", ("init", "scale")),
+         ("probe", ("trajectory", "rates", "eta_x")), ("probe", ("probe", "h")),
+         ("sweep", ("eta_x_grid", 0)), ("sweep", ("eta_y_grid", 1)), ("sweep", ("f_target",)),
+         ("plan", ("f_star",)), ("plan", ("epsilon",)), ("plan", ("delta",)),
+         ("plan", ("points", "scale"))]
+REALS += [("constants", (name,)) for name in ("L_x", "L_y", "L_x_max", "L_y_max", "G", "sigma",
+                                              "f_gap", "epsilon", "delta")]
+REALS += [(kind, ("objective", key)) for kind, spec in GENERATED.items()
+          for key in spec if key not in ("kind", "d_x", "d_y", "n", "seed")]
+
+
+def _key(path):
+    return next(k for k in reversed(path) if isinstance(k, str))
+
+
+def _cases(fields, values, rule):
+    return [pytest.param(cmd, path, value, rule, id=f"{cmd}-{_key(path)}-{value}")
+            for cmd, path in fields for value in values]
+
+
+def _assert_rejected_by_name(tmp_path, capsys, command, path, value, rule):
+    if command in GENERATED:
+        base = _set(COMMANDS["run"][1], ("objective",), GENERATED[command])
+        command = "run"
     else:
-        run_cfg[key] = value
-    if command == "probe":
-        cfg = {"objective": run_cfg.pop("objective"), "trajectory": {"kind": "run", **run_cfg}}
-    else:
-        cfg = run_cfg
-    out = tmp_path / "out.csv"
-    code = main([command, "--config", _write_config(tmp_path, "c.json", cfg), "--out", str(out)])
+        base = COMMANDS[command][1]
+    code, _ = _main_on(tmp_path, command, _set(base, path, value))
     assert code == EXIT_CONFIG
-    assert f"config error: {key} must be an integer >= " in capsys.readouterr().err
+    assert f"config error: {_key(path)} {rule}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]  # no output written
+
+
+@pytest.mark.parametrize(
+    "command, path, value, rule",
+    _cases(COUNTS, (True, 2.9, "5", "0.1"), "must be an integer >= ")
+    + _cases([("probe", ("trajectory", "snapshot_every"))], (0,), "must be an integer >= ")
+    + _cases(SEEDS, (True, 2.9, "0.1"), "must be an integer in ["),
+)
+def test_count_fields_must_be_integers(tmp_path, capsys, command, path, value, rule):
+    _assert_rejected_by_name(tmp_path, capsys, command, path, value, rule)
+
+
+@pytest.mark.parametrize(
+    "command, path, value, rule", _cases(REALS, (True, "0.1"), "must be a finite real number, got ")
+)
+def test_real_fields_must_be_finite_numbers(tmp_path, capsys, command, path, value, rule):
+    _assert_rejected_by_name(tmp_path, capsys, command, path, value, rule)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_valid_table_configs_run(tmp_path, capsys, command):
+    code, out = _main_on(tmp_path, command, COMMANDS[command][1])
+    assert code == EXIT_OK and out.exists()
+
+
+SECTIONS = [("run", (), "config"), ("run", ("objective",), "objective"),
+            ("run", ("rates",), "rates"), ("run", ("modes",), "modes"), ("run", ("zo",), "zo"),
+            ("run", ("init",), "init"), ("sweep", (), "config"), ("probe", (), "config"),
+            ("probe", ("probe",), "probe"), ("probe", ("trajectory",), "trajectory"),
+            ("plan", (), "config"), ("plan", ("points",), "points"),
+            ("constants", (), "constants")]
+
+
+@pytest.mark.parametrize("command, path, where", SECTIONS)
+def test_unknown_keys_are_rejected_by_name(tmp_path, capsys, command, path, where):
+    code, out = _main_on(tmp_path, command, _set(COMMANDS[command][1], (*path, "epoch"), 30))
+    assert code == EXIT_CONFIG
+    assert f"config error: {where}: unknown key 'epoch'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_int_in_a_real_field_is_recorded_as_float(tmp_path, capsys):
+    cfg = _run_config(rates={"eta_x": 1, "eta_y": 0.05}, modes={"x": "frozen", "y": "fo"})
+    code, out = _main_on(tmp_path, "run", cfg)
+    assert code == EXIT_OK
+    meta_text = (tmp_path / "out.csv.meta.json").read_text(encoding="utf-8")
+    assert '"eta_x": 1.0' in meta_text
+    assert isinstance(json.loads(meta_text)["rates"]["eta_x"], float)
+
+
+@pytest.mark.parametrize("command", [*COMMANDS, "check"])
+def test_missing_out_directory_fails_before_any_compute(tmp_path, capsys, command):
+    out = tmp_path / "missing" / "out.csv"
+    if command == "check":
+        code = main(["check", "--trials", "300", "--out", str(out)])
+    else:
+        code, _ = _main_on(tmp_path, command, COMMANDS[command][1], out=out)
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: --out {out}")
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if command == "check" else ["c.json"])
+
+
+def _dict_paths(cfg, prefix=()):
+    """Paths to every dict in cfg (the root included), lists left whole."""
+    yield prefix
+    for key, value in cfg.items():
+        if isinstance(value, dict):
+            yield from _dict_paths(value, (*prefix, key))
+
+
+def _mutate(cfg, data):
+    cfg = json.loads(json.dumps(cfg))
+    parent = data.draw(st.sampled_from(list(_dict_paths(cfg))), label="section")
+    section = cfg
+    for key in parent:
+        section = section[key]
+    op = data.draw(st.sampled_from(["drop", "add", "replace"]), label="op")
+    if op == "add" or not section:
+        section["extra"] = 1
+        return cfg
+    key = data.draw(st.sampled_from(sorted(section)), label="key")
+    if op == "drop":
+        del section[key]
+    else:
+        section[key] = data.draw(
+            st.sampled_from([True, None, "5", 2.9, -1, 0, [], {}]), label="value"
+        )
+    return cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_configs_exit_with_a_contract_code(data):
+    # small valid configs (n <= 3, 1-2 epochs) with one key dropped, added or
+    # replaced: main must return a documented code and never raise
+    command = data.draw(st.sampled_from(["run", "sweep", "probe", "plan"]), label="command")
+    cfg = _mutate(COMMANDS[command][1], data)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as folder, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code, _ = _main_on(Path(folder), command, cfg)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DIVERGED, EXIT_NUMERIC)
+    if code == EXIT_CONFIG:
+        assert err.getvalue().startswith("config error: ")
 
 
 def test_divergent_run_exits_3(tmp_path, capsys):
@@ -386,4 +570,4 @@ def test_check_negative_control_exits_1(capsys):
 
 def test_check_rejects_bad_trials(capsys):
     assert main(["check", "--trials", "1"]) == EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
+    assert "config error: trials must be an integer >= 2, got 1" in capsys.readouterr().err

@@ -240,6 +240,19 @@ def test_validation_idioms_live_only_in_core():
     assert idioms.search("if not isinstance(q, (int, np.integer)) or q < 1:")
     assert idioms.search("if not np.isfinite(self.h) or self.h <= 0:")
     assert idioms.search("if not np.isfinite(lam) or lam < 0:")
+    # Reading a config value (a required key, a JSON object section, a number)
+    # has one home too, core._read_section with the checks above, so the CLI
+    # and the objective specs hold key tables and no reading code of their own.
+    config_idioms = re.compile(
+        r"def _require\("
+        r"|isinstance\([^()]*,\s*dict\)"
+        r"|\b(?:float|int)\(\s*(?:_require\(|spec|cfg)"
+    )
+    assert config_idioms.search("def _require(cfg: dict, key: str, where: str):")
+    assert config_idioms.search("    if not isinstance(spec, dict):")
+    assert config_idioms.search('scale = float(spec.get("scale", 1.0))')
+    assert config_idioms.search('horizon = int(cfg_for_T["T"])')
+    assert config_idioms.search('n = int(_require(spec, "n", "constants"))')
     found = []
     for path in sorted(Path(hybridsgd.__file__).parent.glob("*.py")):
         if path.name == "core.py":
@@ -252,4 +265,34 @@ def test_validation_idioms_live_only_in_core():
         for lineno, line in enumerate(source.splitlines(), 1):
             if idioms.search(line) and lineno not in allowed:
                 found.append(f"{path.name}:{lineno}: {line.strip()}")
+            if path.name in ("cli.py", "objectives.py") and config_idioms.search(line):
+                found.append(f"{path.name}:{lineno}: {line.strip()}")
     assert found == []
+
+
+
+def _real_fields():
+    from hybridsgd import (BlockQuadratic, LearningRates, LogisticObjective, OptimizerConfig,
+                           ProbeConfig, SmoothnessConstants, ZoConfig)
+
+    layout = BlockLayout(1, 1)
+    return {
+        "eta_x": lambda v: LearningRates(v, 0.1),
+        "mu": lambda v: ZoConfig(mu=v),
+        "h": lambda v: ProbeConfig(h=v),
+        "sigma": lambda v: SmoothnessConstants(1.0, 1.0, 1.0, 1.0, 1.0, v, 1.0),
+        "a_x": lambda v: BlockQuadratic(layout, [[0.0, 0.0]], v, 1.0),
+        "lam": lambda v: LogisticObjective(layout, [[1.0, 0.0]], [1.0], v),
+        "divergence_threshold": lambda v: OptimizerConfig(
+            LearningRates(0.1, 0.1), zo=ZoConfig(1e-3), divergence_threshold=v
+        ),
+    }
+
+
+@pytest.mark.parametrize("value", [True, False, "0.1", np.nan, -np.inf, 10**400])
+def test_real_fields_reject_bools_strings_and_non_finite(value):
+    for field, build in _real_fields().items():
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            build(value)
+        build(1)  # an int is a real number
+    _real_fields()["divergence_threshold"](np.inf)  # +inf switches the guard off
