@@ -22,7 +22,6 @@ from .estimator import (
     ZoConfig,
     estimate_block_gradient,
     estimate_x_gradient,
-    two_point_estimate,
 )
 from .objectives import (
     BlockQuadratic,
@@ -69,7 +68,6 @@ from .probe import (
     ProbeConfig,
     ProbeReport,
     estimate_block_lipschitz,
-    hvp,
     trajectory_scan,
     write_probe_csv,
 )
@@ -115,7 +113,6 @@ __all__ = [
     "estimate_x_gradient",
     "fd_gradient",
     "fmt17",
-    "hvp",
     "load_objective",
     "objective_from_dict",
     "plan_rates",
@@ -127,6 +124,5 @@ __all__ = [
     "smoothed_gradient_reference",
     "step",
     "trajectory_scan",
-    "two_point_estimate",
     "write_trace_csv",
 ]

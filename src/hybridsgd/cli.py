@@ -27,8 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (_REQUIRED, Block, BlockLayout, HybridPoint, NumericError, RngStream, _check_finite,
-                   _check_int, _check_u64, _gaussian_point, _load_json, _read_section, fmt17)
+from .core import (_REQUIRED, Block, BlockLayout, HybridPoint, NumericError, RngStream, _check_array,
+                   _check_finite, _check_int, _check_u64, _gaussian_point, _load_json, _read_section, fmt17)
 from .estimator import ZoConfig
 from .objectives import FiniteSumObjective, load_objective, objective_from_dict
 from .optimizer import BlockMode, LearningRates, Mode, OptimizerConfig, run, write_trace_csv
@@ -127,7 +127,7 @@ def _objective(spec, config_path) -> FiniteSumObjective:
 
 
 def _point_list(where: str, raw, layout: BlockLayout) -> list:
-    points = [HybridPoint(layout, np.asarray(p, dtype=np.float64)) for p in raw]
+    points = [HybridPoint(layout, _check_array("points", p, (layout.d,))) for p in raw]
     if not points:
         raise ConfigError(f"{where}: points list is empty")
     return points
@@ -136,7 +136,7 @@ def _point_list(where: str, raw, layout: BlockLayout) -> list:
 def _initial_point(spec, layout: BlockLayout, seed: int) -> HybridPoint:
     init = _read_section("init", spec, {"kind": (None, "zeros")}, _INIT_KINDS)
     if init["kind"] == "explicit":
-        return HybridPoint(layout, np.asarray(init["values"], dtype=np.float64))
+        return HybridPoint(layout, init["values"])
     if init["kind"] == "gaussian":
         return _gaussian_point(layout, RngStream(seed, INIT_STREAM_ID), init["scale"])
     return HybridPoint(layout, np.zeros(layout.d))

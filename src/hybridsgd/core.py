@@ -9,7 +9,8 @@ Config values enter through ``_load_json`` and ``_read_section``, which reads
 a JSON object section through a key table, rejects keys the table does not
 list and sends values to the checks ``_check_int``/``_check_real``/
 ``_check_finite``: a bool or a string is never a number, an int in a real
-field becomes a float.
+field becomes a float.  ``_check_array`` applies the same rule to every entry
+of a nested list, so array values (data, points) are never coerced either.
 """
 from __future__ import annotations
 
@@ -66,6 +67,25 @@ def _check_finite(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, real) or not abs(value) <= _FLOAT_MAX:
         raise ValueError(f"{name} must be a finite real number, got {value!r}")
     return float(value)
+
+
+def _check_array(name: str, data, shape: tuple) -> np.ndarray:
+    """data as a new float64 array, if it has the given shape (a leading None: any
+    number of rows) and every entry is a finite real number.  Nested lists are
+    walked entry by entry with _check_finite, so a bool, a string or None is an error."""
+    todo = [] if isinstance(data, np.ndarray) and data.dtype.kind in "iuf" else [data]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, (list, tuple)):
+            todo.extend(reversed(item))
+        elif not (isinstance(item, np.ndarray) and item.dtype.kind in "iuf"):
+            _check_finite(f"every entry of {name}", item)
+    arr = np.array(data, dtype=np.float64)
+    if arr.ndim != len(shape) or arr.shape[1:] != shape[1:] or shape[0] not in (None, arr.shape[0]):
+        raise ValueError(f"{name} must have shape {str(shape).replace('None', 'n')}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"every entry of {name} must be a finite real number")
+    return arr
 
 
 def _check_real(name: str, value, *, allow_zero: bool = False) -> float:
@@ -175,13 +195,7 @@ class HybridPoint:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=np.float64, copy=True)
-        if vals.shape != (self.layout.d,):
-            raise ValueError(
-                f"values must have shape ({self.layout.d},), got {vals.shape}"
-            )
-        if not np.isfinite(vals).all():
-            raise ValueError("values must be finite")
+        vals = _check_array("values", self.values, (self.layout.d,))
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -192,9 +206,6 @@ class HybridPoint:
     @property
     def y(self) -> np.ndarray:
         return self.values[self.layout.d_x :]
-
-    def with_values(self, values: np.ndarray) -> "HybridPoint":
-        return HybridPoint(self.layout, values)
 
 
 def _splitmix64(z: int) -> int:

@@ -10,8 +10,9 @@ q directions at one point share the base value f(x; i), so a q-direction
 estimate costs q + 1 objective values, as in the two-point scheme of
 Nesterov & Spokoiny (Random Gradient-Free Minimization of Convex Functions,
 FoCM 2017).  The q directions are drawn as one (q, dim) block and their q
-shifted values read with one ``values_at_points`` call; a single-direction
-estimate is the one-row case of the same helper.
+shifted values read with one ``values_at_points`` call.  There are two entry
+points: ``estimate_x_gradient`` validates its point and sample index, and
+``estimate_block_gradient`` is the raw-array one the optimizer calls.
 """
 from __future__ import annotations
 
@@ -36,7 +37,6 @@ from .objectives import FiniteSumObjective
 __all__ = [
     "ZoConfig",
     "PerturbationUnderflowWarning",
-    "two_point_estimate",
     "estimate_x_gradient",
     "estimate_block_gradient",
 ]
@@ -68,12 +68,15 @@ def _two_point_rows(
     directions: np.ndarray,
     sl: slice,
     base: float,
+    stacklevel: int = 3,
 ) -> np.ndarray:
-    """Raw-array estimates, one row per row of directions; inputs assumed validated.
+    """Raw-array estimates [(f(values + mu v~; i) - base) / mu] * v, one row per
+    row v of directions; inputs assumed validated.
 
-    ``sl`` is the perturbed block's slice of values and ``base`` is
-    f(values; i).  The m shifted values come from one ``values_at_points``
-    call, so the rows cost m objective values.
+    v~ is v placed in the perturbed block's slice ``sl`` of values and
+    ``base`` is f(values; i).  The m shifted values come from one
+    ``values_at_points`` call, so the rows cost m objective values.  An
+    underflow warning names the frame ``stacklevel`` levels up.
     """
     shifted = obj.values_at_points(_shifted_rows(values, sl, mu * directions), i)
     if not (math.isfinite(base) and np.isfinite(shifted).all()):
@@ -89,27 +92,9 @@ def _two_point_rows(
             "two-point perturbation mu*||v|| is below 1e3*eps of the block norm; "
             "the returned estimate is dominated by rounding error",
             PerturbationUnderflowWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
     return ((shifted - base) / mu)[:, None] * directions
-
-
-def two_point_estimate(
-    obj: FiniteSumObjective, w: HybridPoint, i: int, mu: float, v: np.ndarray
-) -> np.ndarray:
-    """Single-direction estimate [(f(x + mu v, y; i) - f(x, y; i)) / mu] * v.
-
-    Only the x block is perturbed and the estimate lives entirely in the
-    x block; the y block never moves.  Exactly two objective evaluations.
-    """
-    values = obj.check_point(w)
-    i = obj.check_sample(i)
-    mu = _check_real("mu", mu)
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (obj.layout.d_x,):
-        raise ValueError(f"v must have shape ({obj.layout.d_x},), got {v.shape}")
-    sl = obj.layout.slice_of(Block.X)
-    return _two_point_rows(obj, values, i, mu, v[None, :], sl, obj.value_at(values, i))[0]
 
 
 def estimate_block_gradient(
@@ -127,13 +112,20 @@ def estimate_block_gradient(
     directions are one (q, dim) draw, which consumes the stream exactly as q
     draws of dim, and the rows are summed in draw order.
     """
+    return _block_estimate(obj, values, i, cfg, rng, block)
+
+
+def _block_estimate(obj: FiniteSumObjective, values: np.ndarray, i: int, cfg: ZoConfig,
+                    rng: RngStream, block: Block) -> np.ndarray:
+    # The body of both entry points, called from each at the same depth, so
+    # that an underflow warning names the caller of either (stacklevel 4).
     if block is Block.FULL:
         raise ValueError("estimate one block at a time: target must be X or Y")
     q = cfg.directions_per_step
     sl = obj.layout.slice_of(block)
     base = obj.value_at(values, i)
     directions = sample_gaussian(rng, q * (sl.stop - sl.start)).reshape(q, -1)
-    rows = _two_point_rows(obj, values, i, cfg.mu, directions, sl, base)
+    rows = _two_point_rows(obj, values, i, cfg.mu, directions, sl, base, 4)
     # The rows are summed in draw order from +0.0.  add.accumulate adds them
     # one after another (a reduce over axis 0 turns pairwise once dim == 1
     # and q >= 8), and + 0.0 turns a -0.0 total into the +0.0 that a sum
@@ -150,4 +142,4 @@ def estimate_x_gradient(
     """
     values = obj.check_point(w)
     i = obj.check_sample(i)
-    return estimate_block_gradient(obj, values, i, cfg, rng, Block.X)
+    return _block_estimate(obj, values, i, cfg, rng, Block.X)

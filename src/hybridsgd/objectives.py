@@ -5,24 +5,25 @@ Gradients are hand-written analytic expressions (no autodiff); the oracle
 module cross-checks them against finite differences.  Instances are immutable
 after construction and safe to evaluate concurrently.
 
-Two API layers: ``eval_sample``/``grad_sample``/``eval_full``/``grad_full``
-validate :class:`HybridPoint` inputs, while ``value_at``/``grad_at`` and the
-``full_*`` variants work on raw float64 arrays for hot loops.  The raw layer
-has two batched pairs.  ``values_all``/``grads_all`` return every sample's
-value (shape (n,)) or gradient (shape (n, d)) at one point, and
-``full_value_at``, ``full_grad_at``, ``full_value_and_grad_at`` and
-``sample_variance`` are built on them.  ``values_at_points``/
-``grads_at_points`` return one sample's value (shape (m,)) or gradient
-(shape (m, d)) at every row of an (m, d) array of points; the estimator,
-probes and oracle evaluate all their random directions through them.  In the
-base class all four loop over ``value_at``/``grad_at``; that loop is the
-reference.  Each family here overrides all four with one vectorised
+``value_at``/``grad_at`` evaluate one sample at one point, and the ``full_*``
+methods the full objective, on raw float64 arrays for hot loops;
+``eval_full``/``grad_full`` validate a :class:`HybridPoint` first.  One
+batched pair, ``values_at_points(points, i)``/``grads_at_points(points, i)``,
+serves every batched caller.  With a sample index i it evaluates that sample
+at every row of an (m, d) array of points, shapes (m,) and (m, d): the
+estimator, probes and oracle evaluate all their random directions this way.
+With the selector :data:`ALL` it evaluates every sample at one point, shapes
+(n,) and (n, d): ``full_value_at``, ``full_grad_at``,
+``full_value_and_grad_at`` and ``sample_variance`` are built on that.  In the
+base class the pair loops over ``value_at``/``grad_at``; that loop is the
+reference.  Each family here overrides the pair with one vectorised
 expression each whose results are bit-identical to its own per-sample path
 (``np.vecdot`` and ``np.matvec``, not ``@`` or ``einsum``, which can round
 differently).  A family that overrides ``value_at``/``grad_at`` must override
-all four batched kernels to match, or none of them and inherit the loops from
-:class:`FiniteSumObjective`.  :func:`objective_from_dict` reads a spec
-through its kind's table of data keys, shared keys and generation-only keys.
+the pair to match, or inherit the loops from :class:`FiniteSumObjective`.
+Data arrays are read through ``core._check_array``, so a bool or a string
+in them is an error.  :func:`objective_from_dict` reads a spec through its
+kind's table of data keys, shared keys and generation-only keys.
 """
 from __future__ import annotations
 
@@ -30,8 +31,8 @@ import abc
 
 import numpy as np
 
-from .core import (_REQUIRED, BlockLayout, HybridPoint, RngStream, _check_finite, _check_int,
-                   _check_real, _check_u64, _load_json, _read_section, sample_gaussian)
+from .core import (_REQUIRED, BlockLayout, HybridPoint, RngStream, _check_array, _check_finite,
+                   _check_int, _check_real, _check_u64, _load_json, _read_section, sample_gaussian)
 
 __all__ = [
     "FiniteSumObjective",
@@ -43,11 +44,16 @@ __all__ = [
     "objective_from_dict",
     "load_objective",
     "DATA_STREAM_ID",
+    "ALL",
 ]
 
 # Stream id reserved for generating objective data from a config seed; run,
 # init, probe and check streams use distinct ids so draws never overlap.
 DATA_STREAM_ID = 0xDA7A
+
+# Sample selector of values_at_points/grads_at_points: every sample at one
+# point.  A basic slice, so indexing the data with it makes a view, not a copy.
+ALL = slice(None)
 
 
 class FiniteSumObjective(abc.ABC):
@@ -77,27 +83,27 @@ class FiniteSumObjective(abc.ABC):
     def grad_at(self, values: np.ndarray, i: int) -> np.ndarray:
         """Analytic gradient of f(w; i) for raw values; no validation."""
 
-    def values_all(self, values: np.ndarray) -> np.ndarray:
-        """f(w; i) for every sample, shape (n,); the loop is the reference."""
-        return np.array([self.value_at(values, i) for i in range(self._n)], dtype=np.float64)
+    def _pairs(self, points: np.ndarray, i: int | slice) -> list:
+        # (point, sample) per row of a batched result, in row order
+        if i is ALL:
+            return [(points, k) for k in range(self._n)]
+        return [(p, i) for p in points]
 
-    def grads_all(self, values: np.ndarray) -> np.ndarray:
-        """grad f(w; i) for every sample, shape (n, d); the loop is the reference."""
-        return np.stack([self.grad_at(values, i) for i in range(self._n)])
+    def values_at_points(self, points: np.ndarray, i: int | slice) -> np.ndarray:
+        """f(p; i) for every row p of points, shape (m,); with i = ALL, f(points; k)
+        for every sample k, shape (n,).  The loop is the reference."""
+        return np.array([self.value_at(p, k) for p, k in self._pairs(points, i)], dtype=np.float64)
 
-    def values_at_points(self, points: np.ndarray, i: int) -> np.ndarray:
-        """f(p; i) for every row p of points, shape (m,); the loop is the reference."""
-        return np.array([self.value_at(p, i) for p in points], dtype=np.float64)
-
-    def grads_at_points(self, points: np.ndarray, i: int) -> np.ndarray:
-        """grad f(p; i) for every row p of points, shape (m, d); the loop is the reference."""
-        return np.stack([self.grad_at(p, i) for p in points])
+    def grads_at_points(self, points: np.ndarray, i: int | slice) -> np.ndarray:
+        """grad f(p; i) for every row p of points, shape (m, d); with i = ALL,
+        grad f(points; k) for every sample k, shape (n, d).  The loop is the reference."""
+        return np.stack([self.grad_at(p, k) for p, k in self._pairs(points, i)])
 
     def full_value_at(self, values: np.ndarray) -> float:
-        return float(np.add.reduce(self.values_all(values)) / self._n)
+        return float(np.add.reduce(self.values_at_points(values, ALL)) / self._n)
 
     def full_grad_at(self, values: np.ndarray) -> np.ndarray:
-        return np.add.reduce(self.grads_all(values), 0) / self._n
+        return np.add.reduce(self.grads_at_points(values, ALL), 0) / self._n
 
     def full_value_and_grad_at(self, values: np.ndarray) -> tuple[float, np.ndarray]:
         """(full_value_at, full_grad_at) in one call, for families that share work."""
@@ -121,12 +127,6 @@ class FiniteSumObjective(abc.ABC):
             raise IndexError(f"sample index {i} out of range [0, {self._n})")
         return int(i)
 
-    def eval_sample(self, w: HybridPoint, i: int) -> float:
-        return self.value_at(self.check_point(w), self.check_sample(i))
-
-    def grad_sample(self, w: HybridPoint, i: int) -> np.ndarray:
-        return self.grad_at(self.check_point(w), self.check_sample(i))
-
     def eval_full(self, w: HybridPoint) -> float:
         return self.full_value_at(self.check_point(w))
 
@@ -135,7 +135,7 @@ class FiniteSumObjective(abc.ABC):
 
     def sample_variance(self, w: HybridPoint) -> float:
         """(1/n) sum_i ||grad f(w; i) - grad f(w)||^2, from analytic gradients."""
-        grads = self.grads_all(self.check_point(w))
+        grads = self.grads_at_points(self.check_point(w), ALL)
         mean = np.add.reduce(grads, 0) / self._n
         return float(np.add.reduce(np.sum((grads - mean) ** 2, axis=1)) / self._n)
 
@@ -155,15 +155,6 @@ class FiniteSumObjective(abc.ABC):
         return None
 
 
-def _as_matrix(name: str, data, rows: int, cols: int) -> np.ndarray:
-    arr = np.array(data, dtype=np.float64, copy=True)
-    if arr.shape != (rows, cols):
-        raise ValueError(f"{name} must have shape ({rows}, {cols}), got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} must be finite")
-    return arr
-
-
 class BlockQuadratic(FiniteSumObjective):
     """f(w; i) = 0.5 (w - c_i)^T A (w - c_i) with A = diag(a_x I, a_y I).
 
@@ -173,7 +164,7 @@ class BlockQuadratic(FiniteSumObjective):
     """
 
     def __init__(self, layout: BlockLayout, centers, a_x: float, a_y: float):
-        centers = _as_matrix("centers", centers, *_infer_rows(centers, layout.d))
+        centers = _check_array("centers", centers, (None, layout.d))
         super().__init__(layout, centers.shape[0])
         self.a_x = _check_real("a_x", a_x)
         self.a_y = _check_real("a_y", a_y)
@@ -192,18 +183,11 @@ class BlockQuadratic(FiniteSumObjective):
     def grad_at(self, values: np.ndarray, i: int) -> np.ndarray:
         return self._diag * (values - self.centers[i])
 
-    def values_all(self, values: np.ndarray) -> np.ndarray:
-        dv = values - self.centers
-        return 0.5 * np.vecdot(dv, self._diag * dv)
-
-    def grads_all(self, values: np.ndarray) -> np.ndarray:
-        return self._diag * (values - self.centers)
-
-    def values_at_points(self, points: np.ndarray, i: int) -> np.ndarray:
+    def values_at_points(self, points: np.ndarray, i: int | slice) -> np.ndarray:
         dv = points - self.centers[i]
         return 0.5 * np.vecdot(dv, self._diag * dv)
 
-    def grads_at_points(self, points: np.ndarray, i: int) -> np.ndarray:
+    def grads_at_points(self, points: np.ndarray, i: int | slice) -> np.ndarray:
         return self._diag * (points - self.centers[i])
 
     @property
@@ -241,7 +225,7 @@ class CoshObjective(FiniteSumObjective):
     """
 
     def __init__(self, layout: BlockLayout, shifts):
-        shifts = _as_matrix("shifts", shifts, *_infer_rows(shifts, layout.d))
+        shifts = _check_array("shifts", shifts, (None, layout.d))
         super().__init__(layout, shifts.shape[0])
         self.shifts = shifts
         self.shifts.setflags(write=False)
@@ -252,16 +236,10 @@ class CoshObjective(FiniteSumObjective):
     def grad_at(self, values: np.ndarray, i: int) -> np.ndarray:
         return np.sinh(values - self.shifts[i])
 
-    def values_all(self, values: np.ndarray) -> np.ndarray:
-        return np.sum(np.cosh(values - self.shifts), axis=1)
-
-    def grads_all(self, values: np.ndarray) -> np.ndarray:
-        return np.sinh(values - self.shifts)
-
-    def values_at_points(self, points: np.ndarray, i: int) -> np.ndarray:
+    def values_at_points(self, points: np.ndarray, i: int | slice) -> np.ndarray:
         return np.sum(np.cosh(points - self.shifts[i]), axis=1)
 
-    def grads_at_points(self, points: np.ndarray, i: int) -> np.ndarray:
+    def grads_at_points(self, points: np.ndarray, i: int | slice) -> np.ndarray:
         return np.sinh(points - self.shifts[i])
 
     @property
@@ -289,11 +267,9 @@ class LogisticObjective(FiniteSumObjective):
     """f(w; i) = log(1 + exp(-b_i z_i . w)) + (lam/2) ||w||^2 with b_i in {-1, +1}."""
 
     def __init__(self, layout: BlockLayout, features, labels, lam: float = 0.0):
-        features = _as_matrix("features", features, *_infer_rows(features, layout.d))
+        features = _check_array("features", features, (None, layout.d))
         super().__init__(layout, features.shape[0])
-        labels = np.array(labels, dtype=np.float64, copy=True)
-        if labels.shape != (self._n,):
-            raise ValueError(f"labels must have shape ({self._n},), got {labels.shape}")
+        labels = _check_array("labels", labels, (self._n,))
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise ValueError("labels must be -1 or +1")
         self.lam = _check_real("lam", lam, allow_zero=True)
@@ -313,32 +289,24 @@ class LogisticObjective(FiniteSumObjective):
         p = float(np.exp(-np.logaddexp(0.0, margin)))
         return (-self.labels[i] * p) * self.features[i] + self.lam * values
 
-    def values_all(self, values: np.ndarray) -> np.ndarray:
-        return self._losses(self.labels * np.vecdot(self.features, values), values)
+    def values_at_points(self, points: np.ndarray, i: int | slice) -> np.ndarray:
+        return self._losses(self.labels[i] * np.vecdot(points, self.features[i]), points)
 
-    def grads_all(self, values: np.ndarray) -> np.ndarray:
-        return self._grads(self.labels * np.vecdot(self.features, values), values)
+    def grads_at_points(self, points: np.ndarray, i: int | slice) -> np.ndarray:
+        return self._grads(self.labels[i] * np.vecdot(points, self.features[i]), points, i)
 
     def full_value_and_grad_at(self, values: np.ndarray) -> tuple[float, np.ndarray]:
-        margin = self.labels * np.vecdot(self.features, values)
+        # the pair's bodies with i = ALL, sharing the margins between value and gradient
+        margin = self.labels * np.vecdot(values, self.features)
         return (
             float(np.add.reduce(self._losses(margin, values)) / self._n),
-            np.add.reduce(self._grads(margin, values), 0) / self._n,
+            np.add.reduce(self._grads(margin, values, ALL), 0) / self._n,
         )
 
-    def _losses(self, margin: np.ndarray, values: np.ndarray) -> np.ndarray:
-        return np.logaddexp(0.0, -margin) + 0.5 * self.lam * float(np.dot(values, values))
-
-    def _grads(self, margin: np.ndarray, values: np.ndarray) -> np.ndarray:
-        p = np.exp(-np.logaddexp(0.0, margin))
-        return (-self.labels * p)[:, None] * self.features + self.lam * values
-
-    def values_at_points(self, points: np.ndarray, i: int) -> np.ndarray:
-        margin = self.labels[i] * np.vecdot(points, self.features[i])
+    def _losses(self, margin: np.ndarray, points: np.ndarray) -> np.ndarray:
         return np.logaddexp(0.0, -margin) + 0.5 * self.lam * np.vecdot(points, points)
 
-    def grads_at_points(self, points: np.ndarray, i: int) -> np.ndarray:
-        margin = self.labels[i] * np.vecdot(points, self.features[i])
+    def _grads(self, margin: np.ndarray, points: np.ndarray, i: int | slice) -> np.ndarray:
         p = np.exp(-np.logaddexp(0.0, margin))
         return (-self.labels[i] * p)[:, None] * self.features[i] + self.lam * points
 
@@ -367,7 +335,7 @@ class LinearObjective(FiniteSumObjective):
     """f(w; i) = c_i . w; zero curvature everywhere, unbounded below."""
 
     def __init__(self, layout: BlockLayout, slopes):
-        slopes = _as_matrix("slopes", slopes, *_infer_rows(slopes, layout.d))
+        slopes = _check_array("slopes", slopes, (None, layout.d))
         super().__init__(layout, slopes.shape[0])
         self.slopes = slopes
         self.slopes.setflags(write=False)
@@ -378,17 +346,12 @@ class LinearObjective(FiniteSumObjective):
     def grad_at(self, values: np.ndarray, i: int) -> np.ndarray:
         return self.slopes[i].copy()
 
-    def values_all(self, values: np.ndarray) -> np.ndarray:
-        return np.vecdot(self.slopes, values)
-
-    def grads_all(self, values: np.ndarray) -> np.ndarray:
-        return self.slopes.copy()
-
-    def values_at_points(self, points: np.ndarray, i: int) -> np.ndarray:
+    def values_at_points(self, points: np.ndarray, i: int | slice) -> np.ndarray:
         return np.vecdot(points, self.slopes[i])
 
-    def grads_at_points(self, points: np.ndarray, i: int) -> np.ndarray:
-        return np.tile(self.slopes[i], (len(points), 1))
+    def grads_at_points(self, points: np.ndarray, i: int | slice) -> np.ndarray:
+        # one copy of slopes[i] per row of points, or of every slope for ALL
+        return np.tile(self.slopes[i], (*points.shape[:-1], 1))
 
     def block_lipschitz_bound(self) -> tuple[float, float]:
         return (0.0, 0.0)
@@ -410,19 +373,15 @@ class DenseQuadratic(FiniteSumObjective):
     """
 
     def __init__(self, layout: BlockLayout, hessian, centers=None):
-        hessian = np.array(hessian, dtype=np.float64, copy=True)
         d = layout.d
-        if hessian.shape != (d, d):
-            raise ValueError(f"hessian must have shape ({d}, {d}), got {hessian.shape}")
-        if not np.isfinite(hessian).all():
-            raise ValueError("hessian must be finite")
+        hessian = _check_array("hessian", hessian, (d, d))
         scale = float(np.max(np.abs(hessian))) or 1.0
         if not np.allclose(hessian, hessian.T, rtol=0.0, atol=1e-12 * scale):
             raise ValueError("hessian must be symmetric")
         hessian = 0.5 * (hessian + hessian.T)
         if centers is None:
             centers = np.zeros((1, d))
-        centers = _as_matrix("centers", centers, *_infer_rows(centers, d))
+        centers = _check_array("centers", centers, (None, d))
         super().__init__(layout, centers.shape[0])
         self.hessian = hessian
         self.centers = centers
@@ -439,18 +398,11 @@ class DenseQuadratic(FiniteSumObjective):
     def grad_at(self, values: np.ndarray, i: int) -> np.ndarray:
         return self.hessian @ (values - self.centers[i])
 
-    def values_all(self, values: np.ndarray) -> np.ndarray:
-        dv = values - self.centers
-        return 0.5 * np.vecdot(dv, np.matvec(self.hessian, dv))
-
-    def grads_all(self, values: np.ndarray) -> np.ndarray:
-        return np.matvec(self.hessian, values - self.centers)
-
-    def values_at_points(self, points: np.ndarray, i: int) -> np.ndarray:
+    def values_at_points(self, points: np.ndarray, i: int | slice) -> np.ndarray:
         dv = points - self.centers[i]
         return 0.5 * np.vecdot(dv, np.matvec(self.hessian, dv))
 
-    def grads_at_points(self, points: np.ndarray, i: int) -> np.ndarray:
+    def grads_at_points(self, points: np.ndarray, i: int | slice) -> np.ndarray:
         return np.matvec(self.hessian, points - self.centers[i])
 
     @property
@@ -478,13 +430,6 @@ class DenseQuadratic(FiniteSumObjective):
         hessian = 0.5 * (g + g.T)
         centers = _spread_rows(d, n, rng, center_scale, 0.0)
         return cls(layout, hessian, centers)
-
-
-def _infer_rows(data, d: int) -> tuple[int, int]:
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2-d array of rows, got ndim={arr.ndim}")
-    return arr.shape[0], d
 
 
 def _spread_rows(

@@ -123,6 +123,11 @@ class BoundCheckReport:
     passed: bool
 
 
+def _exact_report(name: str, lhs: float, rhs: float, trials: int) -> BoundCheckReport:
+    """A deterministic check: passes when lhs <= rhs; stderr is 0."""
+    return BoundCheckReport(name, float(lhs), 0.0, float(rhs), trials, bool(lhs <= rhs))
+
+
 def _mc_report(name: str, samples: np.ndarray, rhs: float) -> BoundCheckReport:
     mean = float(np.mean(samples))
     stderr = float(np.std(samples, ddof=1)) / math.sqrt(len(samples))
@@ -248,14 +253,7 @@ def check_hybrid_smoothness(
         lam_x = float(np.linalg.eigvalsh(hess[:d_x, :d_x])[-1])
         lam_y = float(np.linalg.eigvalsh(hess[d_x:, d_x:])[-1])
         worst = max(worst, lam_x - float(ell_x(grad_norm)), lam_y - float(ell_y(grad_norm)))
-    return BoundCheckReport(
-        bound_name="hybrid_smoothness_envelope",
-        empirical_lhs=worst,
-        empirical_stderr=0.0,
-        theoretical_rhs=float(tol),
-        trials=len(pts),
-        passed=bool(worst <= tol),
-    )
+    return _exact_report("hybrid_smoothness_envelope", worst, tol, len(pts))
 
 
 def _grad_agreement_report(name: str, obj: FiniteSumObjective, points, h: float = 1e-5) -> BoundCheckReport:
@@ -263,18 +261,11 @@ def _grad_agreement_report(name: str, obj: FiniteSumObjective, points, h: float 
     for w in points:
         targets = [None] + list(range(obj.n))
         for i in targets:
-            approx = fd_gradient(obj, w, i, h)
-            exact = obj.grad_full(w) if i is None else obj.grad_sample(w, i)
+            approx = fd_gradient(obj, w, i, h)  # validates w and i
+            exact = obj.full_grad_at(w.values) if i is None else obj.grad_at(w.values, i)
             scale = max(float(np.linalg.norm(exact)), 1e-12)
             worst = max(worst, float(np.linalg.norm(approx - exact)) / scale)
-    return BoundCheckReport(
-        bound_name=name,
-        empirical_lhs=worst,
-        empirical_stderr=0.0,
-        theoretical_rhs=1e-6,
-        trials=len(points),
-        passed=bool(worst <= 1e-6),
-    )
+    return _exact_report(name, worst, 1e-6, len(points))
 
 
 def _check_suite(root: RngStream, trials: int, negative_control: bool) -> list[BoundCheckReport]:
@@ -342,14 +333,7 @@ def _check_suite(root: RngStream, trials: int, negative_control: bool) -> list[B
         )
         err = abs(probe_rep.operator_lb - expected)
         reports.append(
-            BoundCheckReport(
-                f"probe_operator_exact[a_{block.value}]",
-                err,
-                0.0,
-                1e-9,
-                probe_rep.probes,
-                bool(err <= 1e-9),
-            )
+            _exact_report(f"probe_operator_exact[a_{block.value}]", err, 1e-9, probe_rep.probes)
         )
     dense = DenseQuadratic.random(BlockLayout(3, 3), 1, next_rng())
     w = HybridPoint(BlockLayout(3, 3), np.zeros(6))
@@ -357,9 +341,5 @@ def _check_suite(root: RngStream, trials: int, negative_control: bool) -> list[B
     eigs = np.linalg.eigvalsh(dense_hessian(dense, w))
     frob = float(np.sqrt(np.sum(eigs**2)))
     rel = abs(probe_rep.frobenius_scaled - frob) / frob
-    reports.append(
-        BoundCheckReport(
-            "probe_frobenius_vs_dense_oracle", rel, 0.0, 0.10, probe_rep.probes, bool(rel <= 0.10)
-        )
-    )
+    reports.append(_exact_report("probe_frobenius_vs_dense_oracle", rel, 0.10, probe_rep.probes))
     return reports

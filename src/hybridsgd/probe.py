@@ -13,7 +13,8 @@ norm by sqrt(dim); both the raw and the corrected value are reported.
 K probes at one point are batched: one (K, dim) unit-sphere draw, and for a
 single sample one ``grads_at_points`` call for all K perturbed gradients.
 The draw consumes the stream exactly as K sequential draws would, so the
-statistics are the same bits as probing one direction at a time.
+statistics are the same bits as probing one direction at a time.  The
+validated entry points are ``estimate_block_lipschitz`` and ``trajectory_scan``.
 """
 from __future__ import annotations
 
@@ -40,7 +41,6 @@ from .objectives import FiniteSumObjective
 __all__ = [
     "ProbeConfig",
     "ProbeReport",
-    "hvp",
     "estimate_block_lipschitz",
     "trajectory_scan",
     "write_probe_csv",
@@ -90,11 +90,12 @@ def _hvp_rows(
     block: Block,
     sample: int | None,
 ) -> np.ndarray:
-    """Products for every row of directions, shape (m, d); inputs assumed validated.
+    """Products (grad(w + h v~) - grad(w)) / h, v~ being a row v of directions
+    placed in the block (zero elsewhere), shape (m, d); inputs assumed validated.
 
-    The base gradient is evaluated once for all rows.  A sample's m perturbed
-    gradients come from one ``grads_at_points`` call; the full objective is
-    evaluated point by point.
+    sample=None probes the full objective.  The base gradient is evaluated
+    once for all rows.  A sample's m perturbed gradients come from one
+    ``grads_at_points`` call; the full objective is evaluated point by point.
     """
     base_grad = obj.full_grad_at(values) if sample is None else obj.grad_at(values, sample)
     perturbed = _shifted_rows(values, obj.layout.slice_of(block), h * directions)
@@ -106,31 +107,6 @@ def _hvp_rows(
     if not np.isfinite(out).all():
         raise NumericError("non-finite gradient in a curvature probe")
     return out
-
-
-def hvp(
-    obj: FiniteSumObjective,
-    w: HybridPoint,
-    v: np.ndarray,
-    h: float = 1e-5,
-    block: Block = Block.FULL,
-    sample: int | None = None,
-) -> np.ndarray:
-    """Forward-difference Hessian-vector product (grad(w + h v~) - grad(w)) / h.
-
-    v matches the selected block's dimension and is zero-padded to the full
-    vector v~; the returned product is always full length.  sample=None
-    probes the full objective, an index probes that sample's Hessian.
-    """
-    values = obj.check_point(w)
-    if sample is not None:
-        sample = obj.check_sample(sample)
-    h = _check_real("h", h)
-    v = np.asarray(v, dtype=np.float64)
-    dim = obj.layout.dim_of(block)
-    if v.shape != (dim,):
-        raise ValueError(f"v must have shape ({dim},) for block {block.value}, got {v.shape}")
-    return _hvp_rows(obj, values, v[None, :], h, block, sample)[0]
 
 
 def estimate_block_lipschitz(

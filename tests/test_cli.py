@@ -228,6 +228,38 @@ def test_real_fields_must_be_finite_numbers(tmp_path, capsys, command, path, val
     _assert_rejected_by_name(tmp_path, capsys, command, path, value, rule)
 
 
+def _explicit(kind, **data):
+    return {"kind": kind, "d_x": 1, "d_y": 1, **data}
+
+
+# (command, path, value, key): array values whose entries are not all real numbers
+ARRAYS = [
+    *[("run", ("objective",), _explicit("block_quadratic", a_x=1.0, a_y=1.0, centers=centers),
+       "centers") for centers in ([[True, False]], [["1", "2"]], [[1.0, True]])],
+    ("run", ("objective",), _explicit("logistic", features=[[1.0, 0.0], [0.0, 1.0]],
+                                      labels=[True, True]), "labels"),
+    ("run", ("objective",), _explicit("logistic", features=[[1.0, "0"]], labels=[1.0]),
+     "features"),
+    ("run", ("objective",), _explicit("cosh", shifts=[[0.0, None]]), "shifts"),
+    ("run", ("objective",), _explicit("linear", slopes=[[False, 1.0]]), "slopes"),
+    ("run", ("objective",), _explicit("dense_quadratic", hessian=[[1.0, 0.0], [0.0, True]]),
+     "hessian"),
+    ("run", ("init",), {"kind": "explicit", "values": [True, "0.5", 0.0]}, "values"),
+    ("probe", ("trajectory",), {"kind": "points", "points": [[True, "2", 0.0]]}, "points"),
+    ("plan", ("points",), {"kind": "explicit", "points": [[0.0, 1.0, None]]}, "points"),
+]
+
+
+@pytest.mark.parametrize("command, path, value, key", [
+    pytest.param(*case, id=f"{case[0]}-{case[3]}-{k}") for k, case in enumerate(ARRAYS)])
+def test_array_entries_must_be_finite_numbers(tmp_path, capsys, command, path, value, key):
+    code, _ = _main_on(tmp_path, command, _set(COMMANDS[command][1], path, value))
+    assert code == EXIT_CONFIG
+    rule = f"config error: every entry of {key} must be a finite real number, got "
+    assert rule in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]  # no output written
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 def test_valid_table_configs_run(tmp_path, capsys, command):
     code, out = _main_on(tmp_path, command, COMMANDS[command][1])

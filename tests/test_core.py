@@ -55,15 +55,11 @@ def test_point_block_views():
     assert np.array_equal(p.y, [2.0, 3.0, 4.0])
 
 
-def test_point_with_values():
-    p = HybridPoint(BlockLayout(1, 1), [1.0, 2.0])
-    q = p.with_values(np.array([3.0, 4.0]))
-    assert q.layout is p.layout
-    assert np.array_equal(q.values, [3.0, 4.0])
-    assert np.array_equal(p.values, [1.0, 2.0])
-
-
-@pytest.mark.parametrize("values", [[1.0], [1.0, 2.0, 3.0], [1.0, np.nan], [np.inf, 0.0]])
+@pytest.mark.parametrize("values", [
+    [1.0], [1.0, 2.0, 3.0], [1.0, np.nan], [np.inf, 0.0],
+    # entries that are not real numbers are never coerced
+    [True, False], [1.0, True], ["1", "2"], [0.5, None], [1, 10**400], np.array([True, False]),
+])
 def test_point_rejects_bad_values(values):
     with pytest.raises(ValueError):
         HybridPoint(BlockLayout(1, 1), values)
@@ -240,19 +236,24 @@ def test_validation_idioms_live_only_in_core():
     assert idioms.search("if not isinstance(q, (int, np.integer)) or q < 1:")
     assert idioms.search("if not np.isfinite(self.h) or self.h <= 0:")
     assert idioms.search("if not np.isfinite(lam) or lam < 0:")
-    # Reading a config value (a required key, a JSON object section, a number)
-    # has one home too, core._read_section with the checks above, so the CLI
-    # and the objective specs hold key tables and no reading code of their own.
+    # Reading a config value (a required key, a JSON object section, a number,
+    # an array) has one home too, core._read_section with the checks above and
+    # core._check_array, so the CLI and the objective specs hold key tables
+    # and no reading code of their own.
     config_idioms = re.compile(
         r"def _require\("
         r"|isinstance\([^()]*,\s*dict\)"
         r"|\b(?:float|int)\(\s*(?:_require\(|spec|cfg)"
+        r"|np\.(?:as)?array\((?!\[)[^()]*dtype=np\.float64"
     )
     assert config_idioms.search("def _require(cfg: dict, key: str, where: str):")
     assert config_idioms.search("    if not isinstance(spec, dict):")
     assert config_idioms.search('scale = float(spec.get("scale", 1.0))')
     assert config_idioms.search('horizon = int(cfg_for_T["T"])')
     assert config_idioms.search('n = int(_require(spec, "n", "constants"))')
+    assert config_idioms.search("labels = np.array(labels, dtype=np.float64, copy=True)")
+    assert config_idioms.search('HybridPoint(layout, np.asarray(init["values"], dtype=np.float64))')
+    assert not config_idioms.search("np.array([self.value_at(p, k) for p, k in pairs], dtype=np.float64)")
     found = []
     for path in sorted(Path(hybridsgd.__file__).parent.glob("*.py")):
         if path.name == "core.py":

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from hybridsgd import (
+    Block,
     BlockLayout,
     BlockMode,
     BlockQuadratic,
@@ -20,13 +21,19 @@ from hybridsgd import (
     sample_gaussian,
     smoothed_gradient_reference,
     step,
-    two_point_estimate,
 )
 from hybridsgd import optimizer
 from hybridsgd.estimator import _two_point_rows
 from conftest import BlockGuardObjective, OffsetObjective, ScaledObjective
 
 LAYOUT = BlockLayout(2, 1)
+
+
+def _x_estimate(obj, w, i, mu, v):
+    """One x-block estimate [(f(x + mu v, y; i) - f(x, y; i)) / mu] * v through
+    the estimator's row helper."""
+    sl = obj.layout.slice_of(Block.X)
+    return _two_point_rows(obj, w.values, i, mu, v[None, :], sl, obj.value_at(w.values, i))[0]
 
 
 def _linear(slopes_rows):
@@ -38,9 +45,9 @@ def test_linear_estimate_is_projection():
     # within rounding of the difference quotient otherwise.
     obj = _linear([[1.0, 2.0, 5.0]])
     w = HybridPoint(LAYOUT, [0.5, -0.25, 2.0])
-    est = two_point_estimate(obj, w, 0, 0.25, np.array([1.0, 0.0]))
+    est = _x_estimate(obj, w, 0, 0.25, np.array([1.0, 0.0]))
     assert np.array_equal(est, [1.0, 0.0])
-    est = two_point_estimate(obj, w, 0, 0.1, np.array([1.0, 0.0]))
+    est = _x_estimate(obj, w, 0, 0.1, np.array([1.0, 0.0]))
     assert np.allclose(est, [1.0, 0.0], rtol=0.0, atol=1e-12)
 
 
@@ -48,7 +55,7 @@ def test_constant_in_x_gives_zero_vector():
     obj = _linear([[0.0, 0.0, 3.0]])
     w = HybridPoint(LAYOUT, [1.0, 1.0, 1.0])
     for mu in (1.0, 1e-3):
-        est = two_point_estimate(obj, w, 0, mu, np.array([0.5, -2.0]))
+        est = _x_estimate(obj, w, 0, mu, np.array([0.5, -2.0]))
         assert np.array_equal(est, [0.0, 0.0])
 
 
@@ -56,7 +63,7 @@ def test_quadratic_difference_quotient_closed_form():
     # f = x^2/2 at x=2: ((x+mu)^2 - x^2)/(2 mu) = x + mu/2 = 2.005 for mu = 0.01.
     obj = BlockQuadratic(BlockLayout(1, 1), np.zeros((1, 2)), 1.0, 1.0)
     w = HybridPoint(obj.layout, [2.0, 7.0])
-    est = two_point_estimate(obj, w, 0, 0.01, np.array([1.0]))
+    est = _x_estimate(obj, w, 0, 0.01, np.array([1.0]))
     assert est[0] == pytest.approx(2.005, rel=0.0, abs=1e-12)
 
 
@@ -65,8 +72,8 @@ def test_shift_invariance_exact_on_dyadic_data():
     shifted = OffsetObjective(base, 16.0)
     w = HybridPoint(LAYOUT, [1.0, 2.0, 4.0])
     v = np.array([1.0, -1.0])
-    a = two_point_estimate(base, w, 0, 0.5, v)
-    b = two_point_estimate(shifted, w, 0, 0.5, v)
+    a = _x_estimate(base, w, 0, 0.5, v)
+    b = _x_estimate(shifted, w, 0, 0.5, v)
     assert np.array_equal(a, b)
 
 
@@ -75,8 +82,8 @@ def test_shift_invariance_close_on_generic_data():
     shifted = OffsetObjective(base, np.pi)
     w = HybridPoint(LAYOUT, sample_gaussian(RngStream(22, 1), 3))
     v = sample_gaussian(RngStream(23, 1), 2)
-    a = two_point_estimate(base, w, 1, 1e-3, v)
-    b = two_point_estimate(shifted, w, 1, 1e-3, v)
+    a = _x_estimate(base, w, 1, 1e-3, v)
+    b = _x_estimate(shifted, w, 1, 1e-3, v)
     assert np.allclose(a, b, rtol=1e-9, atol=1e-9)
 
 
@@ -86,8 +93,8 @@ def test_homogeneity_exact_for_power_of_two_scale():
     w = HybridPoint(LAYOUT, [1.0, -1.0, 0.5])
     v = np.array([0.5, 2.0])
     assert np.array_equal(
-        two_point_estimate(scaled, w, 0, 0.25, v),
-        4.0 * two_point_estimate(base, w, 0, 0.25, v),
+        _x_estimate(scaled, w, 0, 0.25, v),
+        4.0 * _x_estimate(base, w, 0, 0.25, v),
     )
 
 
@@ -108,7 +115,7 @@ def test_q3_average_replays_single_direction_estimates():
     rng = RngStream(27, 1)
     acc = np.zeros(2)
     for _ in range(3):
-        acc += two_point_estimate(obj, w, 1, 1e-3, sample_gaussian(rng, 2))
+        acc += _x_estimate(obj, w, 1, 1e-3, sample_gaussian(rng, 2))
     assert np.array_equal(averaged, acc / 3)
 
 
@@ -134,7 +141,7 @@ def test_q_direction_estimate_costs_q_plus_one_values(q):
     assert counted.value_calls == q + 1
     assert np.array_equal(est, estimate_x_gradient(base, w, 2, cfg, RngStream(31, 1)))
     counted.value_calls = 0
-    two_point_estimate(counted, w, 2, 1e-3, np.array([1.0, 0.5]))
+    _x_estimate(counted, w, 2, 1e-3, np.array([1.0, 0.5]))
     assert counted.value_calls == 2
 
 
@@ -151,11 +158,15 @@ def test_validation_errors():
     obj = _linear([[1.0, 1.0, 1.0]])
     w = HybridPoint(LAYOUT, [0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
-        two_point_estimate(obj, w, 0, 0.0, np.array([1.0, 0.0]))
+        ZoConfig(mu=0.0)
     with pytest.raises(ValueError):
-        two_point_estimate(obj, w, 0, -1e-3, np.array([1.0, 0.0]))
+        ZoConfig(mu=-1e-3)
+    cfg = ZoConfig(mu=1e-3)
+    with pytest.raises(IndexError):
+        estimate_x_gradient(obj, w, 1, cfg, RngStream(32, 1))  # n = 1
     with pytest.raises(ValueError):
-        two_point_estimate(obj, w, 0, 1e-3, np.array([1.0, 0.0, 0.0]))
+        estimate_x_gradient(obj, HybridPoint(BlockLayout(1, 2), np.zeros(3)), 0, cfg,
+                            RngStream(32, 1))
     with pytest.raises(ValueError):
         ZoConfig(mu=1e-3, directions_per_step=0)
     with pytest.raises(ValueError):
@@ -166,7 +177,7 @@ def test_non_finite_perturbed_value_is_reported():
     obj = CoshObjective(BlockLayout(1, 1), np.zeros((1, 2)))
     w = HybridPoint(obj.layout, [700.0, 0.0])
     with pytest.raises(NumericError), np.errstate(over="ignore"):
-        two_point_estimate(obj, w, 0, coercing_mu := 50.0, np.array([1.0]))
+        _x_estimate(obj, w, 0, coercing_mu := 50.0, np.array([1.0]))
     assert coercing_mu == 50.0
 
 
@@ -174,7 +185,11 @@ def test_underflow_warning_when_mu_below_float_resolution():
     obj = BlockQuadratic(BlockLayout(1, 1), np.zeros((1, 2)), 1.0, 1.0)
     w = HybridPoint(obj.layout, [1e12, 0.0])
     with pytest.warns(PerturbationUnderflowWarning) as record:
-        est = two_point_estimate(obj, w, 0, 1e-9, np.array([1.0]))
+        est = _x_estimate(obj, w, 0, 1e-9, np.array([1.0]))
+    assert np.all(np.isfinite(est))
+    with pytest.warns(PerturbationUnderflowWarning) as record:
+        est = estimate_x_gradient(obj, w, 0, ZoConfig(mu=1e-9, directions_per_step=2),
+                                  RngStream(35, 1))
     assert np.all(np.isfinite(est))
     assert record[0].filename == __file__  # attributed to the caller
 

@@ -1,12 +1,14 @@
 """Batched kernels and the raw-array step loop against their references.
 
 Each workload is run twice: with the objective as built, and with the same
-objective built as a subclass whose batched kernels (``values_all``/
-``grads_all``, ``values_at_points``/``grads_at_points``) and fused
-``full_value_and_grad_at`` are reset to the :class:`FiniteSumObjective` loops
-over ``value_at``/``grad_at``.  The optimizer's raw-array loop is run against
-a reference loop that validates its inputs and builds a HybridPoint on every
-step, with the estimator's rows summed one by one into a zero accumulator.
+objective built as a subclass whose batched pair (``values_at_points``/
+``grads_at_points``) and fused ``full_value_and_grad_at`` are reset to the
+:class:`FiniteSumObjective` loops over ``value_at``/``grad_at``.  Every run
+reads the pair in both selector forms: a sample index for the estimator's
+directions and ``ALL`` for the trace and the full objective.  The
+optimizer's raw-array loop is run against a reference loop that validates
+its inputs and builds a HybridPoint on every step, with the estimator's rows
+summed one by one into a zero accumulator.
 Traces, final iterates, run results and output files must agree bit for bit,
 so the check holds on any BLAS build without hard-coded hashes.
 """
@@ -63,7 +65,7 @@ HYBRID = {"modes": {"x": "zo", "y": "fo"}, "zo": {"mu": 1e-3, "directions_per_st
           "init": {"kind": "gaussian", "scale": 1.0}, "seed": 5}
 
 
-BATCHED_KERNELS = ("values_all", "grads_all", "values_at_points", "grads_at_points")
+BATCHED_KERNELS = ("values_at_points", "grads_at_points")
 
 
 def _looped(cls):

@@ -23,6 +23,7 @@ from hybridsgd import (
     sample_gaussian,
 )
 
+from hybridsgd.objectives import ALL
 from conftest import OffsetObjective, ScaledObjective
 
 LAYOUT = BlockLayout(3, 2)
@@ -44,7 +45,7 @@ def _families(seed=101):
 def test_quadratic_eval_example():
     # a_x = a_y = 1 and zero center: f(w; 0) = 0.5 ||w||^2, so (3, 4) -> 12.5.
     obj = BlockQuadratic(BlockLayout(1, 1), np.zeros((1, 2)), 1.0, 1.0)
-    assert obj.eval_sample(HybridPoint(obj.layout, [3.0, 4.0]), 0) == 12.5
+    assert obj.value_at(np.array([3.0, 4.0]), 0) == 12.5
 
 
 def test_quadratic_gradient_closed_form():
@@ -54,7 +55,7 @@ def test_quadratic_gradient_closed_form():
     w = HybridPoint(layout, [0.5, 0.5, 0.5, 0.5])
     diag = np.array([4.0, 4.0, 0.25, 0.25])
     for i in range(2):
-        assert np.array_equal(obj.grad_sample(w, i), diag * (w.values - centers[i]))
+        assert np.array_equal(obj.grad_at(w.values, i), diag * (w.values - centers[i]))
     expected_full = diag * (w.values - centers.mean(axis=0))
     assert np.allclose(obj.grad_full(w), expected_full, rtol=1e-12, atol=0.0)
 
@@ -71,8 +72,8 @@ def test_cosh_value_and_gradient_at_shift():
     obj = CoshObjective.random(BlockLayout(2, 2), 3, RngStream(5, 0xDA7A), shift_spread=0.5)
     for i in range(obj.n):
         w = HybridPoint(obj.layout, obj.shifts[i])
-        assert obj.eval_sample(w, i) == pytest.approx(4.0, rel=0.0, abs=0.0)
-        assert np.array_equal(obj.grad_sample(w, i), np.zeros(4))
+        assert obj.value_at(w.values, i) == pytest.approx(4.0, rel=0.0, abs=0.0)
+        assert np.array_equal(obj.grad_at(w.values, i), np.zeros(4))
 
 
 def test_cosh_f_star_only_for_shared_shifts():
@@ -86,7 +87,7 @@ def test_logistic_at_zero_is_log2():
     obj = LogisticObjective.random(LAYOUT, 4, RngStream(7, 0xDA7A), lam=0.0)
     w = HybridPoint(LAYOUT, np.zeros(LAYOUT.d))
     for i in range(obj.n):
-        assert obj.eval_sample(w, i) == pytest.approx(np.log(2.0), rel=1e-15)
+        assert obj.value_at(w.values, i) == pytest.approx(np.log(2.0), rel=1e-15)
     assert obj.eval_full(w) == pytest.approx(np.log(2.0), rel=1e-15)
 
 
@@ -108,17 +109,17 @@ def test_logistic_lipschitz_bound_formula():
 def test_singleton_full_equals_sample():
     obj = BlockQuadratic.random(LAYOUT, 1, 2.0, 1.0, RngStream(8, 0xDA7A))
     w = HybridPoint(LAYOUT, sample_gaussian(RngStream(9, 1), LAYOUT.d))
-    assert obj.eval_full(w) == obj.eval_sample(w, 0)
-    assert np.array_equal(obj.grad_full(w), obj.grad_sample(w, 0))
+    assert obj.eval_full(w) == obj.value_at(w.values, 0)
+    assert np.array_equal(obj.grad_full(w), obj.grad_at(w.values, 0))
 
 
 def test_full_value_matches_direct_summation():
     rng = RngStream(10, 1)
     for obj in _families().values():
         w = HybridPoint(LAYOUT, sample_gaussian(rng, LAYOUT.d))
-        direct = sum(obj.eval_sample(w, i) for i in range(obj.n)) / obj.n
+        direct = sum(obj.value_at(w.values, i) for i in range(obj.n)) / obj.n
         assert obj.eval_full(w) == pytest.approx(direct, rel=1e-12)
-        direct_grad = sum(obj.grad_sample(w, i) for i in range(obj.n)) / obj.n
+        direct_grad = sum(obj.grad_at(w.values, i) for i in range(obj.n)) / obj.n
         assert np.allclose(obj.grad_full(w), direct_grad, rtol=1e-12, atol=1e-15)
 
 
@@ -140,7 +141,7 @@ def test_sample_variance_symmetric_two_point():
 def test_sample_variance_matches_definition():
     obj = _families()["block_quadratic"]
     w = HybridPoint(LAYOUT, sample_gaussian(RngStream(12, 1), LAYOUT.d))
-    grads = [obj.grad_sample(w, i) for i in range(obj.n)]
+    grads = [obj.grad_at(w.values, i) for i in range(obj.n)]
     mean = sum(grads) / obj.n
     direct = sum(float(np.dot(gi - mean, gi - mean)) for gi in grads) / obj.n
     assert obj.sample_variance(w) == pytest.approx(direct, rel=1e-12)
@@ -153,7 +154,7 @@ def test_gradients_match_central_differences():
             w = HybridPoint(LAYOUT, sample_gaussian(rng, LAYOUT.d))
             i = int(sample_gaussian(rng, 1)[0] * 100) % obj.n
             approx = fd_gradient(obj, w, i, 1e-5)
-            exact = obj.grad_sample(w, i)
+            exact = obj.grad_at(w.values, i)
             scale = max(np.linalg.norm(exact), 1e-12)
             assert np.linalg.norm(approx - exact) / scale <= 1e-6, name
 
@@ -172,11 +173,15 @@ def test_index_and_layout_validation():
     obj = _families()["linear"]
     w = HybridPoint(LAYOUT, np.zeros(5))
     with pytest.raises(IndexError):
-        obj.eval_sample(w, obj.n)
+        obj.check_sample(obj.n)
     with pytest.raises(IndexError):
-        obj.eval_sample(w, -1)
+        obj.check_sample(-1)
+    with pytest.raises(IndexError):
+        obj.check_sample(True)
+    assert obj.check_sample(np.int64(1)) == 1
+    assert obj.check_point(w) is w.values
     with pytest.raises(ValueError):
-        obj.eval_sample(HybridPoint(BlockLayout(2, 2), np.zeros(4)), 0)
+        obj.check_point(HybridPoint(BlockLayout(2, 2), np.zeros(4)))
 
 
 def test_dense_quadratic_requires_symmetry():
@@ -218,7 +223,7 @@ def test_explicit_data_arrays_in_specs():
         "centers": [[0.0, 0.0]],
     }
     obj = objective_from_dict(spec)
-    assert obj.eval_sample(HybridPoint(obj.layout, [3.0, 4.0]), 0) == 12.5
+    assert obj.value_at(np.array([3.0, 4.0]), 0) == 12.5
 
 
 def test_spec_errors():
@@ -265,29 +270,39 @@ def _per_row(obj, points, i):
     return vals, grads
 
 
+def _base_loop(obj, points, i):
+    """The base-class loop of the batched pair, for either selector form."""
+    return (FiniteSumObjective.values_at_points(obj, points, i),
+            FiniteSumObjective.grads_at_points(obj, points, i))
+
+
 def _assert_batched_matches(obj, values):
+    """The pair with ALL against the per-sample loop and the base-class loop."""
     with np.errstate(over="ignore"):
-        vals, grads = obj.values_all(values), obj.grads_all(values)
+        vals, grads = obj.values_at_points(values, ALL), obj.grads_at_points(values, ALL)
         ref_vals, ref_grads = _per_sample(obj, values)
+        base_vals, base_grads = _base_loop(obj, values, ALL)
         fused = obj.full_value_and_grad_at(values)
         full = (obj.full_value_at(values), obj.full_grad_at(values))
     assert vals.shape == (obj.n,) and grads.shape == (obj.n, obj.layout.d)
-    assert np.array_equal(vals, ref_vals)
-    assert np.array_equal(grads, ref_grads)
+    assert np.array_equal(vals, ref_vals) and np.array_equal(base_vals, ref_vals)
+    assert np.array_equal(grads, ref_grads) and np.array_equal(base_grads, ref_grads)
     assert repr(fused[0]) == repr(full[0]) and np.array_equal(fused[1], full[1])
     return vals, grads
 
 
 def _assert_at_points_matches(obj, points):
-    """values_at_points/grads_at_points against the per-row loop, for every sample."""
+    """The pair with a sample index against the per-row loop and the base-class
+    loop, for every sample."""
     out = []
     for i in range(obj.n):
         with np.errstate(over="ignore"):
             vals, grads = obj.values_at_points(points, i), obj.grads_at_points(points, i)
             ref_vals, ref_grads = _per_row(obj, points, i)
+            base_vals, base_grads = _base_loop(obj, points, i)
         assert vals.shape == (len(points),) and grads.shape == points.shape
-        assert np.array_equal(vals, ref_vals)
-        assert np.array_equal(grads, ref_grads)
+        assert np.array_equal(vals, ref_vals) and np.array_equal(base_vals, ref_vals)
+        assert np.array_equal(grads, ref_grads) and np.array_equal(base_grads, ref_grads)
         out.append((vals, grads))
     return out
 
@@ -295,7 +310,7 @@ def _assert_at_points_matches(obj, points):
 def _assert_means_match_np_mean(obj, values):
     """The full_* means and sample_variance against np.mean, bit for bit."""
     with np.errstate(over="ignore", invalid="ignore"):
-        vals, grads = obj.values_all(values), obj.grads_all(values)
+        vals, grads = obj.values_at_points(values, ALL), obj.grads_at_points(values, ALL)
         want_value, want_grad = float(np.mean(vals)), np.mean(grads, axis=0)
         want_variance = float(np.mean(np.sum((grads - want_grad) ** 2, axis=1)))
         fused_value, fused_grad = obj.full_value_and_grad_at(values)
@@ -362,7 +377,7 @@ def test_batched_cosh_overflow_lands_at_same_positions():
 @pytest.mark.parametrize("kind", sorted(_BUILDERS))
 def test_family_overrides_batched_kernels(kind):
     cls = type(_BUILDERS[kind](LAYOUT, 2, RngStream(15, 0xDA7A), 1.0))
-    for name in ("values_all", "grads_all", "values_at_points", "grads_at_points"):
+    for name in ("values_at_points", "grads_at_points"):
         assert getattr(cls, name) is not getattr(FiniteSumObjective, name), name
 
 
@@ -372,24 +387,24 @@ def test_subclass_without_kernels_uses_base_loop():
         offset = OffsetObjective(base, 2.5)
         scaled = ScaledObjective(base, -3.0)
         for wrapper in (offset, scaled):
-            for kernel in ("values_all", "grads_all", "values_at_points", "grads_at_points"):
+            for kernel in ("values_at_points", "grads_at_points"):
                 assert getattr(type(wrapper), kernel) is getattr(FiniteSumObjective, kernel)
         values = sample_gaussian(rng, LAYOUT.d)
         w = HybridPoint(LAYOUT, values)
-        base_vals, base_grads = base.values_all(values), base.grads_all(values)
+        base_vals, base_grads = base.values_at_points(values, ALL), base.grads_at_points(values, ALL)
         points = np.stack([values, 2.0 * values])
         base_at_points = base.values_at_points(points, 1), base.grads_at_points(points, 1)
         assert np.array_equal(offset.values_at_points(points, 1), base_at_points[0] + 2.5)
         assert np.array_equal(scaled.grads_at_points(points, 1), -3.0 * base_at_points[1])
         # offset: values shift by the constant, gradients are untouched
-        assert np.array_equal(offset.values_all(values), base_vals + 2.5)
-        assert np.array_equal(offset.grads_all(values), base_grads)
+        assert np.array_equal(offset.values_at_points(values, ALL), base_vals + 2.5)
+        assert np.array_equal(offset.grads_at_points(values, ALL), base_grads)
         assert offset.full_value_at(values) == pytest.approx(np.mean(base_vals) + 2.5, rel=1e-14)
         assert np.array_equal(offset.full_grad_at(values), base.full_grad_at(values))
         assert offset.sample_variance(w) == base.sample_variance(w)
         # scaled: values and gradients scale by alpha, the variance by alpha^2
-        assert np.array_equal(scaled.values_all(values), -3.0 * base_vals)
-        assert np.array_equal(scaled.grads_all(values), -3.0 * base_grads)
+        assert np.array_equal(scaled.values_at_points(values, ALL), -3.0 * base_vals)
+        assert np.array_equal(scaled.grads_at_points(values, ALL), -3.0 * base_grads)
         assert scaled.eval_full(w) == pytest.approx(-3.0 * base.eval_full(w), rel=1e-14), name
         assert np.allclose(scaled.grad_full(w), -3.0 * base.grad_full(w), rtol=1e-14, atol=1e-15)
         assert scaled.sample_variance(w) == pytest.approx(

@@ -18,14 +18,20 @@ from hybridsgd import (
     RngStream,
     dense_hessian,
     estimate_block_lipschitz,
-    hvp,
     sample_gaussian,
     trajectory_scan,
     write_probe_csv,
 )
+from hybridsgd.probe import _hvp_rows
 from conftest import BlockGuardObjective
 
 LAYOUT = BlockLayout(3, 2)
+
+
+def _hvp(obj, w, v, h=1e-5, block=Block.FULL):
+    """One full-length product (grad(w + h v~) - grad(w)) / h of the full
+    objective, v~ being v zero-padded from the block, through the row helper."""
+    return _hvp_rows(obj, w.values, v[None, :], h, block, None)[0]
 
 
 def _diag_quad(a_x=100.0, a_y=1.0, layout=LAYOUT, n=1):
@@ -39,19 +45,19 @@ def test_hvp_matches_diagonal_hessian():
     rng = RngStream(70, 1)
     for _ in range(5):
         v = sample_gaussian(rng, 5)
-        assert np.allclose(hvp(obj, w, v), diag * v, atol=1e-9)
+        assert np.allclose(_hvp(obj, w, v), diag * v, atol=1e-9)
     # away from the minimizer the quadratic HVP is still exact up to rounding
     w = HybridPoint(LAYOUT, sample_gaussian(rng, 5))
     v = sample_gaussian(rng, 5)
-    assert np.allclose(hvp(obj, w, v), diag * v, rtol=1e-6, atol=1e-6)
+    assert np.allclose(_hvp(obj, w, v), diag * v, rtol=1e-6, atol=1e-6)
 
 
 def test_hvp_is_h_robust_for_quadratics():
     obj = _diag_quad(3.0, 2.0)
     w = HybridPoint(LAYOUT, np.zeros(5))
     v = sample_gaussian(RngStream(71, 1), 5)
-    a = hvp(obj, w, v, h=1e-5)
-    b = hvp(obj, w, v, h=1e-3)
+    a = _hvp(obj, w, v, h=1e-5)
+    b = _hvp(obj, w, v, h=1e-3)
     assert np.allclose(a, b, atol=1e-9)
 
 
@@ -59,7 +65,7 @@ def test_hvp_cosh_curvature_is_one_at_shift():
     layout = BlockLayout(1, 1)
     obj = CoshObjective(layout, np.zeros((1, 2)))
     w = HybridPoint(layout, [0.0, 0.0])
-    out = hvp(obj, w, np.array([1.0]), block=Block.X)
+    out = _hvp(obj, w, np.array([1.0]), block=Block.X)
     assert out.shape == (2,)
     assert out[0] == pytest.approx(1.0, abs=1e-9)
     assert out[1] == pytest.approx(0.0, abs=1e-9)
@@ -69,8 +75,8 @@ def test_hvp_logistic_step_halving():
     obj = LogisticObjective.random(LAYOUT, 8, RngStream(72, 0xDA7A))
     w = HybridPoint(LAYOUT, 0.1 * np.ones(5))
     v = sample_gaussian(RngStream(73, 1), 5)
-    a = hvp(obj, w, v, h=1e-5)
-    b = hvp(obj, w, v, h=1e-6)
+    a = _hvp(obj, w, v, h=1e-5)
+    b = _hvp(obj, w, v, h=1e-6)
     assert np.linalg.norm(a - b) <= 1e-3 * max(np.linalg.norm(b), 1.0)
 
 
@@ -79,8 +85,8 @@ def test_hvp_is_linear_in_v():
     w = HybridPoint(LAYOUT, np.zeros(5))
     rng = RngStream(74, 1)
     v1, v2 = sample_gaussian(rng, 5), sample_gaussian(rng, 5)
-    lhs = hvp(obj, w, 2.0 * v1 + 3.0 * v2)
-    rhs = 2.0 * hvp(obj, w, v1) + 3.0 * hvp(obj, w, v2)
+    lhs = _hvp(obj, w, 2.0 * v1 + 3.0 * v2)
+    rhs = 2.0 * _hvp(obj, w, v1) + 3.0 * _hvp(obj, w, v2)
     assert np.allclose(lhs, rhs, atol=1e-8)
 
 
@@ -89,7 +95,7 @@ def test_block_probe_only_perturbs_target_block():
     guarded = BlockGuardObjective(base, LAYOUT.slice_of(Block.X), np.zeros(3))
     w = HybridPoint(LAYOUT, np.zeros(5))
     v = np.array([1.0, -1.0])
-    out = hvp(guarded, w, v, block=Block.Y)  # x never moves, guard stays silent
+    out = _hvp(guarded, w, v, block=Block.Y)  # x never moves, guard stays silent
     assert np.array_equal(out[:3], np.zeros(3))
     assert np.allclose(out[3:], v, atol=1e-9)
 
@@ -222,5 +228,8 @@ def test_probe_config_validation():
         ProbeConfig(probes=0)
     obj = _diag_quad()
     w = HybridPoint(LAYOUT, np.zeros(5))
+    with pytest.raises(IndexError):
+        estimate_block_lipschitz(obj, w, ProbeConfig(probes=2), RngStream(92, 1), sample=1)
     with pytest.raises(ValueError):
-        hvp(obj, w, np.zeros(2), block=Block.X)  # wrong v length for block
+        estimate_block_lipschitz(obj, HybridPoint(BlockLayout(2, 3), np.zeros(5)),
+                                 ProbeConfig(probes=2), RngStream(92, 1))
