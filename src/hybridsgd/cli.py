@@ -13,7 +13,8 @@ float, a bool or a string is an error), and null counts as absent.  The
 directory of ``--out`` is checked before any compute.
 
 Exit codes (stable contract): 0 success, 1 check failure, 2 config error,
-3 divergence, 4 numeric failure.
+3 divergence, 4 numeric failure, 5 internal error (a bug: the traceback is
+printed).
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ import argparse
 import json
 import math
 import sys
+import traceback
 from dataclasses import asdict, fields
 from functools import partial
 from pathlib import Path
@@ -30,19 +32,21 @@ import numpy as np
 from .core import (_REQUIRED, Block, BlockLayout, HybridPoint, NumericError, RngStream, _check_array,
                    _check_finite, _check_int, _check_u64, _gaussian_point, _load_json, _read_section, fmt17)
 from .estimator import ZoConfig
-from .objectives import FiniteSumObjective, load_objective, objective_from_dict
+from .objectives import FiniteSumObjective, objective_from_dict
 from .optimizer import BlockMode, LearningRates, Mode, OptimizerConfig, run, write_trace_csv
 from .oracle import _check_suite
-from .planner import PlanInputs, SmoothnessConstants, binding_term, epoch_budget, estimate_constants, plan_rates
+from .planner import PlanInputs, SmoothnessConstants, epoch_budget, estimate_constants, plan_rates
 from .probe import ProbeConfig, trajectory_scan, write_probe_csv
 
-__all__ = ["main", "ConfigError", "EXIT_OK", "EXIT_CHECK_FAILED", "EXIT_CONFIG", "EXIT_DIVERGED", "EXIT_NUMERIC"]
+__all__ = ["main", "ConfigError", "EXIT_OK", "EXIT_CHECK_FAILED", "EXIT_CONFIG", "EXIT_DIVERGED", "EXIT_NUMERIC",
+           "EXIT_INTERNAL"]
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_NUMERIC = 4
+EXIT_INTERNAL = 5
 
 # Stream ids per purpose; objective data uses objectives.DATA_STREAM_ID.
 INIT_STREAM_ID = 1
@@ -122,7 +126,7 @@ def _objective(spec, config_path) -> FiniteSumObjective:
         path = Path(spec)
         if not path.is_absolute():
             path = Path(config_path).parent / path
-        return load_objective(path)
+        return objective_from_dict(_load_json(path))
     return objective_from_dict(spec)
 
 
@@ -327,7 +331,7 @@ def _plan_report(constants: SmoothnessConstants, n: int, horizon: int, d_x: int,
         ("mu", plan.mu_terms, plan.mu),
     ):
         lines.append(f"{label} candidates:")
-        bind = binding_term(terms)
+        bind = min(terms, key=terms.get)
         for name, term in terms.items():
             marker = "  [binding]" if name == bind else ""
             lines.append(f"  {name:<22} {fmt17(term)}{marker}")
@@ -465,12 +469,15 @@ def main(argv=None) -> int:
         if out is not None and (out.is_dir() or not out.parent.is_dir()):
             raise ConfigError(f"--out {args.out}: not a file in an existing directory")
         return args.handler(args)
-    except (ValueError, KeyError, TypeError, IndexError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except Exception:  # any other exception is a bug in the package, not in the input
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

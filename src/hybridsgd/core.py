@@ -29,8 +29,6 @@ __all__ = [
     "RngStream",
     "fmt17",
     "sample_gaussian",
-    "sample_unit_sphere",
-    "shuffle_permutation",
 ]
 
 
@@ -72,7 +70,8 @@ def _check_finite(name: str, value) -> float:
 def _check_array(name: str, data, shape: tuple) -> np.ndarray:
     """data as a new float64 array, if it has the given shape (a leading None: any
     number of rows) and every entry is a finite real number.  Nested lists are
-    walked entry by entry with _check_finite, so a bool, a string or None is an error."""
+    walked entry by entry with _check_finite, so a bool, a string or None is an
+    error, and a ragged nesting is a shape error."""
     todo = [] if isinstance(data, np.ndarray) and data.dtype.kind in "iuf" else [data]
     while todo:
         item = todo.pop()
@@ -80,9 +79,14 @@ def _check_array(name: str, data, shape: tuple) -> np.ndarray:
             todo.extend(reversed(item))
         elif not (isinstance(item, np.ndarray) and item.dtype.kind in "iuf"):
             _check_finite(f"every entry of {name}", item)
-    arr = np.array(data, dtype=np.float64)
-    if arr.ndim != len(shape) or arr.shape[1:] != shape[1:] or shape[0] not in (None, arr.shape[0]):
-        raise ValueError(f"{name} must have shape {str(shape).replace('None', 'n')}, got {arr.shape}")
+    try:
+        arr = np.array(data, dtype=np.float64)
+    except ValueError:  # every entry is a real number, so the nesting is ragged
+        arr = None
+    if (arr is None or arr.ndim != len(shape) or arr.shape[1:] != shape[1:]
+            or shape[0] not in (None, arr.shape[0])):
+        got = "a ragged nested list" if arr is None else arr.shape
+        raise ValueError(f"{name} must have shape {str(shape).replace('None', 'n')}, got {got}")
     if not np.isfinite(arr).all():
         raise ValueError(f"every entry of {name} must be a finite real number")
     return arr

@@ -38,7 +38,6 @@ __all__ = [
     "ZoConfig",
     "PerturbationUnderflowWarning",
     "estimate_x_gradient",
-    "estimate_block_gradient",
 ]
 
 _EPS = float(np.finfo(np.float64).eps)

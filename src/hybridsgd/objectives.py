@@ -32,7 +32,7 @@ import abc
 import numpy as np
 
 from .core import (_REQUIRED, BlockLayout, HybridPoint, RngStream, _check_array, _check_finite,
-                   _check_int, _check_real, _check_u64, _load_json, _read_section, sample_gaussian)
+                   _check_int, _check_real, _check_u64, _read_section, sample_gaussian)
 
 __all__ = [
     "FiniteSumObjective",
@@ -42,9 +42,6 @@ __all__ = [
     "LinearObjective",
     "DenseQuadratic",
     "objective_from_dict",
-    "load_objective",
-    "DATA_STREAM_ID",
-    "ALL",
 ]
 
 # Stream id reserved for generating objective data from a config seed; run,
@@ -496,8 +493,3 @@ def objective_from_dict(spec: dict) -> FiniteSumObjective:
     if "seed" not in args:
         return cls(layout, **args)
     return cls.random(layout, rng=RngStream(args.pop("seed"), DATA_STREAM_ID), **args)
-
-
-def load_objective(path) -> FiniteSumObjective:
-    """Load an objective from a JSON file; see :func:`objective_from_dict`."""
-    return objective_from_dict(_load_json(path))

@@ -12,12 +12,12 @@ so neither block sees the other's update within the step.  Block rules:
 The default pairing (x zeroth-order, y first-order) is the hybrid scheme;
 (FO, FO), (ZO, ZO) and (FROZEN, FO) express the standard baselines.
 
-:func:`step` belongs to the raw-array layer, next to the objectives'
-``value_at`` and the estimator's ``estimate_block_gradient``: it maps a
-float64 array to a new one and validates nothing.  :func:`run` and
-:func:`run_epoch` are the validated boundary: each checks its start point
-once, steps on raw arrays, and builds a :class:`HybridPoint` only for
-snapshots, the :class:`DivergenceError` point and the returned point.
+:func:`step` and :func:`run_epoch` belong to the raw-array layer, next to
+the objectives' ``value_at`` and the estimator's ``estimate_block_gradient``:
+each maps a float64 array to a new one and validates nothing.  :func:`run` is
+the validated boundary: it checks its start point once, resolves the
+divergence guard, steps on raw arrays, and builds a :class:`HybridPoint` only
+for snapshots, the :class:`DivergenceError` point and the returned point.
 """
 from __future__ import annotations
 
@@ -48,13 +48,8 @@ __all__ = [
     "BlockMode",
     "OptimizerConfig",
     "TraceRecord",
-    "DivergenceError",
     "RunResult",
-    "step",
-    "run_epoch",
     "run",
-    "write_trace_csv",
-    "TRACE_HEADER",
 ]
 
 
@@ -133,8 +128,8 @@ class TraceRecord:
 class DivergenceError(RuntimeError):
     """The objective exceeded the divergence guard (or went non-finite).
 
-    Raised by :func:`run_epoch`; :func:`run` returns it as the divergence
-    record of its :class:`RunResult`.
+    Raised by the raw :func:`run_epoch`; :func:`run` catches it and returns it
+    as the divergence record of its :class:`RunResult`.
     """
 
     def __init__(self, epoch: int, step: int, f_value: float, point: HybridPoint):
@@ -143,13 +138,6 @@ class DivergenceError(RuntimeError):
         self.step = step
         self.f_value = f_value
         self.point = point
-
-
-def resolve_divergence_threshold(cfg: OptimizerConfig, f0: float) -> float:
-    """Explicit guard if configured, else max(1e6 * |f at start|, 1e6)."""
-    if cfg.divergence_threshold is not None:
-        return float(cfg.divergence_threshold)
-    return max(1e6 * abs(f0), 1e6)
 
 
 def step(
@@ -161,12 +149,12 @@ def step(
 ) -> np.ndarray:
     """Raw-array simultaneous update of both blocks from the incoming values.
 
-    Inputs are assumed validated (run and run_epoch check the start point
-    once); returns a new array and never writes to values.  Both block
-    directions are read at the incoming values, x block first: ZO draws come
-    from rng in that order, so a replay with an equal stream reproduces the
-    step bit for bit.  The FO gradient is evaluated at most once and shared
-    by the two blocks; a frozen block is copied unchanged.
+    Inputs are assumed validated (run checks the start point once); returns
+    a new array and never writes to values.  Both block directions are read
+    at the incoming values, x block first: ZO draws come from rng in that
+    order, so a replay with an equal stream reproduces the step bit for bit.
+    The FO gradient is evaluated at most once and shared by the two blocks; a
+    frozen block is copied unchanged.
     """
     d_x = obj.layout.d_x
     x_mode, y_mode = cfg.modes.x_mode, cfg.modes.y_mode
@@ -200,32 +188,27 @@ def _norm(v: np.ndarray) -> float:
 
 def run_epoch(
     obj: FiniteSumObjective,
-    w: HybridPoint,
+    values: np.ndarray,
     cfg: OptimizerConfig,
     rng: RngStream,
+    epoch: int,
+    guard: float,
     trace: list,
-    *,
-    epoch: int = 0,
-    step_offset: int = 0,
-    divergence_threshold: float | None = None,
-    snapshot_every: int = 0,
-    snapshots: list | None = None,
-) -> HybridPoint:
-    """One reshuffled pass over all n samples.
+    snapshots: list,
+    snapshot_every: int,
+) -> np.ndarray:
+    """One reshuffled pass over all n samples: run's per-epoch body, on raw arrays.
 
-    Validates w once and steps on raw arrays; HybridPoints are built only for
-    snapshots, the DivergenceError point and the returned point.  Appends one
-    TraceRecord per step (metrics at the updated point).  Raises
-    DivergenceError as soon as f exceeds the guard or goes non-finite;
-    records appended so far stay in the trace.
+    Validates nothing: values is a checked float64 array and guard the run's
+    resolved divergence threshold.  Appends one TraceRecord per step (metrics
+    at the updated point) and, when snapshot_every > 0, a (steps taken,
+    HybridPoint) pair to snapshots every snapshot_every steps.  Returns the
+    values after the epoch.  Raises DivergenceError as soon as f exceeds the
+    guard or goes non-finite; records appended so far stay in the trace.
     """
-    values = obj.check_point(w)
-    if divergence_threshold is None:
-        divergence_threshold = resolve_divergence_threshold(cfg, obj.full_value_at(values))
     layout = obj.layout
     d_x = layout.d_x
-    for k, idx in enumerate(shuffle_permutation(rng, obj.n).tolist()):
-        global_step = step_offset + k
+    for global_step, idx in enumerate(shuffle_permutation(rng, obj.n).tolist(), epoch * obj.n):
         try:
             values = step(obj, values, idx, cfg, rng)
         except NumericError as exc:
@@ -234,12 +217,11 @@ def run_epoch(
         trace.append(
             TraceRecord(epoch, global_step, f, _norm(g), _norm(g[:d_x]), _norm(g[d_x:]))
         )
-        if snapshots is not None and snapshot_every > 0:
-            if (global_step + 1) % snapshot_every == 0:
-                snapshots.append((global_step + 1, HybridPoint(layout, values)))
-        if not math.isfinite(f) or f > divergence_threshold:
+        if snapshot_every and (global_step + 1) % snapshot_every == 0:
+            snapshots.append((global_step + 1, HybridPoint(layout, values)))
+        if not math.isfinite(f) or f > guard:
             raise DivergenceError(epoch, global_step, f, HybridPoint(layout, values))
-    return HybridPoint(layout, values)
+    return values
 
 
 @dataclass
@@ -273,48 +255,31 @@ def run(
 ) -> RunResult:
     """cfg.epochs reshuffled epochs from w0; never raises on divergence.
 
-    A divergence aborts the offending epoch and is returned in the result
-    (point at the offending step, partial trace, report) so sweeps can record
-    it per cell; the CLI maps it to its own exit code.
+    The divergence guard is cfg.divergence_threshold if set, else
+    max(1e6 * |f(w0)|, 1e6).  A divergence aborts the offending epoch and is
+    returned in the result (point at the offending step, partial trace,
+    report) so sweeps can record it per cell; the CLI maps it to its own exit
+    code.
     """
     values = obj.check_point(w0)
     _check_int("snapshot_every", snapshot_every, 0)
     f0 = obj.full_value_at(values)
     if not math.isfinite(f0):
         raise NumericError("objective is non-finite at the start point")
-    guard = resolve_divergence_threshold(cfg, f0)
+    guard = cfg.divergence_threshold
+    guard = max(1e6 * abs(f0), 1e6) if guard is None else float(guard)
     g0 = obj.full_grad_at(values)
     min_grad_sq = float(np.dot(g0, g0))
     trace: list[TraceRecord] = []
     snapshots: list[tuple[int, HybridPoint]] = [(0, w0)] if snapshot_every > 0 else []
-    w = w0
     for epoch in range(cfg.epochs):
         try:
-            w = run_epoch(
-                obj,
-                w,
-                cfg,
-                rng,
-                trace,
-                epoch=epoch,
-                step_offset=epoch * obj.n,
-                divergence_threshold=guard,
-                snapshot_every=snapshot_every,
-                snapshots=snapshots,
-            )
+            values = run_epoch(obj, values, cfg, rng, epoch, guard, trace, snapshots, snapshot_every)
         except DivergenceError as exc:
-            return RunResult(
-                point=exc.point,
-                trace=trace,
-                epochs_completed=epoch,
-                diverged=True,
-                divergence=exc,
-                min_grad_sq=min_grad_sq,
-                snapshots=snapshots,
-                divergence_threshold=guard,
-            )
+            return RunResult(exc.point, trace, epoch, True, exc, min_grad_sq, snapshots, guard)
         min_grad_sq = min(min_grad_sq, trace[-1].grad_norm ** 2)
-    return RunResult(w, trace, cfg.epochs, False, None, min_grad_sq, snapshots, guard)
+    point = HybridPoint(obj.layout, values)
+    return RunResult(point, trace, cfg.epochs, False, None, min_grad_sq, snapshots, guard)
 
 
 TRACE_HEADER = ("epoch", "step", "f", "grad_norm", "grad_norm_x", "grad_norm_y")

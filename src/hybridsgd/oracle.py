@@ -43,7 +43,6 @@ from .probe import ProbeConfig, estimate_block_lipschitz
 
 __all__ = [
     "BoundCheckReport",
-    "MonteCarloGradient",
     "fd_gradient",
     "dense_hessian",
     "check_estimator_bounds",

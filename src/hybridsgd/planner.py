@@ -29,7 +29,6 @@ __all__ = [
     "plan_rates",
     "epoch_budget",
     "estimate_constants",
-    "binding_term",
 ]
 
 
@@ -83,11 +82,6 @@ class RatePlan:
     eta_x_terms: dict
     eta_y_terms: dict
     mu_terms: dict
-
-
-def binding_term(terms: dict) -> str:
-    """Name of the smallest candidate term."""
-    return min(terms, key=terms.get)
 
 
 def plan_rates(inputs: PlanInputs) -> RatePlan:

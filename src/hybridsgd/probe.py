@@ -43,8 +43,6 @@ __all__ = [
     "ProbeReport",
     "estimate_block_lipschitz",
     "trajectory_scan",
-    "write_probe_csv",
-    "PROBE_HEADER",
 ]
 
 

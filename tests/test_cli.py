@@ -12,10 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hybridsgd import cli
 from hybridsgd.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
     EXIT_DIVERGED,
+    EXIT_INTERNAL,
     EXIT_NUMERIC,
     EXIT_OK,
     main,
@@ -248,14 +250,26 @@ ARRAYS = [
     ("probe", ("trajectory",), {"kind": "points", "points": [[True, "2", 0.0]]}, "points"),
     ("plan", ("points",), {"kind": "explicit", "points": [[0.0, 1.0, None]]}, "points"),
 ]
+# (command, path, value, key, shape): ragged nested lists of real numbers
+RAGGED = [
+    ("run", ("objective",), _explicit("block_quadratic", a_x=1.0, a_y=1.0,
+                                      centers=[[0.0, 1.0], [2.0]]), "centers", "(n, 2)"),
+    ("run", ("init",), {"kind": "explicit", "values": [[1.0], 2.0]}, "values", "(3,)"),
+    ("probe", ("trajectory",), {"kind": "points", "points": [[1.0, [2.0], 0.0]]}, "points",
+     "(3,)"),
+]
 
 
-@pytest.mark.parametrize("command, path, value, key", [
-    pytest.param(*case, id=f"{case[0]}-{case[3]}-{k}") for k, case in enumerate(ARRAYS)])
-def test_array_entries_must_be_finite_numbers(tmp_path, capsys, command, path, value, key):
+@pytest.mark.parametrize("command, path, value, key, shape", [
+    *[pytest.param(*case, None, id=f"{case[0]}-{case[3]}-{k}") for k, case in enumerate(ARRAYS)],
+    *[pytest.param(*case, id=f"{case[0]}-{case[3]}-ragged-{k}") for k, case in enumerate(RAGGED)]])
+def test_array_entries_must_be_finite_numbers(tmp_path, capsys, command, path, value, key, shape):
     code, _ = _main_on(tmp_path, command, _set(COMMANDS[command][1], path, value))
     assert code == EXIT_CONFIG
-    rule = f"config error: every entry of {key} must be a finite real number, got "
+    if shape is None:
+        rule = f"config error: every entry of {key} must be a finite real number, got "
+    else:
+        rule = f"config error: {key} must have shape {shape}, got a ragged nested list"
     assert rule in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]  # no output written
 
@@ -377,6 +391,20 @@ def test_numeric_failure_exits_4(tmp_path, capsys):
     )
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == EXIT_NUMERIC
     assert "numeric failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [KeyError, TypeError, IndexError])
+def test_internal_error_exits_5_with_a_traceback(tmp_path, capsys, monkeypatch, error):
+    # only a bug in the package raises these, so they must not read as a config error
+    def broken_run(*args, **kwargs):
+        raise error("broken")
+
+    monkeypatch.setattr(cli, "run", broken_run)
+    cfg = _write_config(tmp_path, "run.json", _run_config())
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):")
+    assert f"{error.__name__}: " in err and "config error:" not in err
 
 
 def test_single_cell_sweep_reproduces_run(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Block layouts, points, deterministic streams, and sampling primitives."""
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -16,10 +17,8 @@ from hybridsgd import (
     RngStream,
     fmt17,
     sample_gaussian,
-    sample_unit_sphere,
-    shuffle_permutation,
 )
-from hybridsgd.core import _unit_sphere_rows
+from hybridsgd.core import _unit_sphere_rows, sample_unit_sphere, shuffle_permutation
 
 
 def test_layout_dimensions():
@@ -270,6 +269,25 @@ def test_validation_idioms_live_only_in_core():
                 found.append(f"{path.name}:{lineno}: {line.strip()}")
     assert found == []
 
+
+def test_package_exports_each_library_module_list_once():
+    # The package API is stated once, in each module's __all__; the command
+    # line front end is not a library module.
+    package = Path(hybridsgd.__file__).parent
+    modules = [importlib.import_module(f"hybridsgd.{path.stem}")
+               for path in sorted(package.glob("*.py")) if path.stem not in ("__init__", "cli")]
+    joined = [name for module in modules for name in module.__all__]
+    assert hybridsgd.__all__ == joined
+    assert len(set(joined)) == len(joined)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(hybridsgd, name) is getattr(module, name), name
+    assert len(joined) <= 40
+    acceptance = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(acceptance)
+                if isinstance(node, ast.ImportFrom) and node.module == "hybridsgd"
+                for alias in node.names}
+    assert imported and imported <= set(joined)
 
 
 def _real_fields():

@@ -20,10 +20,10 @@ from hybridsgd import (
     estimate_x_gradient,
     sample_gaussian,
     smoothed_gradient_reference,
-    step,
 )
 from hybridsgd import optimizer
 from hybridsgd.estimator import _two_point_rows
+from hybridsgd.optimizer import step
 from conftest import BlockGuardObjective, OffsetObjective, ScaledObjective
 
 LAYOUT = BlockLayout(2, 1)

@@ -32,7 +32,6 @@ from hybridsgd import (
     ProbeConfig,
     RngStream,
     ZoConfig,
-    estimate_block_gradient,
     estimate_constants,
     objective_from_dict,
     run,
@@ -41,13 +40,8 @@ from hybridsgd import (
 from hybridsgd import objectives
 from hybridsgd.cli import main
 from hybridsgd.core import Block, NumericError, shuffle_permutation
-from hybridsgd.estimator import _two_point_rows
-from hybridsgd.optimizer import (
-    DivergenceError,
-    RunResult,
-    TraceRecord,
-    resolve_divergence_threshold,
-)
+from hybridsgd.estimator import _two_point_rows, estimate_block_gradient
+from hybridsgd.optimizer import DivergenceError, RunResult, TraceRecord
 
 FAMILIES = (
     objectives.BlockQuadratic,
@@ -266,7 +260,8 @@ def _reference_step(obj, w, i, cfg, rng):
 def _reference_run(obj, w0, cfg, rng, snapshot_every=0):
     """run() driven by _reference_step, one HybridPoint per step."""
     f0 = obj.eval_full(w0)
-    guard = resolve_divergence_threshold(cfg, f0)
+    guard = cfg.divergence_threshold
+    guard = max(1e6 * abs(f0), 1e6) if guard is None else float(guard)
     g0 = obj.grad_full(w0)
     min_grad_sq = float(np.dot(g0, g0))
     d_x = obj.layout.d_x

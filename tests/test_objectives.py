@@ -18,11 +18,11 @@ from hybridsgd import (
     LogisticObjective,
     RngStream,
     fd_gradient,
-    load_objective,
     objective_from_dict,
     sample_gaussian,
 )
 
+from hybridsgd.core import _load_json
 from hybridsgd.objectives import ALL
 from conftest import OffsetObjective, ScaledObjective
 
@@ -213,7 +213,7 @@ def test_serialization_roundtrip_every_kind(tmp_path):
         assert obj.eval_full(w) == again.eval_full(w)
         path = tmp_path / f"{spec['kind']}.json"
         path.write_text(json.dumps(spec), encoding="utf-8")
-        from_file = load_objective(path)
+        from_file = objective_from_dict(_load_json(path))
         assert from_file.eval_full(w) == obj.eval_full(w)
 
 

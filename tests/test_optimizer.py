@@ -15,13 +15,11 @@ from hybridsgd import (
     RngStream,
     ZoConfig,
     run,
-    run_epoch,
     sample_gaussian,
-    shuffle_permutation,
-    step,
-    write_trace_csv,
 )
 from hybridsgd import optimizer
+from hybridsgd.core import shuffle_permutation
+from hybridsgd.optimizer import step, write_trace_csv
 from conftest import IndexRecordingObjective
 
 FO = BlockMode(Mode.FO, Mode.FO)
@@ -74,8 +72,7 @@ def test_epoch_uses_every_sample_exactly_once():
     obj = IndexRecordingObjective(BlockLayout(1, 1), 7)
     w = HybridPoint(obj.layout, [0.0, 0.0])
     cfg = OptimizerConfig(LearningRates(1e-3, 1e-3), FO)
-    trace = []
-    run_epoch(obj, w, cfg, RngStream(45, 1), trace)
+    trace = run(obj, w, cfg, RngStream(45, 1)).trace
     assert sorted(obj.seen) == list(range(7))
     assert len(trace) == 7
 
@@ -84,7 +81,7 @@ def test_single_sample_epoch_equals_step():
     obj = _quad(BlockLayout(2, 1), 2.0, 1.0)
     w = HybridPoint(obj.layout, [1.0, -1.0, 0.5])
     cfg = OptimizerConfig(LearningRates(0.05, 0.05), FO)
-    via_epoch = run_epoch(obj, w, cfg, RngStream(46, 1), [])
+    via_epoch = run(obj, w, cfg, RngStream(46, 1)).point
     via_step = step(obj, w.values, 0, cfg, RngStream(46, 1))
     assert np.array_equal(via_epoch.values, via_step)
 
@@ -93,8 +90,7 @@ def test_epoch_contracts_quadratic():
     obj = _quad(BlockLayout(2, 2), 4.0, 1.0, n=6, spread=0.5)
     w = HybridPoint(obj.layout, sample_gaussian(RngStream(47, 1), 4) + 2.0)
     cfg = OptimizerConfig(LearningRates(1.0 / (4.0 * 6), 1.0 / (1.0 * 6)), FO)
-    trace = []
-    run_epoch(obj, w, cfg, RngStream(48, 1), trace)
+    trace = run(obj, w, cfg, RngStream(48, 1)).trace
     assert trace[-1].f_value < obj.eval_full(w)
 
 
@@ -116,30 +112,37 @@ def test_run_single_epoch_equals_run_epoch():
     cfg = OptimizerConfig(LearningRates(0.01, 0.01), FO, epochs=1)
     result = run(obj, w0, cfg, RngStream(50, 1))
     trace = []
-    end = run_epoch(obj, w0, cfg, RngStream(50, 1), trace)
-    assert np.array_equal(result.point.values, end.values)
+    end = optimizer.run_epoch(obj, w0.values, cfg, RngStream(50, 1), 0, np.inf, trace, [], 0)
+    assert np.array_equal(result.point.values, end)
     assert result.trace == trace
 
 
 @pytest.mark.parametrize("modes", [FO, BlockMode(Mode.ZO, Mode.FO)], ids=["fo-fo", "zo-fo"])
 def test_every_step_goes_through_the_module_level_step(monkeypatch, modes):
-    # The step is the unit of work that profilers and the benchmark count, by
-    # wrapping the module global; run and run_epoch must call it once per step.
-    samples = []
-    original = optimizer.step
+    # The step and the epoch are units of work that profilers and the benchmark
+    # count, by wrapping the module globals: run must call run_epoch once per
+    # epoch, and run_epoch step once per step.
+    samples, epochs = [], []
+    original_step, original_epoch = optimizer.step, optimizer.run_epoch
 
     def counting_step(obj, values, i, cfg, rng):
         samples.append(i)
-        return original(obj, values, i, cfg, rng)
+        return original_step(obj, values, i, cfg, rng)
+
+    def counting_epoch(obj, values, cfg, rng, epoch, *rest):
+        epochs.append(epoch)
+        return original_epoch(obj, values, cfg, rng, epoch, *rest)
 
     monkeypatch.setattr(optimizer, "step", counting_step)
+    monkeypatch.setattr(optimizer, "run_epoch", counting_epoch)
     obj = _quad(BlockLayout(2, 2), 2.0, 1.0, n=5, spread=0.5)
     w0 = HybridPoint(obj.layout, np.ones(4))
     cfg = OptimizerConfig(LearningRates(0.01, 0.01), modes, zo=ZoConfig(mu=1e-3), epochs=3)
     result = run(obj, w0, cfg, RngStream(53, 1))
     assert len(samples) == 3 * 5 == len(result.trace)
+    assert epochs == [0, 1, 2]
     samples.clear()
-    run_epoch(obj, w0, cfg, RngStream(53, 1), [])
+    original_epoch(obj, w0.values, cfg, RngStream(53, 1), 0, np.inf, [], [], 0)
     assert sorted(samples) == list(range(5))
 
 

@@ -20,9 +20,8 @@ from hybridsgd import (
     estimate_block_lipschitz,
     sample_gaussian,
     trajectory_scan,
-    write_probe_csv,
 )
-from hybridsgd.probe import _hvp_rows
+from hybridsgd.probe import _hvp_rows, write_probe_csv
 from conftest import BlockGuardObjective
 
 LAYOUT = BlockLayout(3, 2)
