@@ -6,11 +6,14 @@ point, the run itself, probes, and the check suite are derived from the seed
 with distinct fixed stream ids, and CSV floats carry 17 significant digits,
 so repeated invocations produce byte-identical outputs.
 
-Each config section is read through one key table below by
-``core._read_section``: a key the table does not list is an error, a count
-must be a JSON integer and a real a finite JSON number (an int becomes a
-float, a bool or a string is an error), and null counts as absent.  The
-directory of ``--out`` is checked before any compute.
+Each config section is read through one key table by ``core._read_section``;
+a key the table does not list is an error and null counts as absent.  The
+keys, order and defaults of ``rates``, ``zo``, ``probe``, the constants of
+``plan --constants`` and a run's ``epochs`` and ``divergence_threshold`` are
+the ``dataclasses.fields`` of their library config types, which alone check
+them.  The tables below check the CLI's own keys: a count must be a JSON
+integer, a real a finite JSON number (an int becomes a float, a bool or a
+string is an error).  The directory of ``--out`` is checked before any compute.
 
 Exit codes (stable contract): 0 success, 1 check failure, 2 config error,
 3 divergence, 4 numeric failure, 5 internal error (a bug: the traceback is
@@ -20,17 +23,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import traceback
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .core import (_REQUIRED, Block, BlockLayout, HybridPoint, NumericError, RngStream, _check_array,
-                   _check_finite, _check_int, _check_u64, _gaussian_point, _load_json, _read_section, fmt17)
+                   _check_finite, _check_int, _check_u64, _gaussian_point, _load_json, _read_section,
+                   _write_csv, fmt17)
 from .estimator import ZoConfig
 from .objectives import FiniteSumObjective, objective_from_dict
 from .optimizer import BlockMode, LearningRates, Mode, OptimizerConfig, run, write_trace_csv
@@ -38,7 +41,7 @@ from .oracle import _check_suite
 from .planner import PlanInputs, SmoothnessConstants, epoch_budget, estimate_constants, plan_rates
 from .probe import ProbeConfig, trajectory_scan, write_probe_csv
 
-__all__ = ["main", "ConfigError", "EXIT_OK", "EXIT_CHECK_FAILED", "EXIT_CONFIG", "EXIT_DIVERGED", "EXIT_NUMERIC",
+__all__ = ["main", "EXIT_OK", "EXIT_CHECK_FAILED", "EXIT_CONFIG", "EXIT_DIVERGED", "EXIT_NUMERIC",
            "EXIT_INTERNAL"]
 
 EXIT_OK = 0
@@ -55,49 +58,38 @@ PROBE_STREAM_ID = 3
 CHECK_STREAM_ID = 4
 
 
-class ConfigError(ValueError):
-    """Malformed or inconsistent experiment configuration."""
-
-
-def _guard(key: str, value) -> float:
-    # JSON Infinity is a valid divergence guard: it trips on a non-finite f only
-    return value if value == math.inf else _check_finite(key, value)
-
-
 def _rate_grid(key: str, value) -> list[float]:
     if not isinstance(value, list) or not value:
-        raise ConfigError(f"config: {key} must be a non-empty list")
+        raise ValueError(f"config: {key} must be a non-empty list")
     return [_check_finite(key, v) for v in value]
 
 
+def _fields(cls, *names) -> dict:
+    """The key table of a config dataclass's fields (the named ones, if given), in
+    order and unchecked (the dataclass checks them); a field without a default is required."""
+    return {f.name: (None, _REQUIRED if f.default is MISSING else f.default)
+            for f in fields(cls) if not names or f.name in names}
+
+
 # Key tables: key -> (check, default); see core._read_section.
-_RATES_KEYS = {"eta_x": (_check_finite, _REQUIRED), "eta_y": (_check_finite, _REQUIRED)}
-_MODES_KEYS = {"x": (None, "zo"), "y": (None, "fo")}
-_ZO_KEYS = {"mu": (_check_finite, _REQUIRED), "directions_per_step": (_check_int, 1)}
+_MODES_KEYS = {"x": (None, BlockMode.x_mode), "y": (None, BlockMode.y_mode)}
 _INIT_KINDS = {
     "zeros": {},
     "explicit": {"values": (None, _REQUIRED)},
     "gaussian": {"scale": (_check_finite, 1.0)},
 }
-_PROBE_KEYS = {"h": (_check_finite, 1e-5), "probes": (_check_int, 100), "target": (None, "full")}
 _POINTS_KINDS = {
     "explicit": {"points": (None, _REQUIRED)},
     "gaussian": {"count": (_check_int, 3), "scale": (_check_finite, 1.0)},
 }
 # The keys of one optimization run, shared by run, sweep and a run trajectory.
-_RUN_KEYS = {
-    "modes": (None, {"x": "zo", "y": "fo"}),
-    "zo": (None, None),
-    "epochs": (_check_int, 1),
-    "divergence_threshold": (_guard, None),
-    "init": (None, {"kind": "zeros"}),
-}
+_RUN_KEYS = {"modes": (None, {}), "zo": (None, None),
+             **_fields(OptimizerConfig, "epochs", "divergence_threshold"), "init": (None, {"kind": "zeros"})}
 _TRAJECTORY_KINDS = {
     "points": {"points": (None, _REQUIRED)},
     "run": {"rates": (None, _REQUIRED), **_RUN_KEYS, "snapshot_every": (_check_int, None)},
 }
 _HORIZON_KEYS = {"T": (_check_int, None), "epsilon": (_check_finite, None), "delta": (_check_finite, None)}
-_CONSTANT_FIELDS = tuple(f.name for f in fields(SmoothnessConstants))
 _COMMAND_KEYS = {
     "run": {"objective": (None, _REQUIRED), "rates": (None, _REQUIRED), **_RUN_KEYS,
             "snapshot_every": (partial(_check_int, lo=0), 0), "seed": (_check_u64, 0)},
@@ -108,8 +100,8 @@ _COMMAND_KEYS = {
               "trajectory": (None, _REQUIRED), "seed": (_check_u64, 0)},
     "plan": {"objective": (None, _REQUIRED), "probe": (None, {}), "points": (None, {}),
              "f_star": (_check_finite, None), **_HORIZON_KEYS, "seed": (_check_u64, 0)},
-    "constants": {**{name: (_check_finite, _REQUIRED) for name in _CONSTANT_FIELDS},
-                  "n": (_check_int, _REQUIRED), "d_x": (_check_int, _REQUIRED), **_HORIZON_KEYS},
+    "constants": {**_fields(SmoothnessConstants), "n": (_check_int, _REQUIRED),
+                  "d_x": (_check_int, _REQUIRED), **_HORIZON_KEYS},
 }
 
 
@@ -133,7 +125,7 @@ def _objective(spec, config_path) -> FiniteSumObjective:
 def _point_list(where: str, raw, layout: BlockLayout) -> list:
     points = [HybridPoint(layout, _check_array("points", p, (layout.d,))) for p in raw]
     if not points:
-        raise ConfigError(f"{where}: points list is empty")
+        raise ValueError(f"{where}: points list is empty")
     return points
 
 
@@ -152,23 +144,40 @@ def _optimizer_config(cfg: dict, rates) -> OptimizerConfig:
     try:
         modes = BlockMode(Mode(modes["x"]), Mode(modes["y"]))
     except ValueError as exc:
-        raise ConfigError(f"modes: {exc}") from exc
+        raise ValueError(f"modes: {exc}") from exc
     if cfg["zo"] is None and modes.uses_zo():
-        raise ConfigError("config: 'zo' (mu, directions_per_step) is required for ZO modes")
-    return OptimizerConfig(
-        rates=LearningRates(**_read_section("rates", rates, _RATES_KEYS)),
-        modes=modes,
-        zo=None if cfg["zo"] is None else ZoConfig(**_read_section("zo", cfg["zo"], _ZO_KEYS)),
-        epochs=cfg["epochs"],
-        divergence_threshold=cfg["divergence_threshold"],
-    )
+        raise ValueError("config: 'zo' (mu, directions_per_step) is required for ZO modes")
+    rates = LearningRates(**_read_section("rates", rates, _fields(LearningRates)))
+    zo = None if cfg["zo"] is None else ZoConfig(**_read_section("zo", cfg["zo"], _fields(ZoConfig)))
+    return OptimizerConfig(rates, modes, zo, cfg["epochs"], cfg["divergence_threshold"])
+
+
+def _run_meta(command: str, cfg: dict, opt: OptimizerConfig, **extra) -> dict:
+    """Run and sweep meta: the resolved optimizer config; objective, init and seed as given."""
+    return {
+        "command": command,
+        "objective": cfg["objective"],
+        "init": cfg["init"],
+        "modes": {"x": opt.modes.x_mode.value, "y": opt.modes.y_mode.value},
+        "zo": None if opt.zo is None else asdict(opt.zo),
+        "epochs": opt.epochs,
+        "divergence_threshold": opt.divergence_threshold,
+        "seed": cfg["seed"],
+        **extra,
+    }
 
 
 def _write_meta(out_path, payload: dict) -> None:
-    meta_path = Path(str(out_path) + ".meta.json")
-    with open(meta_path, "w", encoding="utf-8") as fh:
+    with open(Path(str(out_path) + ".meta.json"), "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _report(text: str, out) -> None:
+    """Print a text report, and write it to out when given."""
+    print(text)
+    if out:
+        Path(out).write_text(text + "\n", encoding="utf-8")
 
 
 # -- run -------------------------------------------------------------------
@@ -184,19 +193,8 @@ def cmd_run(args) -> int:
     result = run(obj, w0, opt, rng, snapshot_every=cfg["snapshot_every"])
     write_trace_csv(result.trace, args.out)
     guard = result.divergence_threshold
-    _write_meta(args.out, {
-        "command": "run",
-        "objective": cfg["objective"],
-        "init": cfg["init"],
-        "rates": asdict(opt.rates),
-        "modes": {"x": opt.modes.x_mode.value, "y": opt.modes.y_mode.value},
-        "zo": None if opt.zo is None else asdict(opt.zo),
-        "epochs": opt.epochs,
-        "divergence_threshold": opt.divergence_threshold,
-        "divergence_threshold_resolved": guard,
-        "seed": cfg["seed"],
-        "snapshot_every": cfg["snapshot_every"],
-    })
+    _write_meta(args.out, _run_meta("run", cfg, opt, snapshot_every=cfg["snapshot_every"],
+                                     rates=asdict(opt.rates), divergence_threshold_resolved=guard))
     print(
         f"final_f={fmt17(result.trace[-1].f_value)} min_grad_sq={fmt17(result.min_grad_sq)} "
         f"epochs_completed={result.epochs_completed} diverged={str(result.diverged).lower()}"
@@ -215,15 +213,6 @@ def cmd_run(args) -> int:
 # -- sweep -------------------------------------------------------------------
 
 
-def _steps_to_threshold(trace, f_target) -> int | None:
-    if f_target is None:
-        return None
-    for record in trace:
-        if record.f_value <= f_target:
-            return record.step + 1
-    return None
-
-
 def cmd_sweep(args) -> int:
     cfg = _config(args)
     obj = _objective(cfg["objective"], args.config)
@@ -236,37 +225,22 @@ def cmd_sweep(args) -> int:
     f0 = obj.eval_full(w0)
     base_rng = RngStream(cfg["seed"], RUN_STREAM_ID)
 
-    lines = ["eta_x,eta_y,final_f,diverged,steps_to_threshold"]
+    rows = []
     for cell, opt in enumerate(cells):
-        diverged = False
         try:
             result = run(obj, w0, opt, base_rng.child(cell))
-            trace = result.trace
-            diverged = result.diverged
+            trace, diverged = result.trace, result.diverged
         except NumericError:
-            trace = []
-            diverged = True
+            trace, diverged = [], True
         final_f = trace[-1].f_value if trace else f0
-        steps = _steps_to_threshold(trace, f_target)
-        lines.append(
-            f"{fmt17(opt.rates.eta_x)},{fmt17(opt.rates.eta_y)},{fmt17(final_f)},"
-            f"{str(diverged).lower()},{'' if steps is None else steps}"
-        )
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    meta = {
-        "command": "sweep",
-        "objective": cfg["objective"],
-        "init": cfg["init"],
-        "modes": cfg["modes"],
-        "zo": cfg["zo"],
-        "epochs": cfg["epochs"],
-        "divergence_threshold": cfg["divergence_threshold"],
-        "eta_x_grid": eta_x_grid,
-        "eta_y_grid": eta_y_grid,
-        "f_target": f_target,
-        "seed": cfg["seed"],
-    }
-    _write_meta(args.out, meta)
+        # steps until f <= f_target, empty if never (or without a target)
+        steps = next((r.step + 1 for r in trace if f_target is not None and r.f_value <= f_target), None)
+        rows.append([fmt17(opt.rates.eta_x), fmt17(opt.rates.eta_y), fmt17(final_f),
+                     str(diverged).lower(), steps])
+    _write_csv(args.out, ("eta_x", "eta_y", "final_f", "diverged", "steps_to_threshold"), rows)
+    # cells differ only in their rates, so the first stands for all
+    _write_meta(args.out, _run_meta("sweep", cfg, cells[0], eta_x_grid=eta_x_grid,
+                                     eta_y_grid=eta_y_grid, f_target=f_target))
     print(f"cells={len(cells)} out={args.out}")
     return EXIT_OK
 
@@ -275,11 +249,11 @@ def cmd_sweep(args) -> int:
 
 
 def _probe_config(spec) -> ProbeConfig:
-    probe = _read_section("probe", spec, _PROBE_KEYS)
+    probe = _read_section("probe", spec, _fields(ProbeConfig))
     try:
         probe["target"] = Block(probe["target"])
     except ValueError as exc:
-        raise ConfigError(f"probe: {exc}") from exc
+        raise ValueError(f"probe: {exc}") from exc
     return ProbeConfig(**probe)
 
 
@@ -321,8 +295,7 @@ def _plan_report(constants: SmoothnessConstants, n: int, horizon: int, d_x: int,
                  epsilon: float | None, delta: float | None, budget: int | None) -> str:
     plan = plan_rates(PlanInputs(constants, n, horizon, d_x))
     lines = [
-        "constants: "
-        + " ".join(f"{name}={fmt17(getattr(constants, name))}" for name in _CONSTANT_FIELDS),
+        "constants: " + " ".join(f"{name}={fmt17(value)}" for name, value in asdict(constants).items()),
         f"inputs: n={n} T={horizon} d_x={d_x}",
     ]
     for label, terms, value in (
@@ -345,15 +318,15 @@ def _plan_report(constants: SmoothnessConstants, n: int, horizon: int, d_x: int,
 
 def cmd_plan(args) -> int:
     if args.constants is None and not args.estimate:
-        raise ConfigError("plan: pass --constants FILE, or --config FILE with --estimate")
+        raise ValueError("plan: pass --constants FILE, or --config FILE with --estimate")
 
     if args.constants is not None:
         cfg = _read_section("constants", _load_json(args.constants), _COMMAND_KEYS["constants"])
-        constants = SmoothnessConstants(**{name: cfg[name] for name in _CONSTANT_FIELDS})
+        constants = SmoothnessConstants(**{f.name: cfg[f.name] for f in fields(SmoothnessConstants)})
         n, d_x = cfg["n"], cfg["d_x"]
     else:
         if args.config is None:
-            raise ConfigError("plan: --estimate requires --config")
+            raise ValueError("plan: --estimate requires --config")
         cfg = _config(args)
         obj = _objective(cfg["objective"], args.config)
         pcfg = _probe_config(cfg["probe"])
@@ -372,12 +345,9 @@ def cmd_plan(args) -> int:
     elif budget is not None:
         horizon = budget
     else:
-        raise ConfigError("plan: provide T, or epsilon and delta to derive it")
+        raise ValueError("plan: provide T, or epsilon and delta to derive it")
 
-    report = _plan_report(constants, n, horizon, d_x, epsilon, delta, budget)
-    print(report)
-    if args.out:
-        Path(args.out).write_text(report + "\n", encoding="utf-8")
+    _report(_plan_report(constants, n, horizon, d_x, epsilon, delta, budget), args.out)
     return EXIT_OK
 
 
@@ -406,10 +376,7 @@ def cmd_check(args) -> int:
     lines.append(f"{len(reports) - len(failed)}/{len(reports)} checks passed")
     if failed:
         lines.append("failing: " + ", ".join(r.bound_name for r in failed))
-    text = "\n".join(lines)
-    print(text)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+    _report("\n".join(lines), args.out)
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
@@ -424,22 +391,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    for name, handler, help_text in (
+        ("run", cmd_run, "one optimization run; writes the trace CSV"),
+        ("sweep", cmd_sweep, "grid of runs over (eta_x, eta_y); writes a summary CSV"),
+        ("probe", cmd_probe, "curvature probes along a trajectory; writes a probe CSV"),
+    ):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="overrides the config seed")
         p.add_argument("--out", required=True, help="output file path")
-
-    p_run = sub.add_parser("run", help="one optimization run; writes the trace CSV")
-    common(p_run)
-    p_run.set_defaults(handler=cmd_run)
-
-    p_sweep = sub.add_parser("sweep", help="grid of runs over (eta_x, eta_y); writes a summary CSV")
-    common(p_sweep)
-    p_sweep.set_defaults(handler=cmd_sweep)
-
-    p_probe = sub.add_parser("probe", help="curvature probes along a trajectory; writes a probe CSV")
-    common(p_probe)
-    p_probe.set_defaults(handler=cmd_probe)
+        p.set_defaults(handler=handler)
 
     p_plan = sub.add_parser("plan", help="plan rates and epoch budget from constants")
     p_plan.add_argument("--constants", default=None, help="JSON file of smoothness constants")
@@ -467,7 +428,7 @@ def main(argv=None) -> int:
     try:
         out = None if args.out is None else Path(args.out)
         if out is not None and (out.is_dir() or not out.parent.is_dir()):
-            raise ConfigError(f"--out {args.out}: not a file in an existing directory")
+            raise ValueError(f"--out {args.out}: not a file in an existing directory")
         return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

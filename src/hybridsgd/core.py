@@ -14,6 +14,7 @@ of a nested list, so array values (data, points) are never coerced either.
 """
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -35,6 +36,14 @@ __all__ = [
 def fmt17(x: float) -> str:
     """Format a float with 17 significant digits (lossless text round trip)."""
     return format(float(x), ".17g")
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write a header and rows as utf-8 CSV, "\n" line ends; callers format floats with fmt17."""
+    with open(Path(path), "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 _FLOAT_MAX = float(np.finfo(np.float64).max)
@@ -71,7 +80,7 @@ def _check_array(name: str, data, shape: tuple) -> np.ndarray:
     """data as a new float64 array, if it has the given shape (a leading None: any
     number of rows) and every entry is a finite real number.  Nested lists are
     walked entry by entry with _check_finite, so a bool, a string or None is an
-    error, and a ragged nesting is a shape error."""
+    error, and a ragged or too deep nesting is a shape error."""
     todo = [] if isinstance(data, np.ndarray) and data.dtype.kind in "iuf" else [data]
     while todo:
         item = todo.pop()
@@ -81,15 +90,24 @@ def _check_array(name: str, data, shape: tuple) -> np.ndarray:
             _check_finite(f"every entry of {name}", item)
     try:
         arr = np.array(data, dtype=np.float64)
-    except ValueError:  # every entry is a real number, so the nesting is ragged
+    except ValueError:  # every entry is a real number: the nesting is ragged or too deep
         arr = None
     if (arr is None or arr.ndim != len(shape) or arr.shape[1:] != shape[1:]
             or shape[0] not in (None, arr.shape[0])):
-        got = "a ragged nested list" if arr is None else arr.shape
+        got = arr.shape if arr is not None else _nesting(data)
         raise ValueError(f"{name} must have shape {str(shape).replace('None', 'n')}, got {got}")
     if not np.isfinite(arr).all():
         raise ValueError(f"every entry of {name} must be a finite real number")
     return arr
+
+
+def _nesting(data) -> str:
+    """Why numpy cannot make an array of a nested list of reals: deeper than its 64 dimensions, or ragged."""
+    depth, level = 0, [data]
+    while all(isinstance(item, (list, tuple)) for item in level) and len({len(item) for item in level}) == 1:
+        depth += 1
+        level = [x for item in level for x in item]
+    return f"a list nested {depth} levels deep" if depth > 64 else "a ragged nested list"
 
 
 def _check_real(name: str, value, *, allow_zero: bool = False) -> float:
@@ -97,7 +115,7 @@ def _check_real(name: str, value, *, allow_zero: bool = False) -> float:
     x = _check_finite(name, value)
     if x < 0 if allow_zero else x <= 0:
         bound = ">= 0" if allow_zero else "positive"
-        raise ValueError(f"{name} must be {bound} and finite, got {value}")
+        raise ValueError(f"{name} must be {bound} and finite, got {x}")
     return x
 
 
@@ -106,12 +124,15 @@ _REQUIRED = object()
 
 
 def _load_json(path):
-    """The JSON value in a file; a ValueError naming the file if it is not JSON."""
+    """The JSON value in a file; a ValueError naming the file if it is not JSON
+    or is nested too deeply for the decoder."""
     with open(Path(path), "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON ({exc})") from exc
+        except RecursionError as exc:
+            raise ValueError(f"{path}: invalid JSON (nested too deeply to decode)") from exc
 
 
 def _read_section(where: str, spec, table: dict, kinds: dict | None = None) -> dict:

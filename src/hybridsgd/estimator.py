@@ -49,14 +49,14 @@ class PerturbationUnderflowWarning(UserWarning):
 
 @dataclass(frozen=True)
 class ZoConfig:
-    """Smoothing radius and per-step direction count for the estimator."""
+    """Smoothing radius and per-step direction count for the estimator, stored as checked."""
 
     mu: float
     directions_per_step: int = 1
 
     def __post_init__(self) -> None:
-        _check_real("mu", self.mu)
-        _check_int("directions_per_step", self.directions_per_step)
+        object.__setattr__(self, "mu", _check_real("mu", self.mu))
+        object.__setattr__(self, "directions_per_step", _check_int("directions_per_step", self.directions_per_step))
 
 
 def _two_point_rows(

@@ -21,11 +21,9 @@ for snapshots, the :class:`DivergenceError` point and the returned point.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -36,6 +34,7 @@ from .core import (
     RngStream,
     _check_int,
     _check_real,
+    _write_csv,
     fmt17,
     shuffle_permutation,
 )
@@ -63,14 +62,14 @@ class Mode(Enum):
 
 @dataclass(frozen=True)
 class LearningRates:
-    """Non-negative per-block step sizes."""
+    """Non-negative per-block step sizes, stored as floats."""
 
     eta_x: float
     eta_y: float
 
     def __post_init__(self) -> None:
-        _check_real("eta_x", self.eta_x, allow_zero=True)
-        _check_real("eta_y", self.eta_y, allow_zero=True)
+        for name in ("eta_x", "eta_y"):
+            object.__setattr__(self, name, _check_real(name, getattr(self, name), allow_zero=True))
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,8 @@ class BlockMode:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Everything a run needs except the objective, start point and stream."""
+    """Everything a run needs except the objective, start point and stream;
+    epochs and divergence_threshold are stored as checked (an int, a float)."""
 
     rates: LearningRates
     modes: BlockMode = BlockMode()
@@ -104,12 +104,13 @@ class OptimizerConfig:
             raise ValueError(f"rates must be LearningRates, got {self.rates!r}")
         if not isinstance(self.modes, BlockMode):
             raise ValueError(f"modes must be a BlockMode, got {self.modes!r}")
-        _check_int("epochs", self.epochs)
+        object.__setattr__(self, "epochs", _check_int("epochs", self.epochs))
         if self.modes.uses_zo() and not isinstance(self.zo, ZoConfig):
             raise ValueError("zo config is required when a block uses Mode.ZO")
         f = self.divergence_threshold
-        if f is not None and f != math.inf:  # +inf switches the guard off
-            _check_real("divergence_threshold", f)
+        if f is not None:  # +inf switches the guard off
+            f = math.inf if f == math.inf else _check_real("divergence_threshold", f)
+            object.__setattr__(self, "divergence_threshold", f)
 
 
 @dataclass(frozen=True)
@@ -267,7 +268,7 @@ def run(
     if not math.isfinite(f0):
         raise NumericError("objective is non-finite at the start point")
     guard = cfg.divergence_threshold
-    guard = max(1e6 * abs(f0), 1e6) if guard is None else float(guard)
+    guard = max(1e6 * abs(f0), 1e6) if guard is None else guard
     g0 = obj.full_grad_at(values)
     min_grad_sq = float(np.dot(g0, g0))
     trace: list[TraceRecord] = []
@@ -291,17 +292,5 @@ def write_trace_csv(records, path) -> None:
     Output bytes are a pure function of the records, so identical runs give
     identical files.
     """
-    with open(Path(path), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_HEADER)
-        for r in records:
-            writer.writerow(
-                [
-                    r.epoch,
-                    r.step,
-                    fmt17(r.f_value),
-                    fmt17(r.grad_norm),
-                    fmt17(r.grad_norm_x),
-                    fmt17(r.grad_norm_y),
-                ]
-            )
+    _write_csv(path, TRACE_HEADER, ([r.epoch, r.step, fmt17(r.f_value), fmt17(r.grad_norm),
+                                     fmt17(r.grad_norm_x), fmt17(r.grad_norm_y)] for r in records))

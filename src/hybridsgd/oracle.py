@@ -15,6 +15,7 @@ time.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -51,6 +52,18 @@ __all__ = [
 ]
 
 
+def _central_differences(fn, values: np.ndarray, h: float) -> np.ndarray:
+    """(fn(values + h e_j) - fn(values - h e_j)) / 2h as row j, for each coordinate j."""
+    out = []
+    for j in range(len(values)):
+        plus = values.copy()
+        minus = values.copy()
+        plus[j] += h
+        minus[j] -= h
+        out.append((fn(plus) - fn(minus)) / (2.0 * h))
+    return np.array(out)
+
+
 def fd_gradient(
     obj: FiniteSumObjective,
     w: HybridPoint,
@@ -67,14 +80,7 @@ def fd_gradient(
         i = obj.check_sample(i)
     _check_real("h", h)
     value = obj.full_value_at if i is None else (lambda vals: obj.value_at(vals, i))
-    grad = np.empty(obj.layout.d)
-    for j in range(obj.layout.d):
-        plus = values.copy()
-        minus = values.copy()
-        plus[j] += h
-        minus[j] -= h
-        grad[j] = (value(plus) - value(minus)) / (2.0 * h)
-    return grad
+    return _central_differences(value, values, h)
 
 
 def dense_hessian(
@@ -92,14 +98,7 @@ def dense_hessian(
     """
     values = obj.check_point(w)
     _check_real("h", h)
-    d = obj.layout.d
-    columns = np.empty((d, d))
-    for j in range(d):
-        plus = values.copy()
-        minus = values.copy()
-        plus[j] += h
-        minus[j] -= h
-        columns[:, j] = (obj.full_grad_at(plus) - obj.full_grad_at(minus)) / (2.0 * h)
+    columns = _central_differences(obj.full_grad_at, values, h).T
     if symmetrize:
         return 0.5 * (columns + columns.T)
     return columns
@@ -271,37 +270,32 @@ def _check_suite(root: RngStream, trials: int, negative_control: bool) -> list[B
     """Every check of ``hybridsgd check``, each drawing from its own child of root."""
     _check_int("trials", trials, 2)
     reports: list[BoundCheckReport] = []
-    salt = 0
-
-    def next_rng() -> RngStream:
-        nonlocal salt
-        salt += 1
-        return root.child(salt)
+    rngs = map(root.child, itertools.count(1))
 
     # estimator error bounds on the analytically tractable families
     for d_x in (2, 8):
         layout = BlockLayout(d_x, 2)
         families = {
-            "linear": LinearObjective.random(layout, 3, next_rng()),
+            "linear": LinearObjective.random(layout, 3, next(rngs)),
             "block_quadratic": BlockQuadratic.random(
-                layout, 3, 4.0, 1.0, next_rng(), center_spread=0.5
+                layout, 3, 4.0, 1.0, next(rngs), center_spread=0.5
             ),
         }
         for fam_name, obj in families.items():
-            w = _gaussian_point(layout, next_rng())
+            w = _gaussian_point(layout, next(rngs))
             for mu in (1e-2, 1e-3, 1e-4):
-                for rep in check_estimator_bounds(obj, w, 0, mu, trials, next_rng()):
+                for rep in check_estimator_bounds(obj, w, 0, mu, trials, next(rngs)):
                     name = f"{rep.bound_name}[{fam_name},d_x={d_x},mu={mu:g}]"
                     reports.append(replace(rep, bound_name=name))
 
     # curvature envelopes
     layout = BlockLayout(3, 3)
-    quad = BlockQuadratic.random(layout, 4, 3.0, 1.0, next_rng(), center_spread=0.5)
-    pts = [_gaussian_point(layout, next_rng()) for _ in range(5)]
+    quad = BlockQuadratic.random(layout, 4, 3.0, 1.0, next(rngs), center_spread=0.5)
+    pts = [_gaussian_point(layout, next(rngs)) for _ in range(5)]
     rep = check_hybrid_smoothness(quad, pts, lambda u: 3.0, lambda u: 1.0)
     reports.append(replace(rep, bound_name="hybrid_smoothness_envelope[block_quadratic]"))
-    cosh = CoshObjective.random(layout, 4, next_rng())
-    pts = [_gaussian_point(layout, next_rng()) for _ in range(5)]
+    cosh = CoshObjective.random(layout, 4, next(rngs))
+    pts = [_gaussian_point(layout, next(rngs)) for _ in range(5)]
     rep = check_hybrid_smoothness(cosh, pts, lambda u: 1.0 + u, lambda u: 1.0 + u)
     reports.append(replace(rep, bound_name="hybrid_smoothness_envelope[cosh]"))
     if negative_control:
@@ -312,14 +306,14 @@ def _check_suite(root: RngStream, trials: int, negative_control: bool) -> list[B
     # analytic gradients versus value-only finite differences
     layout = BlockLayout(3, 2)
     families = {
-        "block_quadratic": BlockQuadratic.random(layout, 3, 5.0, 0.5, next_rng(), center_spread=1.0),
-        "cosh": CoshObjective.random(layout, 3, next_rng(), shift_spread=0.3),
-        "logistic": LogisticObjective.random(layout, 4, next_rng(), lam=0.1),
-        "linear": LinearObjective.random(layout, 3, next_rng()),
-        "dense_quadratic": DenseQuadratic.random(layout, 2, next_rng(), center_scale=1.0),
+        "block_quadratic": BlockQuadratic.random(layout, 3, 5.0, 0.5, next(rngs), center_spread=1.0),
+        "cosh": CoshObjective.random(layout, 3, next(rngs), shift_spread=0.3),
+        "logistic": LogisticObjective.random(layout, 4, next(rngs), lam=0.1),
+        "linear": LinearObjective.random(layout, 3, next(rngs)),
+        "dense_quadratic": DenseQuadratic.random(layout, 2, next(rngs), center_scale=1.0),
     }
     for fam_name, obj in families.items():
-        pts = [_gaussian_point(layout, next_rng()) for _ in range(5)]
+        pts = [_gaussian_point(layout, next(rngs)) for _ in range(5)]
         reports.append(_grad_agreement_report(f"grad_fd_agreement[{fam_name}]", obj, pts))
 
     # probe exactness on isotropic blocks, and against the dense-spectrum oracle
@@ -328,15 +322,15 @@ def _check_suite(root: RngStream, trials: int, negative_control: bool) -> list[B
     origin = HybridPoint(layout, np.zeros(layout.d))
     for block, expected in ((Block.X, 100.0), (Block.Y, 1.0)):
         probe_rep = estimate_block_lipschitz(
-            iso, origin, ProbeConfig(probes=25, target=block), next_rng()
+            iso, origin, ProbeConfig(probes=25, target=block), next(rngs)
         )
         err = abs(probe_rep.operator_lb - expected)
         reports.append(
             _exact_report(f"probe_operator_exact[a_{block.value}]", err, 1e-9, probe_rep.probes)
         )
-    dense = DenseQuadratic.random(BlockLayout(3, 3), 1, next_rng())
+    dense = DenseQuadratic.random(BlockLayout(3, 3), 1, next(rngs))
     w = HybridPoint(BlockLayout(3, 3), np.zeros(6))
-    probe_rep = estimate_block_lipschitz(dense, w, ProbeConfig(probes=500), next_rng())
+    probe_rep = estimate_block_lipschitz(dense, w, ProbeConfig(probes=500), next(rngs))
     eigs = np.linalg.eigvalsh(dense_hessian(dense, w))
     frob = float(np.sqrt(np.sum(eigs**2)))
     rel = abs(probe_rep.frobenius_scaled - frob) / frob

@@ -39,7 +39,7 @@ class SmoothnessConstants:
     L_x/L_y bound the full objective's block curvature, L_x_max/L_y_max the
     worst single sample's; G bounds the full gradient norm over the region of
     interest, sigma the per-sample gradient standard deviation, and f_gap the
-    value gap from the start point to the minimum.
+    value gap from the start point to the minimum.  Stored as floats.
     """
 
     L_x: float
@@ -51,10 +51,9 @@ class SmoothnessConstants:
     f_gap: float
 
     def __post_init__(self) -> None:
-        for name in ("L_x", "L_y", "L_x_max", "L_y_max", "G"):
-            _check_real(name, getattr(self, name))
-        _check_real("sigma", self.sigma, allow_zero=True)
-        _check_real("f_gap", self.f_gap, allow_zero=True)
+        for name in ("L_x", "L_y", "L_x_max", "L_y_max", "G", "sigma", "f_gap"):
+            checked = _check_real(name, getattr(self, name), allow_zero=name in ("sigma", "f_gap"))
+            object.__setattr__(self, name, checked)
 
 
 @dataclass(frozen=True)
@@ -158,23 +157,20 @@ def estimate_constants(
     for w in pts:
         obj.check_point(w)
 
-    L_x = L_y = L_x_max = L_y_max = 0.0
+    L = {Block.X: 0.0, Block.Y: 0.0}  # per block: full-objective curvature
+    L_max = dict(L)  # per block: the worst single sample's too
     grad_bound = 0.0
     sigma = 0.0
     for w in pts:
-        for block in (Block.X, Block.Y):
+        for block in L:
             bcfg = replace(cfg, target=block)
             full_lb = estimate_block_lipschitz(obj, w, bcfg, rng).operator_lb
             sample_lb = max(
                 estimate_block_lipschitz(obj, w, bcfg, rng, sample=i).operator_lb
                 for i in range(obj.n)
             )
-            if block is Block.X:
-                L_x = max(L_x, full_lb)
-                L_x_max = max(L_x_max, full_lb, sample_lb)
-            else:
-                L_y = max(L_y, full_lb)
-                L_y_max = max(L_y_max, full_lb, sample_lb)
+            L[block] = max(L[block], full_lb)
+            L_max[block] = max(L_max[block], full_lb, sample_lb)
         grad_bound = max(grad_bound, float(np.linalg.norm(obj.grad_full(w))))
         sigma = max(sigma, math.sqrt(obj.sample_variance(w)))
 
@@ -185,12 +181,5 @@ def estimate_constants(
             "f_star is required: pass it explicitly or use an objective with an analytic minimum"
         )
     f_gap = max(0.0, obj.eval_full(pts[0]) - float(f_star))
-    return SmoothnessConstants(
-        L_x=L_x,
-        L_y=L_y,
-        L_x_max=L_x_max,
-        L_y_max=L_y_max,
-        G=grad_bound,
-        sigma=sigma,
-        f_gap=f_gap,
-    )
+    return SmoothnessConstants(L[Block.X], L[Block.Y], L_max[Block.X], L_max[Block.Y],
+                               G=grad_bound, sigma=sigma, f_gap=f_gap)

@@ -18,10 +18,8 @@ validated entry points are ``estimate_block_lipschitz`` and ``trajectory_scan``.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from math import sqrt
-from pathlib import Path
 
 import numpy as np
 
@@ -34,6 +32,7 @@ from .core import (
     _check_real,
     _shifted_rows,
     _unit_sphere_rows,
+    _write_csv,
     fmt17,
 )
 from .objectives import FiniteSumObjective
@@ -48,15 +47,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    """Difference step, probe count, and target block."""
+    """Difference step, probe count, and target block; h and probes stored as checked."""
 
     h: float = 1e-5
     probes: int = 100
     target: Block = Block.FULL
 
     def __post_init__(self) -> None:
-        _check_real("h", self.h)
-        _check_int("probes", self.probes)
+        object.__setattr__(self, "h", _check_real("h", self.h))
+        object.__setattr__(self, "probes", _check_int("probes", self.probes))
         if not isinstance(self.target, Block):
             raise ValueError(f"target must be a Block, got {self.target!r}")
 
@@ -173,20 +172,7 @@ PROBE_HEADER = (
 
 def write_probe_csv(rows, path) -> None:
     """Write (grad_norm, ProbeReport) rows as CSV, indexed in input order."""
-    with open(Path(path), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PROBE_HEADER)
-        for idx, (grad_norm, rep) in enumerate(rows):
-            writer.writerow(
-                [
-                    idx,
-                    fmt17(grad_norm),
-                    rep.block.value,
-                    fmt17(rep.frobenius_raw),
-                    fmt17(rep.frobenius_scaled),
-                    fmt17(rep.operator_lb),
-                    fmt17(rep.stderr),
-                    rep.probes,
-                    fmt17(rep.h),
-                ]
-            )
+    _write_csv(path, PROBE_HEADER, (
+        [idx, fmt17(grad_norm), rep.block.value, fmt17(rep.frobenius_raw), fmt17(rep.frobenius_scaled),
+         fmt17(rep.operator_lb), fmt17(rep.stderr), rep.probes, fmt17(rep.h)]
+        for idx, (grad_norm, rep) in enumerate(rows)))

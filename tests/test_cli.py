@@ -274,6 +274,29 @@ def test_array_entries_must_be_finite_numbers(tmp_path, capsys, command, path, v
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]  # no output written
 
 
+def test_deeply_nested_input_is_a_config_error(tmp_path, capsys):
+    # nesting too deep for the JSON decoder, or for numpy's 64 array
+    # dimensions, is a config error naming the file or the key
+    deep = tmp_path / "c.json"
+    deep.write_text('{"objective": ' + "[" * 100_000, encoding="utf-8")
+    out = tmp_path / "out.csv"
+    assert main(["run", "--config", str(deep), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {deep}: invalid JSON (nested too deeply")
+    assert "Traceback" not in err and not out.exists()
+
+    values = 1.0
+    for _ in range(70):
+        values = [values]
+    code, out = _main_on(tmp_path, "run", _set(COMMANDS["run"][1], ("init",),
+                                               {"kind": "explicit", "values": values}))
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: values must have shape (3,), got a list nested 70 levels deep")
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]  # no output written
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 def test_valid_table_configs_run(tmp_path, capsys, command):
     code, out = _main_on(tmp_path, command, COMMANDS[command][1])
@@ -426,6 +449,12 @@ def test_single_cell_sweep_reproduces_run(tmp_path, capsys):
     cell = _read_csv(sweep_out)[0]
     assert cell["final_f"] == final_f_run  # same stream, bit-identical trajectory
     assert cell["diverged"] == "false"
+    # both record the resolved optimizer config, though zo omits directions_per_step
+    run_meta, sweep_meta = (json.loads(Path(f"{out}.meta.json").read_text(encoding="utf-8"))
+                            for out in (trace_out, sweep_out))
+    assert sweep_meta["zo"] == run_meta["zo"] == {"mu": 1e-3, "directions_per_step": 1}
+    for key in ("modes", "epochs", "divergence_threshold"):
+        assert sweep_meta[key] == run_meta[key]
 
 
 def test_sweep_isolates_divergent_cells(tmp_path, capsys):

@@ -267,7 +267,11 @@ def test_validation_idioms_live_only_in_core():
                 found.append(f"{path.name}:{lineno}: {line.strip()}")
             if path.name in ("cli.py", "objectives.py") and config_idioms.search(line):
                 found.append(f"{path.name}:{lineno}: {line.strip()}")
+            if "csv.writer(" in line:  # every CSV goes through core._write_csv
+                found.append(f"{path.name}:{lineno}: {line.strip()}")
     assert found == []
+    core_source = (Path(hybridsgd.__file__).parent / "core.py").read_text(encoding="utf-8")
+    assert core_source.count("csv.writer(") == 1
 
 
 def test_package_exports_each_library_module_list_once():
@@ -313,5 +317,6 @@ def test_real_fields_reject_bools_strings_and_non_finite(value):
     for field, build in _real_fields().items():
         with pytest.raises(ValueError, match=f"^{field} must be "):
             build(value)
-        build(1)  # an int is a real number
+        stored = getattr(build(1), field)  # an int is a real number, stored as a float
+        assert stored == 1.0 and type(stored) is float, field
     _real_fields()["divergence_threshold"](np.inf)  # +inf switches the guard off
