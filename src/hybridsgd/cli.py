@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import traceback
 from dataclasses import MISSING, asdict, fields
@@ -223,6 +224,8 @@ def cmd_sweep(args) -> int:
     f_target = cfg["f_target"]
     w0 = _initial_point(cfg["init"], obj.layout, cfg["seed"])
     f0 = obj.eval_full(w0)
+    if not math.isfinite(f0):  # as run, before any cell; NumericError below is mid-run only
+        raise NumericError("objective is non-finite at the start point")
     base_rng = RngStream(cfg["seed"], RUN_STREAM_ID)
 
     rows = []
@@ -317,7 +320,8 @@ def _plan_report(constants: SmoothnessConstants, n: int, horizon: int, d_x: int,
 
 
 def cmd_plan(args) -> int:
-    if args.constants is None and not args.estimate:
+    from_file = args.constants is not None
+    if from_file == args.estimate or from_file and args.config is not None:
         raise ValueError("plan: pass --constants FILE, or --config FILE with --estimate")
 
     if args.constants is not None:

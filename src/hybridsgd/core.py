@@ -204,13 +204,6 @@ class BlockLayout:
             return slice(self.d_x, self.d)
         return slice(0, self.d)
 
-    def dim_of(self, block: Block) -> int:
-        if block is Block.X:
-            return self.d_x
-        if block is Block.Y:
-            return self.d_y
-        return self.d
-
 
 @dataclass(frozen=True, eq=False)
 class HybridPoint:
@@ -223,14 +216,6 @@ class HybridPoint:
         vals = _check_array("values", self.values, (self.layout.d,))
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.values[: self.layout.d_x]
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.values[self.layout.d_x :]
 
 
 def _splitmix64(z: int) -> int:
@@ -317,13 +302,14 @@ def _unit_sphere_rows(rng: RngStream, m: int, dim: int) -> np.ndarray:
 
 
 def _shifted_rows(values: np.ndarray, sl: slice, shifts: np.ndarray) -> np.ndarray:
-    """One copy of values per row of shifts, with that row added to values[sl].
+    """values as row 0, then one copy per row of shifts with that row added to values[sl].
 
-    Row k is bit for bit ``values.copy()`` after ``[sl] += shifts[k]``.
+    Row 0 is a plain copy (``values + 0.0`` would turn -0.0 into +0.0); row
+    k + 1 is bit for bit ``values.copy()`` after ``[sl] += shifts[k]``.
     """
-    rows = np.empty((len(shifts), len(values)))
+    rows = np.empty((len(shifts) + 1, len(values)))
     rows[:] = values
-    rows[:, sl] += shifts
+    rows[1:, sl] += shifts
     return rows
 
 

@@ -9,10 +9,11 @@ behaviour are validated in the oracle module.
 q directions at one point share the base value f(x; i), so a q-direction
 estimate costs q + 1 objective values, as in the two-point scheme of
 Nesterov & Spokoiny (Random Gradient-Free Minimization of Convex Functions,
-FoCM 2017).  The q directions are drawn as one (q, dim) block and their q
-shifted values read with one ``values_at_points`` call.  There are two entry
-points: ``estimate_x_gradient`` validates its point and sample index, and
-``estimate_block_gradient`` is the raw-array one the optimizer calls.
+FoCM 2017).  The q directions are drawn as one (q, dim) block, and the base
+value and the q shifted values are read with one ``values_at_points`` call
+of q + 1 rows.  There are two entry points: ``estimate_x_gradient``
+validates its point and sample index, and ``estimate_block_gradient`` is the
+raw-array one the optimizer calls.
 """
 from __future__ import annotations
 
@@ -59,26 +60,18 @@ class ZoConfig:
         object.__setattr__(self, "directions_per_step", _check_int("directions_per_step", self.directions_per_step))
 
 
-def _two_point_rows(
-    obj: FiniteSumObjective,
-    values: np.ndarray,
-    i: int,
-    mu: float,
-    directions: np.ndarray,
-    sl: slice,
-    base: float,
-    stacklevel: int = 3,
-) -> np.ndarray:
-    """Raw-array estimates [(f(values + mu v~; i) - base) / mu] * v, one row per
-    row v of directions; inputs assumed validated.
+def _two_point_rows(obj: FiniteSumObjective, values: np.ndarray, i: int, mu: float,
+                    directions: np.ndarray, sl: slice, stacklevel: int = 3) -> np.ndarray:
+    """Raw-array estimates [(f(values + mu v~; i) - f(values; i)) / mu] * v, one
+    row per row v of directions; inputs assumed validated.
 
-    v~ is v placed in the perturbed block's slice ``sl`` of values and
-    ``base`` is f(values; i).  The m shifted values come from one
-    ``values_at_points`` call, so the rows cost m objective values.  An
+    v~ is v placed in the perturbed block's slice ``sl`` of values.  The base
+    value and the m shifted values come from one ``values_at_points`` call of
+    m + 1 rows (row 0 the base), so the rows cost m + 1 objective values.  An
     underflow warning names the frame ``stacklevel`` levels up.
     """
-    shifted = obj.values_at_points(_shifted_rows(values, sl, mu * directions), i)
-    if not (math.isfinite(base) and np.isfinite(shifted).all()):
+    vals = obj.values_at_points(_shifted_rows(values, sl, mu * directions), i)
+    if not np.isfinite(vals).all():
         raise NumericError(
             f"objective returned a non-finite value in a two-point probe (sample {i})"
         )
@@ -93,7 +86,7 @@ def _two_point_rows(
             PerturbationUnderflowWarning,
             stacklevel=stacklevel,
         )
-    return ((shifted - base) / mu)[:, None] * directions
+    return ((vals[1:] - vals[0]) / mu)[:, None] * directions
 
 
 def estimate_block_gradient(
@@ -122,9 +115,8 @@ def _block_estimate(obj: FiniteSumObjective, values: np.ndarray, i: int, cfg: Zo
         raise ValueError("estimate one block at a time: target must be X or Y")
     q = cfg.directions_per_step
     sl = obj.layout.slice_of(block)
-    base = obj.value_at(values, i)
     directions = sample_gaussian(rng, q * (sl.stop - sl.start)).reshape(q, -1)
-    rows = _two_point_rows(obj, values, i, cfg.mu, directions, sl, base, 4)
+    rows = _two_point_rows(obj, values, i, cfg.mu, directions, sl, 4)
     # The rows are summed in draw order from +0.0.  add.accumulate adds them
     # one after another (a reduce over axis 0 turns pairwise once dim == 1
     # and q >= 8), and + 0.0 turns a -0.0 total into the +0.0 that a sum

@@ -151,31 +151,24 @@ def step(
     """Raw-array simultaneous update of both blocks from the incoming values.
 
     Inputs are assumed validated (run checks the start point once); returns
-    a new array and never writes to values.  Both block directions are read
-    at the incoming values, x block first: ZO draws come from rng in that
-    order, so a replay with an equal stream reproduces the step bit for bit.
-    The FO gradient is evaluated at most once and shared by the two blocks; a
-    frozen block is copied unchanged.
+    a new array and never writes to values.  One per-block body runs over
+    (x, x_mode, eta_x), then (y, y_mode, eta_y), reading both directions at the
+    incoming values: ZO draws come from rng x first, so a replay with an equal
+    stream reproduces the step bit for bit.  The FO gradient is evaluated at
+    most once and shared by the two blocks; a frozen block is copied unchanged.
     """
     d_x = obj.layout.d_x
-    x_mode, y_mode = cfg.modes.x_mode, cfg.modes.y_mode
+    modes, rates = cfg.modes, cfg.rates
     grad = None
     new_values = values.copy()
-    if x_mode is Mode.FO:
-        grad = obj.grad_at(values, i)
-        new_values[:d_x] -= cfg.rates.eta_x * grad[:d_x]
-    elif x_mode is Mode.ZO:
-        new_values[:d_x] -= cfg.rates.eta_x * estimate_block_gradient(
-            obj, values, i, cfg.zo, rng, Block.X
-        )
-    if y_mode is Mode.FO:
-        if grad is None:
-            grad = obj.grad_at(values, i)
-        new_values[d_x:] -= cfg.rates.eta_y * grad[d_x:]
-    elif y_mode is Mode.ZO:
-        new_values[d_x:] -= cfg.rates.eta_y * estimate_block_gradient(
-            obj, values, i, cfg.zo, rng, Block.Y
-        )
+    for block, sl, mode, eta in ((Block.X, slice(0, d_x), modes.x_mode, rates.eta_x),
+                                 (Block.Y, slice(d_x, None), modes.y_mode, rates.eta_y)):
+        if mode is Mode.FO:
+            if grad is None:
+                grad = obj.grad_at(values, i)
+            new_values[sl] -= eta * grad[sl]
+        elif mode is Mode.ZO:
+            new_values[sl] -= eta * estimate_block_gradient(obj, values, i, cfg.zo, rng, block)
     if not np.isfinite(new_values).all():
         raise NumericError(f"non-finite update from sample {i}")
     return new_values

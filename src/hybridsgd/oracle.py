@@ -3,15 +3,16 @@ and the check suite behind ``hybridsgd check``.
 
 The validators are deliberately slow: gradients come from value-only central
 differences, Hessians from coordinate-wise central differences of analytic
-gradients, and the estimator bounds and the smoothed-gradient reference from
-plain Monte Carlo.  The optimizer, estimator, probe and planner never import
-this module; tests and the CLI's ``check`` command use it, so that agreement
-is evidence rather than the same formula evaluated twice.  The check suite
-also compares the curvature probes with exact block curvatures and with this
-module's dense Hessian.  The Monte Carlo draws of one bound check or one
-reference are a single (draws, d_x) Gaussian block evaluated through the
-estimator's row helper, the same bits as drawing and evaluating them one at a
-time.
+gradients (both with the fixed step 1e-5), and the estimator bounds and the
+smoothed-gradient reference from plain Monte Carlo.  The curvature envelope
+check has the fixed tolerance 1e-6.  The optimizer, estimator, probe and
+planner never import this module; tests and the CLI's ``check`` command use
+it, so that agreement is evidence rather than the same formula evaluated
+twice.  The check suite also compares the curvature probes with exact block
+curvatures and with this module's dense Hessian.  The Monte Carlo draws of one
+bound check or one reference are a single (draws, d_x) Gaussian block
+evaluated through the estimator's row helper, the same bits as drawing and
+evaluating them one at a time.
 """
 from __future__ import annotations
 
@@ -51,6 +52,9 @@ __all__ = [
     "smoothed_gradient_reference",
 ]
 
+_H = 1e-5  # central-difference step of fd_gradient and dense_hessian
+_ENVELOPE_TOL = 1e-6  # margin by which check_hybrid_smoothness may exceed an envelope
+
 
 def _central_differences(fn, values: np.ndarray, h: float) -> np.ndarray:
     """(fn(values + h e_j) - fn(values - h e_j)) / 2h as row j, for each coordinate j."""
@@ -64,44 +68,27 @@ def _central_differences(fn, values: np.ndarray, h: float) -> np.ndarray:
     return np.array(out)
 
 
-def fd_gradient(
-    obj: FiniteSumObjective,
-    w: HybridPoint,
-    i: int | None = None,
-    h: float = 1e-5,
-) -> np.ndarray:
+def fd_gradient(obj: FiniteSumObjective, w: HybridPoint, i: int | None = None) -> np.ndarray:
     """Central-difference gradient of f(.; i), or of the full objective for i=None.
 
     Uses objective values only, so it validates analytic gradients without
-    sharing any code with them.  O(h^2) accurate.
+    sharing any code with them.  O(h^2) accurate, with h = _H.
     """
     values = obj.check_point(w)
     if i is not None:
         i = obj.check_sample(i)
-    _check_real("h", h)
     value = obj.full_value_at if i is None else (lambda vals: obj.value_at(vals, i))
-    return _central_differences(value, values, h)
+    return _central_differences(value, values, _H)
 
 
-def dense_hessian(
-    obj: FiniteSumObjective,
-    w: HybridPoint,
-    h: float = 1e-5,
-    *,
-    symmetrize: bool = True,
-) -> np.ndarray:
-    """Finite-difference Hessian of the full objective.
+def dense_hessian(obj: FiniteSumObjective, w: HybridPoint) -> np.ndarray:
+    """Finite-difference Hessian of the full objective, symmetrized as (H + H^T)/2.
 
-    Column j is the central difference of the analytic full gradient along
-    coordinate j; the result is symmetrized as (H + H^T)/2 unless asked not
-    to (the raw asymmetry is itself a consistency diagnostic).
+    Column j of H is the central difference (step _H) of the analytic full
+    gradient along coordinate j.
     """
-    values = obj.check_point(w)
-    _check_real("h", h)
-    columns = _central_differences(obj.full_grad_at, values, h).T
-    if symmetrize:
-        return 0.5 * (columns + columns.T)
-    return columns
+    columns = _central_differences(obj.full_grad_at, obj.check_point(w), _H).T
+    return 0.5 * (columns + columns.T)
 
 
 @dataclass(frozen=True)
@@ -166,7 +153,7 @@ def smoothed_gradient_reference(
     draws = _check_int("draws", draws, 2)
     d_x = obj.layout.d_x
     directions = sample_gaussian(rng, draws * d_x).reshape(draws, d_x)
-    est = _two_point_rows(obj, values, i, mu, directions, slice(0, d_x), obj.value_at(values, i))
+    est = _two_point_rows(obj, values, i, mu, directions, slice(0, d_x))
     total = np.sum(est, axis=0)
     total_sq = np.sum(est * est, axis=0)
     mean = total / draws
@@ -209,10 +196,9 @@ def check_estimator_bounds(
     d_x = obj.layout.d_x
     g = obj.grad_at(values, i)[:d_x]
     g_norm = float(np.linalg.norm(g))
-    base = obj.value_at(values, i)  # shared by every trial, as in the estimator
 
     directions = sample_gaussian(rng, trials * d_x).reshape(trials, d_x)
-    err = _two_point_rows(obj, values, i, float(mu), directions, slice(0, d_x), base)
+    err = _two_point_rows(obj, values, i, float(mu), directions, slice(0, d_x))
     err -= g
     bias = np.vecdot(err, g)
     sq_err = np.vecdot(err, err)
@@ -225,19 +211,12 @@ def check_estimator_bounds(
     )
 
 
-def check_hybrid_smoothness(
-    obj: FiniteSumObjective,
-    points,
-    ell_x,
-    ell_y,
-    h: float = 1e-5,
-    tol: float = 1e-6,
-) -> BoundCheckReport:
+def check_hybrid_smoothness(obj: FiniteSumObjective, points, ell_x, ell_y) -> BoundCheckReport:
     """Check block curvature envelopes lambda_max(H_bb) <= ell_b(||grad f||).
 
     Evaluates the dense Hessian at every point, takes each diagonal block's
     largest eigenvalue, and reports the worst margin over points and blocks;
-    passes when that margin is at most tol.
+    passes when that margin is at most _ENVELOPE_TOL.
     """
     pts = [p for p in points]
     if not pts:
@@ -245,21 +224,20 @@ def check_hybrid_smoothness(
     d_x = obj.layout.d_x
     worst = -math.inf
     for w in pts:
-        values = obj.check_point(w)
-        hess = dense_hessian(obj, w, h)
-        grad_norm = float(np.linalg.norm(obj.full_grad_at(values)))
+        hess = dense_hessian(obj, w)
+        grad_norm = float(np.linalg.norm(obj.grad_full(w)))
         lam_x = float(np.linalg.eigvalsh(hess[:d_x, :d_x])[-1])
         lam_y = float(np.linalg.eigvalsh(hess[d_x:, d_x:])[-1])
         worst = max(worst, lam_x - float(ell_x(grad_norm)), lam_y - float(ell_y(grad_norm)))
-    return _exact_report("hybrid_smoothness_envelope", worst, tol, len(pts))
+    return _exact_report("hybrid_smoothness_envelope", worst, _ENVELOPE_TOL, len(pts))
 
 
-def _grad_agreement_report(name: str, obj: FiniteSumObjective, points, h: float = 1e-5) -> BoundCheckReport:
+def _grad_agreement_report(name: str, obj: FiniteSumObjective, points) -> BoundCheckReport:
     worst = 0.0
     for w in points:
         targets = [None] + list(range(obj.n))
         for i in targets:
-            approx = fd_gradient(obj, w, i, h)  # validates w and i
+            approx = fd_gradient(obj, w, i)  # validates w and i
             exact = obj.full_grad_at(w.values) if i is None else obj.grad_at(w.values, i)
             scale = max(float(np.linalg.norm(exact)), 1e-12)
             worst = max(worst, float(np.linalg.norm(approx - exact)) / scale)

@@ -11,7 +11,8 @@ quadratic-mean statistic sqrt(mean ||Hv||^2) underestimates the Frobenius
 norm by sqrt(dim); both the raw and the corrected value are reported.
 
 K probes at one point are batched: one (K, dim) unit-sphere draw, and for a
-single sample one ``grads_at_points`` call for all K perturbed gradients.
+single sample one ``grads_at_points`` call for the base gradient and all K
+perturbed gradients.
 The draw consumes the stream exactly as K sequential draws would, so the
 statistics are the same bits as probing one direction at a time.  The
 validated entry points are ``estimate_block_lipschitz`` and ``trajectory_scan``.
@@ -91,16 +92,16 @@ def _hvp_rows(
     placed in the block (zero elsewhere), shape (m, d); inputs assumed validated.
 
     sample=None probes the full objective.  The base gradient is evaluated
-    once for all rows.  A sample's m perturbed gradients come from one
-    ``grads_at_points`` call; the full objective is evaluated point by point.
+    once for all rows, as row 0 of the same m + 1 points: for a sample they
+    are one ``grads_at_points`` call; the full objective is evaluated point
+    by point.
     """
-    base_grad = obj.full_grad_at(values) if sample is None else obj.grad_at(values, sample)
-    perturbed = _shifted_rows(values, obj.layout.slice_of(block), h * directions)
+    points = _shifted_rows(values, obj.layout.slice_of(block), h * directions)
     if sample is None:
-        grads = np.stack([obj.full_grad_at(p) for p in perturbed])
+        grads = np.stack([obj.full_grad_at(p) for p in points])
     else:
-        grads = obj.grads_at_points(perturbed, sample)
-    out = (grads - base_grad) / h
+        grads = obj.grads_at_points(points, sample)
+    out = (grads[1:] - grads[0]) / h
     if not np.isfinite(out).all():
         raise NumericError("non-finite gradient in a curvature probe")
     return out
@@ -117,13 +118,13 @@ def estimate_block_lipschitz(
 
     The base gradient is evaluated once and shared by all probes, so K probes
     cost K + 1 gradients.  The K directions are one (K, dim) draw, and a
-    sample's K perturbed gradients one batched call.
+    sample's K + 1 gradients one batched call.
     """
     values = obj.check_point(w)
     if sample is not None:
         sample = obj.check_sample(sample)
     sl = obj.layout.slice_of(cfg.target)
-    dim = obj.layout.dim_of(cfg.target)
+    dim = sl.stop - sl.start
     directions = _unit_sphere_rows(rng, cfg.probes, dim)
     hv = _hvp_rows(obj, values, directions, cfg.h, cfg.target, sample)[:, sl]
     sq = np.vecdot(hv, hv)
@@ -151,8 +152,7 @@ def trajectory_scan(
         raise ValueError("trajectory must contain at least one point")
     out = []
     for w in pts:
-        values = obj.check_point(w)
-        grad_norm = float(np.linalg.norm(obj.full_grad_at(values)))
+        grad_norm = float(np.linalg.norm(obj.grad_full(w)))
         out.append((grad_norm, estimate_block_lipschitz(obj, w, cfg, rng)))
     return out
 

@@ -2,7 +2,7 @@
 import numpy as np
 from hypothesis import settings
 
-from hybridsgd import BlockLayout, FiniteSumObjective
+from hybridsgd import BlockLayout, BlockQuadratic, FiniteSumObjective
 
 settings.register_profile("deterministic", derandomize=True, max_examples=200, deadline=None)
 settings.load_profile("deterministic")
@@ -85,3 +85,33 @@ class BlockGuardObjective(FiniteSumObjective):
     def grad_at(self, values, i):
         self._check(values)
         return self.base.grad_at(values, i)
+
+
+class CountingQuadratic(BlockQuadratic):
+    """A BlockQuadratic that counts per-sample value_at/grad_at calls and
+    records the number of rows of each batched values_at_points/grads_at_points call."""
+
+    def __init__(self, *args):
+        self.reset()
+        super().__init__(*args)  # the constructor evaluates f at the mean center
+        self.reset()
+
+    def reset(self):
+        self.value_calls = self.grad_calls = 0
+        self.value_rows, self.grad_rows = [], []
+
+    def value_at(self, values, i):
+        self.value_calls += 1
+        return super().value_at(values, i)
+
+    def grad_at(self, values, i):
+        self.grad_calls += 1
+        return super().grad_at(values, i)
+
+    def values_at_points(self, points, i):
+        self.value_rows.append(len(points))
+        return super().values_at_points(points, i)
+
+    def grads_at_points(self, points, i):
+        self.grad_rows.append(len(points))
+        return super().grads_at_points(points, i)

@@ -416,6 +416,21 @@ def test_numeric_failure_exits_4(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in cosh")
+def test_sweep_from_non_finite_start_exits_4_before_any_cell(tmp_path, capsys):
+    cosh = {"kind": "cosh", "d_x": 1, "d_y": 1, "shifts": [[0.0, 0.0]]}
+    sweep = _run_config(objective=cosh, init={"kind": "explicit", "values": [800.0, 0.0]},
+                        modes={"x": "fo", "y": "fo"}, zo=None)
+    del sweep["rates"]
+    sweep.update(eta_x_grid=[0.01, 0.1], eta_y_grid=[0.05])
+    cfg = _write_config(tmp_path, "sweep.json", sweep)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "numeric failure: objective is non-finite at the start point" in err.splitlines()
+    assert not out.exists() and not (tmp_path / "sweep.csv.meta.json").exists()
+
+
 @pytest.mark.parametrize("error", [KeyError, TypeError, IndexError])
 def test_internal_error_exits_5_with_a_traceback(tmp_path, capsys, monkeypatch, error):
     # only a bug in the package raises these, so they must not read as a config error
@@ -629,6 +644,20 @@ def test_plan_argument_errors_exit_2(tmp_path, capsys):
     assert main(["plan", "--constants", no_horizon]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error" in err
+    # a constants file is the whole input: --config or --estimate beside it is an error
+    complete = _write_config(
+        tmp_path,
+        "k.json",
+        {"L_x": 1.0, "L_y": 1.0, "L_x_max": 1.0, "L_y_max": 1.0,
+         "G": 1.0, "sigma": 1.0, "f_gap": 1.0, "n": 10, "d_x": 4, "T": 100},
+    )
+    assert main(["plan", "--constants", complete]) == EXIT_OK
+    capsys.readouterr()
+    for extra in (["--config", str(tmp_path / "nonexistent.json"), "--estimate"],
+                  ["--config", str(tmp_path / "nonexistent.json")], ["--estimate"]):
+        assert main(["plan", "--constants", complete, *extra]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "config error: plan: pass --constants FILE, or --config FILE with --estimate\n"
 
 
 def test_check_passes_and_repeats_verbatim(tmp_path, capsys):

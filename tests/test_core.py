@@ -27,9 +27,6 @@ def test_layout_dimensions():
     assert layout.slice_of(Block.X) == slice(0, 3)
     assert layout.slice_of(Block.Y) == slice(3, 5)
     assert layout.slice_of(Block.FULL) == slice(0, 5)
-    assert layout.dim_of(Block.X) == 3
-    assert layout.dim_of(Block.Y) == 2
-    assert layout.dim_of(Block.FULL) == 5
 
 
 @pytest.mark.parametrize("d_x,d_y", [(0, 1), (1, 0), (-2, 3), (1, -1)])
@@ -46,12 +43,6 @@ def test_point_copies_input_and_is_readonly():
     assert p.values[0] == 1.0
     with pytest.raises(ValueError):
         p.values[0] = 0.0
-
-
-def test_point_block_views():
-    p = HybridPoint(BlockLayout(2, 3), np.arange(5.0))
-    assert np.array_equal(p.x, [0.0, 1.0])
-    assert np.array_equal(p.y, [2.0, 3.0, 4.0])
 
 
 @pytest.mark.parametrize("values", [

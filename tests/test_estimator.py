@@ -24,7 +24,7 @@ from hybridsgd import (
 from hybridsgd import optimizer
 from hybridsgd.estimator import _two_point_rows
 from hybridsgd.optimizer import step
-from conftest import BlockGuardObjective, OffsetObjective, ScaledObjective
+from conftest import BlockGuardObjective, CountingQuadratic, OffsetObjective, ScaledObjective
 
 LAYOUT = BlockLayout(2, 1)
 
@@ -33,7 +33,7 @@ def _x_estimate(obj, w, i, mu, v):
     """One x-block estimate [(f(x + mu v, y; i) - f(x, y; i)) / mu] * v through
     the estimator's row helper."""
     sl = obj.layout.slice_of(Block.X)
-    return _two_point_rows(obj, w.values, i, mu, v[None, :], sl, obj.value_at(w.values, i))[0]
+    return _two_point_rows(obj, w.values, i, mu, v[None, :], sl)[0]
 
 
 def _linear(slopes_rows):
@@ -145,6 +145,16 @@ def test_q_direction_estimate_costs_q_plus_one_values(q):
     assert counted.value_calls == 2
 
 
+@pytest.mark.parametrize("q", [1, 3])
+def test_q_direction_estimate_is_one_batched_call_of_q_plus_one_values(q):
+    # the base value is row 0 of the same batched call as the q shifted values
+    obj = CountingQuadratic(LAYOUT, [[0.5, -0.5, 0.0], [1.0, 0.0, 2.0], [0.0, 1.0, -1.0]], 2.0, 1.0)
+    w = HybridPoint(LAYOUT, [1.0, 2.0, -1.0])
+    estimate_x_gradient(obj, w, 2, ZoConfig(mu=1e-3, directions_per_step=q), RngStream(31, 1))
+    assert obj.value_calls == 0
+    assert obj.value_rows == [q + 1]
+
+
 def test_estimate_replays_bitwise():
     obj = CoshObjective.random(LAYOUT, 2, RngStream(28, 0xDA7A))
     w = HybridPoint(LAYOUT, [0.1, 0.2, 0.3])
@@ -217,11 +227,10 @@ def test_step_reports_non_finite_direction_value_and_underflow_at_caller():
 def test_underflow_warning_when_any_direction_is_short():
     obj = BlockQuadratic(BlockLayout(1, 1), np.zeros((1, 2)), 1.0, 1.0)
     values = np.array([1e6, 0.0])
-    base = obj.value_at(values, 0)
     # threshold 1e3 * eps * 1e6 ~ 2.2e-7: mu * 1 is above it, mu * 1e-6 below
-    _two_point_rows(obj, values, 0, 1e-3, np.array([[1.0], [2.0]]), slice(0, 1), base)
+    _two_point_rows(obj, values, 0, 1e-3, np.array([[1.0], [2.0]]), slice(0, 1))
     with pytest.warns(PerturbationUnderflowWarning):
-        _two_point_rows(obj, values, 0, 1e-3, np.array([[1.0], [1e-6]]), slice(0, 1), base)
+        _two_point_rows(obj, values, 0, 1e-3, np.array([[1.0], [1e-6]]), slice(0, 1))
 
 
 def test_smoothed_reference_linear_recovers_slope():

@@ -217,10 +217,9 @@ def test_dense_quadratic_plan_estimate_matches_per_sample_loop(
 def _reference_block_estimate(obj, values, i, zo, rng, block):
     """The estimator's mean with its rows added one by one to np.zeros."""
     q, sl = zo.directions_per_step, obj.layout.slice_of(block)
-    base = obj.value_at(values, i)
-    directions = sample_gaussian(rng, q * obj.layout.dim_of(block)).reshape(q, -1)
+    directions = sample_gaussian(rng, q * (sl.stop - sl.start)).reshape(q, -1)
     acc = np.zeros(directions.shape[1])
-    for row in _two_point_rows(obj, values, i, zo.mu, directions, sl, base):
+    for row in _two_point_rows(obj, values, i, zo.mu, directions, sl):
         acc += row
     return acc / q
 

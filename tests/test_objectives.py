@@ -153,7 +153,7 @@ def test_gradients_match_central_differences():
         for _ in range(3):
             w = HybridPoint(LAYOUT, sample_gaussian(rng, LAYOUT.d))
             i = int(sample_gaussian(rng, 1)[0] * 100) % obj.n
-            approx = fd_gradient(obj, w, i, 1e-5)
+            approx = fd_gradient(obj, w, i)
             exact = obj.grad_at(w.values, i)
             scale = max(np.linalg.norm(exact), 1e-12)
             assert np.linalg.norm(approx - exact) / scale <= 1e-6, name

@@ -22,7 +22,7 @@ from hybridsgd import (
     trajectory_scan,
 )
 from hybridsgd.probe import _hvp_rows, write_probe_csv
-from conftest import BlockGuardObjective
+from conftest import BlockGuardObjective, CountingQuadratic
 
 LAYOUT = BlockLayout(3, 2)
 
@@ -165,6 +165,16 @@ def test_probe_agrees_with_dense_hessian_eigenvalue():
     rep = estimate_block_lipschitz(obj, w, ProbeConfig(probes=400), RngStream(85, 1))
     assert rep.operator_lb <= op_true + 1e-6
     assert rep.operator_lb >= 0.5 * op_true  # 400 sphere draws get close in dim 4
+
+
+@pytest.mark.parametrize("target", [Block.X, Block.FULL])
+def test_sample_probe_is_one_batched_call_of_k_plus_one_gradients(target):
+    # the base gradient is row 0 of the same batched call as the K perturbed ones
+    obj = CountingQuadratic(LAYOUT, np.arange(10.0).reshape(2, 5) / 10.0, 3.0, 1.0)
+    w = HybridPoint(LAYOUT, [0.5, -1.0, 0.25, 2.0, -0.5])
+    estimate_block_lipschitz(obj, w, ProbeConfig(probes=7, target=target), RngStream(90, 1), sample=1)
+    assert obj.grad_calls == 0
+    assert obj.grad_rows == [8]
 
 
 def test_trajectory_scan_constant_on_quadratic():
