@@ -27,7 +27,6 @@ import math
 import sys
 import traceback
 from dataclasses import MISSING, asdict, fields
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -93,7 +92,7 @@ _TRAJECTORY_KINDS = {
 _HORIZON_KEYS = {"T": (_check_int, None), "epsilon": (_check_finite, None), "delta": (_check_finite, None)}
 _COMMAND_KEYS = {
     "run": {"objective": (None, _REQUIRED), "rates": (None, _REQUIRED), **_RUN_KEYS,
-            "snapshot_every": (partial(_check_int, lo=0), 0), "seed": (_check_u64, 0)},
+            "seed": (_check_u64, 0)},
     "sweep": {"objective": (None, _REQUIRED), "eta_x_grid": (_rate_grid, _REQUIRED),
               "eta_y_grid": (_rate_grid, _REQUIRED), "f_target": (_check_finite, None),
               **_RUN_KEYS, "seed": (_check_u64, 0)},
@@ -191,11 +190,11 @@ def cmd_run(args) -> int:
     w0 = _initial_point(cfg["init"], obj.layout, cfg["seed"])
     # Same stream as sweep cell 0, so a 1x1 sweep reproduces a plain run.
     rng = RngStream(cfg["seed"], RUN_STREAM_ID).child(0)
-    result = run(obj, w0, opt, rng, snapshot_every=cfg["snapshot_every"])
+    result = run(obj, w0, opt, rng)
     write_trace_csv(result.trace, args.out)
     guard = result.divergence_threshold
-    _write_meta(args.out, _run_meta("run", cfg, opt, snapshot_every=cfg["snapshot_every"],
-                                     rates=asdict(opt.rates), divergence_threshold_resolved=guard))
+    _write_meta(args.out, _run_meta("run", cfg, opt, rates=asdict(opt.rates),
+                                     divergence_threshold_resolved=guard))
     print(
         f"final_f={fmt17(result.trace[-1].f_value)} min_grad_sq={fmt17(result.min_grad_sq)} "
         f"epochs_completed={result.epochs_completed} diverged={str(result.diverged).lower()}"

@@ -7,20 +7,19 @@ after construction and safe to evaluate concurrently.
 
 ``value_at``/``grad_at`` evaluate one sample at one point, and the ``full_*``
 methods the full objective, on raw float64 arrays for hot loops;
-``eval_full``/``grad_full`` validate a :class:`HybridPoint` first.  One
-batched pair, ``values_at_points(points, i)``/``grads_at_points(points, i)``,
-serves every batched caller.  With a sample index i it evaluates that sample
-at every row of an (m, d) array of points, shapes (m,) and (m, d): the
-estimator, probes and oracle evaluate all their random directions this way.
-With the selector :data:`ALL` it evaluates every sample at one point, shapes
-(n,) and (n, d): ``full_value_at``, ``full_grad_at``,
-``full_value_and_grad_at`` and ``sample_variance`` are built on that.  In the
-base class the pair loops over ``value_at``/``grad_at``; that loop is the
-reference.  Each family here overrides the pair with one vectorised
-expression each whose results are bit-identical to its own per-sample path
-(``np.vecdot`` and ``np.matvec``, not ``@`` or ``einsum``, which can round
-differently).  A family that overrides ``value_at``/``grad_at`` must override
-the pair to match, or inherit the loops from :class:`FiniteSumObjective`.
+``eval_full``/``grad_full`` validate a :class:`HybridPoint` first.  The batched
+pair ``values_at_points(points, i)``/``grads_at_points(points, i)`` evaluates
+sample i at every row of (m, d) points, shapes (m,) and (m, d), for the
+estimator, probes and oracle; with the selector :data:`ALL`, every sample at
+one point, shapes (n,) and (n, d), for ``full_value_at``, ``full_grad_at`` and
+``sample_variance``.  The kernel ``full_values_and_grads_at_points(points)``
+gives the full value and gradient at every row, shapes (m,) and (m, d), for
+full-objective probes and, with m = 1, the per-step trace.  The base class
+loops the pair over ``value_at``/``grad_at`` and the kernel over the ``full_*``
+methods; those loops are the reference.  Each family overrides both with one
+vectorised body each, bit-identical to the loops (``np.vecdot``, ``np.matvec``
+and reductions over the samples axis, not ``@`` or ``einsum``, which can round
+differently); a family that overrides ``value_at``/``grad_at`` must do the same.
 Data arrays are read through ``core._check_array``, so a bool or a string
 in them is an error.  :func:`objective_from_dict` reads a spec through its
 kind's table of data keys, shared keys and generation-only keys.
@@ -102,9 +101,11 @@ class FiniteSumObjective(abc.ABC):
     def full_grad_at(self, values: np.ndarray) -> np.ndarray:
         return np.add.reduce(self.grads_at_points(values, ALL), 0) / self._n
 
-    def full_value_and_grad_at(self, values: np.ndarray) -> tuple[float, np.ndarray]:
-        """(full_value_at, full_grad_at) in one call, for families that share work."""
-        return self.full_value_at(values), self.full_grad_at(values)
+    def full_values_and_grads_at_points(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(full_value_at(p), full_grad_at(p)) for every row p of points, shapes
+        (m,) and (m, d).  The loop is the reference."""
+        return (np.array([self.full_value_at(p) for p in points], dtype=np.float64),
+                np.stack([self.full_grad_at(p) for p in points]))
 
     # -- validated layer -------------------------------------------------
 
@@ -187,6 +188,11 @@ class BlockQuadratic(FiniteSumObjective):
     def grads_at_points(self, points: np.ndarray, i: int | slice) -> np.ndarray:
         return self._diag * (points - self.centers[i])
 
+    def full_values_and_grads_at_points(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        dv = _rows(points) - self.centers
+        grads = self._diag * dv
+        return _means(0.5 * np.vecdot(dv, grads), grads, points)
+
     @property
     def f_star(self) -> float | None:
         return self._f_star
@@ -238,6 +244,10 @@ class CoshObjective(FiniteSumObjective):
 
     def grads_at_points(self, points: np.ndarray, i: int | slice) -> np.ndarray:
         return np.sinh(points - self.shifts[i])
+
+    def full_values_and_grads_at_points(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        dv = _rows(points) - self.shifts
+        return _means(np.sum(np.cosh(dv), axis=-1), np.sinh(dv), points)
 
     @property
     def f_star(self) -> float | None:
@@ -292,20 +302,20 @@ class LogisticObjective(FiniteSumObjective):
     def grads_at_points(self, points: np.ndarray, i: int | slice) -> np.ndarray:
         return self._grads(self.labels[i] * np.vecdot(points, self.features[i]), points, i)
 
-    def full_value_and_grad_at(self, values: np.ndarray) -> tuple[float, np.ndarray]:
-        # the pair's bodies with i = ALL, sharing the margins between value and gradient
-        margin = self.labels * np.vecdot(values, self.features)
-        return (
-            float(np.add.reduce(self._losses(margin, values)) / self._n),
-            np.add.reduce(self._grads(margin, values, ALL), 0) / self._n,
-        )
+    def full_values_and_grads_at_points(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # the pair's bodies with i = ALL, sharing the margins
+        rows = _rows(points)
+        margin = self.labels * np.vecdot(rows, self.features)
+        return _means(self._losses(margin, rows), self._grads(margin, rows, ALL), points)
 
     def _losses(self, margin: np.ndarray, points: np.ndarray) -> np.ndarray:
         return np.logaddexp(0.0, -margin) + 0.5 * self.lam * np.vecdot(points, points)
 
     def _grads(self, margin: np.ndarray, points: np.ndarray, i: int | slice) -> np.ndarray:
         p = np.exp(-np.logaddexp(0.0, margin))
-        return (-self.labels[i] * p)[:, None] * self.features[i] + self.lam * points
+        grads = (-self.labels[i] * p)[..., None] * self.features[i]
+        grads += self.lam * points  # in place: the same sum, one (..., d) temporary fewer
+        return grads
 
     def block_lipschitz_bound(self) -> tuple[float, float]:
         d_x = self.layout.d_x
@@ -349,6 +359,11 @@ class LinearObjective(FiniteSumObjective):
     def grads_at_points(self, points: np.ndarray, i: int | slice) -> np.ndarray:
         # one copy of slopes[i] per row of points, or of every slope for ALL
         return np.tile(self.slopes[i], (*points.shape[:-1], 1))
+
+    def full_values_and_grads_at_points(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        values = np.add.reduce(np.vecdot(_rows(points), self.slopes), -1) / self._n
+        grad = np.add.reduce(self.slopes, 0) / self._n
+        return values.reshape(len(points)), np.tile(grad, (len(points), 1))
 
     def block_lipschitz_bound(self) -> tuple[float, float]:
         return (0.0, 0.0)
@@ -402,6 +417,11 @@ class DenseQuadratic(FiniteSumObjective):
     def grads_at_points(self, points: np.ndarray, i: int | slice) -> np.ndarray:
         return np.matvec(self.hessian, points - self.centers[i])
 
+    def full_values_and_grads_at_points(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        dv = _rows(points) - self.centers
+        grads = np.matvec(self.hessian, dv)
+        return _means(0.5 * np.vecdot(dv, grads), grads, points)
+
     @property
     def f_star(self) -> float | None:
         return self._f_star
@@ -427,6 +447,19 @@ class DenseQuadratic(FiniteSumObjective):
         hessian = 0.5 * (g + g.T)
         centers = _spread_rows(d, n, rng, center_scale, 0.0)
         return cls(layout, hessian, centers)
+
+
+def _rows(points: np.ndarray) -> np.ndarray:
+    """A kernel's (m, d) points against (n, d) sample data: (m, 1, d) rows, or for
+    m = 1 the point itself, the same bits with an axis less per numpy call."""
+    return points[0] if len(points) == 1 else points[:, None, :]
+
+
+def _means(values: np.ndarray, grads: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sample means of values (..., n) and gradients (..., n, d), shaped (m,) and (m, d)."""
+    n = values.shape[-1]
+    return ((np.add.reduce(values, -1) / n).reshape(len(points)),
+            (np.add.reduce(grads, -2) / n).reshape(points.shape))
 
 
 def _spread_rows(

@@ -207,7 +207,8 @@ def run_epoch(
             values = step(obj, values, idx, cfg, rng)
         except NumericError as exc:
             raise NumericError(f"epoch {epoch}, step {global_step}: {exc}") from exc
-        f, g = obj.full_value_and_grad_at(values)
+        fs, gs = obj.full_values_and_grads_at_points(values[None])
+        f, g = float(fs[0]), gs[0]
         trace.append(
             TraceRecord(epoch, global_step, f, _norm(g), _norm(g[:d_x]), _norm(g[d_x:]))
         )

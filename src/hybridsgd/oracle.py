@@ -3,16 +3,15 @@ and the check suite behind ``hybridsgd check``.
 
 The validators are deliberately slow: gradients come from value-only central
 differences, Hessians from coordinate-wise central differences of analytic
-gradients (both with the fixed step 1e-5), and the estimator bounds and the
-smoothed-gradient reference from plain Monte Carlo.  The curvature envelope
-check has the fixed tolerance 1e-6.  The optimizer, estimator, probe and
-planner never import this module; tests and the CLI's ``check`` command use
-it, so that agreement is evidence rather than the same formula evaluated
-twice.  The check suite also compares the curvature probes with exact block
-curvatures and with this module's dense Hessian.  The Monte Carlo draws of one
-bound check or one reference are a single (draws, d_x) Gaussian block
-evaluated through the estimator's row helper, the same bits as drawing and
-evaluating them one at a time.
+gradients (both with the fixed step 1e-5), and the estimator bounds from
+plain Monte Carlo.  The curvature envelope check has the fixed tolerance
+1e-6.  The optimizer, estimator, probe and planner never import this module;
+tests and the CLI's ``check`` command use it, so that agreement is evidence
+rather than the same formula evaluated twice.  The check suite also compares
+the curvature probes with exact block curvatures and with this module's dense
+Hessian.  The Monte Carlo draws of one bound check are a single (draws, d_x)
+Gaussian block evaluated through the estimator's row helper, the same bits as
+drawing and evaluating them one at a time.
 """
 from __future__ import annotations
 
@@ -49,7 +48,6 @@ __all__ = [
     "dense_hessian",
     "check_estimator_bounds",
     "check_hybrid_smoothness",
-    "smoothed_gradient_reference",
 ]
 
 _H = 1e-5  # central-difference step of fd_gradient and dense_hessian
@@ -124,41 +122,6 @@ def _mc_report(name: str, samples: np.ndarray, rhs: float) -> BoundCheckReport:
         trials=len(samples),
         passed=bool(mean <= rhs + 3.0 * stderr),
     )
-
-
-@dataclass(frozen=True)
-class MonteCarloGradient:
-    """Monte Carlo mean of single-direction estimates with per-coordinate stderr."""
-
-    mean: np.ndarray
-    stderr: np.ndarray
-    draws: int
-
-
-def smoothed_gradient_reference(
-    obj: FiniteSumObjective,
-    w: HybridPoint,
-    i: int,
-    mu: float,
-    draws: int,
-    rng: RngStream,
-) -> MonteCarloGradient:
-    """Brute-force reference for the smoothed x-gradient E_v [(f(x+mu v)-f(x))/mu] v.
-
-    Test oracle only; nothing in the optimizer path calls this.
-    """
-    values = obj.check_point(w)
-    i = obj.check_sample(i)
-    mu = _check_real("mu", mu)
-    draws = _check_int("draws", draws, 2)
-    d_x = obj.layout.d_x
-    directions = sample_gaussian(rng, draws * d_x).reshape(draws, d_x)
-    est = _two_point_rows(obj, values, i, mu, directions, slice(0, d_x))
-    total = np.sum(est, axis=0)
-    total_sq = np.sum(est * est, axis=0)
-    mean = total / draws
-    var = np.maximum(total_sq / draws - mean * mean, 0.0) * (draws / (draws - 1))
-    return MonteCarloGradient(mean, np.sqrt(var / draws), draws)
 
 
 def check_estimator_bounds(

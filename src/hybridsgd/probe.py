@@ -10,9 +10,9 @@ For unit-sphere directions E[v^T H^2 v] = ||H||_F^2 / dim, so the raw
 quadratic-mean statistic sqrt(mean ||Hv||^2) underestimates the Frobenius
 norm by sqrt(dim); both the raw and the corrected value are reported.
 
-K probes at one point are batched: one (K, dim) unit-sphere draw, and for a
-single sample one ``grads_at_points`` call for the base gradient and all K
-perturbed gradients.
+K probes at one point are batched: one (K, dim) unit-sphere draw, and the base
+and K perturbed gradients in one ``grads_at_points`` call for a sample, or in
+``full_values_and_grads_at_points`` calls over row blocks for the full objective.
 The draw consumes the stream exactly as K sequential draws would, so the
 statistics are the same bits as probing one direction at a time.  The
 validated entry points are ``estimate_block_lipschitz`` and ``trajectory_scan``.
@@ -44,6 +44,10 @@ __all__ = [
     "estimate_block_lipschitz",
     "trajectory_scan",
 ]
+
+# Elements of one (rows, n, d) kernel intermediate in a full-objective probe: 128 KiB, glibc's
+# mmap threshold, so peak memory stays flat as K grows (2^15 raised plan's peak RSS by 0.4 MB).
+_FULL_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -93,12 +97,14 @@ def _hvp_rows(
 
     sample=None probes the full objective.  The base gradient is evaluated
     once for all rows, as row 0 of the same m + 1 points: for a sample they
-    are one ``grads_at_points`` call; the full objective is evaluated point
-    by point.
+    are one ``grads_at_points`` call; the full objective's go through
+    ``full_values_and_grads_at_points`` in blocks of max(1, _FULL_BLOCK // (n d)) rows.
     """
     points = _shifted_rows(values, obj.layout.slice_of(block), h * directions)
     if sample is None:
-        grads = np.stack([obj.full_grad_at(p) for p in points])
+        rows = max(1, _FULL_BLOCK // (obj.n * obj.layout.d))
+        grads = np.concatenate([obj.full_values_and_grads_at_points(points[k:k + rows])[1]
+                                for k in range(0, len(points), rows)])
     else:
         grads = obj.grads_at_points(points, sample)
     out = (grads[1:] - grads[0]) / h
@@ -117,8 +123,8 @@ def estimate_block_lipschitz(
     """Probe the target block's curvature with cfg.probes unit directions.
 
     The base gradient is evaluated once and shared by all probes, so K probes
-    cost K + 1 gradients.  The K directions are one (K, dim) draw, and a
-    sample's K + 1 gradients one batched call.
+    cost K + 1 gradients.  The K directions are one (K, dim) draw, and the
+    K + 1 gradients one batched evaluation (see ``_hvp_rows``).
     """
     values = obj.check_point(w)
     if sample is not None:
@@ -127,13 +133,17 @@ def estimate_block_lipschitz(
     dim = sl.stop - sl.start
     directions = _unit_sphere_rows(rng, cfg.probes, dim)
     hv = _hvp_rows(obj, values, directions, cfg.h, cfg.target, sample)[:, sl]
+    # np.max(np.sqrt(sq)), np.mean(sq) and np.std(sq, ddof=1) by numpy's own steps,
+    # the same bits without their dispatch (sqrt is monotone and correctly rounded)
     sq = np.vecdot(hv, hv)
-    operator_lb = float(np.max(np.sqrt(sq)))
-    mean_sq = float(np.mean(sq))
+    operator_lb = sqrt(np.maximum.reduce(sq))
+    mean_sq = float(np.add.reduce(sq) / cfg.probes)
     raw = sqrt(mean_sq)
     scaled = sqrt(dim * mean_sq)
     if cfg.probes > 1 and mean_sq > 0.0:
-        se_mean = float(np.std(sq, ddof=1)) / sqrt(cfg.probes)
+        dev = sq - mean_sq
+        dev *= dev
+        se_mean = sqrt(np.add.reduce(dev) / (cfg.probes - 1)) / sqrt(cfg.probes)
         stderr = sqrt(dim) * se_mean / (2.0 * raw)
     else:
         stderr = 0.0

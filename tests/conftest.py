@@ -88,8 +88,9 @@ class BlockGuardObjective(FiniteSumObjective):
 
 
 class CountingQuadratic(BlockQuadratic):
-    """A BlockQuadratic that counts per-sample value_at/grad_at calls and
-    records the number of rows of each batched values_at_points/grads_at_points call."""
+    """A BlockQuadratic that counts per-sample value_at/grad_at and full_grad_at
+    calls and records the number of rows of each batched values_at_points/
+    grads_at_points/full_values_and_grads_at_points call."""
 
     def __init__(self, *args):
         self.reset()
@@ -97,8 +98,8 @@ class CountingQuadratic(BlockQuadratic):
         self.reset()
 
     def reset(self):
-        self.value_calls = self.grad_calls = 0
-        self.value_rows, self.grad_rows = [], []
+        self.value_calls = self.grad_calls = self.full_grad_calls = 0
+        self.value_rows, self.grad_rows, self.full_rows = [], [], []
 
     def value_at(self, values, i):
         self.value_calls += 1
@@ -115,3 +116,11 @@ class CountingQuadratic(BlockQuadratic):
     def grads_at_points(self, points, i):
         self.grad_rows.append(len(points))
         return super().grads_at_points(points, i)
+
+    def full_grad_at(self, values):
+        self.full_grad_calls += 1
+        return super().full_grad_at(values)
+
+    def full_values_and_grads_at_points(self, points):
+        self.full_rows.append(len(points))
+        return super().full_values_and_grads_at_points(points)

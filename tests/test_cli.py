@@ -133,8 +133,7 @@ RUN_KEYS = {"modes": {"x": "zo", "y": "fo"}, "zo": {"mu": 1e-3, "directions_per_
 # One small valid config per command; every section holds every key it reads.
 COMMANDS = {
     "run": (["run"], {"objective": GENERATED["block_quadratic"],
-                      "rates": {"eta_x": 0.01, "eta_y": 0.05}, **RUN_KEYS,
-                      "snapshot_every": 1, "seed": 7}),
+                      "rates": {"eta_x": 0.01, "eta_y": 0.05}, **RUN_KEYS, "seed": 7}),
     "sweep": (["sweep"], {"objective": GENERATED["block_quadratic"], "eta_x_grid": [0.01],
                           "eta_y_grid": [0.05, 0.1], "f_target": 0.5, **RUN_KEYS, "seed": 7}),
     "probe": (["probe"], {"objective": GENERATED["block_quadratic"],
@@ -172,7 +171,7 @@ def _set(cfg, path, value):
 
 
 # (command, path to the key); a kind of GENERATED as the command runs `run` on that objective
-COUNTS = [("run", ("epochs",)), ("run", ("snapshot_every",)), ("run", ("zo", "directions_per_step")),
+COUNTS = [("run", ("epochs",)), ("run", ("zo", "directions_per_step")),
           ("probe", ("trajectory", "snapshot_every")), ("probe", ("trajectory", "epochs")),
           ("probe", ("probe", "probes")), ("plan", ("points", "count")), ("plan", ("T",)),
           ("constants", ("T",)), ("constants", ("n",)), ("constants", ("d_x",)),
@@ -316,6 +315,15 @@ def test_unknown_keys_are_rejected_by_name(tmp_path, capsys, command, path, wher
     code, out = _main_on(tmp_path, command, _set(COMMANDS[command][1], (*path, "epoch"), 30))
     assert code == EXIT_CONFIG
     assert f"config error: {where}: unknown key 'epoch'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [True, 2.9, "5", "0.1", 1])
+def test_run_rejects_snapshot_every_as_unknown_key(tmp_path, capsys, value):
+    # run keeps no snapshots; only a run trajectory of probe reads the key
+    code, out = _main_on(tmp_path, "run", _set(COMMANDS["run"][1], ("snapshot_every",), value))
+    assert code == EXIT_CONFIG
+    assert "config error: config: unknown key 'snapshot_every'" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -2,8 +2,10 @@
 
 Each workload is run twice: with the objective as built, and with the same
 objective built as a subclass whose batched pair (``values_at_points``/
-``grads_at_points``) and fused ``full_value_and_grad_at`` are reset to the
-:class:`FiniteSumObjective` loops over ``value_at``/``grad_at``.  Every run
+``grads_at_points``) and full-objective kernel
+(``full_values_and_grads_at_points``) are reset to the
+:class:`FiniteSumObjective` loops over ``value_at``/``grad_at`` and
+``full_value_at``/``full_grad_at``.  Every run
 reads the pair in both selector forms: a sample index for the estimator's
 directions and ``ALL`` for the trace and the full objective.  The
 optimizer's raw-array loop is run against a reference loop that validates
@@ -59,13 +61,12 @@ HYBRID = {"modes": {"x": "zo", "y": "fo"}, "zo": {"mu": 1e-3, "directions_per_st
           "init": {"kind": "gaussian", "scale": 1.0}, "seed": 5}
 
 
-BATCHED_KERNELS = ("values_at_points", "grads_at_points")
+BATCHED_KERNELS = ("values_at_points", "grads_at_points", "full_values_and_grads_at_points")
 
 
 def _looped(cls):
-    reset = BATCHED_KERNELS + ("full_value_and_grad_at",)
     return type(f"Looped{cls.__name__}", (cls,),
-                {name: getattr(FiniteSumObjective, name) for name in reset})
+                {name: getattr(FiniteSumObjective, name) for name in BATCHED_KERNELS})
 
 
 def test_every_family_overrides_all_batched_kernels_or_none():
@@ -273,7 +274,8 @@ def _reference_run(obj, w0, cfg, rng, snapshot_every=0):
                 w = _reference_step(obj, w, int(idx), cfg, rng)
             except NumericError as exc:
                 raise NumericError(f"epoch {epoch}, step {global_step}: {exc}") from exc
-            f, g = obj.full_value_and_grad_at(w.values)
+            fs, gs = obj.full_values_and_grads_at_points(w.values[None])
+            f, g = float(fs[0]), gs[0]
             norms = (float(np.linalg.norm(v)) for v in (g, g[:d_x], g[d_x:]))
             trace.append(TraceRecord(epoch, global_step, f, *norms))
             if snapshot_every > 0 and (global_step + 1) % snapshot_every == 0:

@@ -276,13 +276,32 @@ def _base_loop(obj, points, i):
             FiniteSumObjective.grads_at_points(obj, points, i))
 
 
+def _fused(obj, values):
+    """The full-objective kernel's m = 1 case: (f, grad f) at one point."""
+    fs, gs = obj.full_values_and_grads_at_points(values[None])
+    return float(fs[0]), gs[0]
+
+
+def _assert_full_kernel_matches(obj, points):
+    """The full-objective kernel against full_value_at/full_grad_at per row and
+    against the base-class loop, bit for bit."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals, grads = obj.full_values_and_grads_at_points(points)
+        base_vals, base_grads = FiniteSumObjective.full_values_and_grads_at_points(obj, points)
+        ref_vals = np.array([obj.full_value_at(p) for p in points])
+        ref_grads = np.stack([obj.full_grad_at(p) for p in points])
+    assert vals.shape == (len(points),) and grads.shape == points.shape
+    assert vals.tobytes() == ref_vals.tobytes() == base_vals.tobytes()
+    assert grads.tobytes() == ref_grads.tobytes() == base_grads.tobytes()
+
+
 def _assert_batched_matches(obj, values):
     """The pair with ALL against the per-sample loop and the base-class loop."""
     with np.errstate(over="ignore"):
         vals, grads = obj.values_at_points(values, ALL), obj.grads_at_points(values, ALL)
         ref_vals, ref_grads = _per_sample(obj, values)
         base_vals, base_grads = _base_loop(obj, values, ALL)
-        fused = obj.full_value_and_grad_at(values)
+        fused = _fused(obj, values)
         full = (obj.full_value_at(values), obj.full_grad_at(values))
     assert vals.shape == (obj.n,) and grads.shape == (obj.n, obj.layout.d)
     assert np.array_equal(vals, ref_vals) and np.array_equal(base_vals, ref_vals)
@@ -313,7 +332,7 @@ def _assert_means_match_np_mean(obj, values):
         vals, grads = obj.values_at_points(values, ALL), obj.grads_at_points(values, ALL)
         want_value, want_grad = float(np.mean(vals)), np.mean(grads, axis=0)
         want_variance = float(np.mean(np.sum((grads - want_grad) ** 2, axis=1)))
-        fused_value, fused_grad = obj.full_value_and_grad_at(values)
+        fused_value, fused_grad = _fused(obj, values)
         value, grad = obj.full_value_at(values), obj.full_grad_at(values)
         variance = obj.sample_variance(HybridPoint(obj.layout, values))
     assert repr(value) == repr(fused_value) == repr(want_value)
@@ -344,6 +363,13 @@ def test_batched_kernels_bit_identical_to_per_sample(case):
     _assert_at_points_matches(obj, points)
 
 
+@given(_family_and_point())
+def test_full_kernel_rows_bit_identical_to_per_point(case):
+    obj, values, points = case
+    _assert_full_kernel_matches(obj, points)
+    _assert_full_kernel_matches(obj, np.stack([values, *points]))
+
+
 def test_batched_logistic_saturated_margins():
     # margins of +-900 and +-5000 saturate logaddexp: loss 0 or -margin, p 0 or 1
     layout = BlockLayout(1, 1)
@@ -358,6 +384,7 @@ def test_batched_logistic_saturated_margins():
     (vals, grads), *_ = _assert_at_points_matches(obj, points)
     assert np.array_equal(vals, [0.0, 900.0, 0.0])
     assert np.array_equal(grads[:, 0], [0.0, -1.0, 0.0])
+    _assert_full_kernel_matches(obj, points)
 
 
 def test_batched_cosh_overflow_lands_at_same_positions():
@@ -372,12 +399,13 @@ def test_batched_cosh_overflow_lands_at_same_positions():
     (vals, grads), *_ = _assert_at_points_matches(obj, points)
     assert np.array_equal(np.isinf(vals), [True, False, True])
     assert np.array_equal(grads[2], [-np.inf, np.inf, np.sinh(-1.0)])
+    _assert_full_kernel_matches(obj, points)
 
 
 @pytest.mark.parametrize("kind", sorted(_BUILDERS))
 def test_family_overrides_batched_kernels(kind):
     cls = type(_BUILDERS[kind](LAYOUT, 2, RngStream(15, 0xDA7A), 1.0))
-    for name in ("values_at_points", "grads_at_points"):
+    for name in ("values_at_points", "grads_at_points", "full_values_and_grads_at_points"):
         assert getattr(cls, name) is not getattr(FiniteSumObjective, name), name
 
 
@@ -387,7 +415,7 @@ def test_subclass_without_kernels_uses_base_loop():
         offset = OffsetObjective(base, 2.5)
         scaled = ScaledObjective(base, -3.0)
         for wrapper in (offset, scaled):
-            for kernel in ("values_at_points", "grads_at_points"):
+            for kernel in ("values_at_points", "grads_at_points", "full_values_and_grads_at_points"):
                 assert getattr(type(wrapper), kernel) is getattr(FiniteSumObjective, kernel)
         values = sample_gaussian(rng, LAYOUT.d)
         w = HybridPoint(LAYOUT, values)

@@ -1,5 +1,6 @@
 """Finite-difference curvature probes against closed-form Hessians."""
 from dataclasses import replace
+from math import sqrt
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from hybridsgd import (
     sample_gaussian,
     trajectory_scan,
 )
+from hybridsgd import probe
+from hybridsgd.core import _unit_sphere_rows
 from hybridsgd.probe import _hvp_rows, write_probe_csv
 from conftest import BlockGuardObjective, CountingQuadratic
 
@@ -175,6 +178,46 @@ def test_sample_probe_is_one_batched_call_of_k_plus_one_gradients(target):
     estimate_block_lipschitz(obj, w, ProbeConfig(probes=7, target=target), RngStream(90, 1), sample=1)
     assert obj.grad_calls == 0
     assert obj.grad_rows == [8]
+
+
+@pytest.mark.parametrize("probes", [1, 9, 10, 19, 100])
+def test_full_probe_is_one_kernel_call_per_block_of_rows(probes):
+    # 300 samples of dimension 5: the K + 1 points go through the kernel in
+    # blocks of C = _FULL_BLOCK // 1500 rows, so in ceil((K + 1) / C) calls
+    rows, points = probe._FULL_BLOCK // 1500, probes + 1
+    obj = CountingQuadratic(LAYOUT, np.arange(1500.0).reshape(300, 5) / 1000.0, 3.0, 1.0)
+    w = HybridPoint(LAYOUT, [0.5, -1.0, 0.25, 2.0, -0.5])
+    estimate_block_lipschitz(obj, w, ProbeConfig(probes=probes), RngStream(93, 1))
+    assert obj.full_grad_calls == 0 and obj.grad_calls == 0
+    assert obj.full_rows == [min(rows, points - k) for k in range(0, points, rows)]
+    assert len(obj.full_rows) == -(-points // rows)
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-75, 1e-20, 1.0, 1e20, 1e75])
+@pytest.mark.parametrize("probes", [1, 2, 3, 50])
+@pytest.mark.parametrize("sample", [None, 0])
+def test_probe_statistics_equal_numpy_max_mean_std(scale, probes, sample):
+    # ||Hv||^2 spans 1e-150 to 1e150 (all zero for scale 0); the report must
+    # hold the bits of the np.max / np.mean / np.std(ddof=1) formulas
+    layout = BlockLayout(2, 3)
+    base = DenseQuadratic.random(layout, 2, RngStream(94, 0xDA7A), center_scale=1.0)
+    obj = DenseQuadratic(layout, scale * base.hessian, base.centers)
+    w = HybridPoint(layout, sample_gaussian(RngStream(94, 1), layout.d))
+    for target in Block:
+        cfg = ProbeConfig(probes=probes, target=target)
+        sl = layout.slice_of(target)
+        dim = sl.stop - sl.start
+        directions = _unit_sphere_rows(RngStream(95, 1), probes, dim)
+        hv = _hvp_rows(obj, w.values, directions, cfg.h, target, sample)[:, sl]
+        sq = np.vecdot(hv, hv)
+        mean_sq = float(np.mean(sq))
+        std = float(np.std(sq, ddof=1)) if probes > 1 and mean_sq > 0.0 else None
+        want = ProbeReport(
+            sqrt(mean_sq), sqrt(dim * mean_sq), float(np.max(np.sqrt(sq))),
+            0.0 if std is None else sqrt(dim) * (std / sqrt(probes)) / (2.0 * sqrt(mean_sq)),
+            probes, cfg.h, target)
+        got = estimate_block_lipschitz(obj, w, cfg, RngStream(95, 1), sample=sample)
+        assert repr(got) == repr(want), (target, got, want)
 
 
 def test_trajectory_scan_constant_on_quadratic():
