@@ -12,14 +12,25 @@ pair ``values_at_points(points, i)``/``grads_at_points(points, i)`` evaluates
 sample i at every row of (m, d) points, shapes (m,) and (m, d), for the
 estimator, probes and oracle; with the selector :data:`ALL`, every sample at
 one point, shapes (n,) and (n, d), for ``full_value_at``, ``full_grad_at`` and
-``sample_variance``.  The kernel ``full_values_and_grads_at_points(points)``
-gives the full value and gradient at every row, shapes (m,) and (m, d), for
-full-objective probes and, with m = 1, the per-step trace.  The base class
-loops the pair over ``value_at``/``grad_at`` and the kernel over the ``full_*``
-methods; those loops are the reference.  Each family overrides both with one
-vectorised body each, bit-identical to the loops (``np.vecdot``, ``np.matvec``
-and reductions over the samples axis, not ``@`` or ``einsum``, which can round
-differently); a family that overrides ``value_at``/``grad_at`` must do the same.
+``sample_variance``.  The base class loops the pair over ``value_at``/``grad_at``;
+each family overrides it with one vectorised body, bit-identical to that loop,
+and a family that overrides ``value_at``/``grad_at`` must do the same.
+
+The kernel ``full_values_and_grads_at_points(points)`` gives the full value and
+gradient at every row, shapes (m,) and (m, d), for full-objective probes and,
+with m = 1, the per-step trace.  The base class loops the exact per-sample means
+``full_value_at``/``full_grad_at`` over the rows; cosh keeps their bits.  The
+others use closed forms: logistic one dot of the (d, n) features with the
+sigmoid weights, linear the mean slope, the quadratics the mean center c,
+f = 0.5 (w - c)^T A (w - c) + f(c).  With gamma = (n + d) eps and W = max |w_j|,
+a row is within gamma M (plus n + d smallest subnormals) of the exact value,
+M being, for f and for each gradient entry: quadratics sum |A_jk| (C + R)(R + gamma C)
+and max_j sum_k |A_jk| (C + R), with C = max |c_ij| and R = max |w_j - c_ij|
+(rounding c costs about eps ||c|| ||A (w - c)||); logistic 1 + Z_1 W + lam d W^2
+and Z + lam W, with Z_1 = max_i sum_j |z_ij| and Z = max |z_ij|; linear d W S and
+S, with S = max |s_ij|.  Dots are ``np.vecdot``, or ``np.matvec`` with a square
+Hessian: ``@``, ``matmul``, ``einsum`` and ``np.matvec`` with a wide matrix can
+round differently with the BLAS thread count.
 Data arrays are read through ``core._check_array``, so a bool or a string
 in them is an error.  :func:`objective_from_dict` reads a spec through its
 kind's table of data keys, shared keys and generation-only keys.
@@ -170,8 +181,9 @@ class BlockQuadratic(FiniteSumObjective):
         self._diag = np.concatenate(
             [np.full(layout.d_x, self.a_x), np.full(layout.d_y, self.a_y)]
         )
-        mean_center = centers.mean(axis=0)
-        self._f_star = self.full_value_at(mean_center)
+        self._mean_center = centers.mean(axis=0)
+        # f at the mean center: the minimum, and the kernel's constant term
+        self._f_star = self.full_value_at(self._mean_center)
         self.centers.setflags(write=False)
 
     def value_at(self, values: np.ndarray, i: int) -> float:
@@ -189,9 +201,9 @@ class BlockQuadratic(FiniteSumObjective):
         return self._diag * (points - self.centers[i])
 
     def full_values_and_grads_at_points(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        dv = _rows(points) - self.centers
+        dv = points - self._mean_center
         grads = self._diag * dv
-        return _means(0.5 * np.vecdot(dv, grads), grads, points)
+        return 0.5 * np.vecdot(dv, grads) + self._f_star, grads
 
     @property
     def f_star(self) -> float | None:
@@ -246,8 +258,10 @@ class CoshObjective(FiniteSumObjective):
         return np.sinh(points - self.shifts[i])
 
     def full_values_and_grads_at_points(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        dv = _rows(points) - self.shifts
-        return _means(np.sum(np.cosh(dv), axis=-1), np.sinh(dv), points)
+        # no closed form: the means of the pair's (m, n) values and (m, n, d) gradients
+        dv = points[:, None, :] - self.shifts
+        return (np.add.reduce(np.sum(np.cosh(dv), axis=-1), -1) / self._n,
+                np.add.reduce(np.sinh(dv), -2) / self._n)
 
     @property
     def f_star(self) -> float | None:
@@ -282,6 +296,7 @@ class LogisticObjective(FiniteSumObjective):
         self.lam = _check_real("lam", lam, allow_zero=True)
         self.features = features
         self.labels = labels
+        self._features_t = np.ascontiguousarray(features.T)  # (d, n) rows for the kernel's gradient
         self.features.setflags(write=False)
         self.labels.setflags(write=False)
 
@@ -297,25 +312,24 @@ class LogisticObjective(FiniteSumObjective):
         return (-self.labels[i] * p) * self.features[i] + self.lam * values
 
     def values_at_points(self, points: np.ndarray, i: int | slice) -> np.ndarray:
-        return self._losses(self.labels[i] * np.vecdot(points, self.features[i]), points)
-
-    def grads_at_points(self, points: np.ndarray, i: int | slice) -> np.ndarray:
-        return self._grads(self.labels[i] * np.vecdot(points, self.features[i]), points, i)
-
-    def full_values_and_grads_at_points(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # the pair's bodies with i = ALL, sharing the margins
-        rows = _rows(points)
-        margin = self.labels * np.vecdot(rows, self.features)
-        return _means(self._losses(margin, rows), self._grads(margin, rows, ALL), points)
-
-    def _losses(self, margin: np.ndarray, points: np.ndarray) -> np.ndarray:
+        margin = self.labels[i] * np.vecdot(points, self.features[i])
         return np.logaddexp(0.0, -margin) + 0.5 * self.lam * np.vecdot(points, points)
 
-    def _grads(self, margin: np.ndarray, points: np.ndarray, i: int | slice) -> np.ndarray:
+    def grads_at_points(self, points: np.ndarray, i: int | slice) -> np.ndarray:
+        margin = self.labels[i] * np.vecdot(points, self.features[i])
         p = np.exp(-np.logaddexp(0.0, margin))
         grads = (-self.labels[i] * p)[..., None] * self.features[i]
         grads += self.lam * points  # in place: the same sum, one (..., d) temporary fewer
         return grads
+
+    def full_values_and_grads_at_points(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        margin = self.labels * np.vecdot(points[:, None, :], self.features)  # (m, n)
+        # logaddexp(0, -margin), not logaddexp(0, margin) - margin, which cancels once
+        # margins saturate; the gradient weight -b sigmoid(-margin) is b expm1(-loss)
+        losses = np.logaddexp(0.0, -margin)
+        coeff = self.labels * np.expm1(-losses)
+        return (np.add.reduce(losses, -1) / self._n + 0.5 * self.lam * np.vecdot(points, points),
+                np.vecdot(self._features_t, coeff[:, None, :]) / self._n + self.lam * points)
 
     def block_lipschitz_bound(self) -> tuple[float, float]:
         d_x = self.layout.d_x
@@ -345,6 +359,7 @@ class LinearObjective(FiniteSumObjective):
         slopes = _check_array("slopes", slopes, (None, layout.d))
         super().__init__(layout, slopes.shape[0])
         self.slopes = slopes
+        self._mean_slope = np.add.reduce(slopes, 0) / self._n
         self.slopes.setflags(write=False)
 
     def value_at(self, values: np.ndarray, i: int) -> float:
@@ -361,9 +376,7 @@ class LinearObjective(FiniteSumObjective):
         return np.tile(self.slopes[i], (*points.shape[:-1], 1))
 
     def full_values_and_grads_at_points(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        values = np.add.reduce(np.vecdot(_rows(points), self.slopes), -1) / self._n
-        grad = np.add.reduce(self.slopes, 0) / self._n
-        return values.reshape(len(points)), np.tile(grad, (len(points), 1))
+        return np.vecdot(points, self._mean_slope), np.tile(self._mean_slope, (len(points), 1))
 
     def block_lipschitz_bound(self) -> tuple[float, float]:
         return (0.0, 0.0)
@@ -399,7 +412,8 @@ class DenseQuadratic(FiniteSumObjective):
         self.centers = centers
         eigs = np.linalg.eigvalsh(hessian)
         self._psd = bool(eigs[0] >= -1e-12 * max(scale, 1.0))
-        self._f_star = self.full_value_at(centers.mean(axis=0)) if self._psd else None
+        self._mean_center = centers.mean(axis=0)
+        self._spread = self.full_value_at(self._mean_center)  # the kernel's constant term
         self.hessian.setflags(write=False)
         self.centers.setflags(write=False)
 
@@ -418,13 +432,13 @@ class DenseQuadratic(FiniteSumObjective):
         return np.matvec(self.hessian, points - self.centers[i])
 
     def full_values_and_grads_at_points(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        dv = _rows(points) - self.centers
+        dv = points - self._mean_center
         grads = np.matvec(self.hessian, dv)
-        return _means(0.5 * np.vecdot(dv, grads), grads, points)
+        return 0.5 * np.vecdot(dv, grads) + self._spread, grads
 
     @property
     def f_star(self) -> float | None:
-        return self._f_star
+        return self._spread if self._psd else None
 
     def block_lipschitz_bound(self) -> tuple[float, float]:
         d_x = self.layout.d_x
@@ -447,19 +461,6 @@ class DenseQuadratic(FiniteSumObjective):
         hessian = 0.5 * (g + g.T)
         centers = _spread_rows(d, n, rng, center_scale, 0.0)
         return cls(layout, hessian, centers)
-
-
-def _rows(points: np.ndarray) -> np.ndarray:
-    """A kernel's (m, d) points against (n, d) sample data: (m, 1, d) rows, or for
-    m = 1 the point itself, the same bits with an axis less per numpy call."""
-    return points[0] if len(points) == 1 else points[:, None, :]
-
-
-def _means(values: np.ndarray, grads: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sample means of values (..., n) and gradients (..., n, d), shaped (m,) and (m, d)."""
-    n = values.shape[-1]
-    return ((np.add.reduce(values, -1) / n).reshape(len(points)),
-            (np.add.reduce(grads, -2) / n).reshape(points.shape))
 
 
 def _spread_rows(

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,10 +114,10 @@ class OptimizerConfig:
             object.__setattr__(self, "divergence_threshold", f)
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """Per-step log entry; metrics are exact full-objective quantities at the
-    updated point, so grad_norm^2 == grad_norm_x^2 + grad_norm_y^2."""
+class TraceRecord(NamedTuple):
+    """Per-step log entry; metrics are full-objective quantities at the updated
+    point, from the objective's full kernel, so grad_norm^2 == grad_norm_x^2 +
+    grad_norm_y^2.  A tuple: one is built per step."""
 
     epoch: int
     step: int

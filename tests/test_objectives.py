@@ -1,5 +1,7 @@
 """Finite-sum objective families: values, gradients, variance, serialization."""
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from hybridsgd.objectives import ALL
 from conftest import OffsetObjective, ScaledObjective
 
 LAYOUT = BlockLayout(3, 2)
+EPS = np.finfo(np.float64).eps
 
 
 def _families(seed=101):
@@ -282,17 +285,61 @@ def _fused(obj, values):
     return float(fs[0]), gs[0]
 
 
+def _hessian(obj):
+    """The d x d Hessian A of a quadratic family."""
+    if isinstance(obj, DenseQuadratic):
+        return obj.hessian
+    return np.diag(np.repeat([obj.a_x, obj.a_y], [obj.layout.d_x, obj.layout.d_y]))
+
+
+def _kernel_bound(obj, w):
+    """The objectives module's bound on a full kernel row at w against the exact
+    full objective: (on f, on each gradient entry), in input magnitudes, with
+    gamma = (n + d) eps and (n + d) smallest subnormals for underflow; (0, 0) for
+    cosh, whose kernel is exact."""
+    n_d = obj.n + obj.layout.d
+    gamma, under = n_d * EPS, n_d * np.finfo(np.float64).smallest_subnormal
+    big_w = float(np.max(np.abs(w)))
+    if isinstance(obj, CoshObjective):
+        return 0.0, 0.0
+    if isinstance(obj, LogisticObjective):
+        z = np.abs(obj.features)
+        m_f = 1.0 + np.max(z.sum(axis=1)) * big_w + obj.lam * obj.layout.d * big_w ** 2
+        m_g = np.max(z) + obj.lam * big_w
+    elif isinstance(obj, LinearObjective):
+        m_g = float(np.max(np.abs(obj.slopes)))
+        m_f = obj.layout.d * big_w * m_g
+    else:
+        a = np.abs(_hessian(obj))
+        c, r = float(np.max(np.abs(obj.centers))), float(np.max(np.abs(w - obj.centers)))
+        m_f, m_g = a.sum() * (c + r) * (r + gamma * c), a.sum(axis=1).max() * (c + r)
+    return gamma * m_f + under, gamma * m_g + under
+
+
+def _assert_within_bound(obj, points, vals, grads, ref_vals, ref_grads, factor=2.0):
+    """Kernel rows against reference rows: equal bits for cosh, else within factor
+    times _kernel_bound, compared by value (a closed form may give -0.0 for +0.0).
+    Against a float reference the factor is 2: the reference rounds too."""
+    if isinstance(obj, CoshObjective):
+        assert vals.tobytes() == ref_vals.tobytes() and grads.tobytes() == ref_grads.tobytes()
+        return
+    for p, f, g, ref_f, ref_g in zip(points, vals, grads, ref_vals, ref_grads):
+        f_tol, g_tol = _kernel_bound(obj, p)
+        assert abs(f - ref_f) <= factor * f_tol, (f, ref_f, f_tol)
+        assert np.max(np.abs(g - ref_g)) <= factor * g_tol, (g, ref_g, g_tol)
+
+
 def _assert_full_kernel_matches(obj, points):
     """The full-objective kernel against full_value_at/full_grad_at per row and
-    against the base-class loop, bit for bit."""
+    the base-class loop (one reference, the same bits), within the bound."""
     with np.errstate(over="ignore", invalid="ignore"):
         vals, grads = obj.full_values_and_grads_at_points(points)
         base_vals, base_grads = FiniteSumObjective.full_values_and_grads_at_points(obj, points)
         ref_vals = np.array([obj.full_value_at(p) for p in points])
         ref_grads = np.stack([obj.full_grad_at(p) for p in points])
     assert vals.shape == (len(points),) and grads.shape == points.shape
-    assert vals.tobytes() == ref_vals.tobytes() == base_vals.tobytes()
-    assert grads.tobytes() == ref_grads.tobytes() == base_grads.tobytes()
+    assert ref_vals.tobytes() == base_vals.tobytes() and ref_grads.tobytes() == base_grads.tobytes()
+    _assert_within_bound(obj, points, vals, grads, ref_vals, ref_grads)
 
 
 def _assert_batched_matches(obj, values):
@@ -306,7 +353,8 @@ def _assert_batched_matches(obj, values):
     assert vals.shape == (obj.n,) and grads.shape == (obj.n, obj.layout.d)
     assert np.array_equal(vals, ref_vals) and np.array_equal(base_vals, ref_vals)
     assert np.array_equal(grads, ref_grads) and np.array_equal(base_grads, ref_grads)
-    assert repr(fused[0]) == repr(full[0]) and np.array_equal(fused[1], full[1])
+    _assert_within_bound(obj, [values], np.array([fused[0]]), fused[1][None],
+                         np.array([full[0]]), full[1][None])
     return vals, grads
 
 
@@ -327,7 +375,8 @@ def _assert_at_points_matches(obj, points):
 
 
 def _assert_means_match_np_mean(obj, values):
-    """The full_* means and sample_variance against np.mean, bit for bit."""
+    """The full_* means and sample_variance against np.mean, bit for bit, and the
+    kernel's m = 1 case against them within the bound."""
     with np.errstate(over="ignore", invalid="ignore"):
         vals, grads = obj.values_at_points(values, ALL), obj.grads_at_points(values, ALL)
         want_value, want_grad = float(np.mean(vals)), np.mean(grads, axis=0)
@@ -335,8 +384,9 @@ def _assert_means_match_np_mean(obj, values):
         fused_value, fused_grad = _fused(obj, values)
         value, grad = obj.full_value_at(values), obj.full_grad_at(values)
         variance = obj.sample_variance(HybridPoint(obj.layout, values))
-    assert repr(value) == repr(fused_value) == repr(want_value)
-    assert grad.tobytes() == fused_grad.tobytes() == want_grad.tobytes()
+    assert repr(value) == repr(want_value) and grad.tobytes() == want_grad.tobytes()
+    _assert_within_bound(obj, [values], np.array([fused_value]), fused_grad[None],
+                         np.array([want_value]), want_grad[None])
     assert repr(variance) == repr(want_variance)
 
 
@@ -364,7 +414,7 @@ def test_batched_kernels_bit_identical_to_per_sample(case):
 
 
 @given(_family_and_point())
-def test_full_kernel_rows_bit_identical_to_per_point(case):
+def test_full_kernel_rows_match_per_point_within_bound(case):
     obj, values, points = case
     _assert_full_kernel_matches(obj, points)
     _assert_full_kernel_matches(obj, np.stack([values, *points]))
@@ -400,6 +450,77 @@ def test_batched_cosh_overflow_lands_at_same_positions():
     assert np.array_equal(np.isinf(vals), [True, False, True])
     assert np.array_equal(grads[2], [-np.inf, np.inf, np.sinh(-1.0)])
     _assert_full_kernel_matches(obj, points)
+
+
+# -- closed-form kernels against exact references ----------------------------
+
+
+def _exact_full(obj, w):
+    """(f, grad f) at w from exact sums, rounded once: rational arithmetic for the
+    quadratic and linear families, math.fsum over value_at/grad_at for logistic."""
+    n = obj.n
+    if isinstance(obj, LogisticObjective):
+        grads = np.stack([obj.grad_at(w, i) for i in range(n)])
+        return (math.fsum(obj.value_at(w, i) for i in range(n)) / n,
+                np.array([math.fsum(column) / n for column in grads.T]))
+    q = [Fraction(v) for v in w]
+    if isinstance(obj, LinearObjective):
+        rows = [[Fraction(v) for v in row] for row in obj.slopes]
+        return (float(sum(a * b for row in rows for a, b in zip(row, q)) / n),
+                np.array([float(sum(column) / n) for column in zip(*rows)]))
+    a = [[Fraction(v) for v in row] for row in _hessian(obj)]
+    f, g = Fraction(0), [Fraction(0)] * len(q)
+    for center in obj.centers:
+        dv = [x - Fraction(c) for x, c in zip(q, center)]
+        a_dv = [sum(h * y for h, y in zip(row, dv)) for row in a]
+        f += sum(y * z for y, z in zip(dv, a_dv)) / 2
+        g = [x + y for x, y in zip(g, a_dv)]
+    return float(f / n), np.array([float(x / n) for x in g])
+
+
+def _assert_kernel_near_exact(obj, points):
+    vals, grads = obj.full_values_and_grads_at_points(points)
+    exact = [_exact_full(obj, p) for p in points]
+    _assert_within_bound(obj, points, vals, grads, np.array([f for f, _ in exact]),
+                         np.stack([g for _, g in exact]), factor=1.0)
+    return vals, grads
+
+
+@pytest.mark.parametrize("kind", ["block_quadratic", "dense_quadratic", "linear", "logistic"])
+def test_closed_form_kernel_within_bound_of_exact(kind):
+    rng = RngStream(31, 1)
+    for n, scale in ((1, 1.0), (5, 1.0), (40, 30.0)):
+        obj = _BUILDERS[kind](LAYOUT, n, RngStream(31, 0xDA7A).child(n), scale)
+        _assert_kernel_near_exact(obj, 10.0 * sample_gaussian(rng, 4 * LAYOUT.d).reshape(4, -1))
+
+
+def test_quadratic_kernels_near_centers_sharing_a_large_offset():
+    # Centers 1e8 +- 0.1: the kernel goes through the rounded mean center, which
+    # costs about eps ||c|| ||A dv||, far above eps f near the minimum; the bound,
+    # stated in input magnitudes, still holds there and far away.
+    layout = BlockLayout(2, 1)
+    centers = 1e8 + 0.1 * sample_gaussian(RngStream(32, 1), 4 * 3).reshape(4, 3)
+    hessian = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.25], [0.0, 0.25, 3.0]])
+    mean = centers.mean(axis=0)
+    points = np.stack([mean, mean + 0.05, mean - [0.3, 0.0, 0.1], centers[0], np.zeros(3)])
+    for obj in (BlockQuadratic(layout, centers, 4.0, 0.5), DenseQuadratic(layout, hessian, centers)):
+        _assert_kernel_near_exact(obj, points)
+
+
+def test_logistic_kernel_saturated_margins_against_exact_sums():
+    # margins of +-900 and +-5000: logaddexp saturates at 0 or -margin
+    layout = BlockLayout(1, 1)
+    features = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [0.5, 0.5]])
+    labels = [1.0, 1.0, -1.0, 1.0, -1.0]
+    points = np.array([[900.0, 5000.0], [-900.0, 5000.0], [5000.0, -900.0], [-5000.0, -900.0],
+                       [0.3, -0.2]])
+    for lam in (0.0, 0.1):
+        _assert_kernel_near_exact(LogisticObjective(layout, features, labels, lam), points)
+    # every loss and gradient term is exact here, and so is the kernel, by value
+    obj = LogisticObjective(layout, features[:4], labels[:4], lam=0.0)
+    vals, grads = _assert_kernel_near_exact(obj, points[:2])
+    assert np.array_equal(vals, [(900.0 + 5000.0 + 5000.0) / 4] * 2)
+    assert np.array_equal(grads, [[0.25, 0.5], [-0.25, 0.5]])
 
 
 @pytest.mark.parametrize("kind", sorted(_BUILDERS))

@@ -1,6 +1,11 @@
 """Finite-difference curvature probes against closed-form Hessians."""
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from math import sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,6 +223,28 @@ def test_probe_statistics_equal_numpy_max_mean_std(scale, probes, sample):
             probes, cfg.h, target)
         got = estimate_block_lipschitz(obj, w, cfg, RngStream(95, 1), sample=sample)
         assert repr(got) == repr(want), (target, got, want)
+
+
+def test_full_probe_bytes_do_not_depend_on_blas_thread_count(tmp_path):
+    # logistic n = 2000, d = 300: the kernel's dots run over d and n, below the
+    # length (about 1e4) at which OpenBLAS splits one dot across threads, while
+    # `c @ features` at this size gives different bytes with 1 and 2 threads
+    points = 0.05 * sample_gaussian(RngStream(96, 1), 2 * 300).reshape(2, 300)
+    cfg = {"objective": {"kind": "logistic", "d_x": 150, "d_y": 150, "n": 2000, "lam": 0.01,
+                         "seed": 96},
+           "probe": {"probes": 20}, "trajectory": {"kind": "points", "points": points.tolist()},
+           "seed": 96}
+    (tmp_path / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
+    child = "import sys; from hybridsgd.cli import main; sys.exit(main(sys.argv[1:]))"
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        out = tmp_path / f"threads{threads}.csv"
+        subprocess.run([sys.executable, "-c", child, "probe", "--config", str(tmp_path / "config.json"),
+                        "--out", str(out)], env=env, check=True, capture_output=True)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 3
 
 
 def test_trajectory_scan_constant_on_quadratic():
