@@ -32,8 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import (_REQUIRED, Block, BlockLayout, HybridPoint, NumericError, RngStream, _check_array,
-                   _check_finite, _check_int, _check_u64, _gaussian_point, _load_json, _read_section,
-                   _write_csv, fmt17)
+                   _check_finite, _check_int, _check_type, _check_u64, _gaussian_point, _load_json,
+                   _read_section, _write_csv, fmt17)
 from .estimator import ZoConfig
 from .objectives import FiniteSumObjective, objective_from_dict
 from .optimizer import BlockMode, LearningRates, Mode, OptimizerConfig, run, write_trace_csv
@@ -59,7 +59,7 @@ CHECK_STREAM_ID = 4
 
 
 def _rate_grid(key: str, value) -> list[float]:
-    if not isinstance(value, list) or not value:
+    if not _check_type(key, value, list):
         raise ValueError(f"config: {key} must be a non-empty list")
     return [_check_finite(key, v) for v in value]
 
@@ -122,11 +122,9 @@ def _objective(spec, config_path) -> FiniteSumObjective:
     return objective_from_dict(spec)
 
 
-def _point_list(where: str, raw, layout: BlockLayout) -> list:
-    points = [HybridPoint(layout, _check_array("points", p, (layout.d,))) for p in raw]
-    if not points:
-        raise ValueError(f"{where}: points list is empty")
-    return points
+def _point_list(raw, obj: FiniteSumObjective) -> list:
+    d = obj.layout.d
+    return obj.check_points(HybridPoint(obj.layout, _check_array("points", p, (d,))) for p in raw)
 
 
 def _initial_point(spec, layout: BlockLayout, seed: int) -> HybridPoint:
@@ -145,8 +143,6 @@ def _optimizer_config(cfg: dict, rates) -> OptimizerConfig:
         modes = BlockMode(Mode(modes["x"]), Mode(modes["y"]))
     except ValueError as exc:
         raise ValueError(f"modes: {exc}") from exc
-    if cfg["zo"] is None and modes.uses_zo():
-        raise ValueError("config: 'zo' (mu, directions_per_step) is required for ZO modes")
     rates = LearningRates(**_read_section("rates", rates, _fields(LearningRates)))
     zo = None if cfg["zo"] is None else ZoConfig(**_read_section("zo", cfg["zo"], _fields(ZoConfig)))
     return OptimizerConfig(rates, modes, zo, cfg["epochs"], cfg["divergence_threshold"])
@@ -236,10 +232,10 @@ def cmd_sweep(args) -> int:
             trace, diverged = [], True
         final_f = trace[-1].f_value if trace else f0
         # steps until f <= f_target, empty if never (or without a target)
-        steps = next((r.step + 1 for r in trace if f_target is not None and r.f_value <= f_target), None)
-        rows.append([fmt17(opt.rates.eta_x), fmt17(opt.rates.eta_y), fmt17(final_f),
-                     str(diverged).lower(), steps])
-    _write_csv(args.out, ("eta_x", "eta_y", "final_f", "diverged", "steps_to_threshold"), rows)
+        steps = next((r.step + 1 for r in trace if f_target is not None and r.f_value <= f_target), "")
+        rows.append((opt.rates.eta_x, opt.rates.eta_y, final_f, str(diverged).lower(), steps))
+    _write_csv(args.out, ("eta_x", "eta_y", "final_f", "diverged", "steps_to_threshold"),
+               "%.17g,%.17g,%.17g,%s,%s\n", rows)
     # cells differ only in their rates, so the first stands for all
     _write_meta(args.out, _run_meta("sweep", cfg, cells[0], eta_x_grid=eta_x_grid,
                                      eta_y_grid=eta_y_grid, f_target=f_target))
@@ -262,7 +258,7 @@ def _probe_config(spec) -> ProbeConfig:
 def _trajectory(spec, obj: FiniteSumObjective, seed: int) -> list:
     traj = _read_section("trajectory", spec, {"kind": (None, _REQUIRED)}, _TRAJECTORY_KINDS)
     if traj["kind"] == "points":
-        return _point_list("trajectory", traj["points"], obj.layout)
+        return _point_list(traj["points"], obj)
     opt = _optimizer_config(traj, traj["rates"])
     every = obj.n if traj["snapshot_every"] is None else traj["snapshot_every"]
     w0 = _initial_point(traj["init"], obj.layout, seed)
@@ -280,7 +276,7 @@ def cmd_probe(args) -> int:
     meta = {
         "command": "probe",
         "objective": cfg["objective"],
-        "probe": {"h": pcfg.h, "probes": pcfg.probes, "target": pcfg.target.value},
+        "probe": {**asdict(pcfg), "target": pcfg.target.value},
         "trajectory": cfg["trajectory"],
         "points_probed": len(rows),
         "seed": cfg["seed"],
@@ -320,16 +316,14 @@ def _plan_report(constants: SmoothnessConstants, n: int, horizon: int, d_x: int,
 
 def cmd_plan(args) -> int:
     from_file = args.constants is not None
-    if from_file == args.estimate or from_file and args.config is not None:
+    if from_file == args.estimate or from_file == (args.config is not None):
         raise ValueError("plan: pass --constants FILE, or --config FILE with --estimate")
 
-    if args.constants is not None:
+    if from_file:
         cfg = _read_section("constants", _load_json(args.constants), _COMMAND_KEYS["constants"])
         constants = SmoothnessConstants(**{f.name: cfg[f.name] for f in fields(SmoothnessConstants)})
         n, d_x = cfg["n"], cfg["d_x"]
     else:
-        if args.config is None:
-            raise ValueError("plan: --estimate requires --config")
         cfg = _config(args)
         obj = _objective(cfg["objective"], args.config)
         pcfg = _probe_config(cfg["probe"])
@@ -357,7 +351,7 @@ def cmd_plan(args) -> int:
 def _plan_points(spec, obj: FiniteSumObjective, seed: int) -> list:
     points = _read_section("points", spec, {"kind": (None, "gaussian")}, _POINTS_KINDS)
     if points["kind"] == "explicit":
-        return _point_list("points", points["points"], obj.layout)
+        return _point_list(points["points"], obj)
     rng = RngStream(seed, INIT_STREAM_ID)
     return [_gaussian_point(obj.layout, rng, points["scale"]) for _ in range(points["count"])]
 

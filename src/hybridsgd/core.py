@@ -14,7 +14,6 @@ of a nested list, so array values (data, points) are never coerced either.
 """
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -38,12 +37,12 @@ def fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_csv(path, header, rows) -> None:
-    """Write a header and rows as utf-8 CSV, "\n" line ends; callers format floats with fmt17."""
+def _write_csv(path, header, line, rows) -> None:
+    """Write a header and one ``line % row`` per row as utf-8 CSV, "\n" line ends;
+    "%.17g" in line gives the text of fmt17."""
     with open(Path(path), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        fh.write("".join([line % row for row in rows]))
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 _FLOAT_MAX = float(np.finfo(np.float64).max)
@@ -60,6 +59,13 @@ def _check_int(name: str, value, lo: int = 1, hi: int | None = None) -> int:
         bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
         raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
     return int(value)
+
+
+def _check_type(name: str, value, cls):
+    """value, if it is an instance of cls; else ValueError."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {value!r}")
+    return value
 
 
 def _check_u64(name: str, value) -> int:

@@ -97,7 +97,7 @@ def estimate_block_gradient(
     rng: RngStream,
     block: Block,
 ) -> np.ndarray:
-    """Raw-array mean of cfg.directions_per_step Gaussian-direction estimates.
+    """Raw-array mean of cfg.directions_per_step Gaussian-direction estimates of block X or Y.
 
     The base value f(values; i) is read once and shared by every direction,
     so the estimate costs directions_per_step + 1 objective values.  The q
@@ -111,8 +111,6 @@ def _block_estimate(obj: FiniteSumObjective, values: np.ndarray, i: int, cfg: Zo
                     rng: RngStream, block: Block) -> np.ndarray:
     # The body of both entry points, called from each at the same depth, so
     # that an underflow warning names the caller of either (stacklevel 4).
-    if block is Block.FULL:
-        raise ValueError("estimate one block at a time: target must be X or Y")
     q = cfg.directions_per_step
     sl = obj.layout.slice_of(block)
     directions = sample_gaussian(rng, q * (sl.stop - sl.start)).reshape(q, -1)

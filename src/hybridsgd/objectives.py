@@ -42,7 +42,7 @@ import abc
 import numpy as np
 
 from .core import (_REQUIRED, BlockLayout, HybridPoint, RngStream, _check_array, _check_finite,
-                   _check_int, _check_real, _check_u64, _read_section, sample_gaussian)
+                   _check_int, _check_real, _check_type, _check_u64, _read_section, sample_gaussian)
 
 __all__ = [
     "FiniteSumObjective",
@@ -67,9 +67,7 @@ class FiniteSumObjective(abc.ABC):
     """n-sample objective on a block-partitioned parameter vector."""
 
     def __init__(self, layout: BlockLayout, n: int):
-        if not isinstance(layout, BlockLayout):
-            raise ValueError(f"layout must be a BlockLayout, got {layout!r}")
-        self._layout = layout
+        self._layout = _check_type("layout", layout, BlockLayout)
         self._n = _check_int("n", n)
 
     @property
@@ -122,11 +120,19 @@ class FiniteSumObjective(abc.ABC):
 
     def check_point(self, w: HybridPoint) -> np.ndarray:
         """Validate a point against this objective's layout; return its values."""
-        if not isinstance(w, HybridPoint):
-            raise ValueError(f"expected a HybridPoint, got {w!r}")
+        _check_type("point", w, HybridPoint)
         if w.layout != self._layout:
             raise ValueError(f"point layout {w.layout} != objective layout {self._layout}")
         return w.values
+
+    def check_points(self, points) -> list:
+        """The points as a list, if there is at least one and each passes check_point."""
+        points = list(points)
+        if not points:
+            raise ValueError("points must contain at least one point")
+        for w in points:
+            self.check_point(w)
+        return points
 
     def check_sample(self, i: int) -> int:
         """Validate a sample index (negative indices never wrap)."""

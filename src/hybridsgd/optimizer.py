@@ -35,8 +35,8 @@ from .core import (
     RngStream,
     _check_int,
     _check_real,
+    _check_type,
     _write_csv,
-    fmt17,
     shuffle_permutation,
 )
 from .estimator import ZoConfig, estimate_block_gradient
@@ -82,11 +82,7 @@ class BlockMode:
 
     def __post_init__(self) -> None:
         for name in ("x_mode", "y_mode"):
-            if not isinstance(getattr(self, name), Mode):
-                raise ValueError(f"{name} must be a Mode, got {getattr(self, name)!r}")
-
-    def uses_zo(self) -> bool:
-        return Mode.ZO in (self.x_mode, self.y_mode)
+            _check_type(name, getattr(self, name), Mode)
 
 
 @dataclass(frozen=True)
@@ -101,13 +97,11 @@ class OptimizerConfig:
     divergence_threshold: float | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.rates, LearningRates):
-            raise ValueError(f"rates must be LearningRates, got {self.rates!r}")
-        if not isinstance(self.modes, BlockMode):
-            raise ValueError(f"modes must be a BlockMode, got {self.modes!r}")
+        _check_type("rates", self.rates, LearningRates)
+        _check_type("modes", self.modes, BlockMode)
+        if Mode.ZO in (self.modes.x_mode, self.modes.y_mode) and not isinstance(self.zo, ZoConfig):
+            raise ValueError("zo (mu, directions_per_step) is required when a block uses Mode.ZO")
         object.__setattr__(self, "epochs", _check_int("epochs", self.epochs))
-        if self.modes.uses_zo() and not isinstance(self.zo, ZoConfig):
-            raise ValueError("zo config is required when a block uses Mode.ZO")
         f = self.divergence_threshold
         if f is not None:  # +inf switches the guard off
             f = math.inf if f == math.inf else _check_real("divergence_threshold", f)
@@ -287,5 +281,4 @@ def write_trace_csv(records, path) -> None:
     Output bytes are a pure function of the records, so identical runs give
     identical files.
     """
-    _write_csv(path, TRACE_HEADER, ([r.epoch, r.step, fmt17(r.f_value), fmt17(r.grad_norm),
-                                     fmt17(r.grad_norm_x), fmt17(r.grad_norm_y)] for r in records))
+    _write_csv(path, TRACE_HEADER, "%d,%d,%.17g,%.17g,%.17g,%.17g\n", records)

@@ -131,7 +131,6 @@ def check_estimator_bounds(
     mu: float,
     trials: int,
     rng: RngStream,
-    lipschitz: float | None = None,
 ) -> tuple[BoundCheckReport, BoundCheckReport]:
     """Monte Carlo check of the two-point estimator's error bounds at (w, i).
 
@@ -141,20 +140,18 @@ def check_estimator_bounds(
         E <g, ghat - g>    <=  (mu/2) L (d + 3)^(3/2) ||g||
         E ||ghat - g||^2   <=  32 d ||g||^2 + 108 mu^2 L^2 d^4
 
-    Both sides are estimated from the same `trials` directions.  L defaults
-    to the objective's analytic curvature bound and must be supplied (for
-    instance from a probe) when the objective has none.
+    Both sides are estimated from the same `trials` directions.  L is the
+    objective's analytic x-block curvature bound; an objective without one
+    (unbounded curvature, as cosh) is an error.
     """
     values = obj.check_point(w)
     i = obj.check_sample(i)
     _check_real("mu", mu)
     _check_int("trials", trials, 2)
-    if lipschitz is None:
-        bounds = obj.block_lipschitz_bound()
-        if bounds is None:
-            raise ValueError("objective has unbounded curvature; pass lipschitz explicitly")
-        lipschitz = bounds[0]
-    _check_real("lipschitz", lipschitz, allow_zero=True)
+    bounds = obj.block_lipschitz_bound()
+    if bounds is None:
+        raise ValueError("objective has unbounded curvature: no lipschitz bound on the x block")
+    lipschitz = bounds[0]
 
     d_x = obj.layout.d_x
     g = obj.grad_at(values, i)[:d_x]
@@ -181,9 +178,7 @@ def check_hybrid_smoothness(obj: FiniteSumObjective, points, ell_x, ell_y) -> Bo
     largest eigenvalue, and reports the worst margin over points and blocks;
     passes when that margin is at most _ENVELOPE_TOL.
     """
-    pts = [p for p in points]
-    if not pts:
-        raise ValueError("points must contain at least one point")
+    pts = obj.check_points(points)
     d_x = obj.layout.d_x
     worst = -math.inf
     for w in pts:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Block, HybridPoint, RngStream, _check_int, _check_real
+from .core import Block, RngStream, _check_int, _check_real, _check_type
 from .objectives import FiniteSumObjective
 from .probe import ProbeConfig, estimate_block_lipschitz
 
@@ -64,8 +64,7 @@ class PlanInputs:
     d_x: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.constants, SmoothnessConstants):
-            raise ValueError(f"constants must be SmoothnessConstants, got {self.constants!r}")
+        _check_type("constants", self.constants, SmoothnessConstants)
         _check_int("n", self.n)
         _check_int("T", self.T)
         _check_int("d_x", self.d_x)
@@ -151,11 +150,7 @@ def estimate_constants(
     standard deviation.  f_gap compares the first point's value with f_star
     (argument, or the objective's analytic minimum when it has one).
     """
-    pts = [p for p in points]
-    if not pts:
-        raise ValueError("points must contain at least one point")
-    for w in pts:
-        obj.check_point(w)
+    pts = obj.check_points(points)
 
     L = {Block.X: 0.0, Block.Y: 0.0}  # per block: full-objective curvature
     L_max = dict(L)  # per block: the worst single sample's too

@@ -31,10 +31,10 @@ from .core import (
     RngStream,
     _check_int,
     _check_real,
+    _check_type,
     _shifted_rows,
     _unit_sphere_rows,
     _write_csv,
-    fmt17,
 )
 from .objectives import FiniteSumObjective
 
@@ -45,8 +45,9 @@ __all__ = [
     "trajectory_scan",
 ]
 
-# Elements of one (rows, n, d) kernel intermediate in a full-objective probe: 128 KiB, glibc's
-# mmap threshold, so peak memory stays flat as K grows (2^15 raised plan's peak RSS by 0.4 MB).
+# Budget of rows * n * d per kernel call of a full-objective probe: 128 KiB, glibc's mmap threshold.
+# It bounds cosh's (rows, n, d) temporaries and logistic's (rows, n), so peak memory stays flat
+# as K grows (2^15 raised plan's peak RSS by 0.4 MB); the quadratics and linear hold only (rows, d).
 _FULL_BLOCK = 1 << 14
 
 
@@ -61,8 +62,7 @@ class ProbeConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "h", _check_real("h", self.h))
         object.__setattr__(self, "probes", _check_int("probes", self.probes))
-        if not isinstance(self.target, Block):
-            raise ValueError(f"target must be a Block, got {self.target!r}")
+        _check_type("target", self.target, Block)
 
 
 @dataclass(frozen=True)
@@ -157,11 +157,8 @@ def trajectory_scan(
     rng: RngStream,
 ) -> list[tuple[float, ProbeReport]]:
     """(full gradient norm, probe report) at each point, in trajectory order."""
-    pts = list(points)
-    if not pts:
-        raise ValueError("trajectory must contain at least one point")
     out = []
-    for w in pts:
+    for w in obj.check_points(points):
         grad_norm = float(np.linalg.norm(obj.grad_full(w)))
         out.append((grad_norm, estimate_block_lipschitz(obj, w, cfg, rng)))
     return out
@@ -182,7 +179,6 @@ PROBE_HEADER = (
 
 def write_probe_csv(rows, path) -> None:
     """Write (grad_norm, ProbeReport) rows as CSV, indexed in input order."""
-    _write_csv(path, PROBE_HEADER, (
-        [idx, fmt17(grad_norm), rep.block.value, fmt17(rep.frobenius_raw), fmt17(rep.frobenius_scaled),
-         fmt17(rep.operator_lb), fmt17(rep.stderr), rep.probes, fmt17(rep.h)]
-        for idx, (grad_norm, rep) in enumerate(rows)))
+    _write_csv(path, PROBE_HEADER, "%d,%.17g,%s,%.17g,%.17g,%.17g,%.17g,%d,%.17g\n", (
+        (idx, grad_norm, rep.block.value, rep.frobenius_raw, rep.frobenius_scaled, rep.operator_lb,
+         rep.stderr, rep.probes, rep.h) for idx, (grad_norm, rep) in enumerate(rows)))

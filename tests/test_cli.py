@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridsgd import cli
+from hybridsgd import cli, fmt17
 from hybridsgd.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -115,6 +115,24 @@ def test_config_errors_exit_2(tmp_path, capsys):
 
     missing = str(tmp_path / "nope.json")
     assert main(["run", "--config", missing, "--out", out]) == EXIT_CONFIG
+
+
+def test_objective_file_path_is_read_relative_to_the_config(tmp_path, capsys):
+    # a string objective names a JSON file; a relative one is read from the config's directory
+    sub = tmp_path / "configs"
+    sub.mkdir()
+    (sub / "quad.json").write_text(json.dumps(QUAD), encoding="utf-8")
+    traces = []
+    for name, objective in (("inline", QUAD), ("relative", "quad.json"),
+                            ("absolute", str(sub / "quad.json"))):
+        cfg = _write_config(sub, f"{name}.json", _run_config(objective=objective))
+        traces.append(tmp_path / f"{name}.csv")
+        assert main(["run", "--config", cfg, "--out", str(traces[-1])]) == EXIT_OK
+    capsys.readouterr()
+    assert traces[0].read_bytes() == traces[1].read_bytes() == traces[2].read_bytes()
+    missing = _write_config(tmp_path, "missing.json", _run_config(objective="quad.json"))
+    assert main(["run", "--config", missing, "--out", str(tmp_path / "m.csv")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 GENERATED = {
@@ -395,6 +413,30 @@ def test_mutated_configs_exit_with_a_contract_code(data):
         assert err.getvalue().startswith("config error: ")
 
 
+@pytest.mark.parametrize("grid, message", [
+    ([], "config: eta_x_grid must be a non-empty list"),
+    (0.1, "eta_x_grid must be a list, got 0.1"),
+    ({"eta": 0.1}, "eta_x_grid must be a list, got {'eta': 0.1}"),
+])
+def test_sweep_rate_grid_must_be_a_non_empty_list(tmp_path, capsys, grid, message):
+    code, out = _main_on(tmp_path, "sweep", _set(COMMANDS["sweep"][1], ("eta_x_grid",), grid))
+    assert code == EXIT_CONFIG and not out.exists()
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("command, path", [("run", ()), ("sweep", ()), ("probe", ("trajectory",))])
+@pytest.mark.parametrize("modes", [{"x": "zo", "y": "fo"}, {"x": "fo", "y": "zo"}])
+def test_zo_modes_without_zo_exit_2(tmp_path, capsys, command, path, modes):
+    # the library's OptimizerConfig owns the rule; the CLI reports its message
+    cfg = _set(_set(COMMANDS[command][1], (*path, "zo"), None), (*path, "modes"), modes)
+    code, out = _main_on(tmp_path, command, cfg)
+    assert code == EXIT_CONFIG and not out.exists()
+    err = capsys.readouterr().err
+    assert err == "config error: zo (mu, directions_per_step) is required when a block uses Mode.ZO\n"
+    fo = _set(cfg, (*path, "modes"), {"x": "fo", "y": "fo"})
+    assert _main_on(tmp_path, command, fo)[0] == EXIT_OK
+
+
 def test_divergent_run_exits_3(tmp_path, capsys):
     cfg = _write_config(
         tmp_path,
@@ -437,6 +479,39 @@ def test_sweep_from_non_finite_start_exits_4_before_any_cell(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numeric failure: objective is non-finite at the start point" in err.splitlines()
     assert not out.exists() and not (tmp_path / "sweep.csv.meta.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sweep_cell_with_a_mid_run_numeric_failure(tmp_path, capsys):
+    # cosh at x = 700 is finite, but one step of 1e10 from it overflows: that cell's run
+    # raises NumericError and its row records f(w0), diverged true and no step count
+    # (f(w0) is below f_target, so an empty column is not a missed target)
+    cosh = {"kind": "cosh", "d_x": 1, "d_y": 1, "shifts": [[0.0, 0.0]]}
+    sweep = _run_config(objective=cosh, init={"kind": "explicit", "values": [700.0, 0.0]},
+                        modes={"x": "fo", "y": "fo"}, zo=None, epochs=2)
+    del sweep["rates"]
+    sweep.update(eta_x_grid=[0.0, 1e10], eta_y_grid=[0.05], f_target=1e308)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", _write_config(tmp_path, "s.json", sweep),
+                 "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == f"cells=2 out={out}\n"
+    f0 = fmt17(math.cosh(700.0) + 1.0)
+    header, finite, failed = out.read_text(encoding="utf-8").splitlines()
+    assert header == "eta_x,eta_y,final_f,diverged,steps_to_threshold"
+    assert finite.startswith("0,0.050000000000000003,") and finite.endswith(",false,1")
+    assert failed == f"10000000000,0.050000000000000003,{f0},true,"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_probe_with_non_finite_curvature_exits_4(tmp_path, capsys):
+    # the full gradient sinh(709) is finite at the point, but for probes reaching
+    # x > 709.8 the sum of two samples' sinh in the full mean overflows
+    cosh = {"kind": "cosh", "d_x": 1, "d_y": 2, "shifts": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}
+    cfg = {"objective": cosh, "probe": {"h": 1.0, "target": "full"},
+           "trajectory": {"kind": "points", "points": [[709.0, 0.0, 0.0]]}}
+    code, out = _main_on(tmp_path, "probe", cfg)
+    assert code == EXIT_NUMERIC and not out.exists()
+    assert capsys.readouterr().err == "numeric failure: non-finite gradient in a curvature probe\n"
 
 
 @pytest.mark.parametrize("error", [KeyError, TypeError, IndexError])
@@ -590,7 +665,7 @@ def test_probe_empty_trajectory_is_config_error(tmp_path, capsys):
     )
     code = main(["probe", "--config", cfg, "--out", str(tmp_path / "p.csv")])
     assert code == EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
+    assert capsys.readouterr().err == "config error: points must contain at least one point\n"
 
 
 def test_plan_from_constants_prints_reference_values(tmp_path, capsys):
@@ -638,9 +713,24 @@ def test_plan_estimate_recovers_analytic_constants(tmp_path, capsys):
     assert "inputs: n=2 T=50 d_x=2" in text
 
 
+def test_plan_estimate_needs_f_star_without_an_analytic_minimum(tmp_path, capsys):
+    # an indefinite dense quadratic is unbounded below: no f_star, so f_gap needs one given
+    dense = {"kind": "dense_quadratic", "d_x": 1, "d_y": 1, "hessian": [[1.0, 3.0], [3.0, -2.0]]}
+    cfg = {"objective": dense, "probe": {"probes": 3}, "points": {"count": 1}, "T": 10}
+    assert main(["plan", "--estimate", "--config", _write_config(tmp_path, "p.json", cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == ("config error: f_star is required: pass it explicitly or use "
+                                       "an objective with an analytic minimum\n")
+    cfg["f_star"] = -1.0
+    assert main(["plan", "--estimate", "--config", _write_config(tmp_path, "q.json", cfg)]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("constants: ")
+
+
 def test_plan_argument_errors_exit_2(tmp_path, capsys):
-    assert main(["plan"]) == EXIT_CONFIG
-    assert main(["plan", "--estimate"]) == EXIT_CONFIG
+    # one rule: exactly one of --constants FILE and --config FILE --estimate
+    for args in ([], ["--estimate"], ["--config", str(tmp_path / "c.json")]):
+        assert main(["plan", *args]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "config error: plan: pass --constants FILE, or --config FILE with --estimate\n"
     incomplete = _write_config(tmp_path, "c.json", {"L_x": 1.0})
     assert main(["plan", "--constants", incomplete]) == EXIT_CONFIG
     no_horizon = _write_config(

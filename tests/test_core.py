@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import hybridsgd
@@ -18,7 +18,7 @@ from hybridsgd import (
     fmt17,
     sample_gaussian,
 )
-from hybridsgd.core import _unit_sphere_rows, sample_unit_sphere, shuffle_permutation
+from hybridsgd.core import _check_array, _unit_sphere_rows, sample_unit_sphere, shuffle_permutation
 
 
 def test_layout_dimensions():
@@ -63,6 +63,28 @@ def test_fmt17_roundtrips_known_values():
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_fmt17_roundtrip_property(x):
     assert float(fmt17(x)) == x
+
+
+@given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+@example(-0.0)
+@example(5e-324)
+@example(-2.2250738585072009e-308)
+@example(np.inf)
+@example(-np.inf)
+@example(np.nan)
+@example(np.float64(-0.0))
+def test_percent_17g_is_fmt17(x):
+    # the CSV writers format a row with one "%" format, whose "%.17g" must give fmt17's text
+    assert "%.17g" % x == fmt17(x)
+    assert "%.17g,%d\n" % (x, 3) == f"{fmt17(x)},3\n"
+
+
+def test_check_array_rejects_a_numpy_array_holding_nan():
+    # a float array is not walked entry by entry; its finite check comes after the shape check
+    with pytest.raises(ValueError, match="^every entry of values must be a finite real number$"):
+        _check_array("values", np.array([1.0, np.nan]), (2,))
+    with pytest.raises(ValueError, match="^every entry of values must be a finite real number$"):
+        HybridPoint(BlockLayout(1, 1), np.array([-np.inf, 0.0]))
 
 
 def test_rng_replay_is_bit_identical():
@@ -244,25 +266,73 @@ def test_validation_idioms_live_only_in_core():
     assert config_idioms.search("labels = np.array(labels, dtype=np.float64, copy=True)")
     assert config_idioms.search('HybridPoint(layout, np.asarray(init["values"], dtype=np.float64))')
     assert not config_idioms.search("np.array([self.value_at(p, k) for p, k in pairs], dtype=np.float64)")
+    # "value is an instance of cls" has one home too, core._check_type.  Outside
+    # core an isinstance test may guard a raise only in check_sample and in the
+    # rule that a ZO block needs a zo config, which is not a type check of one value.
+    # Every CSV goes through core._write_csv, one "%" row format per writer: no
+    # module imports csv, and no other function joins fields with ",".
     found = []
     for path in sorted(Path(hybridsgd.__file__).parent.glob("*.py")):
-        if path.name == "core.py":
-            continue
         source = path.read_text(encoding="utf-8")
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            imported = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                        else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "csv" in imported:
+                found.append(f"{path.name}:{node.lineno}: imports csv")
+        if path.name == "core.py":
+            writers = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                       and '",".join' in ast.get_source_segment(source, node)]
+            assert writers == ["_write_csv"]
+            continue
         allowed = set()
-        for node in ast.walk(ast.parse(source)):
+        for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef) and node.name == "check_sample":
                 allowed.update(range(node.lineno, node.end_lineno + 1))
+            if isinstance(node, ast.If) and "Mode.ZO in" in ast.get_source_segment(source, node.test):
+                allowed.add(node.lineno)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.If) and node.lineno not in allowed
+                    and any(isinstance(s, ast.Raise) for s in node.body)
+                    and any(isinstance(c, ast.Call) and getattr(c.func, "id", None) == "isinstance"
+                            for c in ast.walk(node.test))):
+                found.append(f"{path.name}:{node.lineno}: isinstance check raises outside core._check_type")
         for lineno, line in enumerate(source.splitlines(), 1):
             if idioms.search(line) and lineno not in allowed:
                 found.append(f"{path.name}:{lineno}: {line.strip()}")
             if path.name in ("cli.py", "objectives.py") and config_idioms.search(line):
                 found.append(f"{path.name}:{lineno}: {line.strip()}")
-            if "csv.writer(" in line:  # every CSV goes through core._write_csv
+            if '",".join' in line or "def _write_csv" in line:
                 found.append(f"{path.name}:{lineno}: {line.strip()}")
     assert found == []
-    core_source = (Path(hybridsgd.__file__).parent / "core.py").read_text(encoding="utf-8")
-    assert core_source.count("csv.writer(") == 1
+
+
+def _type_check_sites():
+    from conftest import IndexRecordingObjective
+    from hybridsgd import (BlockMode, LearningRates, Mode, OptimizerConfig, PlanInputs,
+                           ProbeConfig)
+    from hybridsgd.cli import _rate_grid
+
+    obj = IndexRecordingObjective(BlockLayout(1, 1), 2)
+    return {
+        "objective layout": ("layout", "BlockLayout", lambda: IndexRecordingObjective((1, 1), 2)),
+        "check_point": ("point", "HybridPoint", lambda: obj.check_point(np.zeros(2))),
+        "BlockMode x": ("x_mode", "Mode", lambda: BlockMode("zo", Mode.FO)),
+        "BlockMode y": ("y_mode", "Mode", lambda: BlockMode(Mode.ZO, "fo")),
+        "OptimizerConfig rates": ("rates", "LearningRates", lambda: OptimizerConfig((0.1, 0.1))),
+        "OptimizerConfig modes": (
+            "modes", "BlockMode", lambda: OptimizerConfig(LearningRates(0.1, 0.1), (Mode.FO, Mode.FO))),
+        "ProbeConfig target": ("target", "Block", lambda: ProbeConfig(target="x")),
+        "PlanInputs constants": ("constants", "SmoothnessConstants", lambda: PlanInputs({}, 2, 10, 1)),
+        "rate grid": ("eta_x_grid", "list", lambda: _rate_grid("eta_x_grid", 0.1)),
+    }
+
+
+@pytest.mark.parametrize("site", list(_type_check_sites()))
+def test_type_checks_share_one_rule_and_message(site):
+    name, cls, build = _type_check_sites()[site]
+    with pytest.raises(ValueError, match=f"^{name} must be a {cls}, got "):
+        build()
 
 
 def test_package_exports_each_library_module_list_once():

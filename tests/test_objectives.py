@@ -197,6 +197,24 @@ def test_dense_quadratic_requires_symmetry():
     assert np.array_equal(obj.grad_full(w), h @ np.array([1.0, -1.0]))
 
 
+def test_dense_quadratic_f_star_and_block_curvature_bound():
+    # PSD: the minimum of the mean of 0.5 (w - c_i)^T H (w - c_i) is its value at the
+    # mean center, 0.5 (1/n) sum_i (c_i - c)^T H (c_i - c) = 0.5 * 2 * 0.5^2 here
+    psd = DenseQuadratic(BlockLayout(1, 1), [[2.0, 1.0], [1.0, 3.0]], [[0.0, 0.0], [1.0, 0.0]])
+    assert psd.f_star == pytest.approx(0.25)
+    assert psd.eval_full(HybridPoint(psd.layout, [0.5, 0.0])) == pytest.approx(psd.f_star)
+    # indefinite: unbounded below, so no analytic minimum
+    indefinite = DenseQuadratic(BlockLayout(1, 1), [[1.0, 3.0], [3.0, -2.0]])
+    assert indefinite.f_star is None
+    assert OffsetObjective(psd, 1.0).f_star is None  # the base class knows no minimum
+    # per block, the largest |eigenvalue| of the diagonal sub-Hessian
+    hessian = np.array([[1.0, 0.5, 0.2], [0.5, -4.0, 0.0], [0.2, 0.0, 3.0]])
+    obj = DenseQuadratic(BlockLayout(2, 1), hessian)
+    l_x, l_y = obj.block_lipschitz_bound()
+    assert l_x == pytest.approx(np.max(np.abs(np.linalg.eigvalsh(hessian[:2, :2]))))
+    assert l_x > 4.0 and l_y == 3.0
+
+
 def test_serialization_roundtrip_every_kind(tmp_path):
     specs = [
         {"kind": "block_quadratic", "d_x": 2, "d_y": 2, "n": 3, "a_x": 4.0, "a_y": 1.0,
