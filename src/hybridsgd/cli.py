@@ -196,7 +196,7 @@ def cmd_run(args) -> int:
         f"epochs_completed={result.epochs_completed} diverged={str(result.diverged).lower()}"
     )
     if result.diverged:
-        rep = result.divergence
+        rep = result.trace[-1]
         print(
             f"diverged at epoch={rep.epoch} step={rep.step} f={fmt17(rep.f_value)} "
             f"(threshold {fmt17(guard)})",

@@ -219,7 +219,7 @@ class HybridPoint:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = _check_array("values", self.values, (self.layout.d,))
+        vals = _check_array("values", self.values, (_check_type("layout", self.layout, BlockLayout).d,))
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 

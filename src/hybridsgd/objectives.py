@@ -179,7 +179,7 @@ class BlockQuadratic(FiniteSumObjective):
     """
 
     def __init__(self, layout: BlockLayout, centers, a_x: float, a_y: float):
-        centers = _check_array("centers", centers, (None, layout.d))
+        centers = _check_array("centers", centers, (None, _check_type("layout", layout, BlockLayout).d))
         super().__init__(layout, centers.shape[0])
         self.a_x = _check_real("a_x", a_x)
         self.a_y = _check_real("a_y", a_y)
@@ -246,7 +246,7 @@ class CoshObjective(FiniteSumObjective):
     """
 
     def __init__(self, layout: BlockLayout, shifts):
-        shifts = _check_array("shifts", shifts, (None, layout.d))
+        shifts = _check_array("shifts", shifts, (None, _check_type("layout", layout, BlockLayout).d))
         super().__init__(layout, shifts.shape[0])
         self.shifts = shifts
         self.shifts.setflags(write=False)
@@ -294,7 +294,7 @@ class LogisticObjective(FiniteSumObjective):
     """f(w; i) = log(1 + exp(-b_i z_i . w)) + (lam/2) ||w||^2 with b_i in {-1, +1}."""
 
     def __init__(self, layout: BlockLayout, features, labels, lam: float = 0.0):
-        features = _check_array("features", features, (None, layout.d))
+        features = _check_array("features", features, (None, _check_type("layout", layout, BlockLayout).d))
         super().__init__(layout, features.shape[0])
         labels = _check_array("labels", labels, (self._n,))
         if not np.all(np.isin(labels, (-1.0, 1.0))):
@@ -362,7 +362,7 @@ class LinearObjective(FiniteSumObjective):
     """f(w; i) = c_i . w; zero curvature everywhere, unbounded below."""
 
     def __init__(self, layout: BlockLayout, slopes):
-        slopes = _check_array("slopes", slopes, (None, layout.d))
+        slopes = _check_array("slopes", slopes, (None, _check_type("layout", layout, BlockLayout).d))
         super().__init__(layout, slopes.shape[0])
         self.slopes = slopes
         self._mean_slope = np.add.reduce(slopes, 0) / self._n
@@ -404,7 +404,7 @@ class DenseQuadratic(FiniteSumObjective):
     """
 
     def __init__(self, layout: BlockLayout, hessian, centers=None):
-        d = layout.d
+        d = _check_type("layout", layout, BlockLayout).d
         hessian = _check_array("hessian", hessian, (d, d))
         scale = float(np.max(np.abs(hessian))) or 1.0
         if not np.allclose(hessian, hessian.T, rtol=0.0, atol=1e-12 * scale):

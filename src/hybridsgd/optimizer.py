@@ -17,7 +17,7 @@ the objectives' ``value_at`` and the estimator's ``estimate_block_gradient``:
 each maps a float64 array to a new one and validates nothing.  :func:`run` is
 the validated boundary: it checks its start point once, resolves the
 divergence guard, steps on raw arrays, and builds a :class:`HybridPoint` only
-for snapshots, the :class:`DivergenceError` point and the returned point.
+for snapshots and the result.
 """
 from __future__ import annotations
 
@@ -99,7 +99,9 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         _check_type("rates", self.rates, LearningRates)
         _check_type("modes", self.modes, BlockMode)
-        if Mode.ZO in (self.modes.x_mode, self.modes.y_mode) and not isinstance(self.zo, ZoConfig):
+        if self.zo is not None:
+            _check_type("zo", self.zo, ZoConfig)
+        elif Mode.ZO in (self.modes.x_mode, self.modes.y_mode):
             raise ValueError("zo (mu, directions_per_step) is required when a block uses Mode.ZO")
         object.__setattr__(self, "epochs", _check_int("epochs", self.epochs))
         f = self.divergence_threshold
@@ -119,21 +121,6 @@ class TraceRecord(NamedTuple):
     grad_norm: float
     grad_norm_x: float
     grad_norm_y: float
-
-
-class DivergenceError(RuntimeError):
-    """The objective exceeded the divergence guard (or went non-finite).
-
-    Raised by the raw :func:`run_epoch`; :func:`run` catches it and returns it
-    as the divergence record of its :class:`RunResult`.
-    """
-
-    def __init__(self, epoch: int, step: int, f_value: float, point: HybridPoint):
-        super().__init__(f"diverged at epoch {epoch}, step {step}: f = {f_value!r}")
-        self.epoch = epoch
-        self.step = step
-        self.f_value = f_value
-        self.point = point
 
 
 def step(
@@ -185,15 +172,16 @@ def run_epoch(
     trace: list,
     snapshots: list,
     snapshot_every: int,
-) -> np.ndarray:
+) -> tuple[np.ndarray, bool]:
     """One reshuffled pass over all n samples: run's per-epoch body, on raw arrays.
 
     Validates nothing: values is a checked float64 array and guard the run's
     resolved divergence threshold.  Appends one TraceRecord per step (metrics
     at the updated point) and, when snapshot_every > 0, a (steps taken,
     HybridPoint) pair to snapshots every snapshot_every steps.  Returns the
-    values after the epoch.  Raises DivergenceError as soon as f exceeds the
-    guard or goes non-finite; records appended so far stay in the trace.
+    values after the epoch and False, or stops at the first step whose f
+    exceeds the guard or goes non-finite and returns the values after that
+    step and True; that step's record is the trace's last.
     """
     layout = obj.layout
     d_x = layout.d_x
@@ -210,8 +198,8 @@ def run_epoch(
         if snapshot_every and (global_step + 1) % snapshot_every == 0:
             snapshots.append((global_step + 1, HybridPoint(layout, values)))
         if not math.isfinite(f) or f > guard:
-            raise DivergenceError(epoch, global_step, f, HybridPoint(layout, values))
-    return values
+            return values, True
+    return values, False
 
 
 @dataclass
@@ -223,13 +211,13 @@ class RunResult:
     quantity the rate planner budgets for.  snapshots holds (steps taken,
     point) pairs when snapshotting was requested, starting with the start
     point at 0 steps.  divergence_threshold is the guard the run resolved.
+    A diverged run's trace ends at the offending step; point is the iterate after it.
     """
 
     point: HybridPoint
     trace: list
     epochs_completed: int
     diverged: bool
-    divergence: DivergenceError | None
     min_grad_sq: float
     snapshots: list
     divergence_threshold: float
@@ -247,8 +235,8 @@ def run(
 
     The divergence guard is cfg.divergence_threshold if set, else
     max(1e6 * |f(w0)|, 1e6).  A divergence aborts the offending epoch and is
-    returned in the result (point at the offending step, partial trace,
-    report) so sweeps can record it per cell; the CLI maps it to its own exit
+    returned in the result (diverged, point after the offending step, partial
+    trace) so sweeps can record it per cell; the CLI maps it to its own exit
     code.
     """
     values = obj.check_point(w0)
@@ -263,13 +251,12 @@ def run(
     trace: list[TraceRecord] = []
     snapshots: list[tuple[int, HybridPoint]] = [(0, w0)] if snapshot_every > 0 else []
     for epoch in range(cfg.epochs):
-        try:
-            values = run_epoch(obj, values, cfg, rng, epoch, guard, trace, snapshots, snapshot_every)
-        except DivergenceError as exc:
-            return RunResult(exc.point, trace, epoch, True, exc, min_grad_sq, snapshots, guard)
+        values, diverged = run_epoch(obj, values, cfg, rng, epoch, guard, trace, snapshots, snapshot_every)
+        if diverged:
+            break
         min_grad_sq = min(min_grad_sq, trace[-1].grad_norm ** 2)
-    point = HybridPoint(obj.layout, values)
-    return RunResult(point, trace, cfg.epochs, False, None, min_grad_sq, snapshots, guard)
+    completed = epoch if diverged else cfg.epochs
+    return RunResult(HybridPoint(obj.layout, values), trace, completed, diverged, min_grad_sq, snapshots, guard)
 
 
 TRACE_HEADER = ("epoch", "step", "f", "grad_norm", "grad_norm_x", "grad_norm_y")

@@ -447,10 +447,12 @@ def test_divergent_run_exits_3(tmp_path, capsys):
     out = tmp_path / "trace.csv"
     assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_DIVERGED
     err = capsys.readouterr().err
-    assert "diverged at epoch=" in err
-    assert out.exists()  # partial trace is still written
+    # the partial trace is still written, and its last row is the divergence
+    epoch, step, f = out.read_text(encoding="utf-8").splitlines()[-1].split(",")[:3]
     meta = json.loads((tmp_path / "trace.csv.meta.json").read_text(encoding="utf-8"))
     assert meta["command"] == "run"
+    threshold = fmt17(meta["divergence_threshold_resolved"])
+    assert err == f"diverged at epoch={epoch} step={step} f={f} (threshold {threshold})\n"
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in cosh")

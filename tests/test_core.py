@@ -309,19 +309,30 @@ def test_validation_idioms_live_only_in_core():
 
 def _type_check_sites():
     from conftest import IndexRecordingObjective
-    from hybridsgd import (BlockMode, LearningRates, Mode, OptimizerConfig, PlanInputs,
+    from hybridsgd import (BlockMode, BlockQuadratic, CoshObjective, DenseQuadratic, LearningRates,
+                           LinearObjective, LogisticObjective, Mode, OptimizerConfig, PlanInputs,
                            ProbeConfig)
     from hybridsgd.cli import _rate_grid
 
     obj = IndexRecordingObjective(BlockLayout(1, 1), 2)
     return {
         "objective layout": ("layout", "BlockLayout", lambda: IndexRecordingObjective((1, 1), 2)),
+        "BlockQuadratic layout": (
+            "layout", "BlockLayout", lambda: BlockQuadratic((1, 1), [[0.0, 0.0]], 1.0, 1.0)),
+        "CoshObjective layout": ("layout", "BlockLayout", lambda: CoshObjective((1, 1), [[0.0, 0.0]])),
+        "LogisticObjective layout": (
+            "layout", "BlockLayout", lambda: LogisticObjective((1, 1), [[1.0, 0.0]], [1.0])),
+        "LinearObjective layout": ("layout", "BlockLayout", lambda: LinearObjective((1, 1), [[0.0, 0.0]])),
+        "DenseQuadratic layout": ("layout", "BlockLayout", lambda: DenseQuadratic((1, 1), np.eye(2))),
+        "HybridPoint layout": ("layout", "BlockLayout", lambda: HybridPoint((1, 1), [0.0, 0.0])),
         "check_point": ("point", "HybridPoint", lambda: obj.check_point(np.zeros(2))),
         "BlockMode x": ("x_mode", "Mode", lambda: BlockMode("zo", Mode.FO)),
         "BlockMode y": ("y_mode", "Mode", lambda: BlockMode(Mode.ZO, "fo")),
         "OptimizerConfig rates": ("rates", "LearningRates", lambda: OptimizerConfig((0.1, 0.1))),
         "OptimizerConfig modes": (
             "modes", "BlockMode", lambda: OptimizerConfig(LearningRates(0.1, 0.1), (Mode.FO, Mode.FO))),
+        "OptimizerConfig zo": ("zo", "ZoConfig", lambda: OptimizerConfig(
+            LearningRates(0.1, 0.1), BlockMode(Mode.FO, Mode.FO), zo={"mu": True})),
         "ProbeConfig target": ("target", "Block", lambda: ProbeConfig(target="x")),
         "PlanInputs constants": ("constants", "SmoothnessConstants", lambda: PlanInputs({}, 2, 10, 1)),
         "rate grid": ("eta_x_grid", "list", lambda: _rate_grid("eta_x_grid", 0.1)),

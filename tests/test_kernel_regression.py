@@ -43,7 +43,7 @@ from hybridsgd import objectives
 from hybridsgd.cli import main
 from hybridsgd.core import Block, NumericError, shuffle_permutation
 from hybridsgd.estimator import _two_point_rows, estimate_block_gradient
-from hybridsgd.optimizer import DivergenceError, RunResult, TraceRecord
+from hybridsgd.optimizer import RunResult, TraceRecord
 
 FAMILIES = (
     objectives.BlockQuadratic,
@@ -111,18 +111,13 @@ def _assert_same_run(a, b):
     # repr keeps every bit of a float and compares nan equal to nan
     assert repr(a.trace) == repr(b.trace)
     assert np.array_equal(a.point.values, b.point.values)
-    assert (a.epochs_completed, a.diverged, repr(a.divergence), repr(a.min_grad_sq)) == (
-        b.epochs_completed, b.diverged, repr(b.divergence), repr(b.min_grad_sq)
+    assert (a.epochs_completed, a.diverged, repr(a.min_grad_sq)) == (
+        b.epochs_completed, b.diverged, repr(b.min_grad_sq)
     )
     assert [k for k, _ in a.snapshots] == [k for k, _ in b.snapshots]
     for (_, p), (_, q) in zip(a.snapshots, b.snapshots):
         assert np.array_equal(p.values, q.values)
     assert repr(a.divergence_threshold) == repr(b.divergence_threshold)
-    if a.diverged:
-        assert (a.divergence.epoch, a.divergence.step, repr(a.divergence.f_value)) == (
-            b.divergence.epoch, b.divergence.step, repr(b.divergence.f_value)
-        )
-        assert np.array_equal(a.divergence.point.values, b.divergence.point.values)
 
 
 def _cli(tmp_path, name, command, cfg, capsys):
@@ -283,10 +278,9 @@ def _reference_run(obj, w0, cfg, rng, snapshot_every=0):
             if snapshot_every > 0 and (global_step + 1) % snapshot_every == 0:
                 snapshots.append((global_step + 1, w))
             if not np.isfinite(f) or f > guard:
-                report = DivergenceError(epoch, global_step, f, w)
-                return RunResult(w, trace, epoch, True, report, min_grad_sq, snapshots, guard)
+                return RunResult(w, trace, epoch, True, min_grad_sq, snapshots, guard)
         min_grad_sq = min(min_grad_sq, trace[-1].grad_norm ** 2)
-    return RunResult(w, trace, cfg.epochs, False, None, min_grad_sq, snapshots, guard)
+    return RunResult(w, trace, cfg.epochs, False, min_grad_sq, snapshots, guard)
 
 
 def test_block_estimate_sums_rows_in_order_from_positive_zero():

@@ -112,8 +112,8 @@ def test_run_single_epoch_equals_run_epoch():
     cfg = OptimizerConfig(LearningRates(0.01, 0.01), FO, epochs=1)
     result = run(obj, w0, cfg, RngStream(50, 1))
     trace = []
-    end = optimizer.run_epoch(obj, w0.values, cfg, RngStream(50, 1), 0, np.inf, trace, [], 0)
-    assert np.array_equal(result.point.values, end)
+    end, diverged = optimizer.run_epoch(obj, w0.values, cfg, RngStream(50, 1), 0, np.inf, trace, [], 0)
+    assert np.array_equal(result.point.values, end) and not diverged
     assert result.trace == trace
 
 
@@ -178,7 +178,7 @@ def test_quadratic_stability_boundary():
     assert unstable.diverged
     # guard = 1e6 and f grows by 1.1^2 per step from f0 = 1: first k with
     # 1.21^k > 1e6 is 73, reported as zero-based step 72.
-    assert unstable.divergence.step == 72
+    assert unstable.trace[-1].step == 72
     assert unstable.epochs_completed == 72
     assert unstable.divergence_threshold == 1e6
 
@@ -253,10 +253,13 @@ def test_divergence_sets_report_and_partial_trace():
                           divergence_threshold=100.0)
     result = run(obj, w0, cfg, RngStream(58, 1))
     assert result.diverged
-    assert result.divergence.f_value > 100.0
-    assert result.trace[-1].step == result.divergence.step
-    assert result.trace[-1].f_value == result.divergence.f_value
-    assert result.divergence.point is result.point
+    # the trace is the divergence record: it stops at the first step over the guard
+    assert all(rec.f_value <= 100.0 for rec in result.trace[:-1])
+    assert result.trace[-1].f_value > 100.0
+    assert result.epochs_completed == result.trace[-1].epoch < cfg.epochs
+    # and the returned point is the iterate after that step
+    fs, _ = obj.full_values_and_grads_at_points(result.point.values[None])
+    assert fs[0] == result.trace[-1].f_value
     assert result.divergence_threshold == 100.0
 
 

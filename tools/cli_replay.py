@@ -109,6 +109,9 @@ def main(argv: list) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     out, trees = Path(argv[1]).resolve(), [Path(t).resolve() for t in argv[2:]]
+    if not (out / "calls.json").is_file():
+        print(f"{argv[1]} holds no recording; run record {argv[1]} first", file=sys.stderr)
+        return 2
     calls = json.loads((out / "calls.json").read_text(encoding="utf-8"))
     differ = located = 0
     for k, call in enumerate(calls):
