@@ -326,7 +326,8 @@ def cmd_plan(args) -> int:
     else:
         cfg = _config(args)
         obj = _objective(cfg["objective"], args.config)
-        pcfg = _probe_config(cfg["probe"])
+        # estimate_constants probes each block itself, so plan's probe section has no target
+        pcfg = ProbeConfig(**_read_section("probe", cfg["probe"], _fields(ProbeConfig, "h", "probes")))
         points = _plan_points(cfg["points"], obj, cfg["seed"])
         constants = estimate_constants(
             obj, pcfg, points, RngStream(cfg["seed"], PROBE_STREAM_ID), f_star=cfg["f_star"]

@@ -83,10 +83,10 @@ def _check_finite(name: str, value) -> float:
 
 
 def _check_array(name: str, data, shape: tuple) -> np.ndarray:
-    """data as a new float64 array, if it has the given shape (a leading None: any
-    number of rows) and every entry is a finite real number.  Nested lists are
-    walked entry by entry with _check_finite, so a bool, a string or None is an
-    error, and a ragged or too deep nesting is a shape error."""
+    """data as a new read-only float64 array, if it has the given shape (a leading
+    None: any number of rows) and every entry is a finite real number.  Nested
+    lists are walked entry by entry with _check_finite, so a bool, a string or
+    None is an error, and a ragged or too deep nesting is a shape error."""
     todo = [] if isinstance(data, np.ndarray) and data.dtype.kind in "iuf" else [data]
     while todo:
         item = todo.pop()
@@ -104,6 +104,7 @@ def _check_array(name: str, data, shape: tuple) -> np.ndarray:
         raise ValueError(f"{name} must have shape {str(shape).replace('None', 'n')}, got {got}")
     if not np.isfinite(arr).all():
         raise ValueError(f"every entry of {name} must be a finite real number")
+    arr.setflags(write=False)
     return arr
 
 
@@ -220,7 +221,6 @@ class HybridPoint:
 
     def __post_init__(self) -> None:
         vals = _check_array("values", self.values, (_check_type("layout", self.layout, BlockLayout).d,))
-        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
 

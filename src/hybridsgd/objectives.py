@@ -190,7 +190,6 @@ class BlockQuadratic(FiniteSumObjective):
         self._mean_center = centers.mean(axis=0)
         # f at the mean center: the minimum, and the kernel's constant term
         self._f_star = self.full_value_at(self._mean_center)
-        self.centers.setflags(write=False)
 
     def value_at(self, values: np.ndarray, i: int) -> float:
         dv = values - self.centers[i]
@@ -249,7 +248,6 @@ class CoshObjective(FiniteSumObjective):
         shifts = _check_array("shifts", shifts, (None, _check_type("layout", layout, BlockLayout).d))
         super().__init__(layout, shifts.shape[0])
         self.shifts = shifts
-        self.shifts.setflags(write=False)
 
     def value_at(self, values: np.ndarray, i: int) -> float:
         return float(np.sum(np.cosh(values - self.shifts[i])))
@@ -303,8 +301,6 @@ class LogisticObjective(FiniteSumObjective):
         self.features = features
         self.labels = labels
         self._features_t = np.ascontiguousarray(features.T)  # (d, n) rows for the kernel's gradient
-        self.features.setflags(write=False)
-        self.labels.setflags(write=False)
 
     def value_at(self, values: np.ndarray, i: int) -> float:
         margin = self.labels[i] * float(np.dot(self.features[i], values))
@@ -366,7 +362,6 @@ class LinearObjective(FiniteSumObjective):
         super().__init__(layout, slopes.shape[0])
         self.slopes = slopes
         self._mean_slope = np.add.reduce(slopes, 0) / self._n
-        self.slopes.setflags(write=False)
 
     def value_at(self, values: np.ndarray, i: int) -> float:
         return float(np.dot(self.slopes[i], values))
@@ -420,8 +415,7 @@ class DenseQuadratic(FiniteSumObjective):
         self._psd = bool(eigs[0] >= -1e-12 * max(scale, 1.0))
         self._mean_center = centers.mean(axis=0)
         self._spread = self.full_value_at(self._mean_center)  # the kernel's constant term
-        self.hessian.setflags(write=False)
-        self.centers.setflags(write=False)
+        self.hessian.setflags(write=False)  # the symmetrised copy, not the checked array
 
     def value_at(self, values: np.ndarray, i: int) -> float:
         dv = values - self.centers[i]

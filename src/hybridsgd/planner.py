@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Block, RngStream, _check_int, _check_real, _check_type
+from .core import Block, NumericError, RngStream, _check_int, _check_real, _check_type
 from .objectives import FiniteSumObjective
 from .probe import ProbeConfig, estimate_block_lipschitz
 
@@ -82,31 +82,45 @@ class RatePlan:
     mu_terms: dict
 
 
+def _in_range(name: str, term) -> float:
+    """term(), if its float arithmetic gives a finite positive value; else NumericError naming it."""
+    try:
+        if 0.0 < (value := term()) < math.inf:
+            return value
+    except (OverflowError, ZeroDivisionError):  # an int too large for a float, or a 0 denominator
+        pass
+    raise NumericError(f"{name} is out of the float range")
+
+
 def plan_rates(inputs: PlanInputs) -> RatePlan:
     """Largest admissible (eta_x, eta_y, mu) for the given constants.
 
     sigma = 0 drops the variance-horizon terms entirely (the minimum runs
-    over the remaining terms); it is not an error.
+    over the remaining terms); it is not an error.  A candidate outside the
+    float range is a NumericError.
     """
     c = inputs.constants
     n, horizon, d_x = inputs.n, inputs.T, inputs.d_x
-    root = math.sqrt(2.0 / horizon)
 
     eta_x_terms = {
-        "per_sample_curvature": 1.0 / (2.0 * c.L_x_max * n),
-        "zo_dimension_penalty": 1.0 / (384.0 * c.L_x * n * d_x),
+        "per_sample_curvature": lambda: 1.0 / (2.0 * c.L_x_max * n),
+        "zo_dimension_penalty": lambda: 1.0 / (384.0 * c.L_x * n * d_x),
     }
     eta_y_terms = {
-        "per_sample_curvature": 1.0 / (2.0 * c.L_y_max * n),
+        "per_sample_curvature": lambda: 1.0 / (2.0 * c.L_y_max * n),
     }
     if c.sigma > 0.0:
-        eta_x_terms["variance_horizon"] = root / (c.sigma * n * c.L_x_max)
-        eta_y_terms["variance_horizon"] = root / (c.sigma * n * c.L_y_max)
+        eta_x_terms["variance_horizon"] = lambda: math.sqrt(2.0 / horizon) / (c.sigma * n * c.L_x_max)
+        eta_y_terms["variance_horizon"] = lambda: math.sqrt(2.0 / horizon) / (c.sigma * n * c.L_y_max)
 
     mu_terms = {
-        "smoothing_radius": (c.G / c.L_x) * (6.0 / d_x**1.5),
-        "horizon_bias": 1.0 / (3.0 * c.L_x * horizon * n * d_x * c.G),
+        "smoothing_radius": lambda: (c.G / c.L_x) * (6.0 / d_x**1.5),
+        "horizon_bias": lambda: 1.0 / (3.0 * c.L_x * horizon * n * d_x * c.G),
     }
+    eta_x_terms, eta_y_terms, mu_terms = (
+        {name: _in_range(f"{label} candidate {name}", term) for name, term in terms.items()}
+        for label, terms in (("eta_x", eta_x_terms), ("eta_y", eta_y_terms), ("mu", mu_terms))
+    )
 
     return RatePlan(
         eta_x=min(eta_x_terms.values()),
@@ -121,8 +135,8 @@ def plan_rates(inputs: PlanInputs) -> RatePlan:
 def epoch_budget(epsilon: float, delta: float, G: float, f_gap: float, n: int) -> int:
     """Epochs sufficient for the scheme's average-gradient guarantee.
 
-    ceil of eps^-2 [2/delta + G^2/8] + eps^-4 [(f_gap + 3)/n]; delta is the
-    allowed failure probability.
+    ceil of eps^-2 [2/delta + G^2/8] + eps^-4 [(f_gap + 3)/n]; delta is the allowed
+    failure probability.  A total outside the float range is a NumericError.
     """
     _check_real("epsilon", epsilon)
     if not 0.0 < delta < 1.0:
@@ -130,7 +144,8 @@ def epoch_budget(epsilon: float, delta: float, G: float, f_gap: float, n: int) -
     _check_real("G", G, allow_zero=True)
     _check_real("f_gap", f_gap, allow_zero=True)
     n = _check_int("n", n)
-    total = epsilon**-2 * (2.0 / delta + G * G / 8.0) + epsilon**-4 * ((f_gap + 3.0) / n)
+    total = _in_range("epoch budget", lambda: epsilon**-2 * (2.0 / delta + G * G / 8.0)
+                      + epsilon**-4 * ((f_gap + 3.0) / n))
     return int(math.ceil(total))
 
 

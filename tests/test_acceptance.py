@@ -34,13 +34,13 @@ from hybridsgd import (
     dense_hessian,
     epoch_budget,
     estimate_block_lipschitz,
-    estimate_x_gradient,
     fd_gradient,
     fmt17,
     plan_rates,
     run,
 )
 from hybridsgd.cli import EXIT_DIVERGED, EXIT_OK, main
+from hybridsgd.estimator import estimate_block_gradient
 from conftest import IndexRecordingObjective
 
 FO = BlockMode(Mode.FO, Mode.FO)
@@ -62,7 +62,7 @@ def test_criterion_01_estimator_unbiasedness():
     draws = 100000
     estimates = np.empty((draws, 5))
     for k in range(draws):
-        estimates[k] = estimate_x_gradient(obj, w, 0, cfg, rng)
+        estimates[k] = estimate_block_gradient(obj, w.values, 0, cfg, rng, Block.X)
     mean = estimates.mean(axis=0)
     stderr = estimates.std(axis=0, ddof=1) / math.sqrt(draws)
     assert np.all(np.abs(mean - slopes[0, :5]) <= 4.0 * stderr)

@@ -160,7 +160,7 @@ COMMANDS = {
                                          **RUN_KEYS, "snapshot_every": 1},
                           "seed": 7}),
     "plan": (["plan", "--estimate"], {"objective": GENERATED["block_quadratic"],
-                                      "probe": {"h": 1e-5, "probes": 3, "target": "full"},
+                                      "probe": {"h": 1e-5, "probes": 3},
                                       "points": {"kind": "gaussian", "count": 1, "scale": 1.0},
                                       "f_star": 0.0, "epsilon": 0.5, "delta": 0.5, "T": 10,
                                       "seed": 7}),
@@ -401,7 +401,7 @@ def _mutate(cfg, data):
 def test_mutated_configs_exit_with_a_contract_code(data):
     # small valid configs (n <= 3, 1-2 epochs) with one key dropped, added or
     # replaced: main must return a documented code and never raise
-    command = data.draw(st.sampled_from(["run", "sweep", "probe", "plan"]), label="command")
+    command = data.draw(st.sampled_from(["run", "sweep", "probe", "plan", "constants"]), label="command")
     cfg = _mutate(COMMANDS[command][1], data)
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as folder, warnings.catch_warnings():
@@ -758,6 +758,31 @@ def test_plan_argument_errors_exit_2(tmp_path, capsys):
         assert main(["plan", "--constants", complete, *extra]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err == "config error: plan: pass --constants FILE, or --config FILE with --estimate\n"
+
+
+@pytest.mark.parametrize("command, target, message", [
+    # estimate_constants probes each block itself, so plan reads no probe target
+    ("plan", "x", "unknown key 'target'; expected one of h, probes"),
+    ("probe", "z", "'z' is not a valid Block"),
+])
+def test_probe_target_is_a_block_of_the_probe_command_only(tmp_path, capsys, command, target, message):
+    code, out = _main_on(tmp_path, command, _set(COMMANDS[command][1], ("probe", "target"), target))
+    assert code == EXIT_CONFIG and not out.exists()
+    assert capsys.readouterr().err == f"config error: probe: {message}\n"
+
+
+@pytest.mark.parametrize("changes, quantity", [
+    ({"epsilon": 1e-100}, "epoch budget"),
+    ({"n": 10**400}, "epoch budget"),
+    ({"d_x": 10**400}, "eta_x candidate zo_dimension_penalty"),
+    ({"T": 10**400, "epsilon": None}, "eta_x candidate variance_horizon"),
+    ({"L_x": 1e-300, "G": 1e-300}, "mu candidate horizon_bias"),
+])
+def test_plan_arithmetic_out_of_float_range_exits_4(tmp_path, capsys, changes, quantity):
+    # values the constants table accepts, but whose planner arithmetic leaves the float range
+    code, out = _main_on(tmp_path, "constants", {**COMMANDS["constants"][1], **changes})
+    assert code == EXIT_NUMERIC and not out.exists()
+    assert capsys.readouterr().err == f"numeric failure: {quantity} is out of the float range\n"
 
 
 def test_check_passes_and_repeats_verbatim(tmp_path, capsys):

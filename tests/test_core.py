@@ -358,7 +358,7 @@ def test_package_exports_each_library_module_list_once():
     for module in modules:
         for name in module.__all__:
             assert getattr(hybridsgd, name) is getattr(module, name), name
-    assert len(joined) <= 39
+    assert len(joined) <= 38
     acceptance = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text(encoding="utf-8"))
     imported = {alias.name for node in ast.walk(acceptance)
                 if isinstance(node, ast.ImportFrom) and node.module == "hybridsgd"

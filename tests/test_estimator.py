@@ -17,11 +17,10 @@ from hybridsgd import (
     PerturbationUnderflowWarning,
     RngStream,
     ZoConfig,
-    estimate_x_gradient,
     sample_gaussian,
 )
 from hybridsgd import optimizer
-from hybridsgd.estimator import _two_point_rows
+from hybridsgd.estimator import _two_point_rows, estimate_block_gradient
 from hybridsgd.optimizer import step
 from conftest import BlockGuardObjective, CountingQuadratic, OffsetObjective, ScaledObjective
 
@@ -101,16 +100,16 @@ def test_output_is_x_block_only_and_y_never_perturbed():
     base = BlockQuadratic.random(LAYOUT, 2, 2.0, 1.0, RngStream(24, 0xDA7A))
     w = HybridPoint(LAYOUT, [0.2, -0.4, 1.7])
     guarded = BlockGuardObjective(base, slice(2, 3), w.values[2:])
-    est = estimate_x_gradient(guarded, w, 0, ZoConfig(mu=1e-2, directions_per_step=3),
-                              RngStream(25, 1))
+    est = estimate_block_gradient(guarded, w.values, 0, ZoConfig(mu=1e-2, directions_per_step=3),
+                                  RngStream(25, 1), Block.X)
     assert est.shape == (2,)
 
 
 def test_q3_average_replays_single_direction_estimates():
     obj = BlockQuadratic.random(LAYOUT, 3, 2.0, 1.0, RngStream(26, 0xDA7A), center_spread=0.5)
     w = HybridPoint(LAYOUT, [1.0, 2.0, -1.0])
-    averaged = estimate_x_gradient(obj, w, 1, ZoConfig(mu=1e-3, directions_per_step=3),
-                                   RngStream(27, 1))
+    averaged = estimate_block_gradient(obj, w.values, 1, ZoConfig(mu=1e-3, directions_per_step=3),
+                                       RngStream(27, 1), Block.X)
     rng = RngStream(27, 1)
     acc = np.zeros(2)
     for _ in range(3):
@@ -136,9 +135,9 @@ def test_q_direction_estimate_costs_q_plus_one_values(q):
     counted = _ValueCounting(base)
     w = HybridPoint(LAYOUT, [1.0, 2.0, -1.0])
     cfg = ZoConfig(mu=1e-3, directions_per_step=q)
-    est = estimate_x_gradient(counted, w, 2, cfg, RngStream(31, 1))
+    est = estimate_block_gradient(counted, w.values, 2, cfg, RngStream(31, 1), Block.X)
     assert counted.value_calls == q + 1
-    assert np.array_equal(est, estimate_x_gradient(base, w, 2, cfg, RngStream(31, 1)))
+    assert np.array_equal(est, estimate_block_gradient(base, w.values, 2, cfg, RngStream(31, 1), Block.X))
     counted.value_calls = 0
     _x_estimate(counted, w, 2, 1e-3, np.array([1.0, 0.5]))
     assert counted.value_calls == 2
@@ -149,7 +148,8 @@ def test_q_direction_estimate_is_one_batched_call_of_q_plus_one_values(q):
     # the base value is row 0 of the same batched call as the q shifted values
     obj = CountingQuadratic(LAYOUT, [[0.5, -0.5, 0.0], [1.0, 0.0, 2.0], [0.0, 1.0, -1.0]], 2.0, 1.0)
     w = HybridPoint(LAYOUT, [1.0, 2.0, -1.0])
-    estimate_x_gradient(obj, w, 2, ZoConfig(mu=1e-3, directions_per_step=q), RngStream(31, 1))
+    estimate_block_gradient(obj, w.values, 2, ZoConfig(mu=1e-3, directions_per_step=q),
+                            RngStream(31, 1), Block.X)
     assert obj.value_calls == 0
     assert obj.value_rows == [q + 1]
 
@@ -158,24 +158,16 @@ def test_estimate_replays_bitwise():
     obj = CoshObjective.random(LAYOUT, 2, RngStream(28, 0xDA7A))
     w = HybridPoint(LAYOUT, [0.1, 0.2, 0.3])
     cfg = ZoConfig(mu=1e-4)
-    a = estimate_x_gradient(obj, w, 0, cfg, RngStream(29, 1))
-    b = estimate_x_gradient(obj, w, 0, cfg, RngStream(29, 1))
+    a = estimate_block_gradient(obj, w.values, 0, cfg, RngStream(29, 1), Block.X)
+    b = estimate_block_gradient(obj, w.values, 0, cfg, RngStream(29, 1), Block.X)
     assert np.array_equal(a, b)
 
 
 def test_validation_errors():
-    obj = _linear([[1.0, 1.0, 1.0]])
-    w = HybridPoint(LAYOUT, [0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         ZoConfig(mu=0.0)
     with pytest.raises(ValueError):
         ZoConfig(mu=-1e-3)
-    cfg = ZoConfig(mu=1e-3)
-    with pytest.raises(IndexError):
-        estimate_x_gradient(obj, w, 1, cfg, RngStream(32, 1))  # n = 1
-    with pytest.raises(ValueError):
-        estimate_x_gradient(obj, HybridPoint(BlockLayout(1, 2), np.zeros(3)), 0, cfg,
-                            RngStream(32, 1))
     with pytest.raises(ValueError):
         ZoConfig(mu=1e-3, directions_per_step=0)
     with pytest.raises(ValueError):
@@ -197,8 +189,8 @@ def test_underflow_warning_when_mu_below_float_resolution():
         est = _x_estimate(obj, w, 0, 1e-9, np.array([1.0]))
     assert np.all(np.isfinite(est))
     with pytest.warns(PerturbationUnderflowWarning) as record:
-        est = estimate_x_gradient(obj, w, 0, ZoConfig(mu=1e-9, directions_per_step=2),
-                                  RngStream(35, 1))
+        est = estimate_block_gradient(obj, w.values, 0, ZoConfig(mu=1e-9, directions_per_step=2),
+                                      RngStream(35, 1), Block.X)
     assert np.all(np.isfinite(est))
     assert record[0].filename == __file__  # attributed to the caller
 
@@ -284,7 +276,7 @@ def test_unbiased_for_quadratic_smoothed_gradient():
     total = np.zeros(3)
     total_sq = np.zeros(3)
     for _ in range(draws):
-        e = estimate_x_gradient(obj, w, 0, cfg, rng)
+        e = estimate_block_gradient(obj, w.values, 0, cfg, rng, Block.X)
         total += e
         total_sq += e * e
     mean = total / draws

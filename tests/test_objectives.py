@@ -172,6 +172,23 @@ def test_objective_data_is_immutable():
         obj.centers[0, 0] = 1.0
 
 
+# every family's data arrays, each read through core._check_array
+_DATA_ARRAYS = {"block_quadratic": ("centers",), "cosh": ("shifts",), "logistic": ("features", "labels"),
+                "linear": ("slopes",), "dense_quadratic": ("hessian", "centers")}
+
+
+def test_checked_arrays_are_read_only():
+    families = _families()
+    assert sorted(families) == sorted(_DATA_ARRAYS)
+    arrays = [(f"{kind}.{name}", getattr(families[kind], name))
+              for kind, names in _DATA_ARRAYS.items() for name in names]
+    arrays.append(("HybridPoint.values", HybridPoint(LAYOUT, [0.0, 1.0, 2.0, 3.0, 4.0]).values))
+    for label, arr in arrays:
+        assert not arr.flags.writeable, label
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
 def test_index_and_layout_validation():
     obj = _families()["linear"]
     w = HybridPoint(LAYOUT, np.zeros(5))
