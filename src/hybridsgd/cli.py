@@ -38,7 +38,7 @@ from .estimator import ZoConfig
 from .objectives import FiniteSumObjective, objective_from_dict
 from .optimizer import BlockMode, LearningRates, Mode, OptimizerConfig, run, write_trace_csv
 from .oracle import _check_suite
-from .planner import PlanInputs, SmoothnessConstants, epoch_budget, estimate_constants, plan_rates
+from .planner import SmoothnessConstants, epoch_budget, estimate_constants, plan_rates
 from .probe import ProbeConfig, trajectory_scan, write_probe_csv
 
 __all__ = ["main", "EXIT_OK", "EXIT_CHECK_FAILED", "EXIT_CONFIG", "EXIT_DIVERGED", "EXIT_NUMERIC",
@@ -124,7 +124,8 @@ def _objective(spec, config_path) -> FiniteSumObjective:
 
 def _point_list(raw, obj: FiniteSumObjective) -> list:
     d = obj.layout.d
-    return obj.check_points(HybridPoint(obj.layout, _check_array("points", p, (d,))) for p in raw)
+    return obj.check_points(HybridPoint(obj.layout, _check_array("points", p, (d,)))
+                            for p in _check_type("points", raw, list))
 
 
 def _initial_point(spec, layout: BlockLayout, seed: int) -> HybridPoint:
@@ -291,7 +292,7 @@ def cmd_probe(args) -> int:
 
 def _plan_report(constants: SmoothnessConstants, n: int, horizon: int, d_x: int,
                  epsilon: float | None, delta: float | None, budget: int | None) -> str:
-    plan = plan_rates(PlanInputs(constants, n, horizon, d_x))
+    plan = plan_rates(constants, n, horizon, d_x)
     lines = [
         "constants: " + " ".join(f"{name}={fmt17(value)}" for name, value in asdict(constants).items()),
         f"inputs: n={n} T={horizon} d_x={d_x}",
@@ -329,22 +330,18 @@ def cmd_plan(args) -> int:
         # estimate_constants probes each block itself, so plan's probe section has no target
         pcfg = ProbeConfig(**_read_section("probe", cfg["probe"], _fields(ProbeConfig, "h", "probes")))
         points = _plan_points(cfg["points"], obj, cfg["seed"])
+        n, d_x = obj.n, obj.layout.d_x
+
+    epsilon, delta, horizon = cfg["epsilon"], cfg["delta"], cfg["T"]
+    derive = epsilon is not None and delta is not None
+    if horizon is None and not derive:  # checked before any probe runs
+        raise ValueError("plan: provide T, or epsilon and delta to derive it")
+    if not from_file:
         constants = estimate_constants(
             obj, pcfg, points, RngStream(cfg["seed"], PROBE_STREAM_ID), f_star=cfg["f_star"]
         )
-        n, d_x = obj.n, obj.layout.d_x
-
-    epsilon, delta = cfg["epsilon"], cfg["delta"]
-    budget = None
-    if epsilon is not None and delta is not None:
-        budget = epoch_budget(epsilon, delta, constants.G, constants.f_gap, n)
-    if cfg["T"] is not None:
-        horizon = cfg["T"]
-    elif budget is not None:
-        horizon = budget
-    else:
-        raise ValueError("plan: provide T, or epsilon and delta to derive it")
-
+    budget = epoch_budget(epsilon, delta, constants.G, constants.f_gap, n) if derive else None
+    horizon = budget if horizon is None else horizon
     _report(_plan_report(constants, n, horizon, d_x, epsilon, delta, budget), args.out)
     return EXIT_OK
 

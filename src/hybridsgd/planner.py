@@ -24,7 +24,6 @@ from .probe import ProbeConfig, estimate_block_lipschitz
 
 __all__ = [
     "SmoothnessConstants",
-    "PlanInputs",
     "RatePlan",
     "plan_rates",
     "epoch_budget",
@@ -57,20 +56,6 @@ class SmoothnessConstants:
 
 
 @dataclass(frozen=True)
-class PlanInputs:
-    constants: SmoothnessConstants
-    n: int
-    T: int
-    d_x: int
-
-    def __post_init__(self) -> None:
-        _check_type("constants", self.constants, SmoothnessConstants)
-        _check_int("n", self.n)
-        _check_int("T", self.T)
-        _check_int("d_x", self.d_x)
-
-
-@dataclass(frozen=True)
 class RatePlan:
     """Planned rates plus every candidate term that entered each minimum."""
 
@@ -92,15 +77,16 @@ def _in_range(name: str, term) -> float:
     raise NumericError(f"{name} is out of the float range")
 
 
-def plan_rates(inputs: PlanInputs) -> RatePlan:
-    """Largest admissible (eta_x, eta_y, mu) for the given constants.
+def plan_rates(constants: SmoothnessConstants, n: int, T: int, d_x: int) -> RatePlan:
+    """Largest admissible (eta_x, eta_y, mu) for the given constants, n samples,
+    horizon T (epochs) and zeroth-order block dimension d_x.
 
     sigma = 0 drops the variance-horizon terms entirely (the minimum runs
     over the remaining terms); it is not an error.  A candidate outside the
     float range is a NumericError.
     """
-    c = inputs.constants
-    n, horizon, d_x = inputs.n, inputs.T, inputs.d_x
+    c = _check_type("constants", constants, SmoothnessConstants)
+    n, T, d_x = _check_int("n", n), _check_int("T", T), _check_int("d_x", d_x)
 
     eta_x_terms = {
         "per_sample_curvature": lambda: 1.0 / (2.0 * c.L_x_max * n),
@@ -110,12 +96,12 @@ def plan_rates(inputs: PlanInputs) -> RatePlan:
         "per_sample_curvature": lambda: 1.0 / (2.0 * c.L_y_max * n),
     }
     if c.sigma > 0.0:
-        eta_x_terms["variance_horizon"] = lambda: math.sqrt(2.0 / horizon) / (c.sigma * n * c.L_x_max)
-        eta_y_terms["variance_horizon"] = lambda: math.sqrt(2.0 / horizon) / (c.sigma * n * c.L_y_max)
+        eta_x_terms["variance_horizon"] = lambda: math.sqrt(2.0 / T) / (c.sigma * n * c.L_x_max)
+        eta_y_terms["variance_horizon"] = lambda: math.sqrt(2.0 / T) / (c.sigma * n * c.L_y_max)
 
     mu_terms = {
         "smoothing_radius": lambda: (c.G / c.L_x) * (6.0 / d_x**1.5),
-        "horizon_bias": lambda: 1.0 / (3.0 * c.L_x * horizon * n * d_x * c.G),
+        "horizon_bias": lambda: 1.0 / (3.0 * c.L_x * T * n * d_x * c.G),
     }
     eta_x_terms, eta_y_terms, mu_terms = (
         {name: _in_range(f"{label} candidate {name}", term) for name, term in terms.items()}
@@ -133,10 +119,16 @@ def plan_rates(inputs: PlanInputs) -> RatePlan:
 
 
 def epoch_budget(epsilon: float, delta: float, G: float, f_gap: float, n: int) -> int:
-    """Epochs sufficient for the scheme's average-gradient guarantee.
+    """Epochs for the scheme's average-gradient guarantee, ignoring the ZO dimension.
 
     ceil of eps^-2 [2/delta + G^2/8] + eps^-4 [(f_gap + 3)/n]; delta is the allowed
     failure probability.  A total outside the float range is a NumericError.
+
+    The budget depends on neither d_x nor L_x, so it is not sufficient when
+    plan_rates' zo_dimension_penalty binds: on criterion 05's objective with
+    exact constants, delta = 0.2 and T = the budget (eta_x = 6.51e-6), seeds
+    0-4 end at min_grad_sq 0.912-0.924 for eps = 0.5 (67 epochs) and
+    0.703-0.718 for eps = 0.3 (272 epochs), against eps^2 = 0.25 and 0.09.
     """
     _check_real("epsilon", epsilon)
     if not 0.0 < delta < 1.0:

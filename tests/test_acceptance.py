@@ -9,7 +9,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from hybridsgd import (
     Block,
@@ -24,7 +23,6 @@ from hybridsgd import (
     LogisticObjective,
     Mode,
     OptimizerConfig,
-    PlanInputs,
     ProbeConfig,
     RngStream,
     SmoothnessConstants,
@@ -205,7 +203,7 @@ def test_criterion_05_hybrid_convergence_with_planned_rates():
         sigma=math.sqrt(obj.sample_variance(w0)),
         f_gap=obj.eval_full(w0) - obj.f_star,
     )
-    plan = plan_rates(PlanInputs(constants, n=n, T=horizon, d_x=4))
+    plan = plan_rates(constants, n=n, T=horizon, d_x=4)
     cfg = OptimizerConfig(
         LearningRates(plan.eta_x, plan.eta_y),
         BlockMode(Mode.ZO, Mode.FO),
@@ -263,10 +261,7 @@ def test_criterion_07_smoothness_envelope_witness():
 
 
 def test_criterion_08_planner_arithmetic_and_monotonicity():
-    reference = PlanInputs(
-        SmoothnessConstants(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0), n=10, T=100, d_x=4
-    )
-    plan = plan_rates(reference)
+    plan = plan_rates(SmoothnessConstants(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0), n=10, T=100, d_x=4)
     assert plan.eta_x == 1.0 / 15360.0
     assert fmt17(plan.eta_x) == "6.5104166666666666e-05"
     assert epoch_budget(0.1, 0.5, 1.0, 1.0, 10) == 4413
@@ -279,14 +274,14 @@ def test_criterion_08_planner_arithmetic_and_monotonicity():
         values = {name: float(10.0 ** gen.uniform(-2, 2)) for name in scale_fields}
         values.update(G=1.0, f_gap=1.0)
         dims = {name: int(gen.integers(1, 200)) for name in count_fields}
-        base = plan_rates(PlanInputs(SmoothnessConstants(**values), **dims))
+        base = plan_rates(SmoothnessConstants(**values), **dims)
         for field in scale_fields + count_fields:
             grown_vals, grown_dims = dict(values), dict(dims)
             if field in values:
                 grown_vals[field] = values[field] * 2.0
             else:
                 grown_dims[field] = dims[field] * 2
-            grown = plan_rates(PlanInputs(SmoothnessConstants(**grown_vals), **grown_dims))
+            grown = plan_rates(SmoothnessConstants(**grown_vals), **grown_dims)
             assert grown.eta_x <= base.eta_x, f"eta_x rose when {field} doubled"
             assert grown.eta_y <= base.eta_y, f"eta_y rose when {field} doubled"
             if field in mu_monotone:

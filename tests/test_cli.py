@@ -148,7 +148,8 @@ GENERATED = {
 }
 RUN_KEYS = {"modes": {"x": "zo", "y": "fo"}, "zo": {"mu": 1e-3, "directions_per_step": 2},
             "epochs": 1, "divergence_threshold": 1e6, "init": {"kind": "gaussian", "scale": 1.0}}
-# One small valid config per command; every section holds every key it reads.
+# One small valid config per command, plus probe and plan on explicit point lists;
+# every section holds every key it reads.
 COMMANDS = {
     "run": (["run"], {"objective": GENERATED["block_quadratic"],
                       "rates": {"eta_x": 0.01, "eta_y": 0.05}, **RUN_KEYS, "seed": 7}),
@@ -167,6 +168,15 @@ COMMANDS = {
     "constants": (["plan"], {"L_x": 1.0, "L_y": 1.0, "L_x_max": 1.0, "L_y_max": 1.0, "G": 1.0,
                              "sigma": 1.0, "f_gap": 1.0, "n": 10, "d_x": 4, "T": 100,
                              "epsilon": 0.1, "delta": 0.5}),
+    "probe-points": (["probe"], {"objective": GENERATED["block_quadratic"],
+                                 "probe": {"h": 1e-5, "probes": 3, "target": "y"},
+                                 "trajectory": {"kind": "points",
+                                                "points": [[0.1, -0.2, 0.3], [0.0, 0.0, 0.0]]},
+                                 "seed": 7}),
+    "plan-points": (["plan", "--estimate"], {"objective": GENERATED["block_quadratic"],
+                                             "probe": {"h": 1e-5, "probes": 3},
+                                             "points": {"kind": "explicit", "points": [[0.1, -0.2, 0.3]]},
+                                             "f_star": 0.0, "T": 10, "seed": 7}),
 }
 
 
@@ -401,7 +411,7 @@ def _mutate(cfg, data):
 def test_mutated_configs_exit_with_a_contract_code(data):
     # small valid configs (n <= 3, 1-2 epochs) with one key dropped, added or
     # replaced: main must return a documented code and never raise
-    command = data.draw(st.sampled_from(["run", "sweep", "probe", "plan", "constants"]), label="command")
+    command = data.draw(st.sampled_from(list(COMMANDS)), label="command")
     cfg = _mutate(COMMANDS[command][1], data)
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as folder, warnings.catch_warnings():
@@ -668,6 +678,27 @@ def test_probe_empty_trajectory_is_config_error(tmp_path, capsys):
     code = main(["probe", "--config", cfg, "--out", str(tmp_path / "p.csv")])
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err == "config error: points must contain at least one point\n"
+
+
+@pytest.mark.parametrize("command, path", [("probe-points", ("trajectory", "points")),
+                                           ("plan-points", ("points", "points"))])
+@pytest.mark.parametrize("value", [5, 2.9, -1, 0, True, {}, "a"])
+def test_point_list_that_is_not_a_list_exits_2(tmp_path, capsys, command, path, value):
+    code, out = _main_on(tmp_path, command, _set(COMMANDS[command][1], path, value))
+    assert code == EXIT_CONFIG and not out.exists()
+    assert capsys.readouterr().err == f"config error: points must be a list, got {value!r}\n"
+
+
+@pytest.mark.parametrize("horizon", [{}, {"epsilon": 0.5}, {"delta": 0.5}])
+def test_plan_checks_its_horizon_before_it_probes(tmp_path, capsys, monkeypatch, horizon):
+    def no_probes(*args, **kwargs):
+        raise AssertionError("estimate_constants ran")
+
+    monkeypatch.setattr(cli, "estimate_constants", no_probes)
+    cfg = {**COMMANDS["plan"][1], "T": None, "epsilon": None, "delta": None, **horizon}
+    code, out = _main_on(tmp_path, "plan", cfg)
+    assert code == EXIT_CONFIG and not out.exists()
+    assert capsys.readouterr() == ("", "config error: plan: provide T, or epsilon and delta to derive it\n")
 
 
 def test_plan_from_constants_prints_reference_values(tmp_path, capsys):

@@ -310,8 +310,8 @@ def test_validation_idioms_live_only_in_core():
 def _type_check_sites():
     from conftest import IndexRecordingObjective
     from hybridsgd import (BlockMode, BlockQuadratic, CoshObjective, DenseQuadratic, LearningRates,
-                           LinearObjective, LogisticObjective, Mode, OptimizerConfig, PlanInputs,
-                           ProbeConfig)
+                           LinearObjective, LogisticObjective, Mode, OptimizerConfig, ProbeConfig,
+                           plan_rates)
     from hybridsgd.cli import _rate_grid
 
     obj = IndexRecordingObjective(BlockLayout(1, 1), 2)
@@ -334,7 +334,7 @@ def _type_check_sites():
         "OptimizerConfig zo": ("zo", "ZoConfig", lambda: OptimizerConfig(
             LearningRates(0.1, 0.1), BlockMode(Mode.FO, Mode.FO), zo={"mu": True})),
         "ProbeConfig target": ("target", "Block", lambda: ProbeConfig(target="x")),
-        "PlanInputs constants": ("constants", "SmoothnessConstants", lambda: PlanInputs({}, 2, 10, 1)),
+        "plan_rates constants": ("constants", "SmoothnessConstants", lambda: plan_rates({}, 2, 10, 1)),
         "rate grid": ("eta_x_grid", "list", lambda: _rate_grid("eta_x_grid", 0.1)),
     }
 
@@ -358,7 +358,7 @@ def test_package_exports_each_library_module_list_once():
     for module in modules:
         for name in module.__all__:
             assert getattr(hybridsgd, name) is getattr(module, name), name
-    assert len(joined) <= 38
+    assert len(joined) <= 37
     acceptance = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text(encoding="utf-8"))
     imported = {alias.name for node in ast.walk(acceptance)
                 if isinstance(node, ast.ImportFrom) and node.module == "hybridsgd"

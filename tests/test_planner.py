@@ -10,7 +10,6 @@ from hybridsgd import (
     CoshObjective,
     HybridPoint,
     LogisticObjective,
-    PlanInputs,
     ProbeConfig,
     RngStream,
     SmoothnessConstants,
@@ -25,11 +24,11 @@ def _constants(L_x=1.0, L_y=1.0, L_x_max=1.0, L_y_max=1.0, G=1.0, sigma=1.0, f_g
     return SmoothnessConstants(L_x, L_y, L_x_max, L_y_max, G, sigma, f_gap)
 
 
-REFERENCE = PlanInputs(_constants(), n=10, T=100, d_x=4)
+REFERENCE = dict(n=10, T=100, d_x=4)
 
 
 def test_reference_rates_exact():
-    plan = plan_rates(REFERENCE)
+    plan = plan_rates(_constants(), **REFERENCE)
     # min{1/20, 1/15360, sqrt(0.02)/10} = 1/15360
     assert plan.eta_x == 1.0 / 15360.0
     assert fmt17(plan.eta_x) == "6.5104166666666666e-05"
@@ -44,7 +43,7 @@ def test_reference_rates_exact():
 
 
 def test_rate_terms_recompute():
-    plan = plan_rates(REFERENCE)
+    plan = plan_rates(_constants(), **REFERENCE)
     assert plan.eta_x_terms["per_sample_curvature"] == 1.0 / 20.0
     assert plan.eta_x_terms["zo_dimension_penalty"] == 1.0 / 15360.0
     assert plan.eta_x_terms["variance_horizon"] == math.sqrt(2.0 / 100.0) / 10.0
@@ -53,8 +52,7 @@ def test_rate_terms_recompute():
 
 
 def test_zero_sigma_drops_variance_terms():
-    inputs = PlanInputs(_constants(sigma=0.0), n=10, T=100, d_x=4)
-    plan = plan_rates(inputs)
+    plan = plan_rates(_constants(sigma=0.0), n=10, T=100, d_x=4)
     assert "variance_horizon" not in plan.eta_x_terms
     assert "variance_horizon" not in plan.eta_y_terms
     assert plan.eta_y == 1.0 / 20.0  # per-sample curvature cap alone
@@ -63,7 +61,7 @@ def test_zero_sigma_drops_variance_terms():
 def test_eta_x_nonincreasing_in_horizon():
     c = _constants(L_x=0.001, L_x_max=0.001, sigma=100.0)
     etas = [
-        plan_rates(PlanInputs(c, n=2, T=T, d_x=2)).eta_x
+        plan_rates(c, n=2, T=T, d_x=2).eta_x
         for T in (1, 4, 16, 256, 4096)
     ]
     assert all(b <= a for a, b in zip(etas, etas[1:]))
@@ -76,9 +74,8 @@ def test_eta_x_never_exceeds_eta_y_for_shared_constants():
     for _ in range(30):
         L, L_max, sigma = 10.0 ** rng.uniform(-2, 2, size=3)
         c = _constants(L_x=L, L_y=L, L_x_max=L_max, L_y_max=L_max, sigma=sigma)
-        inputs = PlanInputs(c, n=int(rng.integers(1, 50)), T=int(rng.integers(1, 1000)),
-                            d_x=int(rng.integers(1, 30)))
-        plan = plan_rates(inputs)
+        plan = plan_rates(c, n=int(rng.integers(1, 50)), T=int(rng.integers(1, 1000)),
+                          d_x=int(rng.integers(1, 30)))
         assert plan.eta_x <= plan.eta_y
 
 
@@ -94,17 +91,17 @@ def test_rates_monotone_in_constants():
         )
         dims = dict(n=int(rng.integers(1, 40)), T=int(rng.integers(1, 500)),
                     d_x=int(rng.integers(1, 20)))
-        plan = plan_rates(PlanInputs(_constants(**base), **dims))
+        plan = plan_rates(_constants(**base), **dims)
         for key in base:
             grown = dict(base)
             grown[key] = base[key] * 2.0
-            bigger = plan_rates(PlanInputs(_constants(**grown), **dims))
+            bigger = plan_rates(_constants(**grown), **dims)
             assert bigger.eta_x <= plan.eta_x
             assert bigger.eta_y <= plan.eta_y
         for key in dims:
             grown = dict(dims)
             grown[key] = dims[key] * 2
-            bigger = plan_rates(PlanInputs(_constants(**base), **grown))
+            bigger = plan_rates(_constants(**base), **grown)
             assert bigger.eta_x <= plan.eta_x
             assert bigger.eta_y <= plan.eta_y
 
@@ -137,8 +134,11 @@ def test_constants_validation():
         _constants(sigma=-1.0)
     with pytest.raises(ValueError):
         _constants(f_gap=-0.1)
-    with pytest.raises(ValueError):
-        PlanInputs(_constants(), n=0, T=10, d_x=2)
+    for name in ("n", "T", "d_x"):
+        for bad in (0, True):
+            dims = {"n": 2, "T": 10, "d_x": 2, name: bad}
+            with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got {bad!r}$"):
+                plan_rates(_constants(), **dims)
     with pytest.raises(ValueError):
         epoch_budget(0.1, 0.0, 1.0, 1.0, 10)
     with pytest.raises(ValueError):
