@@ -36,7 +36,7 @@ from .core import (_REQUIRED, Block, BlockLayout, HybridPoint, NumericError, Rng
                    _read_section, _write_csv, fmt17)
 from .estimator import ZoConfig
 from .objectives import FiniteSumObjective, objective_from_dict
-from .optimizer import BlockMode, LearningRates, Mode, OptimizerConfig, run, write_trace_csv
+from .optimizer import Mode, OptimizerConfig, run, write_trace_csv
 from .oracle import _check_suite
 from .planner import SmoothnessConstants, epoch_budget, estimate_constants, plan_rates
 from .probe import ProbeConfig, trajectory_scan, write_probe_csv
@@ -72,7 +72,7 @@ def _fields(cls, *names) -> dict:
 
 
 # Key tables: key -> (check, default); see core._read_section.
-_MODES_KEYS = {"x": (None, BlockMode.x_mode), "y": (None, BlockMode.y_mode)}
+_MODES_KEYS = {"x": (None, OptimizerConfig.x_mode), "y": (None, OptimizerConfig.y_mode)}
 _INIT_KINDS = {
     "zeros": {},
     "explicit": {"values": (None, _REQUIRED)},
@@ -141,12 +141,13 @@ def _optimizer_config(cfg: dict, rates) -> OptimizerConfig:
     """The optimizer config of a run, sweep or run trajectory section, with a rates section."""
     modes = _read_section("modes", cfg["modes"], _MODES_KEYS)
     try:
-        modes = BlockMode(Mode(modes["x"]), Mode(modes["y"]))
+        x_mode, y_mode = Mode(modes["x"]), Mode(modes["y"])
     except ValueError as exc:
         raise ValueError(f"modes: {exc}") from exc
-    rates = LearningRates(**_read_section("rates", rates, _fields(LearningRates)))
+    rates = _read_section("rates", rates, _fields(OptimizerConfig, "eta_x", "eta_y"))
     zo = None if cfg["zo"] is None else ZoConfig(**_read_section("zo", cfg["zo"], _fields(ZoConfig)))
-    return OptimizerConfig(rates, modes, zo, cfg["epochs"], cfg["divergence_threshold"])
+    return OptimizerConfig(**rates, x_mode=x_mode, y_mode=y_mode, zo=zo, epochs=cfg["epochs"],
+                           divergence_threshold=cfg["divergence_threshold"])
 
 
 def _run_meta(command: str, cfg: dict, opt: OptimizerConfig, **extra) -> dict:
@@ -155,7 +156,7 @@ def _run_meta(command: str, cfg: dict, opt: OptimizerConfig, **extra) -> dict:
         "command": command,
         "objective": cfg["objective"],
         "init": cfg["init"],
-        "modes": {"x": opt.modes.x_mode.value, "y": opt.modes.y_mode.value},
+        "modes": {"x": opt.x_mode.value, "y": opt.y_mode.value},
         "zo": None if opt.zo is None else asdict(opt.zo),
         "epochs": opt.epochs,
         "divergence_threshold": opt.divergence_threshold,
@@ -190,7 +191,7 @@ def cmd_run(args) -> int:
     result = run(obj, w0, opt, rng)
     write_trace_csv(result.trace, args.out)
     guard = result.divergence_threshold
-    _write_meta(args.out, _run_meta("run", cfg, opt, rates=asdict(opt.rates),
+    _write_meta(args.out, _run_meta("run", cfg, opt, rates={"eta_x": opt.eta_x, "eta_y": opt.eta_y},
                                      divergence_threshold_resolved=guard))
     print(
         f"final_f={fmt17(result.trace[-1].f_value)} min_grad_sq={fmt17(result.min_grad_sq)} "
@@ -234,7 +235,7 @@ def cmd_sweep(args) -> int:
         final_f = trace[-1].f_value if trace else f0
         # steps until f <= f_target, empty if never (or without a target)
         steps = next((r.step + 1 for r in trace if f_target is not None and r.f_value <= f_target), "")
-        rows.append((opt.rates.eta_x, opt.rates.eta_y, final_f, str(diverged).lower(), steps))
+        rows.append((opt.eta_x, opt.eta_y, final_f, str(diverged).lower(), steps))
     _write_csv(args.out, ("eta_x", "eta_y", "final_f", "diverged", "steps_to_threshold"),
                "%.17g,%.17g,%.17g,%s,%s\n", rows)
     # cells differ only in their rates, so the first stands for all

@@ -3,7 +3,8 @@
 Each epoch draws a fresh uniform permutation of the sample indices and takes
 one step per sample, strictly in permutation order.  A step evaluates both
 block directions at the incoming point and then moves both blocks at once,
-so neither block sees the other's update within the step.  Block rules:
+so neither block sees the other's update within the step.  One
+:class:`OptimizerConfig` holds each block's step size and update rule:
 
 * ``Mode.ZO``     two-point Gaussian estimate (objective values only),
 * ``Mode.FO``     exact analytic per-sample gradient,
@@ -15,9 +16,9 @@ The default pairing (x zeroth-order, y first-order) is the hybrid scheme;
 :func:`step` and :func:`run_epoch` belong to the raw-array layer, next to
 the objectives' ``value_at`` and the estimator's ``estimate_block_gradient``:
 each maps a float64 array to a new one and validates nothing.  :func:`run` is
-the validated boundary: it checks its start point once, resolves the
-divergence guard, steps on raw arrays, and builds a :class:`HybridPoint` only
-for snapshots and the result.
+the validated boundary: it checks its config, stream and start point once,
+resolves the divergence guard, steps on raw arrays, and builds a
+:class:`HybridPoint` only for snapshots and the result.
 """
 from __future__ import annotations
 
@@ -44,8 +45,6 @@ from .objectives import FiniteSumObjective
 
 __all__ = [
     "Mode",
-    "LearningRates",
-    "BlockMode",
     "OptimizerConfig",
     "TraceRecord",
     "RunResult",
@@ -62,46 +61,27 @@ class Mode(Enum):
 
 
 @dataclass(frozen=True)
-class LearningRates:
-    """Non-negative per-block step sizes, stored as floats."""
+class OptimizerConfig:
+    """Everything a run needs except the objective, start point and stream: a step size
+    >= 0 and an update rule per block (by default the hybrid pairing, x: ZO, y: FO);
+    rates, epochs and divergence_threshold are stored as checked (floats, an int)."""
 
     eta_x: float
     eta_y: float
-
-    def __post_init__(self) -> None:
-        for name in ("eta_x", "eta_y"):
-            object.__setattr__(self, name, _check_real(name, getattr(self, name), allow_zero=True))
-
-
-@dataclass(frozen=True)
-class BlockMode:
-    """Update rule per block; defaults to the hybrid pairing (x: ZO, y: FO)."""
-
     x_mode: Mode = Mode.ZO
     y_mode: Mode = Mode.FO
-
-    def __post_init__(self) -> None:
-        for name in ("x_mode", "y_mode"):
-            _check_type(name, getattr(self, name), Mode)
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Everything a run needs except the objective, start point and stream;
-    epochs and divergence_threshold are stored as checked (an int, a float)."""
-
-    rates: LearningRates
-    modes: BlockMode = BlockMode()
     zo: ZoConfig | None = None
     epochs: int = 1
     divergence_threshold: float | None = None
 
     def __post_init__(self) -> None:
-        _check_type("rates", self.rates, LearningRates)
-        _check_type("modes", self.modes, BlockMode)
+        for name in ("eta_x", "eta_y"):
+            object.__setattr__(self, name, _check_real(name, getattr(self, name), allow_zero=True))
+        for name in ("x_mode", "y_mode"):
+            _check_type(name, getattr(self, name), Mode)
         if self.zo is not None:
             _check_type("zo", self.zo, ZoConfig)
-        elif Mode.ZO in (self.modes.x_mode, self.modes.y_mode):
+        elif Mode.ZO in (self.x_mode, self.y_mode):
             raise ValueError("zo (mu, directions_per_step) is required when a block uses Mode.ZO")
         object.__setattr__(self, "epochs", _check_int("epochs", self.epochs))
         f = self.divergence_threshold
@@ -140,11 +120,10 @@ def step(
     most once and shared by the two blocks; a frozen block is copied unchanged.
     """
     d_x = obj.layout.d_x
-    modes, rates = cfg.modes, cfg.rates
     grad = None
     new_values = values.copy()
-    for block, sl, mode, eta in ((Block.X, slice(0, d_x), modes.x_mode, rates.eta_x),
-                                 (Block.Y, slice(d_x, None), modes.y_mode, rates.eta_y)):
+    for block, sl, mode, eta in ((Block.X, slice(0, d_x), cfg.x_mode, cfg.eta_x),
+                                 (Block.Y, slice(d_x, None), cfg.y_mode, cfg.eta_y)):
         if mode is Mode.FO:
             if grad is None:
                 grad = obj.grad_at(values, i)
@@ -239,6 +218,8 @@ def run(
     trace) so sweeps can record it per cell; the CLI maps it to its own exit
     code.
     """
+    _check_type("cfg", cfg, OptimizerConfig)
+    _check_type("rng", rng, RngStream)
     values = obj.check_point(w0)
     _check_int("snapshot_every", snapshot_every, 0)
     f0 = obj.full_value_at(values)

@@ -28,6 +28,7 @@ from .core import (
     RngStream,
     _check_int,
     _check_real,
+    _check_type,
     _gaussian_point,
     sample_gaussian,
 )
@@ -148,6 +149,7 @@ def check_estimator_bounds(
     i = obj.check_sample(i)
     _check_real("mu", mu)
     _check_int("trials", trials, 2)
+    _check_type("rng", rng, RngStream)
     bounds = obj.block_lipschitz_bound()
     if bounds is None:
         raise ValueError("objective has unbounded curvature: no lipschitz bound on the x block")

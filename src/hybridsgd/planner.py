@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Block, NumericError, RngStream, _check_int, _check_real, _check_type
+from .core import Block, NumericError, RngStream, _check_finite, _check_int, _check_real, _check_type
 from .objectives import FiniteSumObjective
 from .probe import ProbeConfig, estimate_block_lipschitz
 
@@ -131,7 +131,7 @@ def epoch_budget(epsilon: float, delta: float, G: float, f_gap: float, n: int) -
     0.703-0.718 for eps = 0.3 (272 epochs), against eps^2 = 0.25 and 0.09.
     """
     _check_real("epsilon", epsilon)
-    if not 0.0 < delta < 1.0:
+    if not 0.0 < _check_finite("delta", delta) < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     _check_real("G", G, allow_zero=True)
     _check_real("f_gap", f_gap, allow_zero=True)
@@ -158,6 +158,8 @@ def estimate_constants(
     (argument, or the objective's analytic minimum when it has one).
     """
     pts = obj.check_points(points)
+    _check_type("cfg", cfg, ProbeConfig)
+    f_star = obj.f_star if f_star is None else _check_finite("f_star", f_star)
 
     L = {Block.X: 0.0, Block.Y: 0.0}  # per block: full-objective curvature
     L_max = dict(L)  # per block: the worst single sample's too
@@ -177,11 +179,9 @@ def estimate_constants(
         sigma = max(sigma, math.sqrt(obj.sample_variance(w)))
 
     if f_star is None:
-        f_star = obj.f_star
-    if f_star is None:
         raise ValueError(
             "f_star is required: pass it explicitly or use an objective with an analytic minimum"
         )
-    f_gap = max(0.0, obj.eval_full(pts[0]) - float(f_star))
+    f_gap = max(0.0, obj.eval_full(pts[0]) - f_star)
     return SmoothnessConstants(L[Block.X], L[Block.Y], L_max[Block.X], L_max[Block.Y],
                                G=grad_bound, sigma=sigma, f_gap=f_gap)

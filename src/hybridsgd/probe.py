@@ -126,6 +126,8 @@ def estimate_block_lipschitz(
     cost K + 1 gradients.  The K directions are one (K, dim) draw, and the
     K + 1 gradients one batched evaluation (see ``_hvp_rows``).
     """
+    _check_type("cfg", cfg, ProbeConfig)
+    _check_type("rng", rng, RngStream)
     values = obj.check_point(w)
     if sample is not None:
         sample = obj.check_sample(sample)

@@ -13,12 +13,10 @@ import numpy as np
 from hybridsgd import (
     Block,
     BlockLayout,
-    BlockMode,
     BlockQuadratic,
     CoshObjective,
     DenseQuadratic,
     HybridPoint,
-    LearningRates,
     LinearObjective,
     LogisticObjective,
     Mode,
@@ -41,7 +39,7 @@ from hybridsgd.cli import EXIT_DIVERGED, EXIT_OK, main
 from hybridsgd.estimator import estimate_block_gradient
 from conftest import IndexRecordingObjective
 
-FO = BlockMode(Mode.FO, Mode.FO)
+FO = (Mode.FO, Mode.FO)
 
 
 def _verdict(number: int, label: str) -> None:
@@ -95,7 +93,7 @@ def test_criterion_02_estimator_error_bounds():
 def test_criterion_03_reshuffling_coverage():
     obj = IndexRecordingObjective(BlockLayout(1, 1), 7)
     w0 = HybridPoint(obj.layout, [0.0, 0.0])
-    cfg = OptimizerConfig(LearningRates(1e-4, 1e-4), FO, epochs=1000)
+    cfg = OptimizerConfig(1e-4, 1e-4, *FO, epochs=1000)
     run(obj, w0, cfg, RngStream(1031, 2))
     assert len(obj.seen) == 7000
     expected = list(range(7))
@@ -103,7 +101,7 @@ def test_criterion_03_reshuffling_coverage():
         assert sorted(obj.seen[7 * k : 7 * (k + 1)]) == expected
 
     obj3 = IndexRecordingObjective(BlockLayout(1, 1), 3)
-    cfg = OptimizerConfig(LearningRates(0.0, 0.0), FO, epochs=60000)
+    cfg = OptimizerConfig(0.0, 0.0, *FO, epochs=60000)
     run(obj3, w0, cfg, RngStream(1032, 2))
     counts = {}
     for k in range(60000):
@@ -139,7 +137,7 @@ def test_criterion_04_rate_regime_separation(tmp_path):
         return None
 
     def measured_steps(eta_x, eta_y, epochs):
-        cfg = OptimizerConfig(LearningRates(eta_x, eta_y), FO, epochs=epochs)
+        cfg = OptimizerConfig(eta_x, eta_y, *FO, epochs=epochs)
         result = run(obj, w0, cfg, RngStream(1041, 2))
         assert not result.diverged
         for record in result.trace:
@@ -205,8 +203,7 @@ def test_criterion_05_hybrid_convergence_with_planned_rates():
     )
     plan = plan_rates(constants, n=n, T=horizon, d_x=4)
     cfg = OptimizerConfig(
-        LearningRates(plan.eta_x, plan.eta_y),
-        BlockMode(Mode.ZO, Mode.FO),
+        plan.eta_x, plan.eta_y, Mode.ZO, Mode.FO,
         zo=ZoConfig(mu=plan.mu),
         epochs=horizon,
     )
@@ -246,7 +243,7 @@ def test_criterion_07_smoothness_envelope_witness():
     layout = BlockLayout(2, 2)
     obj = CoshObjective(layout, np.zeros((5, 4)))
     w0 = HybridPoint(layout, [2.0, -1.5, 1.0, 0.5])
-    cfg = OptimizerConfig(LearningRates(0.05, 0.05), FO, epochs=20)
+    cfg = OptimizerConfig(0.05, 0.05, *FO, epochs=20)
     result = run(obj, w0, cfg, RngStream(1071, 2), snapshot_every=1)
     points = [point for _, point in result.snapshots][:100]
     assert len(points) == 100

@@ -309,12 +309,15 @@ def test_validation_idioms_live_only_in_core():
 
 def _type_check_sites():
     from conftest import IndexRecordingObjective
-    from hybridsgd import (BlockMode, BlockQuadratic, CoshObjective, DenseQuadratic, LearningRates,
-                           LinearObjective, LogisticObjective, Mode, OptimizerConfig, ProbeConfig,
-                           plan_rates)
+    from hybridsgd import (BlockQuadratic, CoshObjective, DenseQuadratic, LinearObjective,
+                           LogisticObjective, Mode, OptimizerConfig, ProbeConfig, RngStream,
+                           check_estimator_bounds, estimate_block_lipschitz, estimate_constants,
+                           plan_rates, run, trajectory_scan)
     from hybridsgd.cli import _rate_grid
 
     obj = IndexRecordingObjective(BlockLayout(1, 1), 2)
+    w = HybridPoint(obj.layout, [0.0, 0.0])
+    cfg = OptimizerConfig(0.1, 0.1, Mode.FO, Mode.FO)
     return {
         "objective layout": ("layout", "BlockLayout", lambda: IndexRecordingObjective((1, 1), 2)),
         "BlockQuadratic layout": (
@@ -326,14 +329,23 @@ def _type_check_sites():
         "DenseQuadratic layout": ("layout", "BlockLayout", lambda: DenseQuadratic((1, 1), np.eye(2))),
         "HybridPoint layout": ("layout", "BlockLayout", lambda: HybridPoint((1, 1), [0.0, 0.0])),
         "check_point": ("point", "HybridPoint", lambda: obj.check_point(np.zeros(2))),
-        "BlockMode x": ("x_mode", "Mode", lambda: BlockMode("zo", Mode.FO)),
-        "BlockMode y": ("y_mode", "Mode", lambda: BlockMode(Mode.ZO, "fo")),
-        "OptimizerConfig rates": ("rates", "LearningRates", lambda: OptimizerConfig((0.1, 0.1))),
-        "OptimizerConfig modes": (
-            "modes", "BlockMode", lambda: OptimizerConfig(LearningRates(0.1, 0.1), (Mode.FO, Mode.FO))),
-        "OptimizerConfig zo": ("zo", "ZoConfig", lambda: OptimizerConfig(
-            LearningRates(0.1, 0.1), BlockMode(Mode.FO, Mode.FO), zo={"mu": True})),
+        "OptimizerConfig x_mode": ("x_mode", "Mode", lambda: OptimizerConfig(0.1, 0.1, "zo", Mode.FO)),
+        "OptimizerConfig y_mode": ("y_mode", "Mode", lambda: OptimizerConfig(0.1, 0.1, Mode.ZO, "fo")),
+        "OptimizerConfig zo": (
+            "zo", "ZoConfig", lambda: OptimizerConfig(0.1, 0.1, Mode.FO, Mode.FO, zo={"mu": True})),
+        "run cfg": ("cfg", "OptimizerConfig", lambda: run(obj, w, {"epochs": 1}, RngStream(0, 1))),
+        "run rng": ("rng", "RngStream", lambda: run(obj, w, cfg, "rng")),
         "ProbeConfig target": ("target", "Block", lambda: ProbeConfig(target="x")),
+        "estimate_block_lipschitz cfg": (
+            "cfg", "ProbeConfig", lambda: estimate_block_lipschitz(obj, w, {"probes": 3}, RngStream(0, 3))),
+        "estimate_block_lipschitz rng": (
+            "rng", "RngStream", lambda: estimate_block_lipschitz(obj, w, ProbeConfig(), "rng")),
+        "trajectory_scan cfg": (
+            "cfg", "ProbeConfig", lambda: trajectory_scan(obj, [w], {"probes": 3}, RngStream(0, 3))),
+        "estimate_constants cfg": ("cfg", "ProbeConfig", lambda: estimate_constants(
+            obj, {"probes": 3}, [w], RngStream(0, 3), f_star=0.0)),
+        "check_estimator_bounds rng": (
+            "rng", "RngStream", lambda: check_estimator_bounds(obj, w, 0, 1e-3, 2, "rng")),
         "plan_rates constants": ("constants", "SmoothnessConstants", lambda: plan_rates({}, 2, 10, 1)),
         "rate grid": ("eta_x_grid", "list", lambda: _rate_grid("eta_x_grid", 0.1)),
     }
@@ -358,7 +370,7 @@ def test_package_exports_each_library_module_list_once():
     for module in modules:
         for name in module.__all__:
             assert getattr(hybridsgd, name) is getattr(module, name), name
-    assert len(joined) <= 37
+    assert len(joined) <= 35
     acceptance = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text(encoding="utf-8"))
     imported = {alias.name for node in ast.walk(acceptance)
                 if isinstance(node, ast.ImportFrom) and node.module == "hybridsgd"
@@ -367,19 +379,19 @@ def test_package_exports_each_library_module_list_once():
 
 
 def _real_fields():
-    from hybridsgd import (BlockQuadratic, LearningRates, LogisticObjective, OptimizerConfig,
+    from hybridsgd import (BlockQuadratic, LogisticObjective, OptimizerConfig,
                            ProbeConfig, SmoothnessConstants, ZoConfig)
 
     layout = BlockLayout(1, 1)
     return {
-        "eta_x": lambda v: LearningRates(v, 0.1),
+        "eta_x": lambda v: OptimizerConfig(v, 0.1, zo=ZoConfig(1e-3)),
         "mu": lambda v: ZoConfig(mu=v),
         "h": lambda v: ProbeConfig(h=v),
         "sigma": lambda v: SmoothnessConstants(1.0, 1.0, 1.0, 1.0, 1.0, v, 1.0),
         "a_x": lambda v: BlockQuadratic(layout, [[0.0, 0.0]], v, 1.0),
         "lam": lambda v: LogisticObjective(layout, [[1.0, 0.0]], [1.0], v),
         "divergence_threshold": lambda v: OptimizerConfig(
-            LearningRates(0.1, 0.1), zo=ZoConfig(1e-3), divergence_threshold=v
+            0.1, 0.1, zo=ZoConfig(1e-3), divergence_threshold=v
         ),
     }
 

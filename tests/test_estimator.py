@@ -5,11 +5,9 @@ import pytest
 from hybridsgd import (
     Block,
     BlockLayout,
-    BlockMode,
     BlockQuadratic,
     CoshObjective,
     HybridPoint,
-    LearningRates,
     LinearObjective,
     Mode,
     NumericError,
@@ -199,7 +197,7 @@ def test_step_reports_non_finite_direction_value_and_underflow_at_caller():
     # mu = 1e3 pushes some of the q = 4 cosh arguments past overflow
     obj = CoshObjective(BlockLayout(2, 1), np.zeros((1, 3)))
     w = HybridPoint(obj.layout, [0.5, -0.5, 0.25])
-    cfg = OptimizerConfig(LearningRates(0.1, 0.1), BlockMode(Mode.ZO, Mode.FO),
+    cfg = OptimizerConfig(0.1, 0.1, Mode.ZO, Mode.FO,
                           zo=ZoConfig(mu=1e3, directions_per_step=4))
     message = r"non-finite value in a two-point probe \(sample 0\)"
     with pytest.raises(NumericError, match=message), np.errstate(over="ignore"):
@@ -207,7 +205,7 @@ def test_step_reports_non_finite_direction_value_and_underflow_at_caller():
     # mu * ||v|| far below the float resolution of ||x|| = 1e12
     quad = BlockQuadratic(BlockLayout(1, 1), np.zeros((1, 2)), 1.0, 1.0)
     w = HybridPoint(quad.layout, [1e12, 0.0])
-    cfg = OptimizerConfig(LearningRates(0.0, 0.0), BlockMode(Mode.ZO, Mode.FO),
+    cfg = OptimizerConfig(0.0, 0.0, Mode.ZO, Mode.FO,
                           zo=ZoConfig(mu=1e-9, directions_per_step=3))
     with pytest.warns(PerturbationUnderflowWarning) as record:
         out = step(quad, w.values, 0, cfg, RngStream(37, 1))

@@ -24,10 +24,8 @@ import pytest
 
 from hybridsgd import (
     BlockLayout,
-    BlockMode,
     FiniteSumObjective,
     HybridPoint,
-    LearningRates,
     LinearObjective,
     Mode,
     OptimizerConfig,
@@ -141,8 +139,7 @@ def _assert_same_cli(tmp_path, command, cfg, capsys, per_sample_loop):
 
 def _hybrid_config(eta_x, eta_y, epochs):
     return OptimizerConfig(
-        rates=LearningRates(eta_x, eta_y),
-        modes=BlockMode(Mode.ZO, Mode.FO),
+        eta_x, eta_y, Mode.ZO, Mode.FO,
         zo=ZoConfig(mu=1e-3, directions_per_step=2),
         epochs=epochs,
     )
@@ -242,13 +239,13 @@ def _reference_step(obj, w, i, cfg, rng):
             return fo_gradient()[layout.slice_of(block)]
         return _reference_block_estimate(obj, values, i, cfg.zo, rng, block)
 
-    x_dir = direction(Block.X, cfg.modes.x_mode)
-    y_dir = direction(Block.Y, cfg.modes.y_mode)
+    x_dir = direction(Block.X, cfg.x_mode)
+    y_dir = direction(Block.Y, cfg.y_mode)
     new_values = values.copy()
     if x_dir is not None:
-        new_values[: layout.d_x] -= cfg.rates.eta_x * x_dir
+        new_values[: layout.d_x] -= cfg.eta_x * x_dir
     if y_dir is not None:
-        new_values[layout.d_x :] -= cfg.rates.eta_y * y_dir
+        new_values[layout.d_x :] -= cfg.eta_y * y_dir
     if not np.all(np.isfinite(new_values)):
         raise NumericError(f"non-finite update from sample {i}")
     return HybridPoint(layout, new_values)
@@ -312,11 +309,11 @@ FAMILY_SPECS = {
     "dense_quadratic": {"kind": "dense_quadratic", "center_scale": 1.0},
 }
 PAIRINGS = {
-    "zo-fo": BlockMode(Mode.ZO, Mode.FO),
-    "fo-fo": BlockMode(Mode.FO, Mode.FO),
-    "zo-zo": BlockMode(Mode.ZO, Mode.ZO),
-    "frozen-fo": BlockMode(Mode.FROZEN, Mode.FO),
-    "fo-frozen": BlockMode(Mode.FO, Mode.FROZEN),
+    "zo-fo": (Mode.ZO, Mode.FO),
+    "fo-fo": (Mode.FO, Mode.FO),
+    "zo-zo": (Mode.ZO, Mode.ZO),
+    "frozen-fo": (Mode.FROZEN, Mode.FO),
+    "fo-frozen": (Mode.FO, Mode.FROZEN),
 }
 
 
@@ -332,7 +329,7 @@ def _assert_run_matches_reference(obj, w0, cfg, seed, snapshot_every=0):
 def test_raw_step_loop_matches_validating_reference(kind, pairing):
     obj = objective_from_dict({**FAMILY_SPECS[kind], "d_x": 3, "d_y": 2, "n": 5, "seed": 21})
     w0 = HybridPoint(obj.layout, sample_gaussian(RngStream(21, 1), obj.layout.d))
-    cfg = OptimizerConfig(LearningRates(0.02, 0.05), PAIRINGS[pairing],
+    cfg = OptimizerConfig(0.02, 0.05, *PAIRINGS[pairing],
                           zo=ZoConfig(mu=1e-3, directions_per_step=3), epochs=3)
     result = _assert_run_matches_reference(obj, w0, cfg, 21, snapshot_every=4)
     assert len(result.trace) == 15 and len(result.snapshots) == 4
@@ -345,7 +342,7 @@ def test_raw_step_loop_matches_reference_with_one_coordinate_blocks_and_q12():
                                "shift_spread": 0.5})
     w0 = HybridPoint(obj.layout, [0.7, -1.3])
     for modes in (PAIRINGS["zo-fo"], PAIRINGS["zo-zo"]):
-        cfg = OptimizerConfig(LearningRates(0.05, 0.05), modes,
+        cfg = OptimizerConfig(0.05, 0.05, *modes,
                               zo=ZoConfig(mu=1e-2, directions_per_step=12), epochs=4)
         _assert_run_matches_reference(obj, w0, cfg, 22, snapshot_every=3)
 

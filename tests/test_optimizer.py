@@ -4,10 +4,8 @@ import pytest
 
 from hybridsgd import (
     BlockLayout,
-    BlockMode,
     BlockQuadratic,
     HybridPoint,
-    LearningRates,
     LinearObjective,
     Mode,
     NumericError,
@@ -22,7 +20,7 @@ from hybridsgd.core import shuffle_permutation
 from hybridsgd.optimizer import step, write_trace_csv
 from conftest import IndexRecordingObjective
 
-FO = BlockMode(Mode.FO, Mode.FO)
+FO = (Mode.FO, Mode.FO)
 
 
 def _quad(layout, a_x, a_y, n=1, spread=0.0, seed=40):
@@ -33,7 +31,7 @@ def _quad(layout, a_x, a_y, n=1, spread=0.0, seed=40):
 def test_zero_rates_leave_point_unchanged():
     obj = _quad(BlockLayout(2, 2), 3.0, 1.0)
     w = HybridPoint(obj.layout, [1.0, 2.0, 3.0, 4.0])
-    cfg = OptimizerConfig(LearningRates(0.0, 0.0), FO)
+    cfg = OptimizerConfig(0.0, 0.0, *FO)
     assert np.array_equal(step(obj, w.values, 0, cfg, RngStream(41, 1)), w.values)
 
 
@@ -41,37 +39,37 @@ def test_fo_step_closed_form():
     # f = ||w||^2 / 2, eta = 0.1: (1, 1) -> (0.9, 0.9).
     obj = BlockQuadratic(BlockLayout(1, 1), np.zeros((1, 2)), 1.0, 1.0)
     w = HybridPoint(obj.layout, [1.0, 1.0])
-    out = step(obj, w.values, 0, OptimizerConfig(LearningRates(0.1, 0.1), FO), RngStream(42, 1))
+    out = step(obj, w.values, 0, OptimizerConfig(0.1, 0.1, *FO), RngStream(42, 1))
     assert np.array_equal(out, [0.9, 0.9])
 
 
 def test_frozen_block_is_bit_identical():
     obj = _quad(BlockLayout(3, 2), 2.0, 1.0, n=3, spread=1.0)
     w = HybridPoint(obj.layout, sample_gaussian(RngStream(43, 1), 5))
-    cfg = OptimizerConfig(LearningRates(0.1, 0.1), BlockMode(Mode.FROZEN, Mode.FO))
+    cfg = OptimizerConfig(0.1, 0.1, Mode.FROZEN, Mode.FO)
     out = step(obj, w.values, 2, cfg, RngStream(44, 1))
     assert np.array_equal(out[:3], w.values[:3])
     assert not np.array_equal(out[3:], w.values[3:])
-    cfg = OptimizerConfig(LearningRates(0.1, 0.1), BlockMode(Mode.FO, Mode.FROZEN))
+    cfg = OptimizerConfig(0.1, 0.1, Mode.FO, Mode.FROZEN)
     out = step(obj, w.values, 2, cfg, RngStream(44, 1))
     assert np.array_equal(out[3:], w.values[3:])
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        OptimizerConfig(LearningRates(-0.1, 0.1), FO)
+        OptimizerConfig(-0.1, 0.1, *FO)
     with pytest.raises(ValueError):
-        OptimizerConfig(LearningRates(0.1, 0.1), FO, epochs=0)
+        OptimizerConfig(0.1, 0.1, *FO, epochs=0)
     with pytest.raises(ValueError):
-        OptimizerConfig(LearningRates(0.1, 0.1), BlockMode(Mode.ZO, Mode.FO))  # no zo cfg
+        OptimizerConfig(0.1, 0.1, Mode.ZO, Mode.FO)  # no zo cfg
     with pytest.raises(ValueError):
-        OptimizerConfig(LearningRates(0.1, 0.1), FO, divergence_threshold=0.0)
+        OptimizerConfig(0.1, 0.1, *FO, divergence_threshold=0.0)
 
 
 def test_epoch_uses_every_sample_exactly_once():
     obj = IndexRecordingObjective(BlockLayout(1, 1), 7)
     w = HybridPoint(obj.layout, [0.0, 0.0])
-    cfg = OptimizerConfig(LearningRates(1e-3, 1e-3), FO)
+    cfg = OptimizerConfig(1e-3, 1e-3, *FO)
     trace = run(obj, w, cfg, RngStream(45, 1)).trace
     assert sorted(obj.seen) == list(range(7))
     assert len(trace) == 7
@@ -80,7 +78,7 @@ def test_epoch_uses_every_sample_exactly_once():
 def test_single_sample_epoch_equals_step():
     obj = _quad(BlockLayout(2, 1), 2.0, 1.0)
     w = HybridPoint(obj.layout, [1.0, -1.0, 0.5])
-    cfg = OptimizerConfig(LearningRates(0.05, 0.05), FO)
+    cfg = OptimizerConfig(0.05, 0.05, *FO)
     via_epoch = run(obj, w, cfg, RngStream(46, 1)).point
     via_step = step(obj, w.values, 0, cfg, RngStream(46, 1))
     assert np.array_equal(via_epoch.values, via_step)
@@ -89,7 +87,7 @@ def test_single_sample_epoch_equals_step():
 def test_epoch_contracts_quadratic():
     obj = _quad(BlockLayout(2, 2), 4.0, 1.0, n=6, spread=0.5)
     w = HybridPoint(obj.layout, sample_gaussian(RngStream(47, 1), 4) + 2.0)
-    cfg = OptimizerConfig(LearningRates(1.0 / (4.0 * 6), 1.0 / (1.0 * 6)), FO)
+    cfg = OptimizerConfig(1.0 / (4.0 * 6), 1.0 / (1.0 * 6), *FO)
     trace = run(obj, w, cfg, RngStream(48, 1)).trace
     assert trace[-1].f_value < obj.eval_full(w)
 
@@ -98,7 +96,7 @@ def test_run_is_deterministic_bitwise():
     obj = _quad(BlockLayout(2, 2), 5.0, 1.0, n=4, spread=0.5)
     w0 = HybridPoint(obj.layout, np.ones(4))
     cfg = OptimizerConfig(
-        LearningRates(1e-3, 0.1), BlockMode(Mode.ZO, Mode.FO), zo=ZoConfig(mu=1e-3), epochs=3
+        1e-3, 0.1, Mode.ZO, Mode.FO, zo=ZoConfig(mu=1e-3), epochs=3
     )
     a = run(obj, w0, cfg, RngStream(49, 1))
     b = run(obj, w0, cfg, RngStream(49, 1))
@@ -109,7 +107,7 @@ def test_run_is_deterministic_bitwise():
 def test_run_single_epoch_equals_run_epoch():
     obj = _quad(BlockLayout(2, 1), 2.0, 1.0, n=3, spread=0.3)
     w0 = HybridPoint(obj.layout, [1.0, 1.0, 1.0])
-    cfg = OptimizerConfig(LearningRates(0.01, 0.01), FO, epochs=1)
+    cfg = OptimizerConfig(0.01, 0.01, *FO, epochs=1)
     result = run(obj, w0, cfg, RngStream(50, 1))
     trace = []
     end, diverged = optimizer.run_epoch(obj, w0.values, cfg, RngStream(50, 1), 0, np.inf, trace, [], 0)
@@ -117,7 +115,7 @@ def test_run_single_epoch_equals_run_epoch():
     assert result.trace == trace
 
 
-@pytest.mark.parametrize("modes", [FO, BlockMode(Mode.ZO, Mode.FO)], ids=["fo-fo", "zo-fo"])
+@pytest.mark.parametrize("modes", [FO, (Mode.ZO, Mode.FO)], ids=["fo-fo", "zo-fo"])
 def test_every_step_goes_through_the_module_level_step(monkeypatch, modes):
     # The step and the epoch are units of work that profilers and the benchmark
     # count, by wrapping the module globals: run must call run_epoch once per
@@ -137,7 +135,7 @@ def test_every_step_goes_through_the_module_level_step(monkeypatch, modes):
     monkeypatch.setattr(optimizer, "run_epoch", counting_epoch)
     obj = _quad(BlockLayout(2, 2), 2.0, 1.0, n=5, spread=0.5)
     w0 = HybridPoint(obj.layout, np.ones(4))
-    cfg = OptimizerConfig(LearningRates(0.01, 0.01), modes, zo=ZoConfig(mu=1e-3), epochs=3)
+    cfg = OptimizerConfig(0.01, 0.01, *modes, zo=ZoConfig(mu=1e-3), epochs=3)
     result = run(obj, w0, cfg, RngStream(53, 1))
     assert len(samples) == 3 * 5 == len(result.trace)
     assert epochs == [0, 1, 2]
@@ -151,7 +149,7 @@ def test_fo_trajectory_matches_minimal_reshuffled_sgd():
     obj = _quad(BlockLayout(2, 2), 2.0, 2.0, n=5, spread=0.7)
     w0 = HybridPoint(obj.layout, np.full(4, 1.5))
     eta = 0.02
-    cfg = OptimizerConfig(LearningRates(eta, eta), FO, epochs=4)
+    cfg = OptimizerConfig(eta, eta, *FO, epochs=4)
     result = run(obj, w0, cfg, RngStream(51, 1))
 
     ref_rng = RngStream(51, 1)
@@ -168,12 +166,12 @@ def test_quadratic_stability_boundary():
     obj = BlockQuadratic(layout, np.zeros((1, 2)), 1.0, 1.0)
     w0 = HybridPoint(layout, [1.0, 1.0])
 
-    stable = run(obj, w0, OptimizerConfig(LearningRates(1.9, 1.9), FO, epochs=50),
+    stable = run(obj, w0, OptimizerConfig(1.9, 1.9, *FO, epochs=50),
                  RngStream(52, 1))
     assert not stable.diverged
     assert stable.trace[-1].f_value <= obj.eval_full(w0)
 
-    unstable = run(obj, w0, OptimizerConfig(LearningRates(2.1, 2.1), FO, epochs=200),
+    unstable = run(obj, w0, OptimizerConfig(2.1, 2.1, *FO, epochs=200),
                    RngStream(52, 1))
     assert unstable.diverged
     # guard = 1e6 and f grows by 1.1^2 per step from f0 = 1: first k with
@@ -187,13 +185,13 @@ def test_large_uniform_rate_reproduces_loss_explosion_regime():
     layout = BlockLayout(4, 4)
     obj = BlockQuadratic(layout, np.zeros((3, 8)), 100.0, 1.0)
     w0 = HybridPoint(layout, np.ones(8))
-    near = run(obj, w0, OptimizerConfig(LearningRates(0.019, 0.019), FO, epochs=2),
+    near = run(obj, w0, OptimizerConfig(0.019, 0.019, *FO, epochs=2),
                RngStream(53, 1))
     assert not near.diverged
     # y block barely moves at the x-safe uniform rate
     y_ratio = np.linalg.norm(near.point.values[4:]) / np.linalg.norm(w0.values[4:])
     assert y_ratio > 0.85
-    beyond = run(obj, w0, OptimizerConfig(LearningRates(0.021, 0.021), FO, epochs=50),
+    beyond = run(obj, w0, OptimizerConfig(0.021, 0.021, *FO, epochs=50),
                  RngStream(53, 1))
     assert beyond.diverged
 
@@ -201,7 +199,7 @@ def test_large_uniform_rate_reproduces_loss_explosion_regime():
 def test_trace_norm_identity():
     obj = _quad(BlockLayout(3, 2), 3.0, 1.0, n=4, spread=0.5)
     w0 = HybridPoint(obj.layout, np.ones(5))
-    cfg = OptimizerConfig(LearningRates(0.01, 0.05), FO, epochs=2)
+    cfg = OptimizerConfig(0.01, 0.05, *FO, epochs=2)
     result = run(obj, w0, cfg, RngStream(54, 1))
     for rec in result.trace:
         lhs = rec.grad_norm**2
@@ -212,7 +210,7 @@ def test_trace_norm_identity():
 def test_min_grad_sq_over_epoch_boundaries():
     obj = _quad(BlockLayout(2, 2), 2.0, 1.0, n=3, spread=0.4)
     w0 = HybridPoint(obj.layout, np.full(4, 2.0))
-    cfg = OptimizerConfig(LearningRates(0.02, 0.02), FO, epochs=4)
+    cfg = OptimizerConfig(0.02, 0.02, *FO, epochs=4)
     result = run(obj, w0, cfg, RngStream(55, 1), snapshot_every=obj.n)
     norms = [float(np.dot(obj.grad_full(p), obj.grad_full(p))) for _, p in result.snapshots]
     assert result.min_grad_sq == min(norms)
@@ -221,7 +219,7 @@ def test_min_grad_sq_over_epoch_boundaries():
 def test_snapshot_schedule():
     obj = _quad(BlockLayout(1, 1), 1.0, 1.0, n=10)
     w0 = HybridPoint(obj.layout, [1.0, 1.0])
-    cfg = OptimizerConfig(LearningRates(0.01, 0.01), FO, epochs=2)
+    cfg = OptimizerConfig(0.01, 0.01, *FO, epochs=2)
     result = run(obj, w0, cfg, RngStream(56, 1), snapshot_every=5)
     assert [s for s, _ in result.snapshots] == [0, 5, 10, 15, 20]
 
@@ -231,7 +229,7 @@ def test_run_rejects_snapshot_every_that_is_not_a_count(every):
     # A bool is not a count: True used to snapshot every step.
     obj = _quad(BlockLayout(1, 1), 1.0, 1.0, n=4)
     w0 = HybridPoint(obj.layout, [1.0, 1.0])
-    cfg = OptimizerConfig(LearningRates(0.01, 0.01), FO)
+    cfg = OptimizerConfig(0.01, 0.01, *FO)
     with pytest.raises(ValueError, match="snapshot_every"):
         run(obj, w0, cfg, RngStream(56, 1), snapshot_every=every)
 
@@ -240,7 +238,7 @@ def test_numeric_failure_carries_step_context():
     layout = BlockLayout(1, 1)
     obj = LinearObjective(layout, np.array([[1e300, 1e300]]))
     w0 = HybridPoint(layout, [0.0, 0.0])
-    cfg = OptimizerConfig(LearningRates(1e300, 1e300), FO, epochs=1)
+    cfg = OptimizerConfig(1e300, 1e300, *FO, epochs=1)
     with pytest.raises(NumericError, match="epoch 0, step 0"), np.errstate(over="ignore"):
         run(obj, w0, cfg, RngStream(57, 1))
 
@@ -249,7 +247,7 @@ def test_divergence_sets_report_and_partial_trace():
     layout = BlockLayout(1, 1)
     obj = BlockQuadratic(layout, np.zeros((2, 2)), 1.0, 1.0)
     w0 = HybridPoint(layout, [1.0, 1.0])
-    cfg = OptimizerConfig(LearningRates(3.0, 3.0), FO, epochs=10,
+    cfg = OptimizerConfig(3.0, 3.0, *FO, epochs=10,
                           divergence_threshold=100.0)
     result = run(obj, w0, cfg, RngStream(58, 1))
     assert result.diverged
@@ -266,7 +264,7 @@ def test_divergence_sets_report_and_partial_trace():
 def test_trace_csv_roundtrip_and_byte_identity(tmp_path):
     obj = _quad(BlockLayout(2, 2), 3.0, 1.0, n=3, spread=0.3)
     w0 = HybridPoint(obj.layout, np.ones(4))
-    cfg = OptimizerConfig(LearningRates(0.01, 0.05), FO, epochs=2)
+    cfg = OptimizerConfig(0.01, 0.05, *FO, epochs=2)
     result = run(obj, w0, cfg, RngStream(59, 1))
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_trace_csv(result.trace, p1)
@@ -290,7 +288,7 @@ def test_hybrid_grad_mean_decreases_over_epoch_windows():
     obj = BlockQuadratic.random(layout, 10, 10.0, 1.0, RngStream(60, 0xDA7A),
                                 center_spread=0.05)
     w0 = HybridPoint(layout, obj.centers.mean(axis=0) + 1.0)
-    cfg = OptimizerConfig(LearningRates(1e-3, 0.05), BlockMode(Mode.ZO, Mode.FO),
+    cfg = OptimizerConfig(1e-3, 0.05, Mode.ZO, Mode.FO,
                           zo=ZoConfig(mu=1e-3), epochs=25)
     result = run(obj, w0, cfg, RngStream(61, 1))
     sq = np.array([rec.grad_norm**2 for rec in result.trace])

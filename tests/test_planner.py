@@ -18,6 +18,7 @@ from hybridsgd import (
     fmt17,
     plan_rates,
 )
+from hybridsgd import planner
 
 
 def _constants(L_x=1.0, L_y=1.0, L_x_max=1.0, L_y_max=1.0, G=1.0, sigma=1.0, f_gap=1.0):
@@ -143,6 +144,9 @@ def test_constants_validation():
         epoch_budget(0.1, 0.0, 1.0, 1.0, 10)
     with pytest.raises(ValueError):
         epoch_budget(0.1, 1.0, 1.0, 1.0, 10)
+    for bad in ("0.5", None, True, np.nan):
+        with pytest.raises(ValueError, match=f"^delta must be a finite real number, got {bad!r}$"):
+            epoch_budget(0.1, bad, 1.0, 1.0, 10)
 
 
 def test_estimated_constants_match_diagonal_quadratic():
@@ -190,6 +194,20 @@ def test_estimate_requires_f_star():
         estimate_constants(obj, ProbeConfig(probes=5), [w0], RngStream(125, 1))
     c = estimate_constants(obj, ProbeConfig(probes=5), [w0], RngStream(125, 1), f_star=2.0)
     assert c.f_gap >= 0.0
+
+
+@pytest.mark.parametrize("f_star", [True, "0", np.nan, -np.inf])
+def test_estimate_checks_f_star_before_any_probe(monkeypatch, f_star):
+    # a bool or a string is not coerced, and a non-finite value is not taken
+    # for a zero or an infinite gap
+    def probe(*args, **kwargs):
+        raise AssertionError("probed before f_star was checked")
+
+    monkeypatch.setattr(planner, "estimate_block_lipschitz", probe)
+    obj = BlockQuadratic(BlockLayout(1, 1), np.zeros((1, 2)), 1.0, 1.0)
+    w0 = HybridPoint(obj.layout, [0.5, -0.5])
+    with pytest.raises(ValueError, match=f"^f_star must be a finite real number, got {f_star!r}$"):
+        estimate_constants(obj, ProbeConfig(probes=5), [w0], RngStream(127, 1), f_star=f_star)
 
 
 def test_estimate_rejects_empty_points():

@@ -19,7 +19,6 @@ from hybridsgd import (
     BlockQuadratic,
     FiniteSumObjective,
     HybridPoint,
-    LearningRates,
     OptimizerConfig,
     RngStream,
     ZoConfig,
@@ -63,7 +62,7 @@ def test_instrument_records_steps_and_undo_restores_every_name():
     tracer = _tracer_module()
     layout = BlockLayout(2, 1)
     obj = BlockQuadratic(layout, np.zeros((3, layout.d)), 2.0, 1.0)
-    cfg = OptimizerConfig(LearningRates(0.01, 0.05), zo=ZoConfig(mu=1e-3, directions_per_step=2),
+    cfg = OptimizerConfig(0.01, 0.05, zo=ZoConfig(mu=1e-3, directions_per_step=2),
                           epochs=2)
     before = _bindings()
     spans = tracer.Tracer()
