@@ -311,11 +311,12 @@ def _shifted_rows(values: np.ndarray, sl: slice, shifts: np.ndarray) -> np.ndarr
     """values as row 0, then one copy per row of shifts with that row added to values[sl].
 
     Row 0 is a plain copy (``values + 0.0`` would turn -0.0 into +0.0); row
-    k + 1 is bit for bit ``values.copy()`` after ``[sl] += shifts[k]``.
+    k + 1 is bit for bit ``values.copy()`` after ``[sl] += shifts[k]``.  Shifts
+    of shape (g, K, dim) give g such groups, shape (g, K + 1, d).
     """
-    rows = np.empty((len(shifts) + 1, len(values)))
-    rows[:] = values
-    rows[1:, sl] += shifts
+    rows = np.empty((*shifts.shape[:-2], shifts.shape[-2] + 1, len(values)))
+    rows[...] = values
+    rows[..., 1:, sl] += shifts
     return rows
 
 

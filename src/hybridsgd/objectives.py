@@ -8,13 +8,15 @@ after construction and safe to evaluate concurrently.
 ``value_at``/``grad_at`` evaluate one sample at one point, and the ``full_*``
 methods the full objective, on raw float64 arrays for hot loops;
 ``eval_full``/``grad_full`` validate a :class:`HybridPoint` first.  The batched
-pair ``values_at_points(points, i)``/``grads_at_points(points, i)`` evaluates
-sample i at every row of (m, d) points, shapes (m,) and (m, d), for the
-estimator, probes and oracle; with the selector :data:`ALL`, every sample at
-one point, shapes (n,) and (n, d), for ``full_value_at``, ``full_grad_at`` and
-``sample_variance``.  The base class loops the pair over ``value_at``/``grad_at``;
-each family overrides it with one vectorised body, bit-identical to that loop,
-and a family that overrides ``value_at``/``grad_at`` must do the same.
+pair ``values_at_points(points, i)``/``grads_at_points(points, i)`` takes one of
+three sample selectors.  An int i evaluates sample i at every row of (m, d)
+points, shapes (m,) and (m, d), for the estimator and oracle; an int array i of
+length m evaluates sample i[k] at row k, same shapes, for the per-sample probes;
+:data:`ALL` evaluates every sample at one point, shapes (n,) and (n, d), for
+``full_value_at``, ``full_grad_at`` and ``sample_variance``.  The base class
+loops the pair over ``value_at``/``grad_at``; each family overrides it with one
+vectorised body, bit-identical to that loop for all three selectors, and a
+family that overrides ``value_at``/``grad_at`` must do the same.
 
 The kernel ``full_values_and_grads_at_points(points)`` gives the full value and
 gradient at every row, shapes (m,) and (m, d), for full-objective probes and,
@@ -88,19 +90,23 @@ class FiniteSumObjective(abc.ABC):
     def grad_at(self, values: np.ndarray, i: int) -> np.ndarray:
         """Analytic gradient of f(w; i) for raw values; no validation."""
 
-    def _pairs(self, points: np.ndarray, i: int | slice) -> list:
+    def _pairs(self, points: np.ndarray, i: int | np.ndarray | slice) -> list:
         # (point, sample) per row of a batched result, in row order
         if i is ALL:
             return [(points, k) for k in range(self._n)]
+        if np.ndim(i):
+            return list(zip(points, i))
         return [(p, i) for p in points]
 
-    def values_at_points(self, points: np.ndarray, i: int | slice) -> np.ndarray:
-        """f(p; i) for every row p of points, shape (m,); with i = ALL, f(points; k)
+    def values_at_points(self, points: np.ndarray, i: int | np.ndarray | slice) -> np.ndarray:
+        """f(p; i) for every row p of points, shape (m,); with an int array i of
+        length m, f(p_k; i[k]) for row k, shape (m,); with i = ALL, f(points; k)
         for every sample k, shape (n,).  The loop is the reference."""
         return np.array([self.value_at(p, k) for p, k in self._pairs(points, i)], dtype=np.float64)
 
-    def grads_at_points(self, points: np.ndarray, i: int | slice) -> np.ndarray:
-        """grad f(p; i) for every row p of points, shape (m, d); with i = ALL,
+    def grads_at_points(self, points: np.ndarray, i: int | np.ndarray | slice) -> np.ndarray:
+        """grad f(p; i) for every row p of points, shape (m, d); with an int array i
+        of length m, grad f(p_k; i[k]) for row k, shape (m, d); with i = ALL,
         grad f(points; k) for every sample k, shape (n, d).  The loop is the reference."""
         return np.stack([self.grad_at(p, k) for p, k in self._pairs(points, i)])
 
@@ -198,11 +204,11 @@ class BlockQuadratic(FiniteSumObjective):
     def grad_at(self, values: np.ndarray, i: int) -> np.ndarray:
         return self._diag * (values - self.centers[i])
 
-    def values_at_points(self, points: np.ndarray, i: int | slice) -> np.ndarray:
+    def values_at_points(self, points: np.ndarray, i: int | np.ndarray | slice) -> np.ndarray:
         dv = points - self.centers[i]
         return 0.5 * np.vecdot(dv, self._diag * dv)
 
-    def grads_at_points(self, points: np.ndarray, i: int | slice) -> np.ndarray:
+    def grads_at_points(self, points: np.ndarray, i: int | np.ndarray | slice) -> np.ndarray:
         return self._diag * (points - self.centers[i])
 
     def full_values_and_grads_at_points(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -255,10 +261,10 @@ class CoshObjective(FiniteSumObjective):
     def grad_at(self, values: np.ndarray, i: int) -> np.ndarray:
         return np.sinh(values - self.shifts[i])
 
-    def values_at_points(self, points: np.ndarray, i: int | slice) -> np.ndarray:
+    def values_at_points(self, points: np.ndarray, i: int | np.ndarray | slice) -> np.ndarray:
         return np.sum(np.cosh(points - self.shifts[i]), axis=1)
 
-    def grads_at_points(self, points: np.ndarray, i: int | slice) -> np.ndarray:
+    def grads_at_points(self, points: np.ndarray, i: int | np.ndarray | slice) -> np.ndarray:
         return np.sinh(points - self.shifts[i])
 
     def full_values_and_grads_at_points(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -313,11 +319,11 @@ class LogisticObjective(FiniteSumObjective):
         p = float(np.exp(-np.logaddexp(0.0, margin)))
         return (-self.labels[i] * p) * self.features[i] + self.lam * values
 
-    def values_at_points(self, points: np.ndarray, i: int | slice) -> np.ndarray:
+    def values_at_points(self, points: np.ndarray, i: int | np.ndarray | slice) -> np.ndarray:
         margin = self.labels[i] * np.vecdot(points, self.features[i])
         return np.logaddexp(0.0, -margin) + 0.5 * self.lam * np.vecdot(points, points)
 
-    def grads_at_points(self, points: np.ndarray, i: int | slice) -> np.ndarray:
+    def grads_at_points(self, points: np.ndarray, i: int | np.ndarray | slice) -> np.ndarray:
         margin = self.labels[i] * np.vecdot(points, self.features[i])
         p = np.exp(-np.logaddexp(0.0, margin))
         grads = (-self.labels[i] * p)[..., None] * self.features[i]
@@ -369,12 +375,13 @@ class LinearObjective(FiniteSumObjective):
     def grad_at(self, values: np.ndarray, i: int) -> np.ndarray:
         return self.slopes[i].copy()
 
-    def values_at_points(self, points: np.ndarray, i: int | slice) -> np.ndarray:
+    def values_at_points(self, points: np.ndarray, i: int | np.ndarray | slice) -> np.ndarray:
         return np.vecdot(points, self.slopes[i])
 
-    def grads_at_points(self, points: np.ndarray, i: int | slice) -> np.ndarray:
-        # one copy of slopes[i] per row of points, or of every slope for ALL
-        return np.tile(self.slopes[i], (*points.shape[:-1], 1))
+    def grads_at_points(self, points: np.ndarray, i: int | np.ndarray | slice) -> np.ndarray:
+        # one copy of slopes[i] per row of points, of slopes[i[k]] for row k, or of every slope for ALL
+        slopes = self.slopes[i]
+        return np.broadcast_to(slopes, np.broadcast_shapes(points.shape, slopes.shape)).copy()
 
     def full_values_and_grads_at_points(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.vecdot(points, self._mean_slope), np.tile(self._mean_slope, (len(points), 1))
@@ -424,11 +431,11 @@ class DenseQuadratic(FiniteSumObjective):
     def grad_at(self, values: np.ndarray, i: int) -> np.ndarray:
         return self.hessian @ (values - self.centers[i])
 
-    def values_at_points(self, points: np.ndarray, i: int | slice) -> np.ndarray:
+    def values_at_points(self, points: np.ndarray, i: int | np.ndarray | slice) -> np.ndarray:
         dv = points - self.centers[i]
         return 0.5 * np.vecdot(dv, np.matvec(self.hessian, dv))
 
-    def grads_at_points(self, points: np.ndarray, i: int | slice) -> np.ndarray:
+    def grads_at_points(self, points: np.ndarray, i: int | np.ndarray | slice) -> np.ndarray:
         return np.matvec(self.hessian, points - self.centers[i])
 
     def full_values_and_grads_at_points(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

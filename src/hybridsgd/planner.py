@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import Block, NumericError, RngStream, _check_finite, _check_int, _check_real, _check_type
-from .objectives import FiniteSumObjective
+from .objectives import ALL, FiniteSumObjective
 from .probe import ProbeConfig, estimate_block_lipschitz
 
 __all__ = [
@@ -153,13 +153,19 @@ def estimate_constants(
 
     L_x/L_y maximize the operator lower bound of full-objective block probes
     over the points; L_x_max/L_y_max additionally maximize over single-sample
-    probes.  G is the largest full gradient norm, sigma the largest sample
-    standard deviation.  f_gap compares the first point's value with f_star
-    (argument, or the objective's analytic minimum when it has one).
+    probes, one pooled ``estimate_block_lipschitz(..., sample=ALL)`` call per
+    block and point.  G is the largest full gradient norm, sigma the largest
+    sample standard deviation.  f_gap compares the first point's value with
+    f_star (argument, or the objective's analytic minimum when it has one),
+    which is checked before any probe runs.
     """
     pts = obj.check_points(points)
     _check_type("cfg", cfg, ProbeConfig)
     f_star = obj.f_star if f_star is None else _check_finite("f_star", f_star)
+    if f_star is None:
+        raise ValueError(
+            "f_star is required: pass it explicitly or use an objective with an analytic minimum"
+        )
 
     L = {Block.X: 0.0, Block.Y: 0.0}  # per block: full-objective curvature
     L_max = dict(L)  # per block: the worst single sample's too
@@ -169,19 +175,12 @@ def estimate_constants(
         for block in L:
             bcfg = replace(cfg, target=block)
             full_lb = estimate_block_lipschitz(obj, w, bcfg, rng).operator_lb
-            sample_lb = max(
-                estimate_block_lipschitz(obj, w, bcfg, rng, sample=i).operator_lb
-                for i in range(obj.n)
-            )
+            sample_lb = estimate_block_lipschitz(obj, w, bcfg, rng, sample=ALL).operator_lb
             L[block] = max(L[block], full_lb)
             L_max[block] = max(L_max[block], full_lb, sample_lb)
         grad_bound = max(grad_bound, float(np.linalg.norm(obj.grad_full(w))))
         sigma = max(sigma, math.sqrt(obj.sample_variance(w)))
 
-    if f_star is None:
-        raise ValueError(
-            "f_star is required: pass it explicitly or use an objective with an analytic minimum"
-        )
     f_gap = max(0.0, obj.eval_full(pts[0]) - f_star)
     return SmoothnessConstants(L[Block.X], L[Block.Y], L_max[Block.X], L_max[Block.Y],
                                G=grad_bound, sigma=sigma, f_gap=f_gap)

@@ -11,10 +11,12 @@ quadratic-mean statistic sqrt(mean ||Hv||^2) underestimates the Frobenius
 norm by sqrt(dim); both the raw and the corrected value are reported.
 
 K probes at one point are batched: one (K, dim) unit-sphere draw, and the base
-and K perturbed gradients in one ``grads_at_points`` call for a sample, or in
-``full_values_and_grads_at_points`` calls over row blocks for the full objective.
-The draw consumes the stream exactly as K sequential draws would, so the
-statistics are the same bits as probing one direction at a time.  The
+and K perturbed gradients in ``full_values_and_grads_at_points`` calls over row
+blocks for the full objective.  Per-sample probes go in groups of samples: one
+(g K, dim) draw and one ``grads_at_points`` call on g(K + 1) rows with an
+int-array sample selector, a single sample being the group of one.  A draw
+consumes the stream exactly as its sequential draws would, so the statistics
+are the same bits as probing one direction, and one sample, at a time.  The
 validated entry points are ``estimate_block_lipschitz`` and ``trajectory_scan``.
 """
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .core import (
     _unit_sphere_rows,
     _write_csv,
 )
-from .objectives import FiniteSumObjective
+from .objectives import ALL, FiniteSumObjective
 
 __all__ = [
     "ProbeConfig",
@@ -67,7 +69,8 @@ class ProbeConfig:
 
 @dataclass(frozen=True)
 class ProbeReport:
-    """Curvature statistics from K unit-sphere probes of one block.
+    """Curvature statistics from the unit-sphere probes of one block: K, or n K
+    pooled over the samples.
 
     operator_lb is a running maximum of ||Hv|| draws, hence a lower bound on
     the block's operator norm; frobenius_scaled = sqrt(dim) * frobenius_raw
@@ -90,24 +93,30 @@ def _hvp_rows(
     directions: np.ndarray,
     h: float,
     block: Block,
-    sample: int | None,
+    sample: int | np.ndarray | None,
 ) -> np.ndarray:
     """Products (grad(w + h v~) - grad(w)) / h, v~ being a row v of directions
     placed in the block (zero elsewhere), shape (m, d); inputs assumed validated.
 
-    sample=None probes the full objective.  The base gradient is evaluated
-    once for all rows, as row 0 of the same m + 1 points: for a sample they
-    are one ``grads_at_points`` call; the full objective's go through
+    sample=None probes the full objective; an int, or an int array of g samples,
+    probes each sample along its own m / g consecutive rows.  Each base gradient
+    is evaluated once for its rows, as row 0 of the same m / g + 1 points: for
+    samples all g(m / g + 1) points are one ``grads_at_points`` call with one
+    sample index per row; the full objective's go through
     ``full_values_and_grads_at_points`` in blocks of max(1, _FULL_BLOCK // (n d)) rows.
     """
-    points = _shifted_rows(values, obj.layout.slice_of(block), h * directions)
+    d, g = len(values), 1 if sample is None else np.size(sample)
+    shifts = h * directions.reshape(g, -1, directions.shape[1])
+    points = _shifted_rows(values, obj.layout.slice_of(block), shifts).reshape(-1, d)
     if sample is None:
-        rows = max(1, _FULL_BLOCK // (obj.n * obj.layout.d))
+        rows = max(1, _FULL_BLOCK // (obj.n * d))
         grads = np.concatenate([obj.full_values_and_grads_at_points(points[k:k + rows])[1]
                                 for k in range(0, len(points), rows)])
     else:
-        grads = obj.grads_at_points(points, sample)
-    out = (grads[1:] - grads[0]) / h
+        grads = obj.grads_at_points(points, np.repeat(sample, len(points) // g))
+    grads = grads.reshape(g, -1, d)
+    out = (grads[:, 1:] - grads[:, :1]).reshape(-1, d)
+    out /= h  # in place: the same quotients, one (m, d) temporary fewer
     if not np.isfinite(out).all():
         raise NumericError("non-finite gradient in a curvature probe")
     return out
@@ -118,38 +127,51 @@ def estimate_block_lipschitz(
     w: HybridPoint,
     cfg: ProbeConfig,
     rng: RngStream,
-    sample: int | None = None,
+    sample: int | slice | None = None,
 ) -> ProbeReport:
     """Probe the target block's curvature with cfg.probes unit directions.
 
-    The base gradient is evaluated once and shared by all probes, so K probes
-    cost K + 1 gradients.  The K directions are one (K, dim) draw, and the
-    K + 1 gradients one batched evaluation (see ``_hvp_rows``).
+    sample=None probes the full objective and an int i sample i alone.  ALL
+    probes each of the n samples with its own cfg.probes directions and pools
+    them in one report: n K probes, operator_lb the max over all of them.
+
+    A base gradient is evaluated once and shared by its K probes, so K probes
+    cost K + 1 gradients, and n K per-sample probes n(K + 1).  Samples go in
+    groups of max(1, _FULL_BLOCK // ((K + 1) d)): a group's directions are one
+    (g K, dim) draw, which consumes the stream as g sequential (K, dim) draws,
+    and its g(K + 1) gradients one batched evaluation (see ``_hvp_rows``).
     """
     _check_type("cfg", cfg, ProbeConfig)
     _check_type("rng", rng, RngStream)
     values = obj.check_point(w)
+    groups = [None]
     if sample is not None:
-        sample = obj.check_sample(sample)
+        samples = np.arange(obj.n) if sample is ALL else np.array([obj.check_sample(sample)])
+        size = max(1, _FULL_BLOCK // ((cfg.probes + 1) * len(values)))
+        groups = [samples[k:k + size] for k in range(0, len(samples), size)]
     sl = obj.layout.slice_of(cfg.target)
     dim = sl.stop - sl.start
-    directions = _unit_sphere_rows(rng, cfg.probes, dim)
-    hv = _hvp_rows(obj, values, directions, cfg.h, cfg.target, sample)[:, sl]
+    parts = []
+    for group in groups:
+        directions = _unit_sphere_rows(rng, np.size(group) * cfg.probes, dim)  # np.size(None) == 1
+        hv = _hvp_rows(obj, values, directions, cfg.h, cfg.target, group)[:, sl]
+        parts.append(np.vecdot(hv, hv))
+    sq = np.concatenate(parts)
+    m = len(sq)
     # np.max(np.sqrt(sq)), np.mean(sq) and np.std(sq, ddof=1) by numpy's own steps,
     # the same bits without their dispatch (sqrt is monotone and correctly rounded)
-    sq = np.vecdot(hv, hv)
     operator_lb = sqrt(np.maximum.reduce(sq))
-    mean_sq = float(np.add.reduce(sq) / cfg.probes)
+    mean_sq = float(np.add.reduce(sq) / m)
     raw = sqrt(mean_sq)
     scaled = sqrt(dim * mean_sq)
-    if cfg.probes > 1 and mean_sq > 0.0:
+    if m > 1 and mean_sq > 0.0:
         dev = sq - mean_sq
         dev *= dev
-        se_mean = sqrt(np.add.reduce(dev) / (cfg.probes - 1)) / sqrt(cfg.probes)
+        se_mean = sqrt(np.add.reduce(dev) / (m - 1)) / sqrt(m)
         stderr = sqrt(dim) * se_mean / (2.0 * raw)
     else:
         stderr = 0.0
-    return ProbeReport(raw, scaled, operator_lb, stderr, cfg.probes, cfg.h, cfg.target)
+    return ProbeReport(raw, scaled, operator_lb, stderr, m, cfg.h, cfg.target)
 
 
 def trajectory_scan(

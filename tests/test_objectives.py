@@ -309,7 +309,7 @@ def _per_row(obj, points, i):
 
 
 def _base_loop(obj, points, i):
-    """The base-class loop of the batched pair, for either selector form."""
+    """The base-class loop of the batched pair, for any selector form."""
     return (FiniteSumObjective.values_at_points(obj, points, i),
             FiniteSumObjective.grads_at_points(obj, points, i))
 
@@ -409,6 +409,19 @@ def _assert_at_points_matches(obj, points):
     return out
 
 
+def _assert_selector_matches(obj, points, idx):
+    """The pair with an int-array selector (row k at sample idx[k]) against the
+    per-row loop and the base-class loop, bit for bit."""
+    with np.errstate(over="ignore"):
+        vals, grads = obj.values_at_points(points, idx), obj.grads_at_points(points, idx)
+        ref_vals = np.array([obj.value_at(p, i) for p, i in zip(points, idx)])
+        ref_grads = np.stack([obj.grad_at(p, i) for p, i in zip(points, idx)])
+        base_vals, base_grads = _base_loop(obj, points, idx)
+    assert vals.shape == (len(points),) and grads.shape == points.shape
+    assert vals.tobytes() == ref_vals.tobytes() and base_vals.tobytes() == ref_vals.tobytes()
+    assert grads.tobytes() == ref_grads.tobytes() and base_grads.tobytes() == ref_grads.tobytes()
+
+
 def _assert_means_match_np_mean(obj, values):
     """The full_* means and sample_variance against np.mean, bit for bit, and the
     kernel's m = 1 case against them within the bound."""
@@ -446,6 +459,27 @@ def test_batched_kernels_bit_identical_to_per_sample(case):
     _assert_batched_matches(obj, values)
     _assert_means_match_np_mean(obj, values)
     _assert_at_points_matches(obj, points)
+
+
+@given(_family_and_point(), st.data())
+def test_int_array_selector_bit_identical_to_per_row(case, data):
+    obj, _, points = case
+    m = len(points)
+    idx = np.array(data.draw(st.lists(st.integers(0, obj.n - 1), min_size=m, max_size=m)))
+    _assert_selector_matches(obj, points, idx)
+
+
+def test_int_array_selector_with_repeated_and_unsorted_indices():
+    rng = RngStream(17, 1)
+    for name, obj in _families().items():
+        points = sample_gaussian(rng, 6 * LAYOUT.d).reshape(6, LAYOUT.d)
+        last = obj.n - 1
+        _assert_selector_matches(obj, points, np.array([last, 0, last, 1, 0, last]))
+        # one index: the same bytes as the int selector it repeats
+        for i in range(obj.n):
+            for pair in ("values_at_points", "grads_at_points"):
+                got = getattr(obj, pair)(points, np.full(6, i))
+                assert got.tobytes() == getattr(obj, pair)(points, i).tobytes(), (name, pair, i)
 
 
 @given(_family_and_point())

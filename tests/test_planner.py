@@ -196,6 +196,18 @@ def test_estimate_requires_f_star():
     assert c.f_gap >= 0.0
 
 
+def test_estimate_without_f_star_runs_no_probe():
+    # logistic has no analytic minimum: the missing f_star is reported before
+    # any probe draws from the stream
+    obj = LogisticObjective.random(BlockLayout(4, 4), 50, RngStream(128, 0xDA7A))
+    pts = [HybridPoint(obj.layout, np.full(8, 0.1 * k)) for k in range(3)]
+    rng = RngStream(129, 1)
+    before = repr(rng.generator.bit_generator.state)
+    with pytest.raises(ValueError, match="^f_star is required"):
+        estimate_constants(obj, ProbeConfig(probes=20), pts, rng)
+    assert repr(rng.generator.bit_generator.state) == before
+
+
 @pytest.mark.parametrize("f_star", [True, "0", np.nan, -np.inf])
 def test_estimate_checks_f_star_before_any_probe(monkeypatch, f_star):
     # a bool or a string is not coerced, and a non-finite value is not taken

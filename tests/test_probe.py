@@ -29,6 +29,7 @@ from hybridsgd import (
 )
 from hybridsgd import probe
 from hybridsgd.core import _unit_sphere_rows
+from hybridsgd.objectives import ALL
 from hybridsgd.probe import _hvp_rows, write_probe_csv
 from conftest import BlockGuardObjective, CountingQuadratic
 
@@ -196,6 +197,61 @@ def test_full_probe_is_one_kernel_call_per_block_of_rows(probes):
     assert obj.full_grad_calls == 0 and obj.grad_calls == 0
     assert obj.full_rows == [min(rows, points - k) for k in range(0, points, rows)]
     assert len(obj.full_rows) == -(-points // rows)
+
+
+def _families(n):
+    rng = RngStream(97, 0xDA7A)
+    return {
+        "block_quadratic": BlockQuadratic.random(LAYOUT, n, 5.0, 0.5, rng.child(0), center_spread=1.0),
+        "cosh": CoshObjective.random(LAYOUT, n, rng.child(1), shift_spread=0.3),
+        "logistic": LogisticObjective.random(LAYOUT, n, rng.child(2), lam=0.1),
+        "linear": LinearObjective.random(LAYOUT, n, rng.child(3)),
+        "dense_quadratic": DenseQuadratic.random(LAYOUT, n, rng.child(4), center_scale=1.0),
+    }
+
+
+@pytest.mark.parametrize("probes", [7, 300])
+@pytest.mark.parametrize("target", list(Block))
+@pytest.mark.parametrize("name", sorted(_families(1)))
+def test_all_samples_probe_equals_per_sample_loop(name, target, probes):
+    # 23 samples of dimension 5: one group of samples for K = 7, and groups of
+    # 10, 10 and 3 for K = 300, so the pooled call crosses two group boundaries
+    obj = _families(23)[name]
+    w = HybridPoint(LAYOUT, sample_gaussian(RngStream(98, 1), LAYOUT.d))
+    cfg = ProbeConfig(probes=probes, target=target)
+    loop_rng, pooled_rng = RngStream(99, 1), RngStream(99, 1)
+    reps = [estimate_block_lipschitz(obj, w, cfg, loop_rng, sample=i) for i in range(obj.n)]
+    got = estimate_block_lipschitz(obj, w, cfg, pooled_rng, sample=ALL)
+    assert repr(got.operator_lb) == repr(max(rep.operator_lb for rep in reps))
+    assert repr(pooled_rng.generator.bit_generator.state) == repr(loop_rng.generator.bit_generator.state)
+    assert got.probes == obj.n * probes
+    # the pooled mean of ||Hv||^2 is the mean of the per-sample means
+    pooled_sq = np.mean([rep.frobenius_raw ** 2 for rep in reps])
+    assert got.frobenius_raw == pytest.approx(sqrt(pooled_sq), rel=1e-12, abs=1e-300)
+    assert (got.block, got.h) == (target, cfg.h)
+
+
+@pytest.mark.parametrize("probes", [1, 7, 300, 3276])
+def test_all_samples_probe_is_one_batched_call_per_group_of_samples(probes):
+    # 23 samples of dimension 5 go in groups of G = max(1, _FULL_BLOCK // (5 (K + 1)))
+    # samples (G = 1 from K = 3276 on); a group is one call on its G (K + 1) points,
+    # each sample's base point first among its own K + 1 rows
+    class SelectorRecording(CountingQuadratic):
+        def grads_at_points(self, points, i):
+            self.selectors.append(np.array(i))
+            return super().grads_at_points(points, i)
+
+    n, size = 23, max(1, probe._FULL_BLOCK // (5 * (probes + 1)))
+    obj = SelectorRecording(LAYOUT, np.arange(5.0 * n).reshape(n, 5) / 100.0, 3.0, 1.0)
+    obj.selectors = []
+    w = HybridPoint(LAYOUT, [0.5, -1.0, 0.25, 2.0, -0.5])
+    rep = estimate_block_lipschitz(obj, w, ProbeConfig(probes=probes, target=Block.Y), RngStream(93, 1),
+                                   sample=ALL)
+    assert obj.grad_calls == 0 and obj.full_rows == [] and rep.probes == n * probes
+    groups = [np.arange(k, min(k + size, n)) for k in range(0, n, size)]
+    assert obj.grad_rows == [len(group) * (probes + 1) for group in groups]
+    for got, group in zip(obj.selectors, groups, strict=True):
+        assert np.array_equal(got, np.repeat(group, probes + 1))
 
 
 @pytest.mark.parametrize("scale", [0.0, 1e-75, 1e-20, 1.0, 1e20, 1e75])
