@@ -8,14 +8,14 @@ after construction and safe to evaluate concurrently.
 ``value_at``/``grad_at`` evaluate one sample at one point, and the ``full_*``
 methods the full objective, on raw float64 arrays for hot loops;
 ``eval_full``/``grad_full`` validate a :class:`HybridPoint` first.  The batched
-pair ``values_at_points(points, i)``/``grads_at_points(points, i)`` takes one of
-three sample selectors.  An int i evaluates sample i at every row of (m, d)
-points, shapes (m,) and (m, d), for the estimator and oracle; an int array i of
-length m evaluates sample i[k] at row k, same shapes, for the per-sample probes;
-:data:`ALL` evaluates every sample at one point, shapes (n,) and (n, d), for
-``full_value_at``, ``full_grad_at`` and ``sample_variance``.  The base class
-loops the pair over ``value_at``/``grad_at``; each family overrides it with one
-vectorised body, bit-identical to that loop for all three selectors, and a
+pair ``values_at_points(points, i)``/``grads_at_points(points, i)`` follows one
+rule: row k evaluates the k-th row of points, broadcast against the samples
+``range(n)[i]``.  So an int i evaluates sample i at every row of (m, d) points
+(the estimator and oracle), an int array of length m sample i[k] at row k (the
+per-sample probes), and :data:`ALL`, the index of every sample, all n samples
+at one (d,) point (``full_value_at``, ``full_grad_at``, ``sample_variance``).
+The base class loops the pair over ``value_at``/``grad_at``; each family
+overrides it with one vectorised body, bit-identical to that loop, and a
 family that overrides ``value_at``/``grad_at`` must do the same.
 
 The kernel ``full_values_and_grads_at_points(points)`` gives the full value and
@@ -24,15 +24,17 @@ with m = 1, the per-step trace.  The base class loops the exact per-sample means
 ``full_value_at``/``full_grad_at`` over the rows; cosh keeps their bits.  The
 others use closed forms: logistic one dot of the (d, n) features with the
 sigmoid weights, linear the mean slope, the quadratics the mean center c,
-f = 0.5 (w - c)^T A (w - c) + f(c).  With gamma = (n + d) eps and W = max |w_j|,
-a row is within gamma M (plus n + d smallest subnormals) of the exact value,
-M being, for f and for each gradient entry: quadratics sum |A_jk| (C + R)(R + gamma C)
-and max_j sum_k |A_jk| (C + R), with C = max |c_ij| and R = max |w_j - c_ij|
+f = 0.5 (w - c)^T A (w - c) + f(c).  The two quadratics share one kernel,
+written in :class:`BlockQuadratic`; they differ only in how ``_apply`` forms
+A dv.  With gamma = (n + d) eps and W = max |w_j|, a row is within gamma M
+(plus n + d smallest subnormals) of the exact value, M being, for f and for
+each gradient entry: quadratics sum |A_jk| (C + R)(R + gamma C) and
+max_j sum_k |A_jk| (C + R), with C = max |c_ij| and R = max |w_j - c_ij|
 (rounding c costs about eps ||c|| ||A (w - c)||); logistic 1 + Z_1 W + lam d W^2
 and Z + lam W, with Z_1 = max_i sum_j |z_ij| and Z = max |z_ij|; linear d W S and
-S, with S = max |s_ij|.  Dots are ``np.vecdot``, or ``np.matvec`` with a square
-Hessian: ``@``, ``matmul``, ``einsum`` and ``np.matvec`` with a wide matrix can
-round differently with the BLAS thread count.
+S, with S = max |s_ij|.  Dots are ``np.vecdot``, or ``np.matvec`` with the
+square dense Hessian: ``@``, ``matmul``, ``einsum`` and ``np.matvec`` with a
+wide matrix can round differently with the BLAS thread count.
 Data arrays are read through ``core._check_array``, so a bool or a string
 in them is an error.  :func:`objective_from_dict` reads a spec through its
 kind's table of data keys, shared keys and generation-only keys.
@@ -90,24 +92,20 @@ class FiniteSumObjective(abc.ABC):
     def grad_at(self, values: np.ndarray, i: int) -> np.ndarray:
         """Analytic gradient of f(w; i) for raw values; no validation."""
 
-    def _pairs(self, points: np.ndarray, i: int | np.ndarray | slice) -> list:
-        # (point, sample) per row of a batched result, in row order
-        if i is ALL:
-            return [(points, k) for k in range(self._n)]
-        if np.ndim(i):
-            return list(zip(points, i))
-        return [(p, i) for p in points]
+    def _pairs(self, points: np.ndarray, i: int | np.ndarray | slice) -> zip:
+        # (point, sample) per row of a batched result: points' rows broadcast against range(n)[i]
+        samples = np.arange(self._n)[i]
+        shape = np.broadcast_shapes(points.shape[:-1], samples.shape)
+        return zip(np.broadcast_to(points, shape + points.shape[-1:]), np.broadcast_to(samples, shape))
 
     def values_at_points(self, points: np.ndarray, i: int | np.ndarray | slice) -> np.ndarray:
-        """f(p; i) for every row p of points, shape (m,); with an int array i of
-        length m, f(p_k; i[k]) for row k, shape (m,); with i = ALL, f(points; k)
-        for every sample k, shape (n,).  The loop is the reference."""
+        """f(p_k; s_k) for row k, where the rows p_k of points broadcast against the
+        samples s_k of range(n)[i].  The loop is the reference."""
         return np.array([self.value_at(p, k) for p, k in self._pairs(points, i)], dtype=np.float64)
 
     def grads_at_points(self, points: np.ndarray, i: int | np.ndarray | slice) -> np.ndarray:
-        """grad f(p; i) for every row p of points, shape (m, d); with an int array i
-        of length m, grad f(p_k; i[k]) for row k, shape (m, d); with i = ALL,
-        grad f(points; k) for every sample k, shape (n, d).  The loop is the reference."""
+        """grad f(p_k; s_k) for row k, as in values_at_points, shape (rows, d).
+        The loop is the reference."""
         return np.stack([self.grad_at(p, k) for p, k in self._pairs(points, i)])
 
     def full_value_at(self, values: np.ndarray) -> float:
@@ -195,30 +193,34 @@ class BlockQuadratic(FiniteSumObjective):
         )
         self._mean_center = centers.mean(axis=0)
         # f at the mean center: the minimum, and the kernel's constant term
-        self._f_star = self.full_value_at(self._mean_center)
+        self._f_center = self.full_value_at(self._mean_center)
+
+    # The quadratic kernel, shared with DenseQuadratic: A dv for every row dv is _apply(dv)
+    def _apply(self, dv: np.ndarray) -> np.ndarray:
+        return self._diag * dv
 
     def value_at(self, values: np.ndarray, i: int) -> float:
         dv = values - self.centers[i]
-        return float(0.5 * np.dot(dv, self._diag * dv))
+        return float(0.5 * np.dot(dv, self._apply(dv)))
 
     def grad_at(self, values: np.ndarray, i: int) -> np.ndarray:
-        return self._diag * (values - self.centers[i])
+        return self._apply(values - self.centers[i])
 
     def values_at_points(self, points: np.ndarray, i: int | np.ndarray | slice) -> np.ndarray:
         dv = points - self.centers[i]
-        return 0.5 * np.vecdot(dv, self._diag * dv)
+        return 0.5 * np.vecdot(dv, self._apply(dv))
 
     def grads_at_points(self, points: np.ndarray, i: int | np.ndarray | slice) -> np.ndarray:
-        return self._diag * (points - self.centers[i])
+        return self._apply(points - self.centers[i])
 
     def full_values_and_grads_at_points(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         dv = points - self._mean_center
-        grads = self._diag * dv
-        return 0.5 * np.vecdot(dv, grads) + self._f_star, grads
+        grads = self._apply(dv)
+        return 0.5 * np.vecdot(dv, grads) + self._f_center, grads
 
     @property
     def f_star(self) -> float | None:
-        return self._f_star
+        return self._f_center
 
     def block_lipschitz_bound(self) -> tuple[float, float]:
         return (self.a_x, self.a_y)
@@ -402,7 +404,8 @@ class DenseQuadratic(FiniteSumObjective):
 
     Unlike :class:`BlockQuadratic` the Hessian may couple the blocks and need
     not be positive definite; the exact spectrum makes it the reference case
-    for curvature probes.
+    for curvature probes.  The kernels are BlockQuadratic's, with H dv as the
+    one square ``np.matvec``.
     """
 
     def __init__(self, layout: BlockLayout, hessian, centers=None):
@@ -421,31 +424,21 @@ class DenseQuadratic(FiniteSumObjective):
         eigs = np.linalg.eigvalsh(hessian)
         self._psd = bool(eigs[0] >= -1e-12 * max(scale, 1.0))
         self._mean_center = centers.mean(axis=0)
-        self._spread = self.full_value_at(self._mean_center)  # the kernel's constant term
+        self._f_center = self.full_value_at(self._mean_center)  # the kernel's constant term
         self.hessian.setflags(write=False)  # the symmetrised copy, not the checked array
 
-    def value_at(self, values: np.ndarray, i: int) -> float:
-        dv = values - self.centers[i]
-        return float(0.5 * np.dot(dv, self.hessian @ dv))
+    def _apply(self, dv: np.ndarray) -> np.ndarray:
+        return np.matvec(self.hessian, dv)
 
-    def grad_at(self, values: np.ndarray, i: int) -> np.ndarray:
-        return self.hessian @ (values - self.centers[i])
-
-    def values_at_points(self, points: np.ndarray, i: int | np.ndarray | slice) -> np.ndarray:
-        dv = points - self.centers[i]
-        return 0.5 * np.vecdot(dv, np.matvec(self.hessian, dv))
-
-    def grads_at_points(self, points: np.ndarray, i: int | np.ndarray | slice) -> np.ndarray:
-        return np.matvec(self.hessian, points - self.centers[i])
-
-    def full_values_and_grads_at_points(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        dv = points - self._mean_center
-        grads = np.matvec(self.hessian, dv)
-        return 0.5 * np.vecdot(dv, grads) + self._spread, grads
+    value_at = BlockQuadratic.value_at
+    grad_at = BlockQuadratic.grad_at
+    values_at_points = BlockQuadratic.values_at_points
+    grads_at_points = BlockQuadratic.grads_at_points
+    full_values_and_grads_at_points = BlockQuadratic.full_values_and_grads_at_points
 
     @property
     def f_star(self) -> float | None:
-        return self._spread if self._psd else None
+        return self._f_center if self._psd else None
 
     def block_lipschitz_bound(self) -> tuple[float, float]:
         d_x = self.layout.d_x

@@ -232,6 +232,47 @@ def test_dense_quadratic_f_star_and_block_curvature_bound():
     assert l_x > 4.0 and l_y == 3.0
 
 
+QUADRATIC_KERNELS = ("value_at", "grad_at", "values_at_points", "grads_at_points",
+                     "full_values_and_grads_at_points")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_block_and_dense_quadratic_share_one_kernel(seed):
+    # one body per kernel, held by both classes; a diagonal H gives the block
+    # quadratic's values (by value: a matvec's zero terms can flip a zero's sign)
+    assert all(DenseQuadratic.__dict__[name] is BlockQuadratic.__dict__[name] for name in QUADRATIC_KERNELS)
+    rng = RngStream(seed, 0xDA7A)
+    layout = BlockLayout(2 + seed, 3)
+    n, m = 3 + seed, 5
+    centers = sample_gaussian(rng, n * layout.d).reshape(n, layout.d)
+    block = BlockQuadratic(layout, centers, 4.0 + seed, 0.5)
+    dense = DenseQuadratic(layout, np.diag([4.0 + seed] * layout.d_x + [0.5] * layout.d_y), centers)
+    points = sample_gaussian(rng, m * layout.d).reshape(m, layout.d)
+    points[0] = centers[1]  # a zero difference row
+    for i in range(n):
+        assert dense.value_at(points[2], i) == block.value_at(points[2], i)
+        assert np.array_equal(dense.grad_at(points[2], i), block.grad_at(points[2], i))
+    for rows, i in ((points, 1), (points, np.array([2, 0, 0, n - 1, 1])), (points[3], ALL)):
+        assert np.array_equal(dense.values_at_points(rows, i), block.values_at_points(rows, i))
+        assert np.array_equal(dense.grads_at_points(rows, i), block.grads_at_points(rows, i))
+    for got, want in zip(dense.full_values_and_grads_at_points(points),
+                         block.full_values_and_grads_at_points(points)):
+        assert np.array_equal(got, want)
+    assert dense.f_star == block.f_star
+
+
+@pytest.mark.parametrize("d", [2, 7, 64, 300])
+def test_dense_quadratic_per_sample_pair_keeps_the_matmul_bits(d):
+    # step's FO gradient (and its ZO values) take the square np.matvec: the
+    # same bits as hessian @ dv, the form these kernels used before
+    obj = DenseQuadratic.random(BlockLayout(d - 1, 1), 3, RngStream(d, 0xDA7A), center_scale=1.0)
+    v = sample_gaussian(RngStream(d, 1), d)
+    for i in range(obj.n):
+        dv = v - obj.centers[i]
+        assert obj.grad_at(v, i).tobytes() == (obj.hessian @ dv).tobytes()
+        assert obj.value_at(v, i) == float(0.5 * np.dot(dv, obj.hessian @ dv))
+
+
 def test_serialization_roundtrip_every_kind(tmp_path):
     specs = [
         {"kind": "block_quadratic", "d_x": 2, "d_y": 2, "n": 3, "a_x": 4.0, "a_y": 1.0,
