@@ -10,10 +10,11 @@ methods the full objective, on raw float64 arrays for hot loops;
 ``eval_full``/``grad_full`` validate a :class:`HybridPoint` first.  The batched
 pair ``values_at_points(points, i)``/``grads_at_points(points, i)`` follows one
 rule: row k evaluates the k-th row of points, broadcast against the samples
-``range(n)[i]``.  So an int i evaluates sample i at every row of (m, d) points
-(the estimator and oracle), an int array of length m sample i[k] at row k (the
-per-sample probes), and :data:`ALL`, the index of every sample, all n samples
-at one (d,) point (``full_value_at``, ``full_grad_at``, ``sample_variance``).
+``range(n)[i]``, for any leading shape.  So an int i evaluates sample i at every
+row of (m, d) points (the estimator and oracle), an int array of length m sample
+i[k] at row k (the per-sample probes), and :data:`ALL`, the index of every
+sample, all n samples at one (d,) point (``full_value_at``, ``full_grad_at``,
+``sample_variance``) or at each of (m, 1, d) points, shape (m, n) (the oracle).
 The base class loops the pair over ``value_at``/``grad_at``; each family
 overrides it with one vectorised body, bit-identical to that loop, and a
 family that overrides ``value_at``/``grad_at`` must do the same.
@@ -92,21 +93,23 @@ class FiniteSumObjective(abc.ABC):
     def grad_at(self, values: np.ndarray, i: int) -> np.ndarray:
         """Analytic gradient of f(w; i) for raw values; no validation."""
 
-    def _pairs(self, points: np.ndarray, i: int | np.ndarray | slice) -> zip:
-        # (point, sample) per row of a batched result: points' rows broadcast against range(n)[i]
-        samples = np.arange(self._n)[i]
+    def _loop(self, fn, points: np.ndarray, i: int | np.ndarray | slice) -> np.ndarray:
+        # fn(p, s) for each row p of points broadcast against each sample s of range(n)[i], in that shape
+        samples, d = np.arange(self._n)[i], points.shape[-1]
         shape = np.broadcast_shapes(points.shape[:-1], samples.shape)
-        return zip(np.broadcast_to(points, shape + points.shape[-1:]), np.broadcast_to(samples, shape))
+        rows = np.broadcast_to(points, shape + (d,)).reshape(-1, d)
+        out = np.array([fn(p, s) for p, s in zip(rows, np.broadcast_to(samples, shape).flat)], dtype=np.float64)
+        return out.reshape(shape + out.shape[1:])
 
     def values_at_points(self, points: np.ndarray, i: int | np.ndarray | slice) -> np.ndarray:
         """f(p_k; s_k) for row k, where the rows p_k of points broadcast against the
-        samples s_k of range(n)[i].  The loop is the reference."""
-        return np.array([self.value_at(p, k) for p, k in self._pairs(points, i)], dtype=np.float64)
+        samples s_k of range(n)[i], in the broadcast shape.  The loop is the reference."""
+        return self._loop(self.value_at, points, i)
 
     def grads_at_points(self, points: np.ndarray, i: int | np.ndarray | slice) -> np.ndarray:
-        """grad f(p_k; s_k) for row k, as in values_at_points, shape (rows, d).
+        """grad f(p_k; s_k) for row k, as in values_at_points, shape (..., d).
         The loop is the reference."""
-        return np.stack([self.grad_at(p, k) for p, k in self._pairs(points, i)])
+        return self._loop(self.grad_at, points, i)
 
     def full_value_at(self, values: np.ndarray) -> float:
         return float(np.add.reduce(self.values_at_points(values, ALL)) / self._n)
@@ -264,7 +267,7 @@ class CoshObjective(FiniteSumObjective):
         return np.sinh(values - self.shifts[i])
 
     def values_at_points(self, points: np.ndarray, i: int | np.ndarray | slice) -> np.ndarray:
-        return np.sum(np.cosh(points - self.shifts[i]), axis=1)
+        return np.sum(np.cosh(points - self.shifts[i]), axis=-1)
 
     def grads_at_points(self, points: np.ndarray, i: int | np.ndarray | slice) -> np.ndarray:
         return np.sinh(points - self.shifts[i])

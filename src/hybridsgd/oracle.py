@@ -3,15 +3,17 @@ and the check suite behind ``hybridsgd check``.
 
 The validators are deliberately slow: gradients come from value-only central
 differences, Hessians from coordinate-wise central differences of analytic
-gradients (both with the fixed step 1e-5), and the estimator bounds from
-plain Monte Carlo.  The curvature envelope check has the fixed tolerance
-1e-6.  The optimizer, estimator, probe and planner never import this module;
-tests and the CLI's ``check`` command use it, so that agreement is evidence
-rather than the same formula evaluated twice.  The check suite also compares
-the curvature probes with exact block curvatures and with this module's dense
-Hessian.  The Monte Carlo draws of one bound check are a single (draws, d_x)
-Gaussian block evaluated through the estimator's row helper, the same bits as
-drawing and evaluating them one at a time.
+gradients (both with the fixed step 1e-5), and the estimator bounds from plain
+Monte Carlo.  The 2d points w +- h e_j go to the objective's batched pair in
+one call per row block, the same bits as one coordinate at a time.  The
+curvature envelope check has the fixed tolerance 1e-6.  The optimizer,
+estimator, probe and planner never import this module; tests and the CLI's
+``check`` command use it, so that agreement is evidence rather than the same
+formula evaluated twice.  The check suite also compares the curvature probes
+with exact block curvatures and with this module's dense Hessian.  The Monte
+Carlo draws of one bound check are a single (draws, d_x) Gaussian block
+evaluated through the estimator's row helper, the same bits as drawing and
+evaluating them one at a time.
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import probe
 from .core import (
     Block,
     BlockLayout,
@@ -34,6 +37,7 @@ from .core import (
 )
 from .estimator import _two_point_rows
 from .objectives import (
+    ALL,
     BlockQuadratic,
     CoshObjective,
     DenseQuadratic,
@@ -41,7 +45,6 @@ from .objectives import (
     LinearObjective,
     LogisticObjective,
 )
-from .probe import ProbeConfig, estimate_block_lipschitz
 
 __all__ = [
     "BoundCheckReport",
@@ -55,38 +58,40 @@ _H = 1e-5  # central-difference step of fd_gradient and dense_hessian
 _ENVELOPE_TOL = 1e-6  # margin by which check_hybrid_smoothness may exceed an envelope
 
 
-def _central_differences(fn, values: np.ndarray, h: float) -> np.ndarray:
-    """(fn(values + h e_j) - fn(values - h e_j)) / 2h as row j, for each coordinate j."""
-    out = []
-    for j in range(len(values)):
-        plus = values.copy()
-        minus = values.copy()
-        plus[j] += h
-        minus[j] -= h
-        out.append((fn(plus) - fn(minus)) / (2.0 * h))
-    return np.array(out)
+def _central_differences(obj: FiniteSumObjective, pair, values: np.ndarray, i: int | slice) -> np.ndarray:
+    """Row j: (F(values + h e_j) - F(values - h e_j)) / 2h, h = _H, F being pair at sample i or, for
+    i = ALL, pair's sample mean (the bits of full_value_at/full_grad_at).  The 2d points go to pair in
+    blocks of max(1, probe._FULL_BLOCK // (n d)) rows, n = 1 for a sample, so memory stays flat."""
+    d, n = len(values), obj.n if i is ALL else 1
+    rows, out = max(1, probe._FULL_BLOCK // (n * d)), []
+    for k in range(0, 2 * d, rows):
+        points, p = np.repeat(values[None], min(rows, 2 * d - k), 0), max(d - k, 0)
+        # row q is point k + q of the 2d: values + h e_(k + q) below d, values - h e_(k + q - d) after
+        points[:p].reshape(-1)[k::d + 1] += _H
+        points[p:].reshape(-1)[max(k - d, 0)::d + 1] -= _H
+        out.append(np.add.reduce(pair(points[:, None], i), 1) / n if i is ALL else pair(points, i))
+    f = np.concatenate(out)
+    return (f[:d] - f[d:]) / (2.0 * _H)
 
 
 def fd_gradient(obj: FiniteSumObjective, w: HybridPoint, i: int | None = None) -> np.ndarray:
     """Central-difference gradient of f(.; i), or of the full objective for i=None.
 
-    Uses objective values only, so it validates analytic gradients without
-    sharing any code with them.  O(h^2) accurate, with h = _H.
+    Uses objective values only, one ``values_at_points`` call per row block, so it
+    validates analytic gradients without sharing any code with them.  O(h^2)
+    accurate, with h = _H.
     """
-    values = obj.check_point(w)
-    if i is not None:
-        i = obj.check_sample(i)
-    value = obj.full_value_at if i is None else (lambda vals: obj.value_at(vals, i))
-    return _central_differences(value, values, _H)
+    return _central_differences(obj, obj.values_at_points, obj.check_point(w),
+                                ALL if i is None else obj.check_sample(i))
 
 
 def dense_hessian(obj: FiniteSumObjective, w: HybridPoint) -> np.ndarray:
     """Finite-difference Hessian of the full objective, symmetrized as (H + H^T)/2.
 
     Column j of H is the central difference (step _H) of the analytic full
-    gradient along coordinate j.
+    gradient along coordinate j, one ``grads_at_points`` call per row block.
     """
-    columns = _central_differences(obj.full_grad_at, obj.check_point(w), _H).T
+    columns = _central_differences(obj, obj.grads_at_points, obj.check_point(w), ALL).T
     return 0.5 * (columns + columns.T)
 
 
@@ -115,14 +120,7 @@ def _exact_report(name: str, lhs: float, rhs: float, trials: int) -> BoundCheckR
 def _mc_report(name: str, samples: np.ndarray, rhs: float) -> BoundCheckReport:
     mean = float(np.mean(samples))
     stderr = float(np.std(samples, ddof=1)) / math.sqrt(len(samples))
-    return BoundCheckReport(
-        bound_name=name,
-        empirical_lhs=mean,
-        empirical_stderr=stderr,
-        theoretical_rhs=float(rhs),
-        trials=len(samples),
-        passed=bool(mean <= rhs + 3.0 * stderr),
-    )
+    return BoundCheckReport(name, mean, stderr, float(rhs), len(samples), bool(mean <= rhs + 3.0 * stderr))
 
 
 def check_estimator_bounds(
@@ -195,8 +193,7 @@ def check_hybrid_smoothness(obj: FiniteSumObjective, points, ell_x, ell_y) -> Bo
 def _grad_agreement_report(name: str, obj: FiniteSumObjective, points) -> BoundCheckReport:
     worst = 0.0
     for w in points:
-        targets = [None] + list(range(obj.n))
-        for i in targets:
+        for i in [None, *range(obj.n)]:
             approx = fd_gradient(obj, w, i)  # validates w and i
             exact = obj.full_grad_at(w.values) if i is None else obj.grad_at(w.values, i)
             scale = max(float(np.linalg.norm(exact)), 1e-12)
@@ -259,8 +256,8 @@ def _check_suite(root: RngStream, trials: int, negative_control: bool) -> list[B
     iso = BlockQuadratic(layout, np.zeros((2, layout.d)), 100.0, 1.0)
     origin = HybridPoint(layout, np.zeros(layout.d))
     for block, expected in ((Block.X, 100.0), (Block.Y, 1.0)):
-        probe_rep = estimate_block_lipschitz(
-            iso, origin, ProbeConfig(probes=25, target=block), next(rngs)
+        probe_rep = probe.estimate_block_lipschitz(
+            iso, origin, probe.ProbeConfig(probes=25, target=block), next(rngs)
         )
         err = abs(probe_rep.operator_lb - expected)
         reports.append(
@@ -268,7 +265,7 @@ def _check_suite(root: RngStream, trials: int, negative_control: bool) -> list[B
         )
     dense = DenseQuadratic.random(BlockLayout(3, 3), 1, next(rngs))
     w = HybridPoint(BlockLayout(3, 3), np.zeros(6))
-    probe_rep = estimate_block_lipschitz(dense, w, ProbeConfig(probes=500), next(rngs))
+    probe_rep = probe.estimate_block_lipschitz(dense, w, probe.ProbeConfig(probes=500), next(rngs))
     eigs = np.linalg.eigvalsh(dense_hessian(dense, w))
     frob = float(np.sqrt(np.sum(eigs**2)))
     rel = abs(probe_rep.frobenius_scaled - frob) / frob

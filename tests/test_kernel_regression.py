@@ -10,7 +10,9 @@ and the full objective.  Both runs keep the family's full-objective kernel
 the base-class loop within a bound in ``test_objectives``.  The
 optimizer's raw-array loop is run against a reference loop that validates
 its inputs and builds a HybridPoint on every step, with the estimator's rows
-summed one by one into a zero accumulator.
+summed one by one into a zero accumulator.  The oracle's batched central
+differences are run against the per-coordinate loop they replaced, with the
+objective's own per-point full_value_at/full_grad_at and value_at.
 Traces, final iterates, run results and output files must agree bit for bit,
 so the check holds on any BLAS build without hard-coded hashes.
 """
@@ -37,11 +39,12 @@ from hybridsgd import (
     run,
     sample_gaussian,
 )
-from hybridsgd import objectives
+from hybridsgd import objectives, oracle, probe
 from hybridsgd.cli import main
 from hybridsgd.core import Block, NumericError, shuffle_permutation
 from hybridsgd.estimator import _two_point_rows, estimate_block_gradient
 from hybridsgd.optimizer import RunResult, TraceRecord
+from conftest import OffsetObjective
 
 FAMILIES = (
     objectives.BlockQuadratic,
@@ -362,3 +365,87 @@ def test_raw_step_loop_matches_reference_when_diverging():
             run_fn(obj, w0, cfg, RngStream(23, 2))
         messages.append(str(info.value))
     assert messages[0] == messages[1] and messages[0].startswith("epoch 0, step 0: ")
+
+
+# -- the oracle's batched central differences against the per-coordinate loop -
+
+
+def _reference_central_differences(fn, values, h):
+    """(fn(values + h e_j) - fn(values - h e_j)) / 2h as row j, one coordinate at a time."""
+    out = []
+    for j in range(len(values)):
+        plus = values.copy()
+        minus = values.copy()
+        plus[j] += h
+        minus[j] -= h
+        out.append((fn(plus) - fn(minus)) / (2.0 * h))
+    return np.array(out)
+
+
+def _reference_fd_gradient(obj, w, i=None):
+    fn = obj.full_value_at if i is None else (lambda values: obj.value_at(values, i))
+    return _reference_central_differences(fn, w.values, 1e-5)
+
+
+def _reference_dense_hessian(obj, w):
+    columns = _reference_central_differences(obj.full_grad_at, w.values, 1e-5).T
+    return 0.5 * (columns + columns.T)
+
+
+def _oracle_objective(kind, n, seed):
+    """A family from FAMILY_SPECS on d = 7, or for "offset" an OffsetObjective of logistic:
+    a subclass with only value_at/grad_at, so the oracle reads the base-class loop."""
+    spec = {**FAMILY_SPECS.get(kind, FAMILY_SPECS["logistic"]), "d_x": 4, "d_y": 3, "n": n,
+            "seed": seed}
+    obj = objective_from_dict(spec)
+    return obj if kind in FAMILY_SPECS else OffsetObjective(obj, 2.5)
+
+
+def _oracle_results(obj, w, fd_gradient=oracle.fd_gradient, dense_hessian=oracle.dense_hessian):
+    """fd_gradient of the full objective and of three samples, and dense_hessian."""
+    samples = sorted({0, obj.n // 2, obj.n - 1})
+    return [fd_gradient(obj, w), *(fd_gradient(obj, w, i) for i in samples), dense_hessian(obj, w)]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("n", [1, 3, 9, 130])  # n = 130: the sum over samples splits into blocks
+@pytest.mark.parametrize("kind", [*sorted(FAMILY_SPECS), "offset"])
+def test_oracle_central_differences_match_per_coordinate_loop(kind, n):
+    obj = _oracle_objective(kind, n, 26)
+    for k, scale in enumerate((1.0, 0.01, 30.0)):
+        w = HybridPoint(obj.layout, scale * sample_gaussian(RngStream(26, k), obj.layout.d))
+        want = _oracle_results(obj, w, _reference_fd_gradient, _reference_dense_hessian)
+        for got, ref in zip(_oracle_results(obj, w), want, strict=True):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), (kind, n, scale)
+
+
+@pytest.mark.parametrize("budget_rows", [0, 1, 3, 5, 14])
+@pytest.mark.parametrize("kind", sorted(FAMILY_SPECS))
+def test_oracle_central_differences_go_in_row_blocks(monkeypatch, kind, budget_rows):
+    # With a budget of R n d (1 for R = 0), the 2d = 14 points of a target of m samples
+    # (n for the full objective, 1 for a sample) go in ceil(2 d m d / budget) calls of at
+    # most budget / (m d) rows, or in 2d calls of one row when the budget is below m d;
+    # blocks of 3 and 5 rows hold both +h and -h points.  The bits are those of one call.
+    n, d = 9, 7
+    obj = _oracle_objective(kind, n, 27)
+    w = HybridPoint(obj.layout, sample_gaussian(RngStream(27, 1), d))
+    want = _oracle_results(obj, w)
+    budget = budget_rows * n * d or 1
+    monkeypatch.setattr(probe, "_FULL_BLOCK", budget)
+    shapes = {pair: [] for pair in PAIR}
+    for pair in PAIR:
+        def counted(points, i, pair=pair, kernel=getattr(obj, pair)):
+            shapes[pair].append(points.shape)
+            return kernel(points, i)
+        monkeypatch.setattr(obj, pair, counted)
+    for got, ref in zip(_oracle_results(obj, w), want, strict=True):
+        assert got.tobytes() == ref.tobytes()
+    calls = {m: -(-2 * d * m * d // budget) if budget >= m * d else 2 * d for m in (1, n)}
+    # values: the full target, then three samples; gradients: the full target only
+    full = calls[n]
+    assert len(shapes["values_at_points"]) == full + 3 * calls[1]
+    assert len(shapes["grads_at_points"]) == full
+    for shape in shapes["values_at_points"][:full] + shapes["grads_at_points"]:
+        assert shape[1:] == (1, d) and shape[0] * n * d <= max(budget, n * d)
+    for shape in shapes["values_at_points"][full:]:
+        assert shape[1:] == (d,) and shape[0] * d <= max(budget, d)

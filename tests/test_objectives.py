@@ -510,6 +510,22 @@ def test_int_array_selector_bit_identical_to_per_row(case, data):
     _assert_selector_matches(obj, points, idx)
 
 
+@pytest.mark.parametrize("rows", [1, 4])
+def test_all_selector_holds_for_any_leading_shape(rows):
+    # (r, 1, d) points against ALL: entry (k, s) is sample s at point k, shapes
+    # (r, n) and (r, n, d), for every family and a subclass with only value_at/grad_at
+    rng = RngStream(18, 1)
+    for name, base in _families().items():
+        for obj in (base, OffsetObjective(base, 2.5)):
+            points = sample_gaussian(rng, rows * LAYOUT.d).reshape(rows, 1, LAYOUT.d)
+            vals, grads = obj.values_at_points(points, ALL), obj.grads_at_points(points, ALL)
+            assert vals.shape == (rows, obj.n) and grads.shape == (rows, obj.n, LAYOUT.d), name
+            ref_vals = np.array([[obj.value_at(p[0], s) for s in range(obj.n)] for p in points])
+            ref_grads = np.array([[obj.grad_at(p[0], s) for s in range(obj.n)] for p in points])
+            assert vals.tobytes() == ref_vals.tobytes(), name
+            assert grads.tobytes() == ref_grads.tobytes(), name
+
+
 def test_int_array_selector_with_repeated_and_unsorted_indices():
     rng = RngStream(17, 1)
     for name, obj in _families().items():
