@@ -36,6 +36,8 @@ and Z + lam W, with Z_1 = max_i sum_j |z_ij| and Z = max |z_ij|; linear d W S an
 S, with S = max |s_ij|.  Dots are ``np.vecdot``, or ``np.matvec`` with the
 square dense Hessian: ``@``, ``matmul``, ``einsum`` and ``np.matvec`` with a
 wide matrix can round differently with the BLAS thread count.
+Batched calls go in the in-order row blocks of ``_row_blocks``, at most ``_ROW_BUDGET``
+elements each; ``_full_row_cost`` is what one row of a family's full kernel holds.
 Data arrays are read through ``core._check_array``, so a bool or a string
 in them is an error.  :func:`objective_from_dict` reads a spec through its
 kind's table of data keys, shared keys and generation-only keys.
@@ -66,6 +68,16 @@ DATA_STREAM_ID = 0xDA7A
 # Sample selector of values_at_points/grads_at_points: every sample at one
 # point.  A basic slice, so indexing the data with it makes a view, not a copy.
 ALL = slice(None)
+
+# Elements a row block of a batched call may hold: 2^14 float64s, 128 KiB, glibc's mmap threshold,
+# so peak memory stays flat as the row count grows (2^15 raised plan's peak RSS by 0.4 MB).
+_ROW_BUDGET = 1 << 14
+
+
+def _row_blocks(total: int, row_cost: int) -> list[slice]:
+    """range(total) as in-order slices of max(1, _ROW_BUDGET // row_cost) rows of row_cost elements."""
+    rows = max(1, _ROW_BUDGET // row_cost)
+    return [slice(k, min(k + rows, total)) for k in range(0, total, rows)]
 
 
 class FiniteSumObjective(abc.ABC):
@@ -122,6 +134,9 @@ class FiniteSumObjective(abc.ABC):
         (m,) and (m, d).  The loop is the reference."""
         return (np.array([self.full_value_at(p) for p in points], dtype=np.float64),
                 np.stack([self.full_grad_at(p) for p in points]))
+
+    def _full_row_cost(self) -> int:
+        return self._n + self._layout.d  # a row of the kernel's (m, n) and (m, d) arrays
 
     # -- validated layer -------------------------------------------------
 
@@ -277,6 +292,9 @@ class CoshObjective(FiniteSumObjective):
         dv = points[:, None, :] - self.shifts
         return (np.add.reduce(np.sum(np.cosh(dv), axis=-1), -1) / self._n,
                 np.add.reduce(np.sinh(dv), -2) / self._n)
+
+    def _full_row_cost(self) -> int:
+        return self._n * self._layout.d  # the kernel's (m, n, d) temporaries
 
     @property
     def f_star(self) -> float | None:

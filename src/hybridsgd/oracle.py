@@ -44,6 +44,7 @@ from .objectives import (
     FiniteSumObjective,
     LinearObjective,
     LogisticObjective,
+    _row_blocks,
 )
 
 __all__ = [
@@ -61,11 +62,11 @@ _ENVELOPE_TOL = 1e-6  # margin by which check_hybrid_smoothness may exceed an en
 def _central_differences(obj: FiniteSumObjective, pair, values: np.ndarray, i: int | slice) -> np.ndarray:
     """Row j: (F(values + h e_j) - F(values - h e_j)) / 2h, h = _H, F being pair at sample i or, for
     i = ALL, pair's sample mean (the bits of full_value_at/full_grad_at).  The 2d points go to pair in
-    blocks of max(1, probe._FULL_BLOCK // (n d)) rows, n = 1 for a sample, so memory stays flat."""
-    d, n = len(values), obj.n if i is ALL else 1
-    rows, out = max(1, probe._FULL_BLOCK // (n * d)), []
-    for k in range(0, 2 * d, rows):
-        points, p = np.repeat(values[None], min(rows, 2 * d - k), 0), max(d - k, 0)
+    the row blocks of ``_row_blocks`` at n d elements a row, n = 1 for a sample, so memory stays flat."""
+    d, n, out = len(values), (obj.n if i is ALL else 1), []
+    for rows in _row_blocks(2 * d, n * d):
+        k = rows.start
+        points, p = np.repeat(values[None], rows.stop - k, 0), max(d - k, 0)
         # row q is point k + q of the 2d: values + h e_(k + q) below d, values - h e_(k + q - d) after
         points[:p].reshape(-1)[k::d + 1] += _H
         points[p:].reshape(-1)[max(k - d, 0)::d + 1] -= _H

@@ -38,7 +38,7 @@ from .core import (
     _unit_sphere_rows,
     _write_csv,
 )
-from .objectives import ALL, FiniteSumObjective
+from .objectives import ALL, FiniteSumObjective, _row_blocks
 
 __all__ = [
     "ProbeConfig",
@@ -46,12 +46,6 @@ __all__ = [
     "estimate_block_lipschitz",
     "trajectory_scan",
 ]
-
-# Budget of rows * n * d per kernel call of a full-objective probe: 128 KiB, glibc's mmap threshold.
-# It bounds cosh's (rows, n, d) temporaries and logistic's (rows, n), so peak memory stays flat
-# as K grows (2^15 raised plan's peak RSS by 0.4 MB); the quadratics and linear hold only (rows, d).
-_FULL_BLOCK = 1 << 14
-
 
 @dataclass(frozen=True)
 class ProbeConfig:
@@ -103,15 +97,14 @@ def _hvp_rows(
     is evaluated once for its rows, as row 0 of the same m / g + 1 points: for
     samples all g(m / g + 1) points are one ``grads_at_points`` call with one
     sample index per row; the full objective's go through
-    ``full_values_and_grads_at_points`` in blocks of max(1, _FULL_BLOCK // (n d)) rows.
+    ``full_values_and_grads_at_points`` in the ``_row_blocks`` of the family's ``_full_row_cost``.
     """
     d, g = len(values), 1 if sample is None else np.size(sample)
     shifts = h * directions.reshape(g, -1, directions.shape[1])
     points = _shifted_rows(values, obj.layout.slice_of(block), shifts).reshape(-1, d)
     if sample is None:
-        rows = max(1, _FULL_BLOCK // (obj.n * d))
-        grads = np.concatenate([obj.full_values_and_grads_at_points(points[k:k + rows])[1]
-                                for k in range(0, len(points), rows)])
+        grads = np.concatenate([obj.full_values_and_grads_at_points(points[rows])[1]
+                                for rows in _row_blocks(len(points), obj._full_row_cost())])
     else:
         grads = obj.grads_at_points(points, np.repeat(sample, len(points) // g))
     grads = grads.reshape(g, -1, d)
@@ -136,8 +129,8 @@ def estimate_block_lipschitz(
     them in one report: n K probes, operator_lb the max over all of them.
 
     A base gradient is evaluated once and shared by its K probes, so K probes
-    cost K + 1 gradients, and n K per-sample probes n(K + 1).  Samples go in
-    groups of max(1, _FULL_BLOCK // ((K + 1) d)): a group's directions are one
+    cost K + 1 gradients, and n K per-sample probes n(K + 1).  Samples go in the
+    groups of ``_row_blocks``, (K + 1) d elements a sample: a group's directions are one
     (g K, dim) draw, which consumes the stream as g sequential (K, dim) draws,
     and its g(K + 1) gradients one batched evaluation (see ``_hvp_rows``).
     """
@@ -147,8 +140,7 @@ def estimate_block_lipschitz(
     groups = [None]
     if sample is not None:
         samples = np.arange(obj.n) if sample is ALL else np.array([obj.check_sample(sample)])
-        size = max(1, _FULL_BLOCK // ((cfg.probes + 1) * len(values)))
-        groups = [samples[k:k + size] for k in range(0, len(samples), size)]
+        groups = [samples[rows] for rows in _row_blocks(len(samples), (cfg.probes + 1) * len(values))]
     sl = obj.layout.slice_of(cfg.target)
     dim = sl.stop - sl.start
     parts = []

@@ -39,7 +39,7 @@ from hybridsgd import (
     run,
     sample_gaussian,
 )
-from hybridsgd import objectives, oracle, probe
+from hybridsgd import objectives, oracle
 from hybridsgd.cli import main
 from hybridsgd.core import Block, NumericError, shuffle_permutation
 from hybridsgd.estimator import _two_point_rows, estimate_block_gradient
@@ -431,7 +431,7 @@ def test_oracle_central_differences_go_in_row_blocks(monkeypatch, kind, budget_r
     w = HybridPoint(obj.layout, sample_gaussian(RngStream(27, 1), d))
     want = _oracle_results(obj, w)
     budget = budget_rows * n * d or 1
-    monkeypatch.setattr(probe, "_FULL_BLOCK", budget)
+    monkeypatch.setattr(objectives, "_ROW_BUDGET", budget)
     shapes = {pair: [] for pair in PAIR}
     for pair in PAIR:
         def counted(points, i, pair=pair, kernel=getattr(obj, pair)):

@@ -25,7 +25,7 @@ from hybridsgd import (
 )
 
 from hybridsgd.core import _load_json
-from hybridsgd.objectives import ALL
+from hybridsgd.objectives import _ROW_BUDGET, ALL, _row_blocks
 from conftest import OffsetObjective, ScaledObjective
 
 LAYOUT = BlockLayout(3, 2)
@@ -43,6 +43,36 @@ def _families(seed=101):
         "linear": LinearObjective.random(LAYOUT, 3, rng.child(3)),
         "dense_quadratic": DenseQuadratic.random(LAYOUT, 2, rng.child(4), center_scale=1.0),
     }
+
+
+def _check_row_blocks(total, row_cost):
+    blocks, rows = _row_blocks(total, row_cost), max(1, _ROW_BUDGET // row_cost)
+    assert all(isinstance(b, slice) and b.step is None for b in blocks)
+    # contiguous and in order, covering range(total) exactly, each within the budget
+    assert [k for b in blocks for k in range(total)[b]] == list(range(total))
+    assert [b.start for b in blocks] == list(range(0, total, rows))
+    assert all(0 < b.stop - b.start <= rows for b in blocks)
+    return [b.stop - b.start for b in blocks]
+
+
+@pytest.mark.parametrize("total, row_cost, sizes", [
+    (0, 5, []),
+    (7, 305, [7]),  # fewer rows than one block of 53
+    (101, 60, [101]),  # a plan-logistic probe: n + d = 60, blocks of 273
+    (101, 1500, [10] * 10 + [1]),  # cosh at n = 300, d = 5
+    (64, 1024, [16] * 4),  # an exact multiple of the block size
+    (3, _ROW_BUDGET, [1, 1, 1]),  # a row of exactly the budget
+    (3, _ROW_BUDGET + 1, [1, 1, 1]),  # a row over the budget still goes, alone
+])
+def test_row_blocks_examples(total, row_cost, sizes):
+    assert _ROW_BUDGET == 1 << 14
+    assert _check_row_blocks(total, row_cost) == sizes
+
+
+@given(st.integers(0, 5000), st.integers(1, 1 << 16))
+def test_row_blocks_cover_the_rows_in_order_within_the_budget(total, row_cost):
+    sizes = _check_row_blocks(total, row_cost)
+    assert len(sizes) == -(-total // max(1, _ROW_BUDGET // row_cost))
 
 
 def test_quadratic_eval_example():

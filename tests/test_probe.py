@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from math import sqrt
 from pathlib import Path
@@ -27,7 +28,7 @@ from hybridsgd import (
     sample_gaussian,
     trajectory_scan,
 )
-from hybridsgd import probe
+from hybridsgd import objectives
 from hybridsgd.core import _unit_sphere_rows
 from hybridsgd.objectives import ALL
 from hybridsgd.probe import _hvp_rows, write_probe_csv
@@ -186,17 +187,46 @@ def test_sample_probe_is_one_batched_call_of_k_plus_one_gradients(target):
     assert obj.grad_rows == [8]
 
 
-@pytest.mark.parametrize("probes", [1, 9, 10, 19, 100])
+@pytest.mark.parametrize("probes", [1, 9, 10, 19, 52, 53, 100])
 def test_full_probe_is_one_kernel_call_per_block_of_rows(probes):
-    # 300 samples of dimension 5: the K + 1 points go through the kernel in
-    # blocks of C = _FULL_BLOCK // 1500 rows, so in ceil((K + 1) / C) calls
-    rows, points = probe._FULL_BLOCK // 1500, probes + 1
-    obj = CountingQuadratic(LAYOUT, np.arange(1500.0).reshape(300, 5) / 1000.0, 3.0, 1.0)
+    # 300 samples of dimension 5: the K + 1 points go through the kernel in blocks of
+    # C = _ROW_BUDGET // cost rows, so in ceil((K + 1) / C) calls.  A row of the closed
+    # forms costs n + d = 305 (C = 53: one call up to K = 52), a row of cosh's (m, n, d)
+    # temporaries n d = 1500 (C = 10: 11 calls at K = 100)
+    class CountingCosh(CoshObjective):
+        def full_values_and_grads_at_points(self, points):
+            self.full_rows.append(len(points))
+            return super().full_values_and_grads_at_points(points)
+
+    data, points = np.arange(1500.0).reshape(300, 5) / 1000.0, probes + 1
+    quadratic, cosh = CountingQuadratic(LAYOUT, data, 3.0, 1.0), CountingCosh(LAYOUT, data)
+    cosh.full_rows = []
     w = HybridPoint(LAYOUT, [0.5, -1.0, 0.25, 2.0, -0.5])
-    estimate_block_lipschitz(obj, w, ProbeConfig(probes=probes), RngStream(93, 1))
-    assert obj.full_grad_calls == 0 and obj.grad_calls == 0
-    assert obj.full_rows == [min(rows, points - k) for k in range(0, points, rows)]
-    assert len(obj.full_rows) == -(-points // rows)
+    for obj, rows in ((quadratic, 53), (cosh, 10)):
+        assert rows == objectives._ROW_BUDGET // obj._full_row_cost()
+        estimate_block_lipschitz(obj, w, ProbeConfig(probes=probes), RngStream(93, 1))
+        assert obj.full_rows == [min(rows, points - k) for k in range(0, points, rows)]
+        assert len(obj.full_rows) == -(-points // rows)
+    assert quadratic.full_grad_calls == 0 and quadratic.grad_calls == 0
+    assert len(quadratic.full_rows) == (1 if probes <= 52 else 2)
+
+
+@pytest.mark.parametrize("kind", ["cosh", "logistic"])
+def test_full_probe_memory_stays_flat_in_the_probe_count(kind):
+    # n = 200 samples of dimension 20, K = 400: in row blocks the peak is 0.52 MiB on cosh
+    # and 0.75 MiB on logistic; one unblocked call of 401 rows peaks at 25.3 and 2.70 MiB
+    layout = BlockLayout(10, 10)
+    rng = RngStream(95, 0xDA7A)
+    obj = (CoshObjective.random(layout, 200, rng, shift_spread=0.3) if kind == "cosh"
+           else LogisticObjective.random(layout, 200, rng, lam=0.1))
+    w = HybridPoint(layout, sample_gaussian(RngStream(95, 1), layout.d))
+    tracemalloc.start()
+    try:
+        estimate_block_lipschitz(obj, w, ProbeConfig(probes=400), RngStream(96, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2 ** 20, peak
 
 
 def _families(n):
@@ -233,7 +263,7 @@ def test_all_samples_probe_equals_per_sample_loop(name, target, probes):
 
 @pytest.mark.parametrize("probes", [1, 7, 300, 3276])
 def test_all_samples_probe_is_one_batched_call_per_group_of_samples(probes):
-    # 23 samples of dimension 5 go in groups of G = max(1, _FULL_BLOCK // (5 (K + 1)))
+    # 23 samples of dimension 5 go in groups of G = max(1, _ROW_BUDGET // (5 (K + 1)))
     # samples (G = 1 from K = 3276 on); a group is one call on its G (K + 1) points,
     # each sample's base point first among its own K + 1 rows
     class SelectorRecording(CountingQuadratic):
@@ -241,7 +271,7 @@ def test_all_samples_probe_is_one_batched_call_per_group_of_samples(probes):
             self.selectors.append(np.array(i))
             return super().grads_at_points(points, i)
 
-    n, size = 23, max(1, probe._FULL_BLOCK // (5 * (probes + 1)))
+    n, size = 23, max(1, objectives._ROW_BUDGET // (5 * (probes + 1)))
     obj = SelectorRecording(LAYOUT, np.arange(5.0 * n).reshape(n, 5) / 100.0, 3.0, 1.0)
     obj.selectors = []
     w = HybridPoint(LAYOUT, [0.5, -1.0, 0.25, 2.0, -0.5])
