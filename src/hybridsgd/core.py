@@ -15,6 +15,7 @@ of a nested list, so array values (data, points) are never coerced either.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -273,6 +274,19 @@ def sample_gaussian(rng: RngStream, dim: int) -> np.ndarray:
     return rng.generator.standard_normal(dim)
 
 
+def _norm(v: np.ndarray) -> float:
+    """sqrt(v . v) of a 1-d float array: the bits of numpy's ``linalg.norm`` without its dispatch."""
+    return math.sqrt(v.dot(v))
+
+
+def _mean_stderr(samples: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error std(ddof=1) / sqrt(m) of m samples (0 for m = 1): numpy's bits."""
+    m = len(samples)
+    mean = float(np.add.reduce(samples) / m)
+    var = np.add.reduce((samples - mean) ** 2) / max(m - 1, 1)
+    return mean, math.sqrt(var) / math.sqrt(m)
+
+
 def _gaussian_point(layout: BlockLayout, rng: RngStream, scale: float = 1.0) -> HybridPoint:
     """A point with scale * N(0, I) entries, drawn with one sample_gaussian call."""
     return HybridPoint(layout, scale * sample_gaussian(rng, layout.d))
@@ -294,7 +308,7 @@ def _unit_sphere_rows(rng: RngStream, m: int, dim: int) -> np.ndarray:
     :func:`sample_unit_sphere` calls: the (m, dim) Gaussian block consumes the
     stream in the same order as m draws of dim, and a zero row is dropped and
     the block topped up from the stream in order, as the sequential redraw
-    would.  ``np.sqrt(np.vecdot(.))`` equals ``np.linalg.norm`` row by row.
+    would.  ``np.sqrt(np.vecdot(.))`` equals ``_norm`` row by row.
     """
     rows = rng.generator.standard_normal((m, dim))
     norms = np.sqrt(np.vecdot(rows, rows))

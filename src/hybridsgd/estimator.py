@@ -30,6 +30,7 @@ from .core import (
     RngStream,
     _check_int,
     _check_real,
+    _norm,
     _shifted_rows,
     sample_gaussian,
 )
@@ -74,11 +75,9 @@ def _two_point_rows(obj: FiniteSumObjective, values: np.ndarray, i: int, mu: flo
         raise NumericError(
             f"objective returned a non-finite value in a two-point probe (sample {i})"
         )
-    # sqrt(x . x) is np.linalg.norm(x) bit for bit, and mu * sqrt(.) is
-    # monotone, so the shortest direction decides whether any falls under.
-    x = values[sl]
+    # mu * sqrt(.) is monotone, so the shortest direction decides whether any falls under.
     shortest = math.sqrt(np.minimum.reduce(np.vecdot(directions, directions)))
-    if mu * shortest < 1e3 * _EPS * math.sqrt(x.dot(x)):
+    if mu * shortest < 1e3 * _EPS * _norm(values[sl]):
         warnings.warn(
             "two-point perturbation mu*||v|| is below 1e3*eps of the block norm; "
             "the returned estimate is dominated by rounding error",

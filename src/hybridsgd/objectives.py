@@ -11,7 +11,7 @@ methods the full objective, on raw float64 arrays for hot loops;
 pair ``values_at_points(points, i)``/``grads_at_points(points, i)`` follows one
 rule: row k evaluates the k-th row of points, broadcast against the samples
 ``range(n)[i]``, for any leading shape.  So an int i evaluates sample i at every
-row of (m, d) points (the estimator and oracle), an int array of length m sample
+row of (m, d) points (the two-point estimator), an int array of length m sample
 i[k] at row k (the per-sample probes), and :data:`ALL`, the index of every
 sample, all n samples at one (d,) point (``full_value_at``, ``full_grad_at``,
 ``sample_variance``) or at each of (m, 1, d) points, shape (m, n) (the oracle).
@@ -547,4 +547,5 @@ def objective_from_dict(spec: dict) -> FiniteSumObjective:
     layout = BlockLayout(args.pop("d_x"), args.pop("d_y"))
     if "seed" not in args:
         return cls(layout, **args)
+    _check_int("n", args["n"], 1, int(np.iinfo(np.intp).max))  # more rows than numpy can index
     return cls.random(layout, rng=RngStream(args.pop("seed"), DATA_STREAM_ID), **args)

@@ -37,6 +37,7 @@ from .core import (
     _check_int,
     _check_real,
     _check_type,
+    _norm,
     _write_csv,
     shuffle_permutation,
 )
@@ -133,12 +134,6 @@ def step(
     if not np.isfinite(new_values).all():
         raise NumericError(f"non-finite update from sample {i}")
     return new_values
-
-
-def _norm(v: np.ndarray) -> float:
-    # np.linalg.norm of a 1-d float array is sqrt(v . v); the same bits,
-    # without its per-call dispatch on ord and axis
-    return math.sqrt(v.dot(v))
 
 
 def run_epoch(

@@ -4,21 +4,20 @@ and the check suite behind ``hybridsgd check``.
 The validators are deliberately slow: gradients come from value-only central
 differences, Hessians from coordinate-wise central differences of analytic
 gradients (both with the fixed step 1e-5), and the estimator bounds from plain
-Monte Carlo.  The 2d points w +- h e_j go to the objective's batched pair in
-one call per row block, the same bits as one coordinate at a time.  The
-curvature envelope check has the fixed tolerance 1e-6.  The optimizer,
-estimator, probe and planner never import this module; tests and the CLI's
-``check`` command use it, so that agreement is evidence rather than the same
-formula evaluated twice.  The check suite also compares the curvature probes
-with exact block curvatures and with this module's dense Hessian.  The Monte
-Carlo draws of one bound check are a single (draws, d_x) Gaussian block
+Monte Carlo.  One table holds a point's central differences, of the full
+objective and of every sample, from one batched call per row block on the 2d
+points w +- h e_j: the same bits as one coordinate and target at a time.  The
+optimizer, estimator, probe and planner never import this module; tests and the
+CLI's ``check`` command use it, so that agreement is evidence rather than the
+same formula evaluated twice.  The check suite also compares the curvature
+probes with exact block curvatures and with this module's dense Hessian.  The
+Monte Carlo draws of one bound check are a single (draws, d_x) Gaussian block
 evaluated through the estimator's row helper, the same bits as drawing and
 evaluating them one at a time.
 """
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,6 +32,8 @@ from .core import (
     _check_real,
     _check_type,
     _gaussian_point,
+    _mean_stderr,
+    _norm,
     sample_gaussian,
 )
 from .estimator import _two_point_rows
@@ -59,18 +60,19 @@ _H = 1e-5  # central-difference step of fd_gradient and dense_hessian
 _ENVELOPE_TOL = 1e-6  # margin by which check_hybrid_smoothness may exceed an envelope
 
 
-def _central_differences(obj: FiniteSumObjective, pair, values: np.ndarray, i: int | slice) -> np.ndarray:
-    """Row j: (F(values + h e_j) - F(values - h e_j)) / 2h, h = _H, F being pair at sample i or, for
-    i = ALL, pair's sample mean (the bits of full_value_at/full_grad_at).  The 2d points go to pair in
-    the row blocks of ``_row_blocks`` at n d elements a row, n = 1 for a sample, so memory stays flat."""
-    d, n, out = len(values), (obj.n if i is ALL else 1), []
+def _central_differences(obj: FiniteSumObjective, pair, values: np.ndarray) -> np.ndarray:
+    """Row j: (F(values + h e_j) - F(values - h e_j)) / 2h, h = _H, F being in column 0 pair's sample
+    mean (the bits of full_value_at/full_grad_at) and in column 1 + i pair at sample i.  The 2d points
+    go to pair with ALL in the ``_row_blocks`` of n d elements a row, so memory stays flat."""
+    d, n, out = len(values), obj.n, []
     for rows in _row_blocks(2 * d, n * d):
         k = rows.start
         points, p = np.repeat(values[None], rows.stop - k, 0), max(d - k, 0)
         # row q is point k + q of the 2d: values + h e_(k + q) below d, values - h e_(k + q - d) after
         points[:p].reshape(-1)[k::d + 1] += _H
         points[p:].reshape(-1)[max(k - d, 0)::d + 1] -= _H
-        out.append(np.add.reduce(pair(points[:, None], i), 1) / n if i is ALL else pair(points, i))
+        f = pair(points[:, None], ALL)
+        out.append(np.concatenate([np.add.reduce(f, 1, keepdims=True) / n, f], 1))
     f = np.concatenate(out)
     return (f[:d] - f[d:]) / (2.0 * _H)
 
@@ -78,21 +80,20 @@ def _central_differences(obj: FiniteSumObjective, pair, values: np.ndarray, i: i
 def fd_gradient(obj: FiniteSumObjective, w: HybridPoint, i: int | None = None) -> np.ndarray:
     """Central-difference gradient of f(.; i), or of the full objective for i=None.
 
-    Uses objective values only, one ``values_at_points`` call per row block, so it
-    validates analytic gradients without sharing any code with them.  O(h^2)
-    accurate, with h = _H.
+    Uses objective values only, one column of the point's table, so it validates
+    analytic gradients without sharing any code with them.  O(h^2) accurate, h = _H.
     """
-    return _central_differences(obj, obj.values_at_points, obj.check_point(w),
-                                ALL if i is None else obj.check_sample(i))
+    values, column = obj.check_point(w), 0 if i is None else 1 + obj.check_sample(i)
+    return _central_differences(obj, obj.values_at_points, values)[:, column]
 
 
 def dense_hessian(obj: FiniteSumObjective, w: HybridPoint) -> np.ndarray:
     """Finite-difference Hessian of the full objective, symmetrized as (H + H^T)/2.
 
     Column j of H is the central difference (step _H) of the analytic full
-    gradient along coordinate j, one ``grads_at_points`` call per row block.
+    gradient along coordinate j, column 0 of the table on ``grads_at_points``.
     """
-    columns = _central_differences(obj, obj.grads_at_points, obj.check_point(w), ALL).T
+    columns = _central_differences(obj, obj.grads_at_points, obj.check_point(w))[:, 0].T
     return 0.5 * (columns + columns.T)
 
 
@@ -119,8 +120,7 @@ def _exact_report(name: str, lhs: float, rhs: float, trials: int) -> BoundCheckR
 
 
 def _mc_report(name: str, samples: np.ndarray, rhs: float) -> BoundCheckReport:
-    mean = float(np.mean(samples))
-    stderr = float(np.std(samples, ddof=1)) / math.sqrt(len(samples))
+    mean, stderr = _mean_stderr(samples)
     return BoundCheckReport(name, mean, stderr, float(rhs), len(samples), bool(mean <= rhs + 3.0 * stderr))
 
 
@@ -156,7 +156,7 @@ def check_estimator_bounds(
 
     d_x = obj.layout.d_x
     g = obj.grad_at(values, i)[:d_x]
-    g_norm = float(np.linalg.norm(g))
+    g_norm = _norm(g)
 
     directions = sample_gaussian(rng, trials * d_x).reshape(trials, d_x)
     err = _two_point_rows(obj, values, i, float(mu), directions, slice(0, d_x))
@@ -181,10 +181,10 @@ def check_hybrid_smoothness(obj: FiniteSumObjective, points, ell_x, ell_y) -> Bo
     """
     pts = obj.check_points(points)
     d_x = obj.layout.d_x
-    worst = -math.inf
+    worst = -np.inf
     for w in pts:
         hess = dense_hessian(obj, w)
-        grad_norm = float(np.linalg.norm(obj.grad_full(w)))
+        grad_norm = _norm(obj.grad_full(w))
         lam_x = float(np.linalg.eigvalsh(hess[:d_x, :d_x])[-1])
         lam_y = float(np.linalg.eigvalsh(hess[d_x:, d_x:])[-1])
         worst = max(worst, lam_x - float(ell_x(grad_norm)), lam_y - float(ell_y(grad_norm)))
@@ -193,12 +193,11 @@ def check_hybrid_smoothness(obj: FiniteSumObjective, points, ell_x, ell_y) -> Bo
 
 def _grad_agreement_report(name: str, obj: FiniteSumObjective, points) -> BoundCheckReport:
     worst = 0.0
-    for w in points:
-        for i in [None, *range(obj.n)]:
-            approx = fd_gradient(obj, w, i)  # validates w and i
-            exact = obj.full_grad_at(w.values) if i is None else obj.grad_at(w.values, i)
-            scale = max(float(np.linalg.norm(exact)), 1e-12)
-            worst = max(worst, float(np.linalg.norm(approx - exact)) / scale)
+    for values in map(obj.check_point, points):
+        approx = _central_differences(obj, obj.values_at_points, values).T
+        exact = np.concatenate([obj.full_grad_at(values)[None], obj.grads_at_points(values, ALL)])
+        for a, e in zip(approx, exact):
+            worst = max(worst, _norm(a - e) / max(_norm(e), 1e-12))
     return _exact_report(name, worst, 1e-6, len(points))
 
 

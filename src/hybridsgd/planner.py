@@ -16,9 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
-from .core import Block, NumericError, RngStream, _check_finite, _check_int, _check_real, _check_type
+from .core import Block, NumericError, RngStream, _check_finite, _check_int, _check_real, _check_type, _norm
 from .objectives import ALL, FiniteSumObjective
 from .probe import ProbeConfig, estimate_block_lipschitz
 
@@ -178,7 +176,7 @@ def estimate_constants(
             sample_lb = estimate_block_lipschitz(obj, w, bcfg, rng, sample=ALL).operator_lb
             L[block] = max(L[block], full_lb)
             L_max[block] = max(L_max[block], full_lb, sample_lb)
-        grad_bound = max(grad_bound, float(np.linalg.norm(obj.grad_full(w))))
+        grad_bound = max(grad_bound, _norm(obj.grad_full(w)))
         sigma = max(sigma, math.sqrt(obj.sample_variance(w)))
 
     f_gap = max(0.0, obj.eval_full(pts[0]) - f_star)

@@ -34,6 +34,8 @@ from .core import (
     _check_int,
     _check_real,
     _check_type,
+    _mean_stderr,
+    _norm,
     _shifted_rows,
     _unit_sphere_rows,
     _write_csv,
@@ -149,21 +151,13 @@ def estimate_block_lipschitz(
         hv = _hvp_rows(obj, values, directions, cfg.h, cfg.target, group)[:, sl]
         parts.append(np.vecdot(hv, hv))
     sq = np.concatenate(parts)
-    m = len(sq)
-    # np.max(np.sqrt(sq)), np.mean(sq) and np.std(sq, ddof=1) by numpy's own steps,
-    # the same bits without their dispatch (sqrt is monotone and correctly rounded)
+    # the largest sqrt is the sqrt of the largest: sqrt is monotone and correctly rounded
     operator_lb = sqrt(np.maximum.reduce(sq))
-    mean_sq = float(np.add.reduce(sq) / m)
+    mean_sq, se_mean = _mean_stderr(sq)
     raw = sqrt(mean_sq)
     scaled = sqrt(dim * mean_sq)
-    if m > 1 and mean_sq > 0.0:
-        dev = sq - mean_sq
-        dev *= dev
-        se_mean = sqrt(np.add.reduce(dev) / (m - 1)) / sqrt(m)
-        stderr = sqrt(dim) * se_mean / (2.0 * raw)
-    else:
-        stderr = 0.0
-    return ProbeReport(raw, scaled, operator_lb, stderr, m, cfg.h, cfg.target)
+    stderr = sqrt(dim) * se_mean / (2.0 * raw) if len(sq) > 1 and mean_sq > 0.0 else 0.0
+    return ProbeReport(raw, scaled, operator_lb, stderr, len(sq), cfg.h, cfg.target)
 
 
 def trajectory_scan(
@@ -175,7 +169,7 @@ def trajectory_scan(
     """(full gradient norm, probe report) at each point, in trajectory order."""
     out = []
     for w in obj.check_points(points):
-        grad_norm = float(np.linalg.norm(obj.grad_full(w)))
+        grad_norm = _norm(obj.grad_full(w))
         out.append((grad_norm, estimate_block_lipschitz(obj, w, cfg, rng)))
     return out
 

@@ -244,7 +244,10 @@ def _assert_rejected_by_name(tmp_path, capsys, command, path, value, rule):
     "command, path, value, rule",
     _cases(COUNTS, (True, 2.9, "5", "0.1"), "must be an integer >= ")
     + _cases([("probe", ("trajectory", "snapshot_every"))], (0,), "must be an integer >= ")
-    + _cases(SEEDS, (True, 2.9, "0.1"), "must be an integer in ["),
+    + _cases(SEEDS, (True, 2.9, "0.1"), "must be an integer in [")
+    # more rows than numpy can index, for every family before any data is drawn
+    + _cases([(kind, ("objective", "n")) for kind in GENERATED], (2**63, 10**30),
+             f"must be an integer in [1, {2**63 - 1}], got "),
 )
 def test_count_fields_must_be_integers(tmp_path, capsys, command, path, value, rule):
     _assert_rejected_by_name(tmp_path, capsys, command, path, value, rule)

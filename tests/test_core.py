@@ -18,7 +18,8 @@ from hybridsgd import (
     fmt17,
     sample_gaussian,
 )
-from hybridsgd.core import _check_array, _unit_sphere_rows, sample_unit_sphere, shuffle_permutation
+from hybridsgd.core import (_check_array, _mean_stderr, _norm, _unit_sphere_rows, sample_unit_sphere,
+                            shuffle_permutation)
 
 
 def test_layout_dimensions():
@@ -204,6 +205,15 @@ def test_batched_unit_sphere_rejects_zero_rows_like_sequential_draws():
     assert batched.position == sequential.position == 14
     public = _ReplayStream(rows)
     assert np.array_equal(np.stack([sample_unit_sphere(public, 2) for _ in range(4)]), out)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 17, 500, 5000])
+def test_norm_and_mean_stderr_are_the_bits_of_numpy(m):
+    samples = 3.0 + 1e3 * sample_gaussian(RngStream(62, m), m) ** 2
+    assert _norm(samples) == float(np.linalg.norm(samples))
+    mean, stderr = _mean_stderr(samples)
+    assert mean == float(np.mean(samples))
+    assert stderr == (float(np.std(samples, ddof=1)) / np.sqrt(m) if m > 1 else 0.0)
 
 
 def test_shuffle_single_and_bijection():

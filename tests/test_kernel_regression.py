@@ -12,7 +12,8 @@ optimizer's raw-array loop is run against a reference loop that validates
 its inputs and builds a HybridPoint on every step, with the estimator's rows
 summed one by one into a zero accumulator.  The oracle's batched central
 differences are run against the per-coordinate loop they replaced, with the
-objective's own per-point full_value_at/full_grad_at and value_at.
+objective's own per-point full_value_at/full_grad_at and value_at, and the
+gradient check against one fd_gradient per target.
 Traces, final iterates, run results and output files must agree bit for bit,
 so the check holds on any BLAS build without hard-coded hashes.
 """
@@ -392,6 +393,18 @@ def _reference_dense_hessian(obj, w):
     return 0.5 * (columns + columns.T)
 
 
+def _reference_grad_agreement_report(name, obj, points):
+    """The gradient check as one fd_gradient per target: the full objective, then each sample."""
+    worst = 0.0
+    for w in points:
+        for i in [None, *range(obj.n)]:
+            approx = _reference_fd_gradient(obj, w, i)
+            exact = obj.full_grad_at(w.values) if i is None else obj.grad_at(w.values, i)
+            scale = max(float(np.linalg.norm(exact)), 1e-12)
+            worst = max(worst, float(np.linalg.norm(approx - exact)) / scale)
+    return oracle.BoundCheckReport(name, worst, 0.0, 1e-6, len(points), bool(worst <= 1e-6))
+
+
 def _oracle_objective(kind, n, seed):
     """A family from FAMILY_SPECS on d = 7, or for "offset" an OffsetObjective of logistic:
     a subclass with only value_at/grad_at, so the oracle reads the base-class loop."""
@@ -412,40 +425,43 @@ def _oracle_results(obj, w, fd_gradient=oracle.fd_gradient, dense_hessian=oracle
 @pytest.mark.parametrize("kind", [*sorted(FAMILY_SPECS), "offset"])
 def test_oracle_central_differences_match_per_coordinate_loop(kind, n):
     obj = _oracle_objective(kind, n, 26)
+    points = []
     for k, scale in enumerate((1.0, 0.01, 30.0)):
         w = HybridPoint(obj.layout, scale * sample_gaussian(RngStream(26, k), obj.layout.d))
         want = _oracle_results(obj, w, _reference_fd_gradient, _reference_dense_hessian)
         for got, ref in zip(_oracle_results(obj, w), want, strict=True):
             assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), (kind, n, scale)
+        points.append(w)
+    # the gradient check reads one table a point; the reference runs one target at a time
+    want = _reference_grad_agreement_report("grad", obj, points)
+    assert oracle._grad_agreement_report("grad", obj, points) == want
 
 
 @pytest.mark.parametrize("budget_rows", [0, 1, 3, 5, 14])
 @pytest.mark.parametrize("kind", sorted(FAMILY_SPECS))
 def test_oracle_central_differences_go_in_row_blocks(monkeypatch, kind, budget_rows):
-    # With a budget of R n d (1 for R = 0), the 2d = 14 points of a target of m samples
-    # (n for the full objective, 1 for a sample) go in ceil(2 d m d / budget) calls of at
-    # most budget / (m d) rows, or in 2d calls of one row when the budget is below m d;
-    # blocks of 3 and 5 rows hold both +h and -h points.  The bits are those of one call.
+    # With a budget of R n d (1 for R = 0), the 2d = 14 points of every target, the full
+    # objective and each sample alike, go to the pair with ALL on (rows, 1, d) points in
+    # ceil(2 d n d / budget) calls of at most budget / (n d) rows, or in 2d calls of one row
+    # when the budget is below n d; blocks of 3 and 5 rows hold both +h and -h points.  The
+    # bits are those of one call.
     n, d = 9, 7
     obj = _oracle_objective(kind, n, 27)
     w = HybridPoint(obj.layout, sample_gaussian(RngStream(27, 1), d))
     want = _oracle_results(obj, w)
     budget = budget_rows * n * d or 1
     monkeypatch.setattr(objectives, "_ROW_BUDGET", budget)
-    shapes = {pair: [] for pair in PAIR}
+    calls = {pair: [] for pair in PAIR}
     for pair in PAIR:
         def counted(points, i, pair=pair, kernel=getattr(obj, pair)):
-            shapes[pair].append(points.shape)
+            calls[pair].append((points.shape, i))
             return kernel(points, i)
         monkeypatch.setattr(obj, pair, counted)
     for got, ref in zip(_oracle_results(obj, w), want, strict=True):
         assert got.tobytes() == ref.tobytes()
-    calls = {m: -(-2 * d * m * d // budget) if budget >= m * d else 2 * d for m in (1, n)}
-    # values: the full target, then three samples; gradients: the full target only
-    full = calls[n]
-    assert len(shapes["values_at_points"]) == full + 3 * calls[1]
-    assert len(shapes["grads_at_points"]) == full
-    for shape in shapes["values_at_points"][:full] + shapes["grads_at_points"]:
-        assert shape[1:] == (1, d) and shape[0] * n * d <= max(budget, n * d)
-    for shape in shapes["values_at_points"][full:]:
-        assert shape[1:] == (d,) and shape[0] * d <= max(budget, d)
+    per_table = -(-2 * d * n * d // budget) if budget >= n * d else 2 * d
+    # values: one table for the full target and one for each of three samples; gradients: one
+    assert len(calls["values_at_points"]) == 4 * per_table
+    assert len(calls["grads_at_points"]) == per_table
+    for shape, i in calls["values_at_points"] + calls["grads_at_points"]:
+        assert i is objectives.ALL and shape[1:] == (1, d) and shape[0] * n * d <= max(budget, n * d)

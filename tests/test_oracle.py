@@ -17,7 +17,6 @@ from hybridsgd import (
     sample_gaussian,
 )
 from hybridsgd import oracle
-from hybridsgd.objectives import ALL
 
 LAYOUT = BlockLayout(3, 2)
 
@@ -62,7 +61,7 @@ def test_dense_hessian_cosh_identity_at_shift():
 def test_dense_hessian_asymmetry_is_noise():
     obj = LogisticObjective.random(LAYOUT, 5, RngStream(134, 0xDA7A))
     w = HybridPoint(LAYOUT, 0.2 * np.ones(5))
-    raw = oracle._central_differences(obj, obj.grads_at_points, w.values, ALL).T
+    raw = oracle._central_differences(obj, obj.grads_at_points, w.values)[:, 0].T
     asym = np.linalg.norm(raw - raw.T)
     assert asym <= 1e-6 * max(np.linalg.norm(raw), 1.0)
 
