@@ -45,6 +45,7 @@ kind's table of data keys, shared keys and generation-only keys.
 from __future__ import annotations
 
 import abc
+from functools import partial
 
 import numpy as np
 
@@ -505,7 +506,7 @@ _LAYOUT_KEYS = {
 
 # kind: (class name, explicit data keys, keys both paths share, generation-only
 # keys), each key with its default.  Data and shared values go unchecked to the
-# class, which validates them; generation-only values are counts (n) or reals.
+# class, which validates them; generation-only values are reals or n up to numpy's largest index.
 # The class is looked up in this module's globals when a spec is read.
 _KINDS = {
     "block_quadratic": ("BlockQuadratic", {"centers": _REQUIRED}, {"a_x": _REQUIRED, "a_y": _REQUIRED},
@@ -528,7 +529,7 @@ def _path_keys(spec: dict) -> dict:
     if spec.get(next(iter(data))) is not None:
         return {**{key: (None, default) for key, default in data.items()}, **table}
     return {"seed": (_check_u64, _REQUIRED), **table, **{
-        key: (_check_int if key == "n" else _check_finite, default)
+        key: (partial(_check_int, hi=int(np.iinfo(np.intp).max)) if key == "n" else _check_finite, default)
         for key, default in generated.items()
     }}
 
@@ -547,5 +548,4 @@ def objective_from_dict(spec: dict) -> FiniteSumObjective:
     layout = BlockLayout(args.pop("d_x"), args.pop("d_y"))
     if "seed" not in args:
         return cls(layout, **args)
-    _check_int("n", args["n"], 1, int(np.iinfo(np.intp).max))  # more rows than numpy can index
     return cls.random(layout, rng=RngStream(args.pop("seed"), DATA_STREAM_ID), **args)

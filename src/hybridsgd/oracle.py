@@ -60,10 +60,10 @@ _H = 1e-5  # central-difference step of fd_gradient and dense_hessian
 _ENVELOPE_TOL = 1e-6  # margin by which check_hybrid_smoothness may exceed an envelope
 
 
-def _central_differences(obj: FiniteSumObjective, pair, values: np.ndarray) -> np.ndarray:
-    """Row j: (F(values + h e_j) - F(values - h e_j)) / 2h, h = _H, F being in column 0 pair's sample
-    mean (the bits of full_value_at/full_grad_at) and in column 1 + i pair at sample i.  The 2d points
-    go to pair with ALL in the ``_row_blocks`` of n d elements a row, so memory stays flat."""
+def _central_differences(obj: FiniteSumObjective, pair, values: np.ndarray, samples: bool) -> np.ndarray:
+    """Row j: (F(values + h e_j) - F(values - h e_j)) / 2h, h = _H, with F pair's sample mean in column 0
+    (the bits of full_value_at/full_grad_at) and, with samples, pair at sample i in column 1 + i.  The 2d
+    points go to pair with ALL in ``_row_blocks`` of n d elements a row; a block keeps just those columns."""
     d, n, out = len(values), obj.n, []
     for rows in _row_blocks(2 * d, n * d):
         k = rows.start
@@ -72,7 +72,9 @@ def _central_differences(obj: FiniteSumObjective, pair, values: np.ndarray) -> n
         points[:p].reshape(-1)[k::d + 1] += _H
         points[p:].reshape(-1)[max(k - d, 0)::d + 1] -= _H
         f = pair(points[:, None], ALL)
-        out.append(np.concatenate([np.add.reduce(f, 1, keepdims=True) / n, f], 1))
+        mean = np.add.reduce(f, 1, keepdims=True) / n
+        out.append(np.concatenate([mean, f], 1) if samples else mean)
+        del f  # free this block's evaluations before the next block's pair call
     f = np.concatenate(out)
     return (f[:d] - f[d:]) / (2.0 * _H)
 
@@ -84,16 +86,16 @@ def fd_gradient(obj: FiniteSumObjective, w: HybridPoint, i: int | None = None) -
     analytic gradients without sharing any code with them.  O(h^2) accurate, h = _H.
     """
     values, column = obj.check_point(w), 0 if i is None else 1 + obj.check_sample(i)
-    return _central_differences(obj, obj.values_at_points, values)[:, column]
+    return _central_differences(obj, obj.values_at_points, values, i is not None)[:, column]
 
 
 def dense_hessian(obj: FiniteSumObjective, w: HybridPoint) -> np.ndarray:
     """Finite-difference Hessian of the full objective, symmetrized as (H + H^T)/2.
 
     Column j of H is the central difference (step _H) of the analytic full
-    gradient along coordinate j, column 0 of the table on ``grads_at_points``.
+    gradient along coordinate j, the mean column of ``grads_at_points``.
     """
-    columns = _central_differences(obj, obj.grads_at_points, obj.check_point(w))[:, 0].T
+    columns = _central_differences(obj, obj.grads_at_points, obj.check_point(w), False)[:, 0].T
     return 0.5 * (columns + columns.T)
 
 
@@ -194,8 +196,8 @@ def check_hybrid_smoothness(obj: FiniteSumObjective, points, ell_x, ell_y) -> Bo
 def _grad_agreement_report(name: str, obj: FiniteSumObjective, points) -> BoundCheckReport:
     worst = 0.0
     for values in map(obj.check_point, points):
-        approx = _central_differences(obj, obj.values_at_points, values).T
-        exact = np.concatenate([obj.full_grad_at(values)[None], obj.grads_at_points(values, ALL)])
+        approx = _central_differences(obj, obj.values_at_points, values, True).T
+        exact = [obj.full_grad_at(values), *(obj.grad_at(values, i) for i in range(obj.n))]
         for a, e in zip(approx, exact):
             worst = max(worst, _norm(a - e) / max(_norm(e), 1e-12))
     return _exact_report(name, worst, 1e-6, len(points))

@@ -156,7 +156,7 @@ def estimate_block_lipschitz(
     mean_sq, se_mean = _mean_stderr(sq)
     raw = sqrt(mean_sq)
     scaled = sqrt(dim * mean_sq)
-    stderr = sqrt(dim) * se_mean / (2.0 * raw) if len(sq) > 1 and mean_sq > 0.0 else 0.0
+    stderr = sqrt(dim) * se_mean / (2.0 * raw) if mean_sq > 0.0 else 0.0
     return ProbeReport(raw, scaled, operator_lb, stderr, len(sq), cfg.h, cfg.target)
 
 
