@@ -15,9 +15,9 @@ them.  The tables below check the CLI's own keys: a count must be a JSON
 integer, a real a finite JSON number (an int becomes a float, a bool or a
 string is an error).  The directory of ``--out`` is checked before any compute.
 
-Exit codes (stable contract): 0 success, 1 check failure, 2 config error,
-3 divergence, 4 numeric failure, 5 internal error (a bug: the traceback is
-printed).
+Exit codes (stable contract): 0 success, 1 check failure, 2 config error (an
+unallocatable size included), 3 divergence, 4 numeric failure, 5 internal
+error (a bug: the traceback is printed).
 """
 from __future__ import annotations
 
@@ -426,8 +426,8 @@ def main(argv=None) -> int:
         if out is not None and (out.is_dir() or not out.parent.is_dir()):
             raise ValueError(f"--out {args.out}: not a file in an existing directory")
         return args.handler(args)
-    except (ValueError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:  # Python's own MemoryError has no message
+        print(f"config error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -132,11 +133,17 @@ _REQUIRED = object()
 
 
 def _load_json(path):
-    """The JSON value in a file; a ValueError naming the file if it is not JSON
-    or is nested too deeply for the decoder."""
+    """The JSON value in a file; a ValueError naming the file if it is not JSON,
+    repeats a key in one object or is nested too deeply for the decoder."""
+    def unique_keys(pairs: list) -> dict:
+        repeated = [key for key, count in Counter(key for key, _ in pairs).items() if count > 1]
+        if repeated:
+            raise ValueError(f"{path}: duplicate key {repeated[0]!r}")
+        return dict(pairs)
+
     with open(Path(path), "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON ({exc})") from exc
         except RecursionError as exc:

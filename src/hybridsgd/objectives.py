@@ -6,18 +6,18 @@ module cross-checks them against finite differences.  Instances are immutable
 after construction and safe to evaluate concurrently.
 
 ``value_at``/``grad_at`` evaluate one sample at one point, and the ``full_*``
-methods the full objective, on raw float64 arrays for hot loops;
-``eval_full``/``grad_full`` validate a :class:`HybridPoint` first.  The batched
-pair ``values_at_points(points, i)``/``grads_at_points(points, i)`` follows one
-rule: row k evaluates the k-th row of points, broadcast against the samples
-``range(n)[i]``, for any leading shape.  So an int i evaluates sample i at every
-row of (m, d) points (the two-point estimator), an int array of length m sample
-i[k] at row k (the per-sample probes), and :data:`ALL`, the index of every
-sample, all n samples at one (d,) point (``full_value_at``, ``full_grad_at``,
-``sample_variance``) or at each of (m, 1, d) points, shape (m, n) (the oracle).
-The base class loops the pair over ``value_at``/``grad_at``; each family
-overrides it with one vectorised body, bit-identical to that loop, and a
-family that overrides ``value_at``/``grad_at`` must do the same.
+methods the full objective, on raw float64 arrays for hot loops and with no
+check of i; ``eval_full``/``grad_full`` validate a :class:`HybridPoint` first.
+The batched pair ``values_at_points(points, i)``/``grads_at_points(points, i)``
+follows one rule: row k evaluates the k-th row of points, broadcast against the
+samples ``range(n)[i]``, for any leading shape.  So an int i evaluates sample i
+at every row of (m, d) points (the two-point estimator), an int array of length
+m sample i[k] at row k (the per-sample probes), and :data:`ALL`, the index of
+every sample, all n samples at one (d,) point (``full_value_at``,
+``full_grad_at``, ``sample_variance``) or at each of (m, 1, d) points, shape
+(m, n) (the oracle).  The base class loops the pair over ``value_at``/``grad_at``;
+each family overrides it with one vectorised body, bit-identical to that loop,
+and a family that overrides ``value_at``/``grad_at`` must do the same.
 
 The kernel ``full_values_and_grads_at_points(points)`` gives the full value and
 gradient at every row, shapes (m,) and (m, d), for full-objective probes and,
@@ -156,14 +156,6 @@ class FiniteSumObjective(abc.ABC):
         for w in points:
             self.check_point(w)
         return points
-
-    def check_sample(self, i: int) -> int:
-        """Validate a sample index (negative indices never wrap)."""
-        if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
-            raise IndexError(f"sample index must be an integer, got {i!r}")
-        if not 0 <= i < self._n:
-            raise IndexError(f"sample index {i} out of range [0, {self._n})")
-        return int(i)
 
     def eval_full(self, w: HybridPoint) -> float:
         return self.full_value_at(self.check_point(w))

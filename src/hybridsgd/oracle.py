@@ -85,7 +85,7 @@ def fd_gradient(obj: FiniteSumObjective, w: HybridPoint, i: int | None = None) -
     Uses objective values only, one column of the point's table, so it validates
     analytic gradients without sharing any code with them.  O(h^2) accurate, h = _H.
     """
-    values, column = obj.check_point(w), 0 if i is None else 1 + obj.check_sample(i)
+    values, column = obj.check_point(w), 0 if i is None else 1 + _check_int("i", i, 0, obj.n - 1)
     return _central_differences(obj, obj.values_at_points, values, i is not None)[:, column]
 
 
@@ -147,7 +147,7 @@ def check_estimator_bounds(
     (unbounded curvature, as cosh) is an error.
     """
     values = obj.check_point(w)
-    i = obj.check_sample(i)
+    i = _check_int("i", i, 0, obj.n - 1)
     _check_real("mu", mu)
     _check_int("trials", trials, 2)
     _check_type("rng", rng, RngStream)

@@ -12,12 +12,12 @@ norm by sqrt(dim); both the raw and the corrected value are reported.
 
 K probes at one point are batched: one (K, dim) unit-sphere draw, and the base
 and K perturbed gradients in ``full_values_and_grads_at_points`` calls over row
-blocks for the full objective.  Per-sample probes go in groups of samples: one
-(g K, dim) draw and one ``grads_at_points`` call on g(K + 1) rows with an
-int-array sample selector, a single sample being the group of one.  A draw
-consumes the stream exactly as its sequential draws would, so the statistics
-are the same bits as probing one direction, and one sample, at a time.  The
-validated entry points are ``estimate_block_lipschitz`` and ``trajectory_scan``.
+blocks for the full objective.  Per-sample probes (``sample=ALL``) go in groups
+of samples: one (g K, dim) draw and one ``grads_at_points`` call on g(K + 1)
+rows with an int-array sample selector.  A draw consumes the stream exactly as
+its sequential draws would, so the statistics are the same bits as probing one
+direction, and one sample, at a time.  The validated entry points are
+``estimate_block_lipschitz`` and ``trajectory_scan``.
 """
 from __future__ import annotations
 
@@ -89,19 +89,18 @@ def _hvp_rows(
     directions: np.ndarray,
     h: float,
     block: Block,
-    sample: int | np.ndarray | None,
+    sample: np.ndarray | None,
 ) -> np.ndarray:
     """Products (grad(w + h v~) - grad(w)) / h, v~ being a row v of directions
     placed in the block (zero elsewhere), shape (m, d); inputs assumed validated.
 
-    sample=None probes the full objective; an int, or an int array of g samples,
-    probes each sample along its own m / g consecutive rows.  Each base gradient
-    is evaluated once for its rows, as row 0 of the same m / g + 1 points: for
-    samples all g(m / g + 1) points are one ``grads_at_points`` call with one
-    sample index per row; the full objective's go through
+    sample=None probes the full objective; an int array of g samples probes each sample
+    along its own m / g consecutive rows.  Each base gradient is evaluated once for its rows,
+    as row 0 of the same m / g + 1 points: for samples all g(m / g + 1) points are one
+    ``grads_at_points`` call with one sample index per row; the full objective's go through
     ``full_values_and_grads_at_points`` in the ``_row_blocks`` of the family's ``_full_row_cost``.
     """
-    d, g = len(values), 1 if sample is None else np.size(sample)
+    d, g = len(values), 1 if sample is None else len(sample)
     shifts = h * directions.reshape(g, -1, directions.shape[1])
     points = _shifted_rows(values, obj.layout.slice_of(block), shifts).reshape(-1, d)
     if sample is None:
@@ -122,13 +121,13 @@ def estimate_block_lipschitz(
     w: HybridPoint,
     cfg: ProbeConfig,
     rng: RngStream,
-    sample: int | slice | None = None,
+    sample: slice | None = None,
 ) -> ProbeReport:
     """Probe the target block's curvature with cfg.probes unit directions.
 
-    sample=None probes the full objective and an int i sample i alone.  ALL
-    probes each of the n samples with its own cfg.probes directions and pools
-    them in one report: n K probes, operator_lb the max over all of them.
+    sample=None probes the full objective.  sample=ALL probes each of the n
+    samples with its own cfg.probes directions and pools them in one report:
+    n K probes, operator_lb the max over all of them.  Any other value is an error.
 
     A base gradient is evaluated once and shared by its K probes, so K probes
     cost K + 1 gradients, and n K per-sample probes n(K + 1).  Samples go in the
@@ -140,9 +139,10 @@ def estimate_block_lipschitz(
     _check_type("rng", rng, RngStream)
     values = obj.check_point(w)
     groups = [None]
-    if sample is not None:
-        samples = np.arange(obj.n) if sample is ALL else np.array([obj.check_sample(sample)])
-        groups = [samples[rows] for rows in _row_blocks(len(samples), (cfg.probes + 1) * len(values))]
+    if sample is ALL:
+        groups = [np.arange(obj.n)[rows] for rows in _row_blocks(obj.n, (cfg.probes + 1) * len(values))]
+    elif sample is not None:
+        raise ValueError(f"sample must be None or objectives.ALL, got {sample!r}")
     sl = obj.layout.slice_of(cfg.target)
     dim = sl.stop - sl.start
     parts = []

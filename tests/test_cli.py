@@ -4,6 +4,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -326,6 +329,70 @@ def test_deeply_nested_input_is_a_config_error(tmp_path, capsys):
     assert err.startswith("config error: values must have shape (3,), got a list nested 70 levels deep")
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]  # no output written
+
+
+def _repeat_key(payload: dict, key: str, first) -> str:
+    """payload as JSON text in which key is given twice in its object: first, then its own value."""
+    text = json.dumps(payload)
+    assert text.count(f'"{key}": ') == 1
+    return text.replace(f'"{key}": ', f'"{key}": {json.dumps(first)}, "{key}": ')
+
+
+@pytest.mark.parametrize("where", ["config", "objective file", "constants"])
+def test_a_key_given_twice_is_a_config_error(tmp_path, capsys, where):
+    # the decoder alone keeps a repeated key's last value: {"eta_x": 0.1, "eta_x": 5.0}
+    # ran at 5.0 and diverged.  Every JSON file the CLI reads rejects it, naming the file.
+    config, out = tmp_path / "c.json", tmp_path / "out.csv"
+    if where == "config":
+        config.write_text(_repeat_key(_run_config(rates={"eta_x": 5.0, "eta_y": 0.05}), "eta_x", 0.1),
+                          encoding="utf-8")
+        argv, named, key = ["run", "--config"], config, "eta_x"
+    elif where == "objective file":
+        named, key = tmp_path / "quad.json", "a_x"
+        named.write_text(_repeat_key(QUAD, "a_x", 40.0), encoding="utf-8")
+        config.write_text(json.dumps(_run_config(objective="quad.json")), encoding="utf-8")
+        argv = ["run", "--config"]
+    else:
+        config.write_text(_repeat_key(COMMANDS["constants"][1], "n", 1), encoding="utf-8")
+        argv, named, key = ["plan", "--constants"], config, "n"
+    assert main([*argv, str(config), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"config error: {named}: duplicate key '{key}'\n")
+    assert not out.exists()
+
+
+# A child interpreter whose address space is capped at 1 GiB: an allocation beyond it
+# fails at once, whatever the host's overcommit setting, and nothing is touched.
+_CAPPED_CHILD = """import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from hybridsgd.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("command, path", [("run", ("objective", "n")), ("probe-points", ("probe", "probes"))])
+def test_a_size_too_large_to_allocate_is_a_config_error(tmp_path, command, path):
+    # 10**12 generated samples, or 10**12 probe directions, is an array of 7 to 22 TiB
+    words, cfg = COMMANDS[command]
+    config, out = _write_config(tmp_path, "c.json", _set(cfg, path, 10**12)), tmp_path / "out.csv"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_CHILD, *words, "--config", config,
+                           "--out", str(out)], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert proc.stderr.startswith("config error: Unable to allocate "), proc.stderr
+    assert f"shape ({10**12}, " in proc.stderr and proc.stderr.count("\n") == 1
+    assert proc.stdout == "" and not out.exists()
+
+
+def test_a_memory_error_without_a_message_reads_out_of_memory(tmp_path, capsys, monkeypatch):
+    # Python's own MemoryError (a list that outgrows the address space) carries no message
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run", exhausted)
+    cfg = _write_config(tmp_path, "run.json", _run_config())
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", "config error: out of memory\n")
 
 
 @pytest.mark.parametrize("command", COMMANDS)

@@ -249,8 +249,7 @@ def test_shuffle_frequencies_n3():
 
 def test_validation_idioms_live_only_in_core():
     # "An integer >= k, not a bool" and "a finite real > 0 (or >= 0)" have one
-    # home, core._check_int and core._check_real.  check_sample keeps its own
-    # integer check because an out-of-range sample index is an IndexError.
+    # home, core._check_int and core._check_real, and sample indices use it too.
     idioms = re.compile(
         r"isinstance\([^()]*,\s*\(int,\s*np\.integer\)\)"
         r"|not np\.isfinite\(([\w.]+)\) or \1 <=? 0"
@@ -277,8 +276,8 @@ def test_validation_idioms_live_only_in_core():
     assert config_idioms.search('HybridPoint(layout, np.asarray(init["values"], dtype=np.float64))')
     assert not config_idioms.search("np.array([self.value_at(p, k) for p, k in pairs], dtype=np.float64)")
     # "value is an instance of cls" has one home too, core._check_type.  Outside
-    # core an isinstance test may guard a raise only in check_sample and in the
-    # rule that a ZO block needs a zo config, which is not a type check of one value.
+    # core an isinstance test may guard a raise only in the rule that a ZO block
+    # needs a zo config, which is not a type check of one value.
     # Every CSV goes through core._write_csv, one "%" row format per writer: no
     # module imports csv, and no other function joins fields with ",".
     found = []
@@ -297,8 +296,6 @@ def test_validation_idioms_live_only_in_core():
             continue
         allowed = set()
         for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef) and node.name == "check_sample":
-                allowed.update(range(node.lineno, node.end_lineno + 1))
             if isinstance(node, ast.If) and "Mode.ZO in" in ast.get_source_segment(source, node.test):
                 allowed.add(node.lineno)
         for node in ast.walk(tree):

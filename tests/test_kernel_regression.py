@@ -42,7 +42,7 @@ from hybridsgd import (
 )
 from hybridsgd import objectives, oracle
 from hybridsgd.cli import main
-from hybridsgd.core import Block, NumericError, shuffle_permutation
+from hybridsgd.core import Block, NumericError, _check_int, shuffle_permutation
 from hybridsgd.estimator import _two_point_rows, estimate_block_gradient
 from hybridsgd.optimizer import RunResult, TraceRecord
 from conftest import OffsetObjective
@@ -226,7 +226,7 @@ def _reference_block_estimate(obj, values, i, zo, rng, block):
 def _reference_step(obj, w, i, cfg, rng):
     """A step that checks its inputs and returns a new HybridPoint."""
     values = obj.check_point(w)
-    i = obj.check_sample(i)
+    i = _check_int("i", i, 0, obj.n - 1)
     layout = obj.layout
     full_grad = None
 

@@ -19,6 +19,7 @@ from hybridsgd import (
     LinearObjective,
     LogisticObjective,
     RngStream,
+    check_estimator_bounds,
     fd_gradient,
     objective_from_dict,
     sample_gaussian,
@@ -220,15 +221,17 @@ def test_checked_arrays_are_read_only():
 
 
 def test_index_and_layout_validation():
+    # the oracle's sample index is an integer in [0, n), checked by core._check_int:
+    # i = n, -1 (never wrapped) and a bool are ValueErrors, and a numpy integer is accepted
     obj = _families()["linear"]
     w = HybridPoint(LAYOUT, np.zeros(5))
-    with pytest.raises(IndexError):
-        obj.check_sample(obj.n)
-    with pytest.raises(IndexError):
-        obj.check_sample(-1)
-    with pytest.raises(IndexError):
-        obj.check_sample(True)
-    assert obj.check_sample(np.int64(1)) == 1
+    checks = (lambda i: fd_gradient(obj, w, i).tolist(),
+              lambda i: check_estimator_bounds(obj, w, i, 1e-3, 2, RngStream(102, 1)))
+    for check in checks:
+        for bad in (obj.n, -1, True):
+            with pytest.raises(ValueError, match=rf"i must be an integer in \[0, {obj.n - 1}\], got"):
+                check(bad)
+        assert repr(check(np.int64(1))) == repr(check(1))
     assert obj.check_point(w) is w.values
     with pytest.raises(ValueError):
         obj.check_point(HybridPoint(BlockLayout(2, 2), np.zeros(4)))

@@ -177,16 +177,6 @@ def test_probe_agrees_with_dense_hessian_eigenvalue():
     assert rep.operator_lb >= 0.5 * op_true  # 400 sphere draws get close in dim 4
 
 
-@pytest.mark.parametrize("target", [Block.X, Block.FULL])
-def test_sample_probe_is_one_batched_call_of_k_plus_one_gradients(target):
-    # the base gradient is row 0 of the same batched call as the K perturbed ones
-    obj = CountingQuadratic(LAYOUT, np.arange(10.0).reshape(2, 5) / 10.0, 3.0, 1.0)
-    w = HybridPoint(LAYOUT, [0.5, -1.0, 0.25, 2.0, -0.5])
-    estimate_block_lipschitz(obj, w, ProbeConfig(probes=7, target=target), RngStream(90, 1), sample=1)
-    assert obj.grad_calls == 0
-    assert obj.grad_rows == [8]
-
-
 @pytest.mark.parametrize("probes", [1, 9, 10, 19, 52, 53, 100])
 def test_full_probe_is_one_kernel_call_per_block_of_rows(probes):
     # 300 samples of dimension 5: the K + 1 points go through the kernel in blocks of
@@ -250,13 +240,20 @@ def test_all_samples_probe_equals_per_sample_loop(name, target, probes):
     w = HybridPoint(LAYOUT, sample_gaussian(RngStream(98, 1), LAYOUT.d))
     cfg = ProbeConfig(probes=probes, target=target)
     loop_rng, pooled_rng = RngStream(99, 1), RngStream(99, 1)
-    reps = [estimate_block_lipschitz(obj, w, cfg, loop_rng, sample=i) for i in range(obj.n)]
+    # the reference: one sample at a time, K directions and one _hvp_rows call each, from one stream
+    sl = LAYOUT.slice_of(target)
+    reps = []
+    for i in range(obj.n):
+        directions = _unit_sphere_rows(loop_rng, probes, sl.stop - sl.start)
+        hv = _hvp_rows(obj, w.values, directions, cfg.h, target, np.array([i]))[:, sl]
+        sq = np.vecdot(hv, hv)
+        reps.append((sqrt(np.max(sq)), sqrt(np.mean(sq))))  # (operator_lb, frobenius_raw)
     got = estimate_block_lipschitz(obj, w, cfg, pooled_rng, sample=ALL)
-    assert repr(got.operator_lb) == repr(max(rep.operator_lb for rep in reps))
+    assert repr(got.operator_lb) == repr(max(operator_lb for operator_lb, _ in reps))
     assert repr(pooled_rng.generator.bit_generator.state) == repr(loop_rng.generator.bit_generator.state)
     assert got.probes == obj.n * probes
     # the pooled mean of ||Hv||^2 is the mean of the per-sample means
-    pooled_sq = np.mean([rep.frobenius_raw ** 2 for rep in reps])
+    pooled_sq = np.mean([raw ** 2 for _, raw in reps])
     assert got.frobenius_raw == pytest.approx(sqrt(pooled_sq), rel=1e-12, abs=1e-300)
     assert (got.block, got.h) == (target, cfg.h)
 
@@ -286,28 +283,31 @@ def test_all_samples_probe_is_one_batched_call_per_group_of_samples(probes):
 
 @pytest.mark.parametrize("scale", [0.0, 1e-75, 1e-20, 1.0, 1e20, 1e75])
 @pytest.mark.parametrize("probes", [1, 2, 3, 50])
-@pytest.mark.parametrize("sample", [None, 0])
+@pytest.mark.parametrize("sample", [None, 0, ALL], ids=["None", "0", "ALL"])
 def test_probe_statistics_equal_numpy_max_mean_std(scale, probes, sample):
     # ||Hv||^2 spans 1e-150 to 1e150 (all zero for scale 0); the report must
-    # hold the bits of the np.max / np.mean / np.std(ddof=1) formulas
+    # hold the bits of the np.max / np.mean / np.std(ddof=1) formulas over the
+    # K probes of the full objective (None), of sample 0 alone (ALL on the
+    # objective of that one sample), or pooled over both samples' n K (ALL)
     layout = BlockLayout(2, 3)
     base = DenseQuadratic.random(layout, 2, RngStream(94, 0xDA7A), center_scale=1.0)
-    obj = DenseQuadratic(layout, scale * base.hessian, base.centers)
+    obj = DenseQuadratic(layout, scale * base.hessian, base.centers[:1] if sample == 0 else base.centers)
     w = HybridPoint(layout, sample_gaussian(RngStream(94, 1), layout.d))
+    form, group, m = (None, None, probes) if sample is None else (ALL, np.arange(obj.n), obj.n * probes)
     for target in Block:
         cfg = ProbeConfig(probes=probes, target=target)
         sl = layout.slice_of(target)
         dim = sl.stop - sl.start
-        directions = _unit_sphere_rows(RngStream(95, 1), probes, dim)
-        hv = _hvp_rows(obj, w.values, directions, cfg.h, target, sample)[:, sl]
+        directions = _unit_sphere_rows(RngStream(95, 1), m, dim)
+        hv = _hvp_rows(obj, w.values, directions, cfg.h, target, group)[:, sl]
         sq = np.vecdot(hv, hv)
         mean_sq = float(np.mean(sq))
-        std = float(np.std(sq, ddof=1)) if probes > 1 and mean_sq > 0.0 else None
+        std = float(np.std(sq, ddof=1)) if m > 1 and mean_sq > 0.0 else None
         want = ProbeReport(
             sqrt(mean_sq), sqrt(dim * mean_sq), float(np.max(np.sqrt(sq))),
-            0.0 if std is None else sqrt(dim) * (std / sqrt(probes)) / (2.0 * sqrt(mean_sq)),
-            probes, cfg.h, target)
-        got = estimate_block_lipschitz(obj, w, cfg, RngStream(95, 1), sample=sample)
+            0.0 if std is None else sqrt(dim) * (std / sqrt(m)) / (2.0 * sqrt(mean_sq)),
+            m, cfg.h, target)
+        got = estimate_block_lipschitz(obj, w, cfg, RngStream(95, 1), sample=form)
         assert repr(got) == repr(want), (target, got, want)
 
 
@@ -393,8 +393,11 @@ def test_probe_config_validation():
         ProbeConfig(probes=0)
     obj = _diag_quad()
     w = HybridPoint(LAYOUT, np.zeros(5))
-    with pytest.raises(IndexError):
-        estimate_block_lipschitz(obj, w, ProbeConfig(probes=2), RngStream(92, 1), sample=1)
+    # a sample is None (the full objective) or ALL (every sample, pooled): an index,
+    # an index array, a bool or another slice is an error
+    for sample in (1, np.int64(0), np.array([0]), True, slice(0, 1)):
+        with pytest.raises(ValueError, match="sample must be None or objectives.ALL, got"):
+            estimate_block_lipschitz(obj, w, ProbeConfig(probes=2), RngStream(92, 1), sample=sample)
     with pytest.raises(ValueError):
         estimate_block_lipschitz(obj, HybridPoint(BlockLayout(2, 3), np.zeros(5)),
                                  ProbeConfig(probes=2), RngStream(92, 1))

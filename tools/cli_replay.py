@@ -8,9 +8,9 @@
 ``perfbench/workloads.py`` workloads on instances 0-7 and 64.  ``compare`` runs each call in a
 fresh interpreter per tree (``PYTHONPATH=<tree>/src``) in the workspace DIR/ws, prints each call
 whose exit code, stdout, stderr (tree path normalised) or output-file sha256 differs, and exits 1
-if any does.  A stderr difference that vanishes once every Python warning's line number is masked
-and the source line printed after it dropped is labelled ``stderr (warning location only)``, and
-calls whose only difference is that are counted separately.
+if any does.  A stderr difference that vanishes once every Python warning's file and line number
+are masked and the source line printed after it dropped is labelled ``stderr (warning location
+only)``, and calls whose only difference is that are counted separately.
 """
 import hashlib
 import json
@@ -25,7 +25,7 @@ ROOT = Path(__file__).resolve().parent.parent
 CHILD = "import sys; from hybridsgd.cli import main; sys.exit(main(sys.argv[1:]))"
 WS = "{ws}"  # stands for the replay workspace in a recorded argv
 # "<file>.py:<n>: <Category>: <message>" and the indented source line Python prints after it
-WARNING = re.compile(r"^(.*\.py):\d+: (\w+: .*\n)(?:[ \t]+.*\n)?", re.M)
+WARNING = re.compile(r"^.*\.py:\d+: (\w+: .*\n)(?:[ \t]+.*\n)?", re.M)
 
 
 def _anchor(path: Path) -> Path:
@@ -117,7 +117,7 @@ def main(argv: list) -> int:
     for k, call in enumerate(calls):
         a, b = (_replay(call, out / "files" / str(k), tree, out / "ws") for tree in trees)
         fields = [key for key in dict.fromkeys([*a, *b]) if a.get(key) != b.get(key)]
-        if "stderr" in fields and len({WARNING.sub(r"\1:<n>: \2", r["stderr"]) for r in (a, b)}) == 1:
+        if "stderr" in fields and len({WARNING.sub(r"<file>:<n>: \1", r["stderr"]) for r in (a, b)}) == 1:
             fields[fields.index("stderr")] = "stderr (warning location only)"
             located += fields == ["stderr (warning location only)"]
         differ += bool(fields)
