@@ -7,13 +7,12 @@ with distinct fixed stream ids, and CSV floats carry 17 significant digits,
 so repeated invocations produce byte-identical outputs.
 
 Each config section is read through one key table by ``core._read_section``;
-a key the table does not list is an error and null counts as absent.  The
-keys, order and defaults of ``rates``, ``zo``, ``probe``, the constants of
-``plan --constants`` and a run's ``epochs`` and ``divergence_threshold`` are
-the ``dataclasses.fields`` of their library config types, which alone check
-them.  The tables below check the CLI's own keys: a count must be a JSON
-integer, a real a finite JSON number (an int becomes a float, a bool or a
-string is an error).  The directory of ``--out`` is checked before any compute.
+a key the table does not list is an error and null counts as absent.  Tables
+of sections that feed a library type (``modes``, ``rates``, ``zo``, ``probe``,
+the constants file, a run's ``epochs``/``divergence_threshold``) are read once
+off its signature (``core._signature_keys``); it alone checks them.  A count
+must be a JSON integer, a real a finite JSON number (an int becomes a float, a
+bool or a string is an error).  ``--out``'s directory is checked before any compute.
 
 Exit codes (stable contract): 0 success, 1 check failure, 2 config error (an
 unallocatable size included), 3 divergence, 4 numeric failure, 5 internal
@@ -26,17 +25,17 @@ import json
 import math
 import sys
 import traceback
-from dataclasses import MISSING, asdict, fields
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .core import (_REQUIRED, Block, BlockLayout, HybridPoint, NumericError, RngStream, _check_array,
+from .core import (_REQUIRED, BlockLayout, HybridPoint, NumericError, RngStream, _check_array,
                    _check_finite, _check_int, _check_type, _check_u64, _gaussian_point, _load_json,
-                   _read_section, _write_csv, fmt17)
+                   _read_section, _signature_keys, _write_csv, fmt17, sample_gaussian)
 from .estimator import ZoConfig
 from .objectives import FiniteSumObjective, objective_from_dict
-from .optimizer import Mode, OptimizerConfig, run, write_trace_csv
+from .optimizer import OptimizerConfig, run, write_trace_csv
 from .oracle import _check_suite
 from .planner import SmoothnessConstants, epoch_budget, estimate_constants, plan_rates
 from .probe import ProbeConfig, trajectory_scan, write_probe_csv
@@ -64,15 +63,8 @@ def _rate_grid(key: str, value) -> list[float]:
     return [_check_finite(key, v) for v in value]
 
 
-def _fields(cls, *names) -> dict:
-    """The key table of a config dataclass's fields (the named ones, if given), in
-    order and unchecked (the dataclass checks them); a field without a default is required."""
-    return {f.name: (None, _REQUIRED if f.default is MISSING else f.default)
-            for f in fields(cls) if not names or f.name in names}
-
-
 # Key tables: key -> (check, default); see core._read_section.
-_MODES_KEYS = {"x": (None, OptimizerConfig.x_mode), "y": (None, OptimizerConfig.y_mode)}
+_MODES_KEYS = dict(zip("xy", _signature_keys(OptimizerConfig, "x_mode", "y_mode").values()))
 _INIT_KINDS = {
     "zeros": {},
     "explicit": {"values": (None, _REQUIRED)},
@@ -84,7 +76,7 @@ _POINTS_KINDS = {
 }
 # The keys of one optimization run, shared by run, sweep and a run trajectory.
 _RUN_KEYS = {"modes": (None, {}), "zo": (None, None),
-             **_fields(OptimizerConfig, "epochs", "divergence_threshold"), "init": (None, {"kind": "zeros"})}
+             **_signature_keys(OptimizerConfig, "epochs", "divergence_threshold"), "init": (None, {"kind": "zeros"})}
 _TRAJECTORY_KINDS = {
     "points": {"points": (None, _REQUIRED)},
     "run": {"rates": (None, _REQUIRED), **_RUN_KEYS, "snapshot_every": (_check_int, None)},
@@ -100,7 +92,7 @@ _COMMAND_KEYS = {
               "trajectory": (None, _REQUIRED), "seed": (_check_u64, 0)},
     "plan": {"objective": (None, _REQUIRED), "probe": (None, {}), "points": (None, {}),
              "f_star": (_check_finite, None), **_HORIZON_KEYS, "seed": (_check_u64, 0)},
-    "constants": {**_fields(SmoothnessConstants), "n": (_check_int, _REQUIRED),
+    "constants": {**_signature_keys(SmoothnessConstants), "n": (_check_int, _REQUIRED),
                   "d_x": (_check_int, _REQUIRED), **_HORIZON_KEYS},
 }
 
@@ -114,11 +106,8 @@ def _config(args) -> dict:
 
 
 def _objective(spec, config_path) -> FiniteSumObjective:
-    if isinstance(spec, str):
-        path = Path(spec)
-        if not path.is_absolute():
-            path = Path(config_path).parent / path
-        return objective_from_dict(_load_json(path))
+    if isinstance(spec, str):  # a JSON file; a relative path is read from the config's directory
+        spec = _load_json(Path(config_path).parent / spec)
     return objective_from_dict(spec)
 
 
@@ -140,13 +129,9 @@ def _initial_point(spec, layout: BlockLayout, seed: int) -> HybridPoint:
 def _optimizer_config(cfg: dict, rates) -> OptimizerConfig:
     """The optimizer config of a run, sweep or run trajectory section, with a rates section."""
     modes = _read_section("modes", cfg["modes"], _MODES_KEYS)
-    try:
-        x_mode, y_mode = Mode(modes["x"]), Mode(modes["y"])
-    except ValueError as exc:
-        raise ValueError(f"modes: {exc}") from exc
-    rates = _read_section("rates", rates, _fields(OptimizerConfig, "eta_x", "eta_y"))
-    zo = None if cfg["zo"] is None else ZoConfig(**_read_section("zo", cfg["zo"], _fields(ZoConfig)))
-    return OptimizerConfig(**rates, x_mode=x_mode, y_mode=y_mode, zo=zo, epochs=cfg["epochs"],
+    rates = _read_section("rates", rates, _signature_keys(OptimizerConfig, "eta_x", "eta_y"))
+    zo = None if cfg["zo"] is None else ZoConfig(**_read_section("zo", cfg["zo"], _signature_keys(ZoConfig)))
+    return OptimizerConfig(**rates, x_mode=modes["x"], y_mode=modes["y"], zo=zo, epochs=cfg["epochs"],
                            divergence_threshold=cfg["divergence_threshold"])
 
 
@@ -248,15 +233,6 @@ def cmd_sweep(args) -> int:
 # -- probe -------------------------------------------------------------------
 
 
-def _probe_config(spec) -> ProbeConfig:
-    probe = _read_section("probe", spec, _fields(ProbeConfig))
-    try:
-        probe["target"] = Block(probe["target"])
-    except ValueError as exc:
-        raise ValueError(f"probe: {exc}") from exc
-    return ProbeConfig(**probe)
-
-
 def _trajectory(spec, obj: FiniteSumObjective, seed: int) -> list:
     traj = _read_section("trajectory", spec, {"kind": (None, _REQUIRED)}, _TRAJECTORY_KINDS)
     if traj["kind"] == "points":
@@ -271,7 +247,7 @@ def _trajectory(spec, obj: FiniteSumObjective, seed: int) -> list:
 def cmd_probe(args) -> int:
     cfg = _config(args)
     obj = _objective(cfg["objective"], args.config)
-    pcfg = _probe_config(cfg["probe"])
+    pcfg = ProbeConfig(**_read_section("probe", cfg["probe"], _signature_keys(ProbeConfig)))
     points = _trajectory(cfg["trajectory"], obj, cfg["seed"])
     rows = trajectory_scan(obj, points, pcfg, RngStream(cfg["seed"], PROBE_STREAM_ID))
     write_probe_csv(rows, args.out)
@@ -323,13 +299,13 @@ def cmd_plan(args) -> int:
 
     if from_file:
         cfg = _read_section("constants", _load_json(args.constants), _COMMAND_KEYS["constants"])
-        constants = SmoothnessConstants(**{f.name: cfg[f.name] for f in fields(SmoothnessConstants)})
+        constants = SmoothnessConstants(**{key: cfg[key] for key in _signature_keys(SmoothnessConstants)})
         n, d_x = cfg["n"], cfg["d_x"]
     else:
         cfg = _config(args)
         obj = _objective(cfg["objective"], args.config)
         # estimate_constants probes each block itself, so plan's probe section has no target
-        pcfg = ProbeConfig(**_read_section("probe", cfg["probe"], _fields(ProbeConfig, "h", "probes")))
+        pcfg = ProbeConfig(**_read_section("probe", cfg["probe"], _signature_keys(ProbeConfig, "h", "probes")))
         points = _plan_points(cfg["points"], obj, cfg["seed"])
         n, d_x = obj.n, obj.layout.d_x
 
@@ -351,8 +327,9 @@ def _plan_points(spec, obj: FiniteSumObjective, seed: int) -> list:
     points = _read_section("points", spec, {"kind": (None, "gaussian")}, _POINTS_KINDS)
     if points["kind"] == "explicit":
         return _point_list(points["points"], obj)
-    rng = RngStream(seed, INIT_STREAM_ID)
-    return [_gaussian_point(obj.layout, rng, points["scale"]) for _ in range(points["count"])]
+    # one (count d) draw: the stream and bits of count draws of d, and a count too large fails at once
+    rows = sample_gaussian(RngStream(seed, INIT_STREAM_ID), points["count"] * obj.layout.d)
+    return [HybridPoint(obj.layout, points["scale"] * row) for row in rows.reshape(points["count"], -1)]
 
 
 # -- check -------------------------------------------------------------------

@@ -6,19 +6,21 @@ the exact same sequence on every platform and run; distinct stream ids give
 statistically independent streams, so concurrent consumers never share state.
 
 Config values enter through ``_load_json`` and ``_read_section``, which reads
-a JSON object section through a key table, rejects keys the table does not
-list and sends values to the checks ``_check_int``/``_check_real``/
-``_check_finite``: a bool or a string is never a number, an int in a real
-field becomes a float.  ``_check_array`` applies the same rule to every entry
-of a nested list, so array values (data, points) are never coerced either.
+a JSON object section through a key table (as a rule ``_signature_keys``, the
+parameters of the callable the section feeds), rejects keys the table does not
+list and sends values to ``_check_int``/``_check_real``/``_check_finite``/
+``_check_member``: a bool or a string is never a number, an int in a real field
+becomes a float.  ``_check_array`` applies this rule to every array entry.
 """
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +70,14 @@ def _check_type(name: str, value, cls):
     if not isinstance(value, cls):
         raise ValueError(f"{name} must be a {cls.__name__}, got {value!r}")
     return value
+
+
+def _check_member(name: str, value, cls: type[Enum]) -> Enum:
+    """The member of the enum cls whose value is value; else ValueError."""
+    try:
+        return cls(value)
+    except ValueError:
+        raise ValueError(f"{name} must be one of {', '.join(m.value for m in cls)}, got {value!r}") from None
 
 
 def _check_u64(name: str, value) -> int:
@@ -133,7 +143,7 @@ _REQUIRED = object()
 
 
 def _load_json(path):
-    """The JSON value in a file; a ValueError naming the file if it is not JSON,
+    """The JSON value in a file; a ValueError naming the file if it is not UTF-8 JSON,
     repeats a key in one object or is nested too deeply for the decoder."""
     def unique_keys(pairs: list) -> dict:
         repeated = [key for key, count in Counter(key for key, _ in pairs).items() if count > 1]
@@ -144,7 +154,7 @@ def _load_json(path):
     with open(Path(path), "r", encoding="utf-8") as fh:
         try:
             return json.load(fh, object_pairs_hook=unique_keys)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"{path}: invalid JSON ({exc})") from exc
         except RecursionError as exc:
             raise ValueError(f"{path}: invalid JSON (nested too deeply to decode)") from exc
@@ -183,6 +193,19 @@ def _read_section(where: str, spec, table: dict, kinds: dict | None = None) -> d
         else:
             values[key] = default
     return values
+
+
+@cache  # a signature is slow to read next to a dict lookup: each table is read once per process
+def _signature_keys(fn, *names, skip=()) -> dict:
+    """The key table of fn's parameters (the named ones, if given; none in skip), in order, one cached
+    dict never changed.  No default: required; an enum default: _check_member; else unchecked (fn checks)."""
+    table = {}
+    for p in inspect.signature(fn).parameters.values():
+        if (not names or p.name in names) and p.name not in skip:
+            default = _REQUIRED if p.default is p.empty else p.default
+            check = partial(_check_member, cls=type(default)) if isinstance(default, Enum) else None
+            table[p.name] = (check, default)
+    return table
 
 
 class NumericError(RuntimeError):

@@ -39,8 +39,9 @@ wide matrix can round differently with the BLAS thread count.
 Batched calls go in the in-order row blocks of ``_row_blocks``, at most ``_ROW_BUDGET``
 elements each; ``_full_row_cost`` is what one row of a family's full kernel holds.
 Data arrays are read through ``core._check_array``, so a bool or a string
-in them is an error.  :func:`objective_from_dict` reads a spec through its
-kind's table of data keys, shared keys and generation-only keys.
+in them is an error.  :func:`objective_from_dict` reads a spec through the key
+table of its path, read once off the kind's ``__init__`` (explicit data) or
+``random`` (generation from a seed).
 """
 from __future__ import annotations
 
@@ -50,7 +51,8 @@ from functools import partial
 import numpy as np
 
 from .core import (_REQUIRED, BlockLayout, HybridPoint, RngStream, _check_array, _check_finite,
-                   _check_int, _check_real, _check_type, _check_u64, _read_section, sample_gaussian)
+                   _check_int, _check_real, _check_type, _check_u64, _read_section, _signature_keys,
+                   sample_gaussian)
 
 __all__ = [
     "FiniteSumObjective",
@@ -202,7 +204,7 @@ class BlockQuadratic(FiniteSumObjective):
         self._diag = np.concatenate(
             [np.full(layout.d_x, self.a_x), np.full(layout.d_y, self.a_y)]
         )
-        self._mean_center = centers.mean(axis=0)
+        self._mean_center = np.add.reduce(centers, 0) / self._n
         # f at the mean center: the minimum, and the kernel's constant term
         self._f_center = self.full_value_at(self._mean_center)
 
@@ -437,7 +439,7 @@ class DenseQuadratic(FiniteSumObjective):
         self.centers = centers
         eigs = np.linalg.eigvalsh(hessian)
         self._psd = bool(eigs[0] >= -1e-12 * max(scale, 1.0))
-        self._mean_center = centers.mean(axis=0)
+        self._mean_center = np.add.reduce(centers, 0) / self._n
         self._f_center = self.full_value_at(self._mean_center)  # the kernel's constant term
         self.hessian.setflags(write=False)  # the symmetrised copy, not the checked array
 
@@ -490,40 +492,36 @@ def _spread_rows(
 
 # -- config files ---------------------------------------------------------
 
-_LAYOUT_KEYS = {
-    "kind": (None, _REQUIRED),
-    "d_x": (_check_int, _REQUIRED),
-    "d_y": (_check_int, _REQUIRED),
+_LAYOUT_KEYS = {"kind": (None, _REQUIRED), **_signature_keys(BlockLayout)}
+
+# kind: (class name, default of a generated n); the class is looked up in globals() per spec
+_KINDS = {
+    "block_quadratic": ("BlockQuadratic", _REQUIRED),
+    "cosh": ("CoshObjective", _REQUIRED),
+    "logistic": ("LogisticObjective", _REQUIRED),
+    "linear": ("LinearObjective", _REQUIRED),
+    "dense_quadratic": ("DenseQuadratic", 1),
 }
 
-# kind: (class name, explicit data keys, keys both paths share, generation-only
-# keys), each key with its default.  Data and shared values go unchecked to the
-# class, which validates them; generation-only values are reals or n up to numpy's largest index.
-# The class is looked up in this module's globals when a spec is read.
-_KINDS = {
-    "block_quadratic": ("BlockQuadratic", {"centers": _REQUIRED}, {"a_x": _REQUIRED, "a_y": _REQUIRED},
-                        {"n": _REQUIRED, "center_scale": 1.0, "center_spread": 0.0}),
-    "cosh": ("CoshObjective", {"shifts": _REQUIRED}, {},
-             {"n": _REQUIRED, "shift_scale": 1.0, "shift_spread": 0.0}),
-    "logistic": ("LogisticObjective", {"features": _REQUIRED, "labels": _REQUIRED}, {"lam": 0.0},
-                 {"n": _REQUIRED, "feature_scale": 1.0}),
-    "linear": ("LinearObjective", {"slopes": _REQUIRED}, {}, {"n": _REQUIRED, "slope_scale": 1.0}),
-    "dense_quadratic": ("DenseQuadratic", {"hessian": _REQUIRED, "centers": None}, {},
-                        {"n": 1, "entry_scale": 1.0, "center_scale": 0.0}),
-}
+
+def _kind_tables(cls, n) -> tuple[dict, dict]:
+    """A kind's data table, __init__'s keys after layout, and its generation table: the seed, the keys
+    random shares with __init__ (the class checks both), n, then random's own keys as finite reals."""
+    data = _signature_keys(cls, skip=("layout",))
+    own = _signature_keys(cls.random, skip=("layout", "n", "rng", *data))
+    return data, {"seed": (_check_u64, _REQUIRED), **_signature_keys(cls.random, *data),
+                  "n": (partial(_check_int, hi=int(np.iinfo(np.intp).max)), n),
+                  **{key: (_check_finite, default) for key, (_, default) in own.items()}}
+
+
+_TABLES = {kind: _kind_tables(globals()[name], n) for kind, (name, n) in _KINDS.items()}
 
 
 def _path_keys(spec: dict) -> dict:
     """The key table of the path a spec takes: its kind's data keys when the
-    first of them is given, else the seed and the generation-only keys."""
-    _, data, shared, generated = _KINDS[spec["kind"]]
-    table = {key: (None, default) for key, default in shared.items()}
-    if spec.get(next(iter(data))) is not None:
-        return {**{key: (None, default) for key, default in data.items()}, **table}
-    return {"seed": (_check_u64, _REQUIRED), **table, **{
-        key: (partial(_check_int, hi=int(np.iinfo(np.intp).max)) if key == "n" else _check_finite, default)
-        for key, default in generated.items()
-    }}
+    first of them is given, else the seed and the generation keys."""
+    data, generation = _TABLES[spec["kind"]]
+    return data if spec.get(next(iter(data))) is not None else generation
 
 
 def objective_from_dict(spec: dict) -> FiniteSumObjective:

@@ -127,7 +127,8 @@ def estimate_block_lipschitz(
 
     sample=None probes the full objective.  sample=ALL probes each of the n
     samples with its own cfg.probes directions and pools them in one report:
-    n K probes, operator_lb the max over all of them.  Any other value is an error.
+    n K probes, operator_lb the max over all of them; so does ``slice(None)``.
+    Any other value is an error.
 
     A base gradient is evaluated once and shared by its K probes, so K probes
     cost K + 1 gradients, and n K per-sample probes n(K + 1).  Samples go in the
@@ -139,7 +140,7 @@ def estimate_block_lipschitz(
     _check_type("rng", rng, RngStream)
     values = obj.check_point(w)
     groups = [None]
-    if sample is ALL:
+    if isinstance(sample, slice) and sample == ALL:  # never == on an array
         groups = [np.arange(obj.n)[rows] for rows in _row_blocks(obj.n, (cfg.probes + 1) * len(values))]
     elif sample is not None:
         raise ValueError(f"sample must be None or objectives.ALL, got {sample!r}")

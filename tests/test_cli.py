@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: outputs, determinism, exit codes."""
 import contextlib
 import csv
+import inspect
 import io
 import json
 import math
@@ -360,6 +361,24 @@ def test_a_key_given_twice_is_a_config_error(tmp_path, capsys, where):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("where", ["config", "objective file", "constants"])
+def test_a_file_that_is_not_utf8_is_a_config_error_naming_it(tmp_path, capsys, where):
+    # "\xff\xfe" opens a UTF-16 text, which the UTF-8 decoder rejects before the JSON one
+    config, out = tmp_path / "c.json", tmp_path / "out.csv"
+    if where == "config":
+        argv, named = ["run", "--config"], config
+    elif where == "objective file":
+        argv, named = ["run", "--config"], tmp_path / "quad.json"
+        config.write_text(json.dumps(_run_config(objective="quad.json")), encoding="utf-8")
+    else:
+        argv, named = ["plan", "--constants"], config
+    named.write_bytes(b"\xff\xfe" + json.dumps(QUAD).encode("utf-16-le"))
+    assert main([*argv, str(config), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"config error: {named}: invalid JSON ('utf-8' codec can't decode "
+                                       "byte 0xff in position 0: invalid start byte)\n")
+    assert not out.exists()
+
+
 # A child interpreter whose address space is capped at 1 GiB: an allocation beyond it
 # fails at once, whatever the host's overcommit setting, and nothing is touched.
 _CAPPED_CHILD = """import resource, sys
@@ -369,9 +388,12 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-@pytest.mark.parametrize("command, path", [("run", ("objective", "n")), ("probe-points", ("probe", "probes"))])
+@pytest.mark.parametrize("command, path", [("run", ("objective", "n")), ("probe-points", ("probe", "probes")),
+                                           ("plan", ("points", "count"))])
 def test_a_size_too_large_to_allocate_is_a_config_error(tmp_path, command, path):
-    # 10**12 generated samples, or 10**12 probe directions, is an array of 7 to 22 TiB
+    # 10**12 generated samples, probe directions or plan points is an array of 7 to 22 TiB;
+    # the plan points are one draw of 10**12 d = 3 * 10**12 entries
+    shape = f"({3 * 10**12},)" if command == "plan" else f"({10**12}, "
     words, cfg = COMMANDS[command]
     config, out = _write_config(tmp_path, "c.json", _set(cfg, path, 10**12)), tmp_path / "out.csv"
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
@@ -380,7 +402,7 @@ def test_a_size_too_large_to_allocate_is_a_config_error(tmp_path, command, path)
                            "--out", str(out)], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     assert proc.stderr.startswith("config error: Unable to allocate "), proc.stderr
-    assert f"shape ({10**12}, " in proc.stderr and proc.stderr.count("\n") == 1
+    assert f"shape {shape}" in proc.stderr and proc.stderr.count("\n") == 1
     assert proc.stdout == "" and not out.exists()
 
 
@@ -865,12 +887,40 @@ def test_plan_argument_errors_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("command, target, message", [
     # estimate_constants probes each block itself, so plan reads no probe target
     ("plan", "x", "unknown key 'target'; expected one of h, probes"),
-    ("probe", "z", "'z' is not a valid Block"),
+    ("probe", "z", "target must be one of x, y, full, got 'z'"),
 ])
 def test_probe_target_is_a_block_of_the_probe_command_only(tmp_path, capsys, command, target, message):
     code, out = _main_on(tmp_path, command, _set(COMMANDS[command][1], ("probe", "target"), target))
     assert code == EXIT_CONFIG and not out.exists()
-    assert capsys.readouterr().err == f"config error: probe: {message}\n"
+    # a section names itself in its own errors (an unknown key), a check names its key
+    where = "probe: " if command == "plan" else ""
+    assert capsys.readouterr().err == f"config error: {where}{message}\n"
+
+
+@pytest.mark.parametrize("key, value", [("x", "q"), ("y", "FO"), ("x", 1), ("y", ["fo"]), ("x", True)])
+def test_a_mode_must_name_a_mode(tmp_path, capsys, key, value):
+    cfg = _set(COMMANDS["run"][1], ("modes", key), value)
+    code, out = _main_on(tmp_path, "run", cfg)
+    assert code == EXIT_CONFIG and not out.exists()
+    assert capsys.readouterr().err == f"config error: {key} must be one of zo, fo, frozen, got {value!r}\n"
+
+
+def test_a_second_call_reads_no_signature(tmp_path, capsys, monkeypatch):
+    # every key table is read off its signature once per process, never per call or cell
+    def unread(*args, **kwargs):
+        raise AssertionError("a signature was read")
+
+    calls = [(command, _write_config(tmp_path, f"{command}.json", COMMANDS[command][1]))
+             for command in ("run", "sweep", "plan")]
+    for patched in (False, True):
+        if patched:
+            monkeypatch.setattr(inspect, "signature", unread)
+        for command, path in calls:
+            out = tmp_path / f"{command}-{patched}.out"
+            assert main([*COMMANDS[command][0], "--config", path, "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    for command, _ in calls:
+        assert (tmp_path / f"{command}-False.out").read_bytes() == (tmp_path / f"{command}-True.out").read_bytes()
 
 
 @pytest.mark.parametrize("changes, quantity", [

@@ -18,8 +18,8 @@ from hybridsgd import (
     fmt17,
     sample_gaussian,
 )
-from hybridsgd.core import (_check_array, _mean_stderr, _norm, _unit_sphere_rows, sample_unit_sphere,
-                            shuffle_permutation)
+from hybridsgd.core import (_REQUIRED, _check_array, _check_member, _mean_stderr, _norm, _read_section,
+                            _signature_keys, _unit_sphere_rows, sample_unit_sphere, shuffle_permutation)
 
 
 def test_layout_dimensions():
@@ -247,6 +247,31 @@ def test_shuffle_frequencies_n3():
         assert abs(count / draws - 1.0 / 6.0) <= 0.01
 
 
+def test_signature_keys_read_a_table_off_the_parameters():
+    def feed(a, b=2.0, *, target=Block.FULL, c=None):
+        return a, b, target, c
+
+    table = _signature_keys(feed)
+    assert list(table) == ["a", "b", "target", "c"]
+    assert table["a"] == (None, _REQUIRED) and table["b"] == (None, 2.0) and table["c"] == (None, None)
+    assert table["target"][1] is Block.FULL
+    assert list(_signature_keys(feed, "c", "a")) == ["a", "c"]  # in the signature's order
+    assert list(_signature_keys(feed, skip=("a", "c"))) == ["b", "target"]
+    # an enum key is read into its member; the rest go to fn as given
+    assert _read_section("s", {"a": "v", "target": "x"}, table) == {
+        "a": "v", "b": 2.0, "target": Block.X, "c": None}
+    with pytest.raises(ValueError, match=r"^s: missing required key 'a'$"):
+        _read_section("s", {}, table)
+
+
+@pytest.mark.parametrize("value", ["z", "X", "Block.X", 1, 0.5, True, None, ["x"], {"x": 1}])
+def test_check_member_names_the_members_it_accepts(value):
+    with pytest.raises(ValueError) as info:
+        _check_member("target", value, Block)
+    assert str(info.value) == f"target must be one of x, y, full, got {value!r}"
+    assert [_check_member("target", v, Block) for v in ("x", "y", "full")] == [Block.X, Block.Y, Block.FULL]
+
+
 def test_validation_idioms_live_only_in_core():
     # "An integer >= k, not a bool" and "a finite real > 0 (or >= 0)" have one
     # home, core._check_int and core._check_real, and sample indices use it too.
@@ -275,6 +300,13 @@ def test_validation_idioms_live_only_in_core():
     assert config_idioms.search("labels = np.array(labels, dtype=np.float64, copy=True)")
     assert config_idioms.search('HybridPoint(layout, np.asarray(init["values"], dtype=np.float64))')
     assert not config_idioms.search("np.array([self.value_at(p, k) for p, k in pairs], dtype=np.float64)")
+    # Reading an enum value has one home, core._check_member, which _signature_keys
+    # puts on every enum key: the CLI catches no ValueError to re-raise it with a prefix.
+    # The sample mean is np.add.reduce(., 0) / n, one spelling: no .mean( and no np.std(.
+    mean_idioms = re.compile(r"\.mean\(|np\.std\(")
+    assert mean_idioms.search("self._mean_center = centers.mean(axis=0)")
+    assert mean_idioms.search("spread = float(np.std(sq, ddof=1))")
+    assert not mean_idioms.search("mean = np.add.reduce(grads, 0) / self._n")
     # "value is an instance of cls" has one home too, core._check_type.  Outside
     # core an isinstance test may guard a raise only in the rule that a ZO block
     # needs a zo config, which is not a type check of one value.
@@ -283,6 +315,8 @@ def test_validation_idioms_live_only_in_core():
     found = []
     for path in sorted(Path(hybridsgd.__file__).parent.glob("*.py")):
         source = path.read_text(encoding="utf-8")
+        found += [f"{path.name}:{lineno}: {line.strip()}"
+                  for lineno, line in enumerate(source.splitlines(), 1) if mean_idioms.search(line)]
         tree = ast.parse(source)
         for node in ast.walk(tree):
             imported = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
@@ -294,6 +328,11 @@ def test_validation_idioms_live_only_in_core():
                        and '",".join' in ast.get_source_segment(source, node)]
             assert writers == ["_write_csv"]
             continue
+        if path.name == "cli.py":
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.ExceptHandler) and "ValueError" in ast.unparse(node.type)
+                        and any(isinstance(s, ast.Raise) for s in ast.walk(node))):
+                    found.append(f"{path.name}:{node.lineno}: re-raises a ValueError")
         allowed = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.If) and "Mode.ZO in" in ast.get_source_segment(source, node.test):

@@ -1,6 +1,7 @@
 """Finite-sum objective families: values, gradients, variance, serialization."""
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,8 @@ from hybridsgd import (
     sample_gaussian,
 )
 
-from hybridsgd.core import _load_json
+from hybridsgd import objectives
+from hybridsgd.core import _REQUIRED, _load_json
 from hybridsgd.objectives import _ROW_BUDGET, ALL, _row_blocks
 from conftest import OffsetObjective, ScaledObjective
 
@@ -336,6 +338,47 @@ def test_explicit_data_arrays_in_specs():
     }
     obj = objective_from_dict(spec)
     assert obj.value_at(np.array([3.0, 4.0]), 0) == 12.5
+
+
+# Each kind's keys on its data path and its generation path, in order, with the default
+# of each key a spec may omit: read off the class's __init__ and random, and the same
+# tables, key for key, as when they were written out by hand.
+SPEC_KEYS = {
+    "block_quadratic": ({"centers": "required", "a_x": "required", "a_y": "required"},
+                        {"seed": "required", "a_x": "required", "a_y": "required", "n": "required",
+                         "center_scale": 1.0, "center_spread": 0.0}),
+    "cosh": ({"shifts": "required"},
+             {"seed": "required", "n": "required", "shift_scale": 1.0, "shift_spread": 0.0}),
+    "logistic": ({"features": "required", "labels": "required", "lam": 0.0},
+                 {"seed": "required", "lam": 0.0, "n": "required", "feature_scale": 1.0}),
+    "linear": ({"slopes": "required"}, {"seed": "required", "n": "required", "slope_scale": 1.0}),
+    "dense_quadratic": ({"hessian": "required", "centers": None},
+                        {"seed": "required", "n": 1, "entry_scale": 1.0, "center_scale": 0.0}),
+}
+
+
+@pytest.mark.parametrize("kind", SPEC_KEYS)
+def test_spec_keys_of_each_path_are_the_signature_keys(kind):
+    layout = {"kind": kind, "d_x": 1, "d_y": 1}
+    data_keys, generation_keys = SPEC_KEYS[kind]
+    for keys in SPEC_KEYS[kind]:
+        first = next(iter(keys))  # a data path's first key, or the seed, picks the path
+        expected = f"objective: unknown key 'bogus'; expected one of kind, d_x, d_y, {', '.join(keys)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            objective_from_dict({**layout, first: 1, "bogus": 0})
+        table = objectives._path_keys({**layout, first: 1})
+        assert {key: "required" if default is _REQUIRED else default
+                for key, (_, default) in table.items()} == keys
+        missing = [key for key, default in keys.items() if default == "required" and key != first]
+        if missing:
+            with pytest.raises(ValueError, match=f"^objective: missing required key '{missing[0]}'$"):
+                objective_from_dict({**layout, first: 1})
+    # generation-only keys are finite reals; the keys both paths read go to the class unchecked
+    spec = {**layout, "seed": 1, "n": 2, **{key: 1.0 for key in data_keys if key in generation_keys}}
+    for key in generation_keys:
+        if key not in data_keys and key not in ("seed", "n"):
+            with pytest.raises(ValueError, match=f"^{key} must be a finite real number, got '1'$"):
+                objective_from_dict({**spec, key: "1"})
 
 
 def test_spec_errors():

@@ -401,3 +401,16 @@ def test_probe_config_validation():
     with pytest.raises(ValueError):
         estimate_block_lipschitz(obj, HybridPoint(BlockLayout(2, 3), np.zeros(5)),
                                  ProbeConfig(probes=2), RngStream(92, 1))
+
+
+def test_a_slice_equal_to_all_is_all():
+    # slice(None) is ALL by value, not by identity: the same report, bit for bit
+    obj = BlockQuadratic.random(LAYOUT, 3, 2.0, 0.5, RngStream(93, 0), center_spread=1.0)
+    w = HybridPoint(LAYOUT, sample_gaussian(RngStream(93, 1), 5))
+    cfg = ProbeConfig(probes=4, target=Block.X)
+    reports = [estimate_block_lipschitz(obj, w, cfg, RngStream(93, 2), sample=sample)
+               for sample in (ALL, slice(None))]
+    assert repr(reports[0]) == repr(reports[1]) and reports[0].probes == 3 * 4
+    for sample in (slice(0, 1), slice(None, None, 1), np.arange(3), np.array([0, 1, 2])):
+        with pytest.raises(ValueError, match="sample must be None or objectives.ALL, got"):
+            estimate_block_lipschitz(obj, w, cfg, RngStream(93, 2), sample=sample)
