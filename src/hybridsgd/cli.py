@@ -184,11 +184,8 @@ def cmd_run(args) -> int:
     )
     if result.diverged:
         rep = result.trace[-1]
-        print(
-            f"diverged at epoch={rep.epoch} step={rep.step} f={fmt17(rep.f_value)} "
-            f"(threshold {fmt17(guard)})",
-            file=sys.stderr,
-        )
+        print(f"diverged at epoch={rep.epoch} step={rep.step} f={fmt17(rep.f_value)} "
+              f"(threshold {fmt17(guard)})", file=sys.stderr)
         return EXIT_DIVERGED
     return EXIT_OK
 
@@ -386,11 +383,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run the oracle suite; non-zero exit on failure")
     p_check.add_argument("--seed", type=int, default=None)
     p_check.add_argument("--trials", type=int, default=2000, help="Monte Carlo trials per bound")
-    p_check.add_argument(
-        "--negative-control",
-        action="store_true",
-        help="include a deliberately failing envelope check",
-    )
+    p_check.add_argument("--negative-control", action="store_true",
+                         help="include a deliberately failing envelope check")
     p_check.add_argument("--out", default=None, help="also write the table to a file")
     p_check.set_defaults(handler=cmd_check)
     return parser

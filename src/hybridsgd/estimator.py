@@ -18,6 +18,7 @@ boundaries.
 """
 from __future__ import annotations
 
+import contextvars
 import math
 import warnings
 from dataclasses import dataclass
@@ -42,6 +43,11 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
+
+# Set while optimizer.run_epoch runs a trace block speculatively: a block that would warn is
+# replayed step by step, so there the warning is raised, not printed.  A context variable, like
+# numpy's error state, and not a warnings filter, whose every change resets the warnings registry.
+_SPECULATIVE = contextvars.ContextVar("_SPECULATIVE", default=False)
 
 
 class PerturbationUnderflowWarning(UserWarning):
@@ -68,7 +74,8 @@ def _two_point_rows(obj: FiniteSumObjective, values: np.ndarray, i: int, mu: flo
     v~ is v placed in the perturbed block's slice ``sl`` of values.  The base
     value and the m shifted values come from one ``values_at_points`` call of
     m + 1 rows (row 0 the base), so the rows cost m + 1 objective values.  An
-    underflow warning names the caller of this function's caller.
+    underflow warning names the caller of this function's caller; while _SPECULATIVE is set
+    it is raised instead.
     """
     vals = obj.values_at_points(_shifted_rows(values, sl, mu * directions), i)
     if not np.isfinite(vals).all():
@@ -78,6 +85,8 @@ def _two_point_rows(obj: FiniteSumObjective, values: np.ndarray, i: int, mu: flo
     # mu * sqrt(.) is monotone, so the shortest direction decides whether any falls under.
     shortest = math.sqrt(np.minimum.reduce(np.vecdot(directions, directions)))
     if mu * shortest < 1e3 * _EPS * _norm(values[sl]):
+        if _SPECULATIVE.get():
+            raise PerturbationUnderflowWarning
         warnings.warn(
             "two-point perturbation mu*||v|| is below 1e3*eps of the block norm; "
             "the returned estimate is dominated by rounding error",

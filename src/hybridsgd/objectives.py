@@ -20,8 +20,8 @@ each family overrides it with one vectorised body, bit-identical to that loop,
 and a family that overrides ``value_at``/``grad_at`` must do the same.
 
 The kernel ``full_values_and_grads_at_points(points)`` gives the full value and
-gradient at every row, shapes (m,) and (m, d), for full-objective probes and,
-with m = 1, the per-step trace.  The base class loops the exact per-sample means
+gradient at every row, shapes (m,) and (m, d), as m one-row calls would, for
+probes and the trace's row blocks.  The base class loops the exact per-sample means
 ``full_value_at``/``full_grad_at`` over the rows; cosh keeps their bits.  The
 others use closed forms: logistic one dot of the (d, n) features with the
 sigmoid weights, linear the mean slope, the quadratics the mean center c,

@@ -19,9 +19,14 @@ each maps a float64 array to a new one and validates nothing.  :func:`run` is
 the validated boundary: it checks its config, stream and start point once,
 resolves the divergence guard, steps on raw arrays, and builds a
 :class:`HybridPoint` only for snapshots and the result.
+
+The trace is read in row blocks of steps, one full-kernel call a block.  A
+block that would print, raise or trip the guard is replayed step by step, so a
+run prints, raises and stops as a step-by-step loop does (see :func:`run_epoch`).
 """
 from __future__ import annotations
 
+import contextvars
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -41,8 +46,8 @@ from .core import (
     _write_csv,
     shuffle_permutation,
 )
-from .estimator import ZoConfig, estimate_block_gradient
-from .objectives import FiniteSumObjective
+from .estimator import _SPECULATIVE, ZoConfig, estimate_block_gradient
+from .objectives import FiniteSumObjective, _row_blocks
 
 __all__ = [
     "Mode",
@@ -104,13 +109,8 @@ class TraceRecord(NamedTuple):
     grad_norm_y: float
 
 
-def step(
-    obj: FiniteSumObjective,
-    values: np.ndarray,
-    i: int,
-    cfg: OptimizerConfig,
-    rng: RngStream,
-) -> np.ndarray:
+def step(obj: FiniteSumObjective, values: np.ndarray, i: int, cfg: OptimizerConfig,
+         rng: RngStream) -> np.ndarray:
     """Raw-array simultaneous update of both blocks from the incoming values.
 
     Inputs are assumed validated (run checks the start point once); returns
@@ -136,17 +136,18 @@ def step(
     return new_values
 
 
-def run_epoch(
-    obj: FiniteSumObjective,
-    values: np.ndarray,
-    cfg: OptimizerConfig,
-    rng: RngStream,
-    epoch: int,
-    guard: float,
-    trace: list,
-    snapshots: list,
-    snapshot_every: int,
-) -> tuple[np.ndarray, bool]:
+def _speculative() -> contextvars.Context:
+    """A copy of the calling context in which the numpy errors that the caller does
+    not ignore, and the estimator's underflow warning, are raised, not printed."""
+    context = contextvars.copy_context()
+    context.run(np.seterr, **{k: v if v == "ignore" else "raise" for k, v in np.geterr().items()})
+    context.run(_SPECULATIVE.set, True)
+    return context
+
+
+def run_epoch(obj: FiniteSumObjective, values: np.ndarray, cfg: OptimizerConfig, rng: RngStream,
+              epoch: int, guard: float, trace: list, snapshots: list, snapshot_every: int,
+              speculative: contextvars.Context | None = None) -> tuple[np.ndarray, bool]:
     """One reshuffled pass over all n samples: run's per-epoch body, on raw arrays.
 
     Validates nothing: values is a checked float64 array and guard the run's
@@ -156,23 +157,59 @@ def run_epoch(
     values after the epoch and False, or stops at the first step whose f
     exceeds the guard or goes non-finite and returns the values after that
     step and True; that step's record is the trace's last.
+
+    The blocks are ``_row_blocks(n, obj._full_row_cost())``: a block takes its
+    steps through :func:`step`, then reads their trace rows from one full-kernel
+    call, which gives each row the bits of a one-row call.  A block of more than
+    one row runs first in the context speculative (a :func:`_speculative` one if
+    not given), where the numpy errors the caller does not ignore and the
+    estimator's underflow warning raise instead of printing.  Both are context
+    variables, not warnings filters, whose every change resets Python's
+    once-per-location registry.  If the block raises there or trips the guard,
+    the stream state, trace and snapshots are restored and it is replayed as
+    blocks of one row in the caller's context: the step-by-step loop.  So step
+    runs once per committed step, plus once per step of a replayed block; a row
+    cost over ``_ROW_BUDGET`` gives blocks of one row and no speculation.
     """
-    layout = obj.layout
-    d_x = layout.d_x
-    for global_step, idx in enumerate(shuffle_permutation(rng, obj.n).tolist(), epoch * obj.n):
-        try:
-            values = step(obj, values, idx, cfg, rng)
-        except NumericError as exc:
-            raise NumericError(f"epoch {epoch}, step {global_step}: {exc}") from exc
-        fs, gs = obj.full_values_and_grads_at_points(values[None])
-        f, g = float(fs[0]), gs[0]
-        trace.append(
-            TraceRecord(epoch, global_step, f, _norm(g), _norm(g[:d_x]), _norm(g[d_x:]))
-        )
-        if snapshot_every and (global_step + 1) % snapshot_every == 0:
-            snapshots.append((global_step + 1, HybridPoint(layout, values)))
-        if not math.isfinite(f) or f > guard:
-            return values, True
+    layout, d_x, first = obj.layout, obj.layout.d_x, epoch * obj.n
+    order = shuffle_permutation(rng, obj.n).tolist()
+
+    def block(rows: range, values: np.ndarray) -> tuple[np.ndarray, bool]:
+        points = []
+        for k in rows:
+            try:
+                values = step(obj, values, order[k], cfg, rng)
+            except NumericError as exc:
+                raise NumericError(f"epoch {epoch}, step {first + k}: {exc}") from exc
+            points.append(values)
+        fs, gs = obj.full_values_and_grads_at_points(np.array(points))
+        for k, f, g, values in zip(rows, fs.tolist(), gs, points):
+            trace.append(TraceRecord(epoch, first + k, f, _norm(g), _norm(g[:d_x]), _norm(g[d_x:])))
+            if snapshot_every and (first + k + 1) % snapshot_every == 0:
+                snapshots.append((first + k + 1, HybridPoint(layout, values)))
+            if not math.isfinite(f) or f > guard:
+                return values, True
+        return values, False
+
+    for sl in _row_blocks(obj.n, obj._full_row_cost()):
+        rows = range(sl.start, sl.stop)
+        if len(rows) > 1:
+            if speculative is None:
+                speculative = _speculative()
+            state, marks = rng.generator.bit_generator.state, (len(trace), len(snapshots))
+            try:
+                after, diverged = speculative.run(block, rows, values)
+                if not diverged:
+                    values = after
+                    continue
+            except Exception:  # the replay raises it again if the step-by-step loop reaches it
+                pass
+            rng.generator.bit_generator.state = state
+            del trace[marks[0]:], snapshots[marks[1]:]
+        for k in rows:
+            values, diverged = block(range(k, k + 1), values)
+            if diverged:
+                return values, True
     return values, False
 
 
@@ -197,14 +234,8 @@ class RunResult:
     divergence_threshold: float
 
 
-def run(
-    obj: FiniteSumObjective,
-    w0: HybridPoint,
-    cfg: OptimizerConfig,
-    rng: RngStream,
-    *,
-    snapshot_every: int = 0,
-) -> RunResult:
+def run(obj: FiniteSumObjective, w0: HybridPoint, cfg: OptimizerConfig, rng: RngStream, *,
+        snapshot_every: int = 0) -> RunResult:
     """cfg.epochs reshuffled epochs from w0; never raises on divergence.
 
     The divergence guard is cfg.divergence_threshold if set, else
@@ -226,8 +257,10 @@ def run(
     min_grad_sq = float(np.dot(g0, g0))
     trace: list[TraceRecord] = []
     snapshots: list[tuple[int, HybridPoint]] = [(0, w0)] if snapshot_every > 0 else []
+    speculative = _speculative()  # one per run: the caller's numpy error state does not change in it
     for epoch in range(cfg.epochs):
-        values, diverged = run_epoch(obj, values, cfg, rng, epoch, guard, trace, snapshots, snapshot_every)
+        values, diverged = run_epoch(obj, values, cfg, rng, epoch, guard, trace, snapshots, snapshot_every,
+                                     speculative)
         if diverged:
             break
         min_grad_sq = min(min_grad_sq, trace[-1].grad_norm ** 2)

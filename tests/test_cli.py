@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -556,6 +557,48 @@ def test_divergent_run_exits_3(tmp_path, capsys):
     assert meta["command"] == "run"
     threshold = fmt17(meta["divergence_threshold_resolved"])
     assert err == f"diverged at epoch={epoch} step={step} f={f} (threshold {threshold})\n"
+
+
+# A child interpreter with Python's default warning filters: its stderr is what a user sees.
+_CHILD = "import sys; from hybridsgd.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def _run_in_child(tmp_path, cfg):
+    config, out = _write_config(tmp_path, "run.json", cfg), tmp_path / "trace.csv"
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", _CHILD, "run", "--config", config, "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    return proc, out
+
+
+def test_guard_trip_mid_block_prints_only_the_divergence(tmp_path):
+    # FO steps of 2 on cosh from x = 1 reach f = 624 at step 2, over the guard of 100; the
+    # trace block's later steps overflow, but only in its discarded speculative pass
+    cosh = {"kind": "cosh", "d_x": 1, "d_y": 1, "shifts": [[0.0, 0.0]] * 8}
+    cfg = _run_config(objective=cosh, init={"kind": "explicit", "values": [1.0, 0.0]},
+                      rates={"eta_x": 2.0, "eta_y": 2.0}, modes={"x": "fo", "y": "fo"}, zo=None,
+                      divergence_threshold=100.0)
+    proc, out = _run_in_child(tmp_path, cfg)
+    assert proc.returncode == EXIT_DIVERGED
+    epoch, step, f = out.read_text(encoding="utf-8").splitlines()[-1].split(",")[:3]
+    assert (epoch, step) == ("0", "2")
+    assert proc.stderr == f"diverged at epoch=0 step=2 f={f} (threshold 100)\n"
+
+
+def test_underflow_warning_prints_once_over_many_trace_blocks(tmp_path):
+    # mu = 1e-30 warns at every ZO step; n = 200 and d = 4 give trace blocks of 80, 80 and
+    # 40 steps, and Python's default filter prints the warning once for its one location
+    quad = {"kind": "block_quadratic", "d_x": 2, "d_y": 2, "n": 200, "a_x": 4.0, "a_y": 1.0,
+            "seed": 3}
+    proc, _ = _run_in_child(tmp_path, _run_config(objective=quad, zo={"mu": 1e-30}, epochs=1))
+    assert proc.returncode == EXIT_OK
+    warning, source = proc.stderr.splitlines()
+    location, message = warning.split(": ", 1)
+    assert re.fullmatch(r".*optimizer\.py:\d+", location) and message == (
+        "PerturbationUnderflowWarning: two-point perturbation mu*||v|| is below 1e3*eps of the "
+        "block norm; the returned estimate is dominated by rounding error")
+    assert source.startswith("  ") and "estimate_block_gradient" in source
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in cosh")

@@ -21,6 +21,8 @@ import contextlib
 import inspect
 import itertools
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -40,10 +42,10 @@ from hybridsgd import (
     run,
     sample_gaussian,
 )
-from hybridsgd import objectives, oracle
+from hybridsgd import objectives, optimizer, oracle
 from hybridsgd.cli import main
 from hybridsgd.core import Block, NumericError, _check_int, shuffle_permutation
-from hybridsgd.estimator import _two_point_rows, estimate_block_gradient
+from hybridsgd.estimator import PerturbationUnderflowWarning, _two_point_rows, estimate_block_gradient
 from hybridsgd.optimizer import RunResult, TraceRecord
 from conftest import OffsetObjective
 
@@ -366,6 +368,226 @@ def test_raw_step_loop_matches_reference_when_diverging():
             run_fn(obj, w0, cfg, RngStream(23, 2))
         messages.append(str(info.value))
     assert messages[0] == messages[1] and messages[0].startswith("epoch 0, step 0: ")
+
+
+# -- the trace in row blocks against the step-by-step loop ------------------
+
+
+def _set_block_rows(monkeypatch, obj, rows):
+    """Make _row_blocks give blocks of `rows` trace rows (rows = 0: a row cost over the budget)."""
+    monkeypatch.setattr(objectives, "_ROW_BUDGET", max(1, rows * obj._full_row_cost() - (rows == 0)))
+
+
+def _observed(run_fn, obj, w0, cfg, seed, **kwargs):
+    """run_fn's result, or {"error": (type, message)} for the error it raised, the stream
+    state after it, and the warnings it issued under simplefilter("always"): (category,
+    message, filename, line), in order."""
+    rng = RngStream(seed, 2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = run_fn(obj, w0, cfg, rng, **kwargs)
+            outcome = {"trace": repr(result.trace), "steps": [r.step for r in result.trace],
+                       "point": result.point.values.tobytes(), "epochs": result.epochs_completed,
+                       "diverged": result.diverged, "min_grad_sq": repr(result.min_grad_sq),
+                       "guard": repr(result.divergence_threshold),
+                       "snapshots": [(k, p.values.tobytes()) for k, p in result.snapshots]}
+        except (NumericError, FloatingPointError) as exc:
+            outcome = {"error": (type(exc), str(exc))}
+    return outcome, repr(rng.generator.bit_generator.state), [
+        (w.category, str(w.message), w.filename, w.lineno) for w in caught]
+
+
+def _assert_blocks_match_step_by_step(monkeypatch, obj, w0, cfg, seed, block_rows, **kwargs):
+    """run with each block size equals run with blocks of one row in every observed
+    detail, and _reference_run in all but the warnings' locations; returns the one-row
+    outcome and warnings, and the rows of each full-kernel call per block size."""
+    _set_block_rows(monkeypatch, obj, 0)
+    one_row = _observed(run, obj, w0, cfg, seed, **kwargs)
+    outcome, state, caught = _observed(_reference_run, obj, w0, cfg, seed, **kwargs)
+    assert one_row[:2] == (outcome, state)
+    assert [w[:2] for w in one_row[2]] == [w[:2] for w in caught]
+    kernel_rows = {}
+    kernel = obj.full_values_and_grads_at_points
+    for rows in block_rows:
+        kernel_rows[rows] = []
+
+        def counted(points, calls=kernel_rows[rows]):
+            calls.append(len(points))
+            return kernel(points)
+
+        _set_block_rows(monkeypatch, obj, rows)
+        with monkeypatch.context() as patch:
+            patch.setattr(obj, "full_values_and_grads_at_points", counted)
+            assert _observed(run, obj, w0, cfg, seed, **kwargs) == one_row, rows
+    return one_row[0], one_row[2], kernel_rows
+
+
+BLOCK_PAIRINGS = ("zo-fo", "fo-fo", "zo-zo", "frozen-fo")
+
+
+@pytest.mark.parametrize("pairing", BLOCK_PAIRINGS)
+@pytest.mark.parametrize("kind", [*sorted(FAMILY_SPECS), "offset"])
+def test_trace_in_row_blocks_matches_step_by_step_loop(monkeypatch, kind, pairing):
+    # blocks of 1, 2, 3, n - 1 and n rows; "offset" writes only value_at/grad_at
+    obj = _oracle_objective(kind, 5, 28)
+    w0 = HybridPoint(obj.layout, sample_gaussian(RngStream(28, 1), obj.layout.d))
+    cfg = OptimizerConfig(0.02, 0.05, *PAIRINGS[pairing],
+                          zo=ZoConfig(mu=1e-3, directions_per_step=3), epochs=3)
+    outcome, caught, kernel_rows = _assert_blocks_match_step_by_step(
+        monkeypatch, obj, w0, cfg, 28, (1, 2, 3, 4, 5), snapshot_every=4)
+    assert (outcome["epochs"], outcome["diverged"], caught) == (3, False, [])
+    for rows, calls in kernel_rows.items():
+        per_epoch = [min(rows, 5 - k) for k in range(0, 5, rows)]
+        assert calls == 3 * per_epoch, (rows, calls)
+
+
+# cosh on one-coordinate blocks with every sample alike: an FO step of 2 from x = 1 goes
+# to -1.35, 2.25, -7.1 and 1300, whose sinh overflows in the next step
+COSH_ALIKE = {"kind": "cosh", "d_x": 1, "d_y": 1, "shifts": [[0.0, 0.0]] * 8}
+
+
+class MathCosh(FiniteSumObjective):
+    """COSH_ALIKE through Python's math, whose overflow raises OverflowError."""
+
+    def __init__(self):
+        super().__init__(BlockLayout(1, 1), 8)
+
+    def value_at(self, values, i):
+        return math.cosh(values[0]) + math.cosh(values[1])
+
+    def grad_at(self, values, i):
+        return np.array([math.sinh(values[0]), math.sinh(values[1])])
+
+
+@pytest.mark.parametrize("kind", ["cosh", "math"])
+def test_guard_trip_mid_block_replays_to_the_tripping_step(monkeypatch, kind):
+    # f = 624 at step 2 trips a guard of 100; the block's later steps overflow, numpy
+    # warning or math raising OverflowError, but only in the discarded speculative
+    # pass, so nothing is printed or raised
+    obj = objective_from_dict(COSH_ALIKE) if kind == "cosh" else MathCosh()
+    w0 = HybridPoint(obj.layout, [1.0, 0.0])
+    cfg = OptimizerConfig(2.0, 2.0, Mode.FO, Mode.FO, epochs=2, divergence_threshold=100.0)
+    outcome, caught, kernel_rows = _assert_blocks_match_step_by_step(
+        monkeypatch, obj, w0, cfg, 29, (2, 3, 7, 8))
+    assert (outcome["steps"], outcome["diverged"], caught) == ([0, 1, 2], True, [])
+    # a whole block's speculative pass ends at step 4's overflow, before its kernel call;
+    # in blocks of two, the kernel call of steps 2 and 3 overflows.  Both replay up to step 2
+    assert kernel_rows[8] == [1, 1, 1] and kernel_rows[2] == [2, 2, 1]
+
+
+def test_numeric_error_mid_block_keeps_its_step_context_and_warning(monkeypatch):
+    # the last sample's y shift makes its FO step overflow, at step 5 of the permutation
+    obj = objective_from_dict({**COSH_ALIKE, "shifts": [[0.0, 0.0]] * 7 + [[0.0, 5.0]]})
+    w0 = HybridPoint(obj.layout, [1.0, 0.0])
+    cfg = OptimizerConfig(0.01, 1e307, Mode.FO, Mode.FO, epochs=2)
+    outcome, caught, _ = _assert_blocks_match_step_by_step(monkeypatch, obj, w0, cfg, 2, (2, 3, 7, 8))
+    assert outcome == {"error": (NumericError, "epoch 0, step 5: non-finite update from sample 7")}
+    [(category, message, filename, _)] = caught
+    assert (category, message) == (RuntimeWarning, "overflow encountered in multiply")
+    assert filename.endswith("optimizer.py")
+
+
+def test_underflow_warning_inside_blocks_is_issued_step_by_step(monkeypatch):
+    # mu = 1e-30 is below 1e3 eps of every x block norm: each ZO step warns once
+    obj = _oracle_objective("logistic", 6, 30)
+    w0 = HybridPoint(obj.layout, sample_gaussian(RngStream(30, 1), obj.layout.d))
+    cfg = OptimizerConfig(0.02, 0.05, Mode.ZO, Mode.FO, zo=ZoConfig(mu=1e-30), epochs=2)
+    outcome, caught, _ = _assert_blocks_match_step_by_step(monkeypatch, obj, w0, cfg, 30, (2, 3, 5, 6))
+    assert (outcome["epochs"], outcome["diverged"]) == (2, False)
+    assert [w[0] for w in caught] == [PerturbationUnderflowWarning] * 12
+    assert all(w[2].endswith("optimizer.py") for w in caught)
+
+
+@pytest.mark.parametrize("mu", [1e-3, 1e-30])
+def test_replayed_block_keeps_nothing_of_its_speculative_pass(monkeypatch, mu):
+    # FO steps of 3 on a_y = 1 double y's distance to the center: f passes the guard at
+    # step 10, row 4 of epoch 1, and the steps after it stay finite.  The speculative pass
+    # of that block records rows and snapshots past the trip (mu = 1e-3), and its ZO
+    # steps would each warn (mu = 1e-30); the replay keeps none of it.
+    obj = objective_from_dict({**FAMILY_SPECS["block_quadratic"], "d_x": 4, "d_y": 3, "n": 6,
+                               "seed": 33})
+    w0 = HybridPoint(obj.layout, sample_gaussian(RngStream(33, 1), obj.layout.d))
+    cfg = OptimizerConfig(0.02, 3.0, Mode.ZO, Mode.FO, zo=ZoConfig(mu=mu), epochs=4)
+    outcome, caught, _ = _assert_blocks_match_step_by_step(monkeypatch, obj, w0, cfg, 33, (2, 3, 5, 6),
+                                                           snapshot_every=1)
+    assert (outcome["epochs"], outcome["diverged"], outcome["steps"]) == (1, True, list(range(11)))
+    assert len(outcome["snapshots"]) == 1 + 11
+    assert [w[0] for w in caught] == [PerturbationUnderflowWarning] * (11 if mu < 1e-20 else 0)
+
+
+def _huge_slopes():
+    """Linear losses whose gradient norm overflows: every trace row warns, f stays finite."""
+    slopes = 1e200 * np.abs(sample_gaussian(RngStream(31, 1), 6 * 3)).reshape(6, 3) + 1e199
+    return LinearObjective(BlockLayout(2, 1), slopes), HybridPoint(BlockLayout(2, 1), [0.5, -0.5, 1.0])
+
+
+def test_numpy_overflow_inside_blocks_warns_step_by_step(monkeypatch):
+    obj, w0 = _huge_slopes()
+    cfg = OptimizerConfig(1e-300, 1e-300, Mode.FO, Mode.FO, epochs=2)
+    outcome, caught, kernel_rows = _assert_blocks_match_step_by_step(
+        monkeypatch, obj, w0, cfg, 31, (2, 3, 5, 6))
+    assert (outcome["epochs"], outcome["diverged"]) == (2, False)
+    # min_grad_sq at the start point, then the three norms of each trace row
+    assert [w[1] for w in caught] == ["overflow encountered in dot"] * (1 + 12 * 3)
+    assert kernel_rows[6] == [6, 1, 1, 1, 1, 1, 1] * 2  # every block is replayed
+
+
+def test_caller_ignoring_overflow_replays_no_block(monkeypatch):
+    obj, w0 = _huge_slopes()
+    cfg = OptimizerConfig(1e-300, 1e-300, Mode.FO, Mode.FO, epochs=2)
+    with np.errstate(over="ignore"):
+        outcome, caught, kernel_rows = _assert_blocks_match_step_by_step(
+            monkeypatch, obj, w0, cfg, 31, (2, 3, 5, 6))
+    assert (outcome["epochs"], outcome["diverged"], caught) == (2, False, [])
+    assert kernel_rows[6] == [6, 6]
+
+
+@pytest.mark.parametrize("over", ["ignore", "raise"])
+def test_caller_error_state_stops_every_block_size_at_the_same_step(monkeypatch, over):
+    # y steps of 1e3 on a_y = 1 multiply y's distance to the center by 999: with the
+    # guard off, f overflows at step 51, row 3 of epoch 8's block.  Ignored, the run
+    # stops there on the infinite f; raised, the same FloatingPointError comes from
+    # that step, and since x is ZO the stream state after it pins the step
+    obj = objective_from_dict({**FAMILY_SPECS["block_quadratic"], "d_x": 4, "d_y": 3, "n": 6,
+                               "seed": 34})
+    w0 = HybridPoint(obj.layout, sample_gaussian(RngStream(34, 1), obj.layout.d))
+    cfg = OptimizerConfig(0.02, 1e3, Mode.ZO, Mode.FO, zo=ZoConfig(mu=1e-3), epochs=20,
+                          divergence_threshold=math.inf)
+    with np.errstate(over=over):
+        outcome, caught, kernel_rows = _assert_blocks_match_step_by_step(
+            monkeypatch, obj, w0, cfg, 34, (2, 3, 5, 6))
+    if over == "ignore":
+        assert (outcome["epochs"], outcome["diverged"], outcome["steps"][-1]) == (8, True, 51)
+    else:
+        assert outcome == {"error": (FloatingPointError, "overflow encountered in vecdot")}
+    assert caught == []
+    # epoch 8's speculative pass ends in step 52's two-point probe, before its kernel
+    # call, and the block is replayed row by row up to step 51
+    assert kernel_rows[6] == [6] * 8 + [1, 1, 1, 1]
+
+
+def test_one_row_blocks_never_speculate(monkeypatch):
+    # a row cost over _ROW_BUDGET: every block holds one row and runs the step-by-step loop
+    obj = _oracle_objective("logistic", 5, 32)
+    w0 = HybridPoint(obj.layout, sample_gaussian(RngStream(32, 1), obj.layout.d))
+    cfg = OptimizerConfig(0.02, 0.05, Mode.ZO, Mode.FO, zo=ZoConfig(mu=1e-3), epochs=1)
+    entered = []
+
+    class Watched:
+        def __init__(self):
+            self.context = optimizer._speculative()
+
+        def run(self, fn, rows, values):
+            entered.append(len(rows))
+            return self.context.run(fn, rows, values)
+
+    for rows, want in ((0, []), (2, [2, 2])):
+        _set_block_rows(monkeypatch, obj, rows)
+        entered.clear()
+        trace = []
+        optimizer.run_epoch(obj, w0.values, cfg, RngStream(32, 2), 0, np.inf, trace, [], 0, Watched())
+        assert entered == want and len(trace) == 5
 
 
 # -- the oracle's batched central differences against the per-coordinate loop -

@@ -119,7 +119,8 @@ def test_run_single_epoch_equals_run_epoch():
 def test_every_step_goes_through_the_module_level_step(monkeypatch, modes):
     # The step and the epoch are units of work that profilers and the benchmark
     # count, by wrapping the module globals: run must call run_epoch once per
-    # epoch, and run_epoch step once per step.
+    # epoch, and run_epoch step once per committed step plus once per step of a
+    # replayed trace block.  Here an epoch is one block of 5 steps.
     samples, epochs = [], []
     original_step, original_epoch = optimizer.step, optimizer.run_epoch
 
@@ -139,6 +140,14 @@ def test_every_step_goes_through_the_module_level_step(monkeypatch, modes):
     result = run(obj, w0, cfg, RngStream(53, 1))
     assert len(samples) == 3 * 5 == len(result.trace)
     assert epochs == [0, 1, 2]
+    # y steps of 3 on a_y = 1 pass the guard inside epoch 0's block, after the
+    # block's speculative pass took all 5 steps; the replay runs up to the trip
+    samples.clear(), epochs.clear()
+    cfg = OptimizerConfig(0.01, 3.0, *modes, zo=ZoConfig(mu=1e-3), epochs=3,
+                          divergence_threshold=200.0)
+    result = run(obj, w0, cfg, RngStream(53, 1))
+    assert result.diverged and epochs == [0] and 1 < len(result.trace) < 5
+    assert len(samples) == len(result.trace) + 5
     samples.clear()
     original_epoch(obj, w0.values, cfg, RngStream(53, 1), 0, np.inf, [], [], 0)
     assert sorted(samples) == list(range(5))

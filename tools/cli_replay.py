@@ -5,7 +5,10 @@
 
 ``record`` runs pytest with this file as a plugin and saves each call's test id, argv and
 ``--config``/``--constants`` files (and a config's objective file), then adds the four
-``perfbench/workloads.py`` workloads on instances 0-7 and 64.  ``compare`` runs each call in a
+``perfbench/workloads.py`` workloads on instances 0-7 and 64.  It records the in-process
+``cli.main`` calls and the child interpreters a test starts with
+``subprocess.run([sys.executable, "-c", code, *argv])``, where ``code`` imports ``hybridsgd.cli``;
+such a call keeps its ``code`` (a memory cap, say).  ``compare`` runs each call in a
 fresh interpreter per tree (``PYTHONPATH=<tree>/src``) in the workspace DIR/ws, prints each call
 whose exit code, stdout, stderr (tree path normalised) or output-file sha256 differs, and exits 1
 if any does.  A stderr difference that vanishes once every Python warning's file and line number
@@ -57,13 +60,21 @@ def pytest_configure(config):
 
     out, original, calls = Path(os.environ["CLI_REPLAY_DIR"]), cli.main, []
 
+    def record(argv: list, **code) -> None:
+        test = os.environ.get("PYTEST_CURRENT_TEST", "?").rsplit(" ", 1)[0]
+        calls.append({"test": test, **code, "argv": _capture(argv, out / "files" / str(len(calls)))})
+
     def main(argv=None):
         argv = list(sys.argv[1:] if argv is None else argv)
-        test = os.environ.get("PYTEST_CURRENT_TEST", "?").rsplit(" ", 1)[0]
-        calls.append({"test": test, "argv": _capture(argv, out / "files" / str(len(calls)))})
+        record(argv)
         return original(argv)
 
-    cli.main = main
+    def run(args, *rest, **kwargs):  # a child interpreter that runs the CLI is recorded too
+        if isinstance(args, list) and args[:2] == [sys.executable, "-c"] and "hybridsgd.cli" in args[2]:
+            record([str(a) for a in args[3:]], code=args[2])
+        return spawn(args, *rest, **kwargs)
+
+    cli.main, spawn, subprocess.run = main, subprocess.run, run
     config.cli_replay_calls = calls
 
 
@@ -88,8 +99,8 @@ def _replay(call: dict, files: Path, tree: Path, ws: Path) -> dict:
     shutil.rmtree(ws, ignore_errors=True)
     shutil.copytree(files, ws) if files.is_dir() else ws.mkdir(parents=True)
     argv = [a.replace(WS, str(ws)) for a in call["argv"]]
-    proc = subprocess.run([sys.executable, "-c", CHILD, *argv], cwd=ws, capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(tree / "src")})
+    proc = subprocess.run([sys.executable, "-c", call.get("code", CHILD), *argv], cwd=ws, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(tree / "src")})
     return {"exit code": proc.returncode, "stdout": proc.stdout,
             "stderr": proc.stderr.replace(str(tree), "<tree>"),
             **{f"file {p.relative_to(ws)}": hashlib.sha256(p.read_bytes()).hexdigest()
