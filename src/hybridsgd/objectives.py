@@ -5,37 +5,37 @@ Gradients are hand-written analytic expressions (no autodiff); the oracle
 module cross-checks them against finite differences.  Instances are immutable
 after construction and safe to evaluate concurrently.
 
-``value_at``/``grad_at`` evaluate one sample at one point, and the ``full_*``
-methods the full objective, on raw float64 arrays for hot loops and with no
-check of i; ``eval_full``/``grad_full`` validate a :class:`HybridPoint` first.
-The batched pair ``values_at_points(points, i)``/``grads_at_points(points, i)``
-follows one rule: row k evaluates the k-th row of points, broadcast against the
-samples ``range(n)[i]``, for any leading shape.  So an int i evaluates sample i
-at every row of (m, d) points (the two-point estimator), an int array of length
-m sample i[k] at row k (the per-sample probes), and :data:`ALL`, the index of
-every sample, all n samples at one (d,) point (``full_value_at``,
+``value_at``/``grad_at`` evaluate one sample at one point, on raw float64 arrays for
+hot loops and with no check of i.  The batched pair ``values_at_points(points, i)``/
+``grads_at_points(points, i)`` follows one rule: row k evaluates the k-th row of points,
+broadcast against the samples ``range(n)[i]``, for any leading shape.  So an int i
+evaluates sample i at every row of (m, d) points (the two-point estimator), an int
+array of length m sample i[k] at row k (the per-sample probes), and :data:`ALL`, the
+index of every sample, all n samples at one (d,) point (``full_value_at``,
 ``full_grad_at``, ``sample_variance``) or at each of (m, 1, d) points, shape
 (m, n) (the oracle).  The base class loops the pair over ``value_at``/``grad_at``;
 each family overrides it with one vectorised body, bit-identical to that loop,
 and a family that overrides ``value_at``/``grad_at`` must do the same.
 
-The kernel ``full_values_and_grads_at_points(points)`` gives the full value and
-gradient at every row, shapes (m,) and (m, d), as m one-row calls would, for
-probes and the trace's row blocks.  The base class loops the exact per-sample means
-``full_value_at``/``full_grad_at`` over the rows; cosh keeps their bits.  The
-others use closed forms: logistic one dot of the (d, n) features with the
-sigmoid weights, linear the mean slope, the quadratics the mean center c,
-f = 0.5 (w - c)^T A (w - c) + f(c).  The two quadratics share one kernel,
-written in :class:`BlockQuadratic`; they differ only in how ``_apply`` forms
-A dv.  With gamma = (n + d) eps and W = max |w_j|, a row is within gamma M
-(plus n + d smallest subnormals) of the exact value, M being, for f and for
-each gradient entry: quadratics sum |A_jk| (C + R)(R + gamma C) and
-max_j sum_k |A_jk| (C + R), with C = max |c_ij| and R = max |w_j - c_ij|
-(rounding c costs about eps ||c|| ||A (w - c)||); logistic 1 + Z_1 W + lam d W^2
-and Z + lam W, with Z_1 = max_i sum_j |z_ij| and Z = max |z_ij|; linear d W S and
-S, with S = max |s_ij|.  Dots are ``np.vecdot``, or ``np.matvec`` with the
-square dense Hessian: ``@``, ``matmul``, ``einsum`` and ``np.matvec`` with a
-wide matrix can round differently with the BLAS thread count.
+The kernel ``full_values_and_grads_at_points(points)`` gives the full value and gradient
+at every row, shapes (m,) and (m, d), as m one-row calls would.  It is the package's one
+f and grad f: ``eval_full``/``grad_full`` validate a :class:`HybridPoint` and return its
+one-row call, and run's start, the trace, probes and check read it.
+``full_value_at``/``full_grad_at``, the pair's means over ALL, are the per-sample-mean
+reference: tests hold the kernel to them, the base class loops them over the rows (cosh
+keeps their bits) and the quadratics take f(c) from them.  The others use closed forms:
+logistic one dot of the (d, n) features with the sigmoid weights, linear the mean slope,
+the quadratics the mean center c, f = 0.5 (w - c)^T A (w - c) + f(c).  The two
+quadratics share one kernel, written in :class:`BlockQuadratic`; they differ only in how
+``_apply`` forms A dv.  With gamma = (n + d) eps and W = max |w_j|, a row is within
+gamma M (plus n + d smallest subnormals) of the exact value, M being, for f and for each
+gradient entry: quadratics sum |A_jk| (C + R)(R + gamma C) and max_j sum_k |A_jk|
+(C + R), with C = max |c_ij| and R = max |w_j - c_ij| (rounding c costs about
+eps ||c|| ||A (w - c)||); logistic 1 + Z_1 W + lam d W^2 and Z + lam W, with
+Z_1 = max_i sum_j |z_ij| and Z = max |z_ij|; linear d W S and S, with S = max |s_ij|.
+Dots are ``np.vecdot``, or ``np.matvec`` with the square dense Hessian: ``@``,
+``matmul``, ``einsum`` and ``np.matvec`` with a wide matrix can round differently with
+the BLAS thread count.
 Batched calls go in the in-order row blocks of ``_row_blocks``, at most ``_ROW_BUDGET``
 elements each; ``_full_row_cost`` is what one row of a family's full kernel holds.
 Data arrays are read through ``core._check_array``, so a bool or a string
@@ -126,7 +126,7 @@ class FiniteSumObjective(abc.ABC):
         The loop is the reference."""
         return self._loop(self.grad_at, points, i)
 
-    def full_value_at(self, values: np.ndarray) -> float:
+    def full_value_at(self, values: np.ndarray) -> float:  # the per-sample-mean reference; f is the kernel
         return float(np.add.reduce(self.values_at_points(values, ALL)) / self._n)
 
     def full_grad_at(self, values: np.ndarray) -> np.ndarray:
@@ -160,10 +160,10 @@ class FiniteSumObjective(abc.ABC):
         return points
 
     def eval_full(self, w: HybridPoint) -> float:
-        return self.full_value_at(self.check_point(w))
+        return float(self.full_values_and_grads_at_points(self.check_point(w)[None])[0][0])
 
     def grad_full(self, w: HybridPoint) -> np.ndarray:
-        return self.full_grad_at(self.check_point(w))
+        return self.full_values_and_grads_at_points(self.check_point(w)[None])[1][0]
 
     def sample_variance(self, w: HybridPoint) -> float:
         """(1/n) sum_i ||grad f(w; i) - grad f(w)||^2, from analytic gradients."""

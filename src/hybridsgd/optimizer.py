@@ -217,12 +217,13 @@ def run_epoch(obj: FiniteSumObjective, values: np.ndarray, cfg: OptimizerConfig,
 class RunResult:
     """Outcome of a multi-epoch run.
 
-    min_grad_sq is the minimum of ||grad f||^2 over the epoch-boundary
-    iterates (the start point and the end of every completed epoch), the
-    quantity the rate planner budgets for.  snapshots holds (steps taken,
-    point) pairs when snapshotting was requested, starting with the start
-    point at 0 steps.  divergence_threshold is the guard the run resolved.
-    A diverged run's trace ends at the offending step; point is the iterate after it.
+    min_grad_sq is the minimum of grad_norm^2, a trace row's norm of the full
+    kernel's gradient, over the epoch-boundary iterates (the start point and the
+    end of every completed epoch), the quantity the rate planner budgets for.
+    snapshots holds (steps taken, point) pairs when snapshotting was requested,
+    starting with the start point at 0 steps.  divergence_threshold is the guard
+    the run resolved.  A diverged run's trace ends at the offending step; point
+    is the iterate after it.
     """
 
     point: HybridPoint
@@ -238,23 +239,22 @@ def run(obj: FiniteSumObjective, w0: HybridPoint, cfg: OptimizerConfig, rng: Rng
         snapshot_every: int = 0) -> RunResult:
     """cfg.epochs reshuffled epochs from w0; never raises on divergence.
 
-    The divergence guard is cfg.divergence_threshold if set, else
-    max(1e6 * |f(w0)|, 1e6).  A divergence aborts the offending epoch and is
-    returned in the result (diverged, point after the offending step, partial
-    trace) so sweeps can record it per cell; the CLI maps it to its own exit
-    code.
+    The divergence guard is cfg.divergence_threshold if set, else max(1e6 * |f(w0)|,
+    1e6), f(w0) from the kernel's start row.  A divergence aborts the offending epoch
+    and is returned in the result (diverged, point after the offending step, partial
+    trace) so sweeps can record it per cell; the CLI maps it to its own exit code.
     """
     _check_type("cfg", cfg, OptimizerConfig)
     _check_type("rng", rng, RngStream)
     values = obj.check_point(w0)
     _check_int("snapshot_every", snapshot_every, 0)
-    f0 = obj.full_value_at(values)
+    fs, gs = obj.full_values_and_grads_at_points(values[None])  # the start row: f0 and g0
+    f0, g0 = float(fs[0]), gs[0]
     if not math.isfinite(f0):
         raise NumericError("objective is non-finite at the start point")
     guard = cfg.divergence_threshold
     guard = max(1e6 * abs(f0), 1e6) if guard is None else guard
-    g0 = obj.full_grad_at(values)
-    min_grad_sq = float(np.dot(g0, g0))
+    min_grad_sq = _norm(g0) ** 2  # an epoch end's formula: its trace row's grad_norm squared
     trace: list[TraceRecord] = []
     snapshots: list[tuple[int, HybridPoint]] = [(0, w0)] if snapshot_every > 0 else []
     speculative = _speculative()  # one per run: the caller's numpy error state does not change in it

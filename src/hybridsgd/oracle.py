@@ -195,9 +195,9 @@ def check_hybrid_smoothness(obj: FiniteSumObjective, points, ell_x, ell_y) -> Bo
 
 def _grad_agreement_report(name: str, obj: FiniteSumObjective, points) -> BoundCheckReport:
     worst = 0.0
-    for values in map(obj.check_point, points):
-        approx = _central_differences(obj, obj.values_at_points, values, True).T
-        exact = [obj.full_grad_at(values), *(obj.grad_at(values, i) for i in range(obj.n))]
+    for w in points:  # the full gradient is the kernel's, the one every trace row reports
+        approx = _central_differences(obj, obj.values_at_points, obj.check_point(w), True).T
+        exact = [obj.grad_full(w), *(obj.grad_at(w.values, i) for i in range(obj.n))]
         for a, e in zip(approx, exact):
             worst = max(worst, _norm(a - e) / max(_norm(e), 1e-12))
     return _exact_report(name, worst, 1e-6, len(points))

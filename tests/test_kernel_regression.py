@@ -13,7 +13,8 @@ its inputs and builds a HybridPoint on every step, with the estimator's rows
 summed one by one into a zero accumulator.  The oracle's batched central
 differences are run against the per-coordinate loop they replaced, with the
 objective's own per-point full_value_at/full_grad_at and value_at, and the
-gradient check against one fd_gradient per target.
+gradient check against one fd_gradient per target, the full objective's held to
+its kernel row as in production.
 Traces, final iterates, run results and output files must agree bit for bit,
 so the check holds on any BLAS build without hard-coded hashes.
 """
@@ -262,8 +263,7 @@ def _reference_run(obj, w0, cfg, rng, snapshot_every=0):
     f0 = obj.eval_full(w0)
     guard = cfg.divergence_threshold
     guard = max(1e6 * abs(f0), 1e6) if guard is None else float(guard)
-    g0 = obj.grad_full(w0)
-    min_grad_sq = float(np.dot(g0, g0))
+    min_grad_sq = float(np.linalg.norm(obj.grad_full(w0))) ** 2
     d_x = obj.layout.d_x
     trace, snapshots = [], [(0, w0)] if snapshot_every > 0 else []
     w = w0
@@ -437,9 +437,26 @@ def test_trace_in_row_blocks_matches_step_by_step_loop(monkeypatch, kind, pairin
     outcome, caught, kernel_rows = _assert_blocks_match_step_by_step(
         monkeypatch, obj, w0, cfg, 28, (1, 2, 3, 4, 5), snapshot_every=4)
     assert (outcome["epochs"], outcome["diverged"], caught) == (3, False, [])
-    for rows, calls in kernel_rows.items():
+    for rows, calls in kernel_rows.items():  # the start row's one-row call, then the blocks
         per_epoch = [min(rows, 5 - k) for k in range(0, 5, rows)]
-        assert calls == 3 * per_epoch, (rows, calls)
+        assert calls == [1] + 3 * per_epoch, (rows, calls)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # cosh's gradient norm overflows at 1e3
+@pytest.mark.parametrize("kind", [*sorted(FAMILY_SPECS), "offset"])
+def test_eval_full_grad_full_and_the_run_guard_read_one_kernel_row(kind):
+    # f and grad f are the kernel's one-row call, and run's guard 1e6 |f0| (|f0| > 1 at
+    # most points) is built from that row; "offset" keeps the looped reference kernel
+    obj = _oracle_objective(kind, 5, 36)
+    cfg = OptimizerConfig(0.0, 0.0, Mode.FO, Mode.FO, epochs=1)
+    for scale in (1.0, 30.0, 1e3):
+        w = HybridPoint(obj.layout, scale * sample_gaussian(RngStream(36, 1), obj.layout.d))
+        fs, gs = obj.full_values_and_grads_at_points(w.values[None])
+        f = obj.eval_full(w)
+        assert type(f) is float and np.float64(f).tobytes() == fs[0].tobytes(), (kind, scale)
+        assert obj.grad_full(w).tobytes() == gs[0].tobytes(), (kind, scale)
+        guard = run(obj, w, cfg, RngStream(36, 2)).divergence_threshold
+        assert np.float64(guard).tobytes() == np.float64(max(1e6 * abs(f), 1e6)).tobytes(), (kind, scale)
 
 
 # cosh on one-coordinate blocks with every sample alike: an FO step of 2 from x = 1 goes
@@ -471,9 +488,10 @@ def test_guard_trip_mid_block_replays_to_the_tripping_step(monkeypatch, kind):
     outcome, caught, kernel_rows = _assert_blocks_match_step_by_step(
         monkeypatch, obj, w0, cfg, 29, (2, 3, 7, 8))
     assert (outcome["steps"], outcome["diverged"], caught) == ([0, 1, 2], True, [])
-    # a whole block's speculative pass ends at step 4's overflow, before its kernel call;
-    # in blocks of two, the kernel call of steps 2 and 3 overflows.  Both replay up to step 2
-    assert kernel_rows[8] == [1, 1, 1] and kernel_rows[2] == [2, 2, 1]
+    # after the start row's call, a whole block's speculative pass ends at step 4's overflow,
+    # before its kernel call; in blocks of two, the kernel call of steps 2 and 3 overflows.
+    # Both replay up to step 2
+    assert kernel_rows[8] == [1, 1, 1, 1] and kernel_rows[2] == [1, 2, 2, 1]
 
 
 def test_numeric_error_mid_block_keeps_its_step_context_and_warning(monkeypatch):
@@ -530,7 +548,7 @@ def test_numpy_overflow_inside_blocks_warns_step_by_step(monkeypatch):
     assert (outcome["epochs"], outcome["diverged"]) == (2, False)
     # min_grad_sq at the start point, then the three norms of each trace row
     assert [w[1] for w in caught] == ["overflow encountered in dot"] * (1 + 12 * 3)
-    assert kernel_rows[6] == [6, 1, 1, 1, 1, 1, 1] * 2  # every block is replayed
+    assert kernel_rows[6] == [1] + [6, 1, 1, 1, 1, 1, 1] * 2  # the start row; every block is replayed
 
 
 def test_caller_ignoring_overflow_replays_no_block(monkeypatch):
@@ -540,7 +558,7 @@ def test_caller_ignoring_overflow_replays_no_block(monkeypatch):
         outcome, caught, kernel_rows = _assert_blocks_match_step_by_step(
             monkeypatch, obj, w0, cfg, 31, (2, 3, 5, 6))
     assert (outcome["epochs"], outcome["diverged"], caught) == (2, False, [])
-    assert kernel_rows[6] == [6, 6]
+    assert kernel_rows[6] == [1, 6, 6]
 
 
 @pytest.mark.parametrize("over", ["ignore", "raise"])
@@ -562,9 +580,9 @@ def test_caller_error_state_stops_every_block_size_at_the_same_step(monkeypatch,
     else:
         assert outcome == {"error": (FloatingPointError, "overflow encountered in vecdot")}
     assert caught == []
-    # epoch 8's speculative pass ends in step 52's two-point probe, before its kernel
-    # call, and the block is replayed row by row up to step 51
-    assert kernel_rows[6] == [6] * 8 + [1, 1, 1, 1]
+    # after the start row's call, epoch 8's speculative pass ends in step 52's two-point
+    # probe, before its kernel call, and the block is replayed row by row up to step 51
+    assert kernel_rows[6] == [1] + [6] * 8 + [1, 1, 1, 1]
 
 
 def test_one_row_blocks_never_speculate(monkeypatch):
@@ -616,12 +634,13 @@ def _reference_dense_hessian(obj, w):
 
 
 def _reference_grad_agreement_report(name, obj, points):
-    """The gradient check as one fd_gradient per target: the full objective, then each sample."""
+    """The gradient check as one fd_gradient per target: the full objective, against its kernel
+    row, then each sample."""
     worst = 0.0
     for w in points:
         for i in [None, *range(obj.n)]:
             approx = _reference_fd_gradient(obj, w, i)
-            exact = obj.full_grad_at(w.values) if i is None else obj.grad_at(w.values, i)
+            exact = obj.grad_full(w) if i is None else obj.grad_at(w.values, i)
             scale = max(float(np.linalg.norm(exact)), 1e-12)
             worst = max(worst, float(np.linalg.norm(approx - exact)) / scale)
     return oracle.BoundCheckReport(name, worst, 0.0, 1e-6, len(points), bool(worst <= 1e-6))

@@ -221,7 +221,7 @@ def test_min_grad_sq_over_epoch_boundaries():
     w0 = HybridPoint(obj.layout, np.full(4, 2.0))
     cfg = OptimizerConfig(0.02, 0.02, *FO, epochs=4)
     result = run(obj, w0, cfg, RngStream(55, 1), snapshot_every=obj.n)
-    norms = [float(np.dot(obj.grad_full(p), obj.grad_full(p))) for _, p in result.snapshots]
+    norms = [float(np.linalg.norm(obj.grad_full(p))) ** 2 for _, p in result.snapshots]
     assert result.min_grad_sq == min(norms)
 
 

@@ -166,3 +166,22 @@ def test_smoothness_check_rejects_empty_points():
     obj = BlockQuadratic(LAYOUT, np.zeros((1, 5)), 1.0, 1.0)
     with pytest.raises(ValueError):
         check_hybrid_smoothness(obj, [], lambda u: 1.0, lambda u: 1.0)
+
+
+class WrongKernelLogistic(LogisticObjective):
+    """Exact per-sample methods, but a full kernel whose gradient is off by 1e-4 in coordinate 0."""
+
+    def full_values_and_grads_at_points(self, points):
+        values, grads = super().full_values_and_grads_at_points(points)
+        grads[:, 0] += 1e-4
+        return values, grads
+
+
+def test_grad_agreement_catches_a_wrong_full_kernel():
+    # the check validates the kernel that every trace row reports, not a per-sample mean
+    right = LogisticObjective.random(LAYOUT, 4, RngStream(140, 0xDA7A), lam=0.1)
+    wrong = WrongKernelLogistic(LAYOUT, right.features, right.labels, right.lam)
+    points = [HybridPoint(LAYOUT, sample_gaussian(RngStream(141, k), 5)) for k in range(3)]
+    assert oracle._grad_agreement_report("grad", right, points).passed
+    report = oracle._grad_agreement_report("grad", wrong, points)
+    assert not report.passed and report.empirical_lhs > 1e-5
