@@ -147,7 +147,7 @@ def _speculative() -> contextvars.Context:
 
 def run_epoch(obj: FiniteSumObjective, values: np.ndarray, cfg: OptimizerConfig, rng: RngStream,
               epoch: int, guard: float, trace: list, snapshots: list, snapshot_every: int,
-              speculative: contextvars.Context | None = None) -> tuple[np.ndarray, bool]:
+              speculative: contextvars.Context) -> tuple[np.ndarray, bool]:
     """One reshuffled pass over all n samples: run's per-epoch body, on raw arrays.
 
     Validates nothing: values is a checked float64 array and guard the run's
@@ -161,8 +161,8 @@ def run_epoch(obj: FiniteSumObjective, values: np.ndarray, cfg: OptimizerConfig,
     The blocks are ``_row_blocks(n, obj._full_row_cost())``: a block takes its
     steps through :func:`step`, then reads their trace rows from one full-kernel
     call, which gives each row the bits of a one-row call.  A block of more than
-    one row runs first in the context speculative (a :func:`_speculative` one if
-    not given), where the numpy errors the caller does not ignore and the
+    one row runs first in the context speculative (a :func:`_speculative` one),
+    where the numpy errors the caller does not ignore and the
     estimator's underflow warning raise instead of printing.  Both are context
     variables, not warnings filters, whose every change resets Python's
     once-per-location registry.  If the block raises there or trips the guard,
@@ -194,8 +194,6 @@ def run_epoch(obj: FiniteSumObjective, values: np.ndarray, cfg: OptimizerConfig,
     for sl in _row_blocks(obj.n, obj._full_row_cost()):
         rows = range(sl.start, sl.stop)
         if len(rows) > 1:
-            if speculative is None:
-                speculative = _speculative()
             state, marks = rng.generator.bit_generator.state, (len(trace), len(snapshots))
             try:
                 after, diverged = speculative.run(block, rows, values)

@@ -179,6 +179,8 @@ def estimate_constants(
         grad_bound = max(grad_bound, _norm(obj.grad_full(w)))
         sigma = max(sigma, math.sqrt(obj.sample_variance(w)))
 
-    f_gap = max(0.0, obj.eval_full(pts[0]) - f_star)
+    for name, value in (("G", grad_bound), ("sigma", sigma), ("f(w0)", f0 := obj.eval_full(pts[0]))):
+        if not math.isfinite(value):
+            raise NumericError(f"{name} is non-finite")
     return SmoothnessConstants(L[Block.X], L[Block.Y], L_max[Block.X], L_max[Block.Y],
-                               G=grad_bound, sigma=sigma, f_gap=f_gap)
+                               G=grad_bound, sigma=sigma, f_gap=max(0.0, f0 - f_star))

@@ -22,7 +22,7 @@ direction, and one sample, at a time.  The validated entry points are
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -152,8 +152,10 @@ def estimate_block_lipschitz(
         hv = _hvp_rows(obj, values, directions, cfg.h, cfg.target, group)[:, sl]
         parts.append(np.vecdot(hv, hv))
     sq = np.concatenate(parts)
+    if not isfinite(top := np.maximum.reduce(sq)):  # nan if any is; finite products may square to inf
+        raise NumericError("non-finite squared norm in a curvature probe")
     # the largest sqrt is the sqrt of the largest: sqrt is monotone and correctly rounded
-    operator_lb = sqrt(np.maximum.reduce(sq))
+    operator_lb = sqrt(top)
     mean_sq, se_mean = _mean_stderr(sq)
     raw = sqrt(mean_sq)
     scaled = sqrt(dim * mean_sq)

@@ -665,6 +665,21 @@ def test_probe_with_non_finite_curvature_exits_4(tmp_path, capsys):
     assert capsys.readouterr().err == "numeric failure: non-finite gradient in a curvature probe\n"
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["probe", "plan"])
+def test_a_curvature_overflow_exits_4(tmp_path, capsys, command):
+    # at x = 700 the products cosh(700) v are finite, but their squared norms overflow
+    cosh, points = {"kind": "cosh", "d_x": 1, "d_y": 1, "shifts": [[0.0, 0.0]]}, [[700.0, 0.0]]
+    cfg = {"objective": cosh, "probe": {"probes": 4}}
+    if command == "probe":
+        cfg["trajectory"] = {"kind": "points", "points": points}
+    else:
+        cfg.update(points={"kind": "explicit", "points": points}, T=10, f_star=2.0)
+    code, out = _main_on(tmp_path, command, cfg)
+    assert code == EXIT_NUMERIC and not out.exists()
+    assert capsys.readouterr().err == "numeric failure: non-finite squared norm in a curvature probe\n"
+
+
 @pytest.mark.parametrize("error", [KeyError, TypeError, IndexError])
 def test_internal_error_exits_5_with_a_traceback(tmp_path, capsys, monkeypatch, error):
     # only a bug in the package raises these, so they must not read as a config error

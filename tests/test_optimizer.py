@@ -110,7 +110,8 @@ def test_run_single_epoch_equals_run_epoch():
     cfg = OptimizerConfig(0.01, 0.01, *FO, epochs=1)
     result = run(obj, w0, cfg, RngStream(50, 1))
     trace = []
-    end, diverged = optimizer.run_epoch(obj, w0.values, cfg, RngStream(50, 1), 0, np.inf, trace, [], 0)
+    end, diverged = optimizer.run_epoch(obj, w0.values, cfg, RngStream(50, 1), 0, np.inf, trace, [], 0,
+                                        optimizer._speculative())
     assert np.array_equal(result.point.values, end) and not diverged
     assert result.trace == trace
 
@@ -149,7 +150,7 @@ def test_every_step_goes_through_the_module_level_step(monkeypatch, modes):
     assert result.diverged and epochs == [0] and 1 < len(result.trace) < 5
     assert len(samples) == len(result.trace) + 5
     samples.clear()
-    original_epoch(obj, w0.values, cfg, RngStream(53, 1), 0, np.inf, [], [], 0)
+    original_epoch(obj, w0.values, cfg, RngStream(53, 1), 0, np.inf, [], [], 0, optimizer._speculative())
     assert sorted(samples) == list(range(5))
 
 

@@ -1,5 +1,6 @@
 """Rate planning arithmetic, budget formula, and probe-based constants."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from hybridsgd import (
     BlockQuadratic,
     CoshObjective,
     HybridPoint,
+    LinearObjective,
     LogisticObjective,
+    NumericError,
     ProbeConfig,
     RngStream,
     SmoothnessConstants,
@@ -220,6 +223,18 @@ def test_estimate_checks_f_star_before_any_probe(monkeypatch, f_star):
     w0 = HybridPoint(obj.layout, [0.5, -0.5])
     with pytest.raises(ValueError, match=f"^f_star must be a finite real number, got {f_star!r}$"):
         estimate_constants(obj, ProbeConfig(probes=5), [w0], RngStream(127, 1), f_star=f_star)
+
+
+@pytest.mark.parametrize("slopes, start, name", [([[1e200, 0.0]], 0.0, "G"),
+                                                  ([[1e200, 0.0], [-1e200, 0.0]], 0.0, "sigma"),
+                                                  ([[1e10, 0.0]], 1e300, "f(w0)")])
+def test_estimate_with_a_non_finite_constant_is_a_numeric_error(slopes, start, name):
+    # a linear objective has no curvature, so every probe is finite: the squared norm of a 1e200
+    # slope, or of its deviation from the mean, overflows, and so does f at 1e300 with slope 1e10
+    obj = LinearObjective(BlockLayout(1, 1), slopes)
+    w0 = HybridPoint(obj.layout, [start, 0.0])
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match=f"^{re.escape(name)} is non-finite$"):
+        estimate_constants(obj, ProbeConfig(probes=3), [w0], RngStream(130, 1), f_star=0.0)
 
 
 def test_estimate_rejects_empty_points():

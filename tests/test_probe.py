@@ -20,6 +20,7 @@ from hybridsgd import (
     HybridPoint,
     LinearObjective,
     LogisticObjective,
+    NumericError,
     ProbeConfig,
     ProbeReport,
     RngStream,
@@ -164,6 +165,15 @@ def test_stderr_zero_for_single_probe():
     rep = estimate_block_lipschitz(obj, w, ProbeConfig(probes=1), RngStream(83, 1))
     assert rep.stderr == 0.0
     assert rep.probes == 1
+
+
+@pytest.mark.parametrize("sample", [None, ALL], ids=["full", "samples"])
+def test_a_squared_norm_overflow_is_a_numeric_error(sample):
+    # at x = 700 every product cosh(700) v is finite, but its squared norm overflows
+    obj = CoshObjective(BlockLayout(1, 1), [[0.0, 0.0]])
+    w = HybridPoint(obj.layout, [700.0, 0.0])
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="^non-finite squared norm in a curvature"):
+        estimate_block_lipschitz(obj, w, ProbeConfig(probes=4), RngStream(86, 1), sample=sample)
 
 
 def test_probe_agrees_with_dense_hessian_eigenvalue():
