@@ -24,8 +24,11 @@ one-row call, and run's start, the trace, probes and check read it.
 ``full_value_at``/``full_grad_at``, the pair's means over ALL, are the per-sample-mean
 reference: tests hold the kernel to them, the base class loops them over the rows (cosh
 keeps their bits) and the quadratics take f(c) from them.  The others use closed forms:
-logistic one dot of the (d, n) features with the sigmoid weights, linear the mean slope,
-the quadratics the mean center c, f = 0.5 (w - c)^T A (w - c) + f(c).  The two
+logistic the loss max(-m, 0) + log1p(exp(-|m|)) of each margin m, the per-sample pair's
+``logaddexp(0, -m)`` on numpy's SIMD exp and log1p (logaddexp is a scalar libm loop, about
+10x slower; the two agree within 4 ulps), and one dot of the (d, n) features with the
+sigmoid weights; linear the mean slope; the quadratics the mean center c,
+f = 0.5 (w - c)^T A (w - c) + f(c).  The two
 quadratics share one kernel, written in :class:`BlockQuadratic`; they differ only in how
 ``_apply`` forms A dv.  With gamma = (n + d) eps and W = max |w_j|, a row is within
 gamma M (plus n + d smallest subnormals) of the exact value, M being, for f and for each
@@ -350,9 +353,9 @@ class LogisticObjective(FiniteSumObjective):
 
     def full_values_and_grads_at_points(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         margin = self.labels * np.vecdot(points[:, None, :], self.features)  # (m, n)
-        # logaddexp(0, -margin), not logaddexp(0, margin) - margin, which cancels once
-        # margins saturate; the gradient weight -b sigmoid(-margin) is b expm1(-loss)
-        losses = np.logaddexp(0.0, -margin)
+        # softplus(-margin) in logaddexp's form, which never cancels at saturated margins, on SIMD
+        # exp and log1p (see the module docstring); the gradient weight -b sigmoid(-margin) is b expm1(-loss)
+        losses = np.maximum(-margin, 0.0) + np.log1p(np.exp(-np.abs(margin)))
         coeff = self.labels * np.expm1(-losses)
         return (np.add.reduce(losses, -1) / self._n + 0.5 * self.lam * np.vecdot(points, points),
                 np.vecdot(self._features_t, coeff[:, None, :]) / self._n + self.lam * points)

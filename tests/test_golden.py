@@ -38,6 +38,14 @@ def test_golden_entry_replays_to_its_manifest_bytes(entry, tmp_path):
         f"argv {' '.join(entry['argv'])}")
 
 
+def test_golden_write_names_each_moved_entry_and_its_moved_fields():
+    record = {"exit": 0, "stdout": "a", "stderr": "b", "warnings": 0, "files": {"out": "c"}}
+    old = [{"name": "same", **record}, {"name": "moved", **record}, {"name": "dropped", **record}]
+    new = [{"name": "same", **record}, {"name": "moved", **record, "stderr": "d", "files": {"out": "e"}},
+           {"name": "added", **record}]
+    assert cli_replay.moved(old, new) == ["moved: stderr, files", "added: new", "dropped: gone"]
+
+
 def test_the_fidelity_check_below_has_entries():
     assert len(WARNED) >= 4
 

@@ -258,12 +258,17 @@ def _reference_step(obj, w, i, cfg, rng):
     return HybridPoint(layout, new_values)
 
 
+def _vecdot_norm(v):
+    """np.linalg.norm(v)'s bits (test_optimizer checks that), warning "in vecdot" on overflow as the trace does."""
+    return float(np.sqrt(np.vecdot(v, v)))
+
+
 def _reference_run(obj, w0, cfg, rng, snapshot_every=0):
     """run() driven by _reference_step, one HybridPoint per step."""
     f0 = obj.eval_full(w0)
     guard = cfg.divergence_threshold
     guard = max(1e6 * abs(f0), 1e6) if guard is None else float(guard)
-    min_grad_sq = float(np.linalg.norm(obj.grad_full(w0))) ** 2
+    min_grad_sq = _vecdot_norm(obj.grad_full(w0)) ** 2
     d_x = obj.layout.d_x
     trace, snapshots = [], [(0, w0)] if snapshot_every > 0 else []
     w = w0
@@ -276,7 +281,7 @@ def _reference_run(obj, w0, cfg, rng, snapshot_every=0):
                 raise NumericError(f"epoch {epoch}, step {global_step}: {exc}") from exc
             fs, gs = obj.full_values_and_grads_at_points(w.values[None])
             f, g = float(fs[0]), gs[0]
-            norms = (float(np.linalg.norm(v)) for v in (g, g[:d_x], g[d_x:]))
+            norms = (_vecdot_norm(v) for v in (g, g[:d_x], g[d_x:]))
             trace.append(TraceRecord(epoch, global_step, f, *norms))
             if snapshot_every > 0 and (global_step + 1) % snapshot_every == 0:
                 snapshots.append((global_step + 1, w))
@@ -547,7 +552,7 @@ def test_numpy_overflow_inside_blocks_warns_step_by_step(monkeypatch):
         monkeypatch, obj, w0, cfg, 31, (2, 3, 5, 6))
     assert (outcome["epochs"], outcome["diverged"]) == (2, False)
     # min_grad_sq at the start point, then the three norms of each trace row
-    assert [w[1] for w in caught] == ["overflow encountered in dot"] * (1 + 12 * 3)
+    assert [w[1] for w in caught] == ["overflow encountered in vecdot"] * (1 + 12 * 3)
     assert kernel_rows[6] == [1] + [6, 1, 1, 1, 1, 1, 1] * 2  # the start row; every block is replayed
 
 

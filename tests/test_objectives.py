@@ -725,6 +725,48 @@ def test_logistic_kernel_saturated_margins_against_exact_sums():
     assert np.array_equal(grads, [[0.25, 0.5], [-0.25, 0.5]])
 
 
+def _logaddexp_kernel(obj, points):
+    """The logistic full kernel with its losses as logaddexp(0, -margin): the reference of the softplus form."""
+    margin = obj.labels * np.vecdot(points[:, None, :], obj.features)
+    losses = np.logaddexp(0.0, -margin)
+    coeff = obj.labels * np.expm1(-losses)
+    return (np.add.reduce(losses, -1) / obj.n + 0.5 * obj.lam * np.vecdot(points, points),
+            np.vecdot(obj.features.T, coeff[:, None, :]) / obj.n + obj.lam * points)
+
+
+def _raised(kernel, obj, points):
+    """The (type, message) of the FloatingPointError kernel(obj, points) raises, or None."""
+    try:
+        kernel(obj, points)
+    except FloatingPointError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# (feature, point) pairs of margins 0, 1, 40, 745, 800, 1e308 and inf (the point's sign and the label add
+# the negatives): 1e308 from a large feature or a large point, inf from an overflowing dot or an infinite point
+_MARGINS = [(1.0, 0.0), (1.0, 1.0), (1.0, 40.0), (1.0, 745.0), (1.0, 800.0), (1e308, 1.0), (1.0, 1e308),
+            (1e308, 10.0), (1.0, np.inf)]
+
+
+@pytest.mark.parametrize("feature, at", _MARGINS)
+@pytest.mark.parametrize("label", [1.0, -1.0])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_logistic_softplus_kernel_matches_logaddexp_form(feature, at, label, sign):
+    obj = LogisticObjective(BlockLayout(1, 1), [[feature, 0.0]], [label], lam=0.0)
+    points = np.array([[sign * at, 0.0]])
+    kernel = LogisticObjective.full_values_and_grads_at_points
+    # a speculative trace block's error state: the kernel raises exactly where the reference raises
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        assert _raised(kernel, obj, points) == _raised(_logaddexp_kernel, obj, points)
+    with np.errstate(all="ignore"):
+        margin = label * feature * sign * at
+        got, want = kernel(obj, points), _logaddexp_kernel(obj, points)
+        ulps = 0 if np.isinf(margin) else 4  # exact at +-inf
+        for g, w in zip(got, want):
+            assert np.all((g == w) | (np.abs(g - w) <= ulps * np.spacing(np.abs(w))) | np.isnan(g) & np.isnan(w))
+
+
 @pytest.mark.parametrize("kind", sorted(_BUILDERS))
 def test_family_overrides_batched_kernels(kind):
     cls = type(_BUILDERS[kind](LAYOUT, 2, RngStream(15, 0xDA7A), 1.0))

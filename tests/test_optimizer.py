@@ -7,6 +7,7 @@ from hybridsgd import (
     BlockQuadratic,
     HybridPoint,
     LinearObjective,
+    LogisticObjective,
     Mode,
     NumericError,
     OptimizerConfig,
@@ -215,6 +216,19 @@ def test_trace_norm_identity():
         lhs = rec.grad_norm**2
         rhs = rec.grad_norm_x**2 + rec.grad_norm_y**2
         assert lhs == pytest.approx(rhs, rel=1e-9)
+
+
+def test_trace_norms_are_linalg_norms_of_the_kernel_gradient():
+    # a block's three norms come from one vecdot each; every row keeps np.linalg.norm's bits
+    obj = LogisticObjective.random(BlockLayout(3, 4), 9, RngStream(56, 0xDA7A), lam=0.1)
+    w0 = HybridPoint(obj.layout, sample_gaussian(RngStream(56, 1), obj.layout.d))
+    cfg = OptimizerConfig(0.05, 0.05, Mode.ZO, Mode.FO, zo=ZoConfig(mu=1e-3), epochs=2)
+    result = run(obj, w0, cfg, RngStream(56, 2), snapshot_every=1)
+    assert len(result.trace) == 18
+    for rec, (_, point) in zip(result.trace, result.snapshots[1:]):
+        g = obj.grad_full(point)
+        norms = [float(np.linalg.norm(v)) for v in (g, g[:3], g[3:])]
+        assert [rec.grad_norm, rec.grad_norm_x, rec.grad_norm_y] == norms
 
 
 def test_min_grad_sq_over_epoch_boundaries():

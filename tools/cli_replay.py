@@ -5,7 +5,8 @@
 ``golden --write`` runs each entry of :func:`golden_corpus` (a name, an argv and its input files) in this
 process, on the ``src`` next to this file, through :func:`golden_replay`, the function that
 ``tests/test_golden.py`` replays the manifest with, and records each entry's exit code, warning count and
-digests.  ``pytest tests/test_golden.py`` names the entries that moved.
+digests.  It prints each entry that moved from the manifest it replaces, with the fields that moved, and
+``pytest tests/test_golden.py`` names the entries that moved.
 """
 import contextlib
 import hashlib
@@ -50,6 +51,10 @@ _CASES = {
     **{f"modes-{x}-{y}": ("run", {"objective": {"kind": "cosh", "d_x": 2, "d_y": 2, "n": 4, "shift_spread": 0.5,
         "seed": 60}, "rates": {"eta_x": 0.3, "eta_y": 0.3}, "modes": {"x": x, "y": y}, "epochs": 4, "seed": 6})
        for x in ("zo", "fo", "frozen") for y in ("zo", "fo", "frozen")},
+    # margins 2000, 3000, 5000 and -3000 at the start, far past where exp(-|m|) underflows (745)
+    "run-logistic-saturated-margins": ("run", {"objective": {"kind": "logistic", "d_x": 2, "d_y": 1, "labels":
+        [1, -1, 1, -1], "features": [[2000, 0, 0], [0, -3000, 0], [0, 0, 5000], [1500, 1500, 0]]},
+        "init": {**_AT, "values": [1, 1, 1]}, "rates": {"eta_x": 1e-4, "eta_y": 1e-4}}),
     "guard-trip-mid-block": ("run", {"objective": {**_COSH, "shifts": [[0.0, 0.0]] * 8}, **_FO, "init": {**_AT,
         "values": [1.0, 0.0]}, "rates": {"eta_x": 2.0, "eta_y": 2.0}, "divergence_threshold": 100.0}),
     "underflow-over-many-blocks": ("run", {"objective": {**_QUAD, "d_y": 2, "n": 200}, "zo": {"mu": 1e-30}}),
@@ -153,6 +158,20 @@ def golden_replay(entry: dict, ws: Path) -> dict:
     return {"exit": code, "stdout": stdout, "stderr": stderr, "warnings": shown, "files": dict(zip(files, digests))}
 
 
+def moved(old: list, new: list) -> list:
+    """One line per entry of new that differs from old's entry of that name, naming the fields that moved
+    (exit, stdout, stderr, warnings, files, or the argv and inputs; "new" for an entry old lacks), then one
+    per entry of old that new lacks."""
+    before = {entry["name"]: entry for entry in old}
+    lines = []
+    for entry in new:
+        was = before.pop(entry["name"], None)
+        fields = ["new"] if was is None else [key for key in entry if was.get(key) != entry[key]]
+        if fields:
+            lines.append(f"{entry['name']}: {', '.join(fields)}")
+    return lines + [f"{name}: gone" for name in before]
+
+
 def main(argv: list) -> int:
     if argv != ["golden", "--write"]:
         print(__doc__, file=sys.stderr)
@@ -160,8 +179,12 @@ def main(argv: list) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     with tempfile.TemporaryDirectory() as tmp:
         entries = [{**entry, **golden_replay(entry, Path(tempfile.mkdtemp(dir=tmp)))} for entry in golden_corpus()]
+    old = json.loads(GOLDEN.read_text(encoding="utf-8"))["entries"] if GOLDEN.exists() else []
     GOLDEN.write_text(json.dumps({"numpy": np.__version__, "entries": entries}, indent=1) + "\n", encoding="utf-8")
-    print(f"{len(entries)} entries written to {GOLDEN.relative_to(ROOT)}")
+    lines = moved(old, entries)
+    for line in lines:
+        print(line)
+    print(f"{len(entries)} entries written to {GOLDEN.relative_to(ROOT)}, {len(lines)} moved, new or gone")
     return 0
 
 
