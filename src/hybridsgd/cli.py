@@ -293,6 +293,8 @@ def cmd_plan(args) -> int:
     from_file = args.constants is not None
     if from_file == args.estimate or from_file == (args.config is not None):
         raise ValueError("plan: pass --constants FILE, or --config FILE with --estimate")
+    if from_file and args.seed is not None:  # a constants file draws nothing
+        raise ValueError("plan: --seed applies only to --estimate")
 
     if from_file:
         cfg = _read_section("constants", _load_json(args.constants), _COMMAND_KEYS["constants"])
@@ -310,6 +312,8 @@ def cmd_plan(args) -> int:
     derive = epsilon is not None and delta is not None
     if horizon is None and not derive:  # checked before any probe runs
         raise ValueError("plan: provide T, or epsilon and delta to derive it")
+    if derive != (epsilon is not None or delta is not None):
+        raise ValueError("plan: give epsilon and delta together, or neither")
     if not from_file:
         constants = estimate_constants(
             obj, pcfg, points, RngStream(cfg["seed"], PROBE_STREAM_ID), f_star=cfg["f_star"]

@@ -11,6 +11,9 @@ parameters of the callable the section feeds), rejects keys the table does not
 list and sends values to ``_check_int``/``_check_real``/``_check_finite``/
 ``_check_member``: a bool or a string is never a number, an int in a real field
 becomes a float.  ``_check_array`` applies this rule to every array entry.
+
+``_norm`` is the package's one 2-norm, of a vector or of each row of a block, on
+one source line: an overflow in any norm prints one numpy warning, not one per caller.
 """
 from __future__ import annotations
 
@@ -304,9 +307,10 @@ def sample_gaussian(rng: RngStream, dim: int) -> np.ndarray:
     return rng.generator.standard_normal(dim)
 
 
-def _norm(v: np.ndarray) -> float:
-    """sqrt(v . v) of a 1-d float array: the bits of numpy's ``linalg.norm`` without its dispatch."""
-    return math.sqrt(v.dot(v))
+def _norm(a: np.ndarray) -> np.ndarray:
+    """sqrt(r . r) of each row r over the last axis (0-d for a vector), numpy's ``linalg.norm`` bits: the package's
+    one 2-norm, on one line, so an overflow in any norm prints one ``overflow encountered in vecdot``."""
+    return np.sqrt(np.vecdot(a, a))
 
 
 def _mean_stderr(samples: np.ndarray) -> tuple[float, float]:
@@ -338,17 +342,13 @@ def _unit_sphere_rows(rng: RngStream, m: int, dim: int) -> np.ndarray:
     :func:`sample_unit_sphere` calls: the (m, dim) Gaussian block consumes the
     stream in the same order as m draws of dim, and a zero row is dropped and
     the block topped up from the stream in order, as the sequential redraw
-    would.  ``np.sqrt(np.vecdot(.))`` equals ``_norm`` row by row.
+    would.  Each row is divided by its :func:`_norm`, taken again after a top-up.
     """
     rows = rng.generator.standard_normal((m, dim))
-    norms = np.sqrt(np.vecdot(rows, rows))
-    while True:
+    while not (norms := _norm(rows)).all():
         keep = norms > 0.0
-        if keep.all():
-            return rows / norms[:, None]
-        extra = rng.generator.standard_normal((m - np.count_nonzero(keep), dim))
-        rows = np.concatenate([rows[keep], extra])
-        norms = np.concatenate([norms[keep], np.sqrt(np.vecdot(extra, extra))])
+        rows = np.concatenate([rows[keep], rng.generator.standard_normal((m - np.count_nonzero(keep), dim))])
+    return rows / norms[:, None]
 
 
 def _shifted_rows(values: np.ndarray, sl: slice, shifts: np.ndarray) -> np.ndarray:

@@ -35,8 +35,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (Block, HybridPoint, NumericError, RngStream, _check_int, _check_real, _check_type, _write_csv,
-                   shuffle_permutation)
+from .core import (Block, HybridPoint, NumericError, RngStream, _check_int, _check_real, _check_type, _norm,
+                   _write_csv, shuffle_permutation)
 from .estimator import _SPECULATIVE, ZoConfig, estimate_block_gradient
 from .objectives import FiniteSumObjective, _row_blocks
 
@@ -127,11 +127,6 @@ def step(obj: FiniteSumObjective, values: np.ndarray, i: int, cfg: OptimizerConf
     return new_values
 
 
-def _norms(*rows: np.ndarray) -> list:
-    """Per (m, k) array, sqrt(g . g) of each row g (_norm's bits), all on one line: an overflow prints once."""
-    return [np.sqrt(np.vecdot(g, g)).tolist() for g in rows]
-
-
 def _speculative() -> contextvars.Context:
     """A copy of the calling context in which the numpy errors that the caller does
     not ignore, and the estimator's underflow warning, are raised, not printed."""
@@ -157,8 +152,8 @@ def run_epoch(obj: FiniteSumObjective, values: np.ndarray, cfg: OptimizerConfig,
     The blocks are ``_row_blocks(n, obj._full_row_cost())``: a block takes its
     steps through :func:`step`, then reads their trace rows from one full-kernel
     call, which gives each row the bits of a one-row call, and commits the rows up to
-    the first guard trip in one pass: one ``vecdot`` per norm (:func:`_norms`) and
-    one extend of the trace and of the snapshots.  A block of more than
+    the first guard trip in one pass: one ``_norm`` call each for g, its x block and
+    its y block, and one extend of the trace and of the snapshots.  A block of more than
     one row runs first in the context speculative (a :func:`_speculative` one),
     where the numpy errors the caller does not ignore and the
     estimator's underflow warning raise instead of printing.  Both are context
@@ -186,7 +181,8 @@ def run_epoch(obj: FiniteSumObjective, values: np.ndarray, cfg: OptimizerConfig,
         trip = next((r for r, f in enumerate(fs) if not math.isfinite(f) or f > guard), None)
         steps = range(first + rows.start, first + (rows.stop if trip is None else rows.start + trip + 1))
         g = gs[:len(steps)]
-        trace.extend(map(TraceRecord, repeat(epoch), steps, fs, *_norms(g, g[:, :d_x], g[:, d_x:])))
+        norms = (_norm(a).tolist() for a in (g, g[:, :d_x], g[:, d_x:]))
+        trace.extend(map(TraceRecord, repeat(epoch), steps, fs, *norms))
         if snapshot_every:
             snapshots.extend((s + 1, HybridPoint(layout, p)) for s, p in zip(steps, points)
                              if (s + 1) % snapshot_every == 0)
@@ -253,7 +249,7 @@ def run(obj: FiniteSumObjective, w0: HybridPoint, cfg: OptimizerConfig, rng: Rng
         raise NumericError("objective is non-finite at the start point")
     guard = cfg.divergence_threshold
     guard = max(1e6 * abs(f0), 1e6) if guard is None else guard
-    min_grad_sq = _norms(gs)[0][0] ** 2  # an epoch end's formula: its trace row's grad_norm squared
+    min_grad_sq = _norm(gs).tolist()[0] ** 2  # an epoch end's formula: its trace row's grad_norm squared
     trace: list[TraceRecord] = []
     snapshots: list[tuple[int, HybridPoint]] = [(0, w0)] if snapshot_every > 0 else []
     speculative = _speculative()  # one per run: the caller's numpy error state does not change in it

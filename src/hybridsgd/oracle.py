@@ -158,7 +158,7 @@ def check_estimator_bounds(
 
     d_x = obj.layout.d_x
     g = obj.grad_at(values, i)[:d_x]
-    g_norm = _norm(g)
+    g_norm = float(_norm(g))
 
     directions = sample_gaussian(rng, trials * d_x).reshape(trials, d_x)
     err = _two_point_rows(obj, values, i, float(mu), directions, slice(0, d_x))
@@ -186,7 +186,7 @@ def check_hybrid_smoothness(obj: FiniteSumObjective, points, ell_x, ell_y) -> Bo
     worst = -np.inf
     for w in pts:
         hess = dense_hessian(obj, w)
-        grad_norm = _norm(obj.grad_full(w))
+        grad_norm = float(_norm(obj.grad_full(w)))
         lam_x = float(np.linalg.eigvalsh(hess[:d_x, :d_x])[-1])
         lam_y = float(np.linalg.eigvalsh(hess[d_x:, d_x:])[-1])
         worst = max(worst, lam_x - float(ell_x(grad_norm)), lam_y - float(ell_y(grad_norm)))
@@ -197,9 +197,8 @@ def _grad_agreement_report(name: str, obj: FiniteSumObjective, points) -> BoundC
     worst = 0.0
     for w in points:  # the full gradient is the kernel's, the one every trace row reports
         approx = _central_differences(obj, obj.values_at_points, obj.check_point(w), True).T
-        exact = [obj.grad_full(w), *(obj.grad_at(w.values, i) for i in range(obj.n))]
-        for a, e in zip(approx, exact):
-            worst = max(worst, _norm(a - e) / max(_norm(e), 1e-12))
+        exact = np.array([obj.grad_full(w), *(obj.grad_at(w.values, i) for i in range(obj.n))])
+        worst = max(worst, *(_norm(approx - exact) / np.maximum(_norm(exact), 1e-12)).tolist())
     return _exact_report(name, worst, 1e-6, len(points))
 
 

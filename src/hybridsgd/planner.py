@@ -176,7 +176,7 @@ def estimate_constants(
             sample_lb = estimate_block_lipschitz(obj, w, bcfg, rng, sample=ALL).operator_lb
             L[block] = max(L[block], full_lb)
             L_max[block] = max(L_max[block], full_lb, sample_lb)
-        grad_bound = max(grad_bound, _norm(obj.grad_full(w)))
+        grad_bound = max(grad_bound, float(_norm(obj.grad_full(w))))
         sigma = max(sigma, math.sqrt(obj.sample_variance(w)))
 
     for name, value in (("G", grad_bound), ("sigma", sigma), ("f(w0)", f0 := obj.eval_full(pts[0]))):

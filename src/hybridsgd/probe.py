@@ -172,7 +172,7 @@ def trajectory_scan(
     """(full gradient norm, probe report) at each point, in trajectory order."""
     out = []
     for w in obj.check_points(points):
-        grad_norm = _norm(obj.grad_full(w))
+        grad_norm = float(_norm(obj.grad_full(w)))
         out.append((grad_norm, estimate_block_lipschitz(obj, w, cfg, rng)))
     return out
 

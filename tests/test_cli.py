@@ -185,12 +185,12 @@ COMMANDS = {
 }
 
 
-def _main_on(tmp_path, command, cfg, out=None):
+def _main_on(tmp_path, command, cfg, out=None, flags=()):
     words, _ = COMMANDS[command]
     flag = "--constants" if command == "constants" else "--config"
     out = tmp_path / "out.csv" if out is None else out
     path = _write_config(tmp_path, "c.json", cfg)
-    return main([*words, flag, path, "--out", str(out)]), out
+    return main([*words, flag, path, "--out", str(out), *flags]), out
 
 
 def _set(cfg, path, value):
@@ -843,16 +843,26 @@ def test_point_list_that_is_not_a_list_exits_2(tmp_path, capsys, command, path, 
     assert capsys.readouterr().err == f"config error: points must be a list, got {value!r}\n"
 
 
-@pytest.mark.parametrize("horizon", [{}, {"epsilon": 0.5}, {"delta": 0.5}])
+NO_HORIZON, LONE = "provide T, or epsilon and delta to derive it", "give epsilon and delta together, or neither"
+
+
+# (command, horizon keys, flags, message): an input that plan would otherwise ignore is an error too
+@pytest.mark.parametrize("horizon", [
+    ("plan", {}, (), NO_HORIZON), ("plan", {"epsilon": 0.5}, (), NO_HORIZON), ("plan", {"delta": 0.5}, (), NO_HORIZON),
+    ("plan", {"T": 10, "epsilon": 0.5}, (), LONE), ("plan", {"T": 10, "delta": 0.5}, (), LONE),
+    ("constants", {"T": 10, "epsilon": 0.5}, (), LONE), ("constants", {"T": 10, "delta": 0.5}, (), LONE),
+    ("constants", {"T": 10}, ("--seed", "3"), "--seed applies only to --estimate"),
+])
 def test_plan_checks_its_horizon_before_it_probes(tmp_path, capsys, monkeypatch, horizon):
     def no_probes(*args, **kwargs):
         raise AssertionError("estimate_constants ran")
 
+    command, keys, flags, message = horizon
     monkeypatch.setattr(cli, "estimate_constants", no_probes)
-    cfg = {**COMMANDS["plan"][1], "T": None, "epsilon": None, "delta": None, **horizon}
-    code, out = _main_on(tmp_path, "plan", cfg)
+    cfg = {**COMMANDS[command][1], "T": None, "epsilon": None, "delta": None, **keys}
+    code, out = _main_on(tmp_path, command, cfg, flags=flags)
     assert code == EXIT_CONFIG and not out.exists()
-    assert capsys.readouterr() == ("", "config error: plan: provide T, or epsilon and delta to derive it\n")
+    assert capsys.readouterr() == ("", f"config error: plan: {message}\n")
 
 
 def test_plan_from_constants_prints_reference_values(tmp_path, capsys):
@@ -988,7 +998,7 @@ def test_a_second_call_reads_no_signature(tmp_path, capsys, monkeypatch):
     ({"epsilon": 1e-100}, "epoch budget"),
     ({"n": 10**400}, "epoch budget"),
     ({"d_x": 10**400}, "eta_x candidate zo_dimension_penalty"),
-    ({"T": 10**400, "epsilon": None}, "eta_x candidate variance_horizon"),
+    ({"T": 10**400, "epsilon": None, "delta": None}, "eta_x candidate variance_horizon"),
     ({"L_x": 1e-300, "G": 1e-300}, "mu candidate horizon_bias"),
 ])
 def test_plan_arithmetic_out_of_float_range_exits_4(tmp_path, capsys, changes, quantity):

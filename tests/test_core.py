@@ -211,6 +211,11 @@ def test_batched_unit_sphere_rejects_zero_rows_like_sequential_draws():
 def test_norm_and_mean_stderr_are_the_bits_of_numpy(m):
     samples = 3.0 + 1e3 * sample_gaussian(RngStream(62, m), m) ** 2
     assert _norm(samples) == float(np.linalg.norm(samples))
+    # a block's rows, the rows of its column slices and an offset vector keep the bits too
+    block = sample_gaussian(RngStream(63, m), 3 * m).reshape(3, m)
+    for rows in (block, block[:, : m // 2], block[:, m // 2 :]):
+        assert _norm(rows).tolist() == [float(np.linalg.norm(row)) for row in rows]
+    assert _norm(samples[1:]) == float(np.linalg.norm(samples[1:]))
     mean, stderr = _mean_stderr(samples)
     assert mean == float(np.mean(samples))
     assert stderr == (float(np.std(samples, ddof=1)) / np.sqrt(m) if m > 1 else 0.0)
@@ -307,6 +312,13 @@ def test_validation_idioms_live_only_in_core():
     assert mean_idioms.search("self._mean_center = centers.mean(axis=0)")
     assert mean_idioms.search("spread = float(np.std(sq, ddof=1))")
     assert not mean_idioms.search("mean = np.add.reduce(grads, 0) / self._n")
+    # The 2-norm has one home, core._norm: no linalg.norm, sqrt of a vecdot or v.dot(v) elsewhere.
+    norm_idioms = re.compile(r"np\.linalg\.norm|np\.sqrt\(np\.vecdot\(|\b([\w.\[\]:]+)\.dot\(\1\)")
+    assert norm_idioms.search("return math.sqrt(v.dot(v))")
+    assert norm_idioms.search("norm = values[sl].dot(values[sl])")
+    assert norm_idioms.search("return [np.sqrt(np.vecdot(g, g)).tolist() for g in rows]")
+    assert norm_idioms.search("scale = max(float(np.linalg.norm(exact)), 1e-12)")
+    assert not norm_idioms.search("margin = self.labels[i] * float(np.dot(self.features[i], values))")
     # "value is an instance of cls" has one home too, core._check_type.  Outside
     # core an isinstance test may guard a raise only in the rule that a ZO block
     # needs a zo config, which is not a type check of one value.
@@ -318,6 +330,10 @@ def test_validation_idioms_live_only_in_core():
         found += [f"{path.name}:{lineno}: {line.strip()}"
                   for lineno, line in enumerate(source.splitlines(), 1) if mean_idioms.search(line)]
         tree = ast.parse(source)
+        norm_lines = {n for node in tree.body if getattr(node, "name", None) == "_norm" and path.name == "core.py"
+                      for n in range(node.lineno, node.end_lineno + 1)}
+        found += [f"{path.name}:{lineno}: {line.strip()}" for lineno, line in enumerate(source.splitlines(), 1)
+                  if norm_idioms.search(line) and lineno not in norm_lines]
         for node in ast.walk(tree):
             imported = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
                         else [node.module] if isinstance(node, ast.ImportFrom) else [])

@@ -58,6 +58,10 @@ _CASES = {
     "guard-trip-mid-block": ("run", {"objective": {**_COSH, "shifts": [[0.0, 0.0]] * 8}, **_FO, "init": {**_AT,
         "values": [1.0, 0.0]}, "rates": {"eta_x": 2.0, "eta_y": 2.0}, "divergence_threshold": 100.0}),
     "underflow-over-many-blocks": ("run", {"objective": {**_QUAD, "d_y": 2, "n": 200}, "zo": {"mu": 1e-30}}),
+    # the estimator's x block norm and the trace's y norm overflow: one vecdot warning, then the underflow one
+    "run-norm-overflow": ("run", {"objective": {"kind": "linear", "d_x": 1, "d_y": 1, "slopes": [[0, 1e200]]},
+        "init": {**_AT, "values": [1e160, 0.5]}, "zo": {"mu": 1e-3, "directions_per_step": 1},
+        "rates": {"eta_x": 0, "eta_y": 0}}),
     "run-non-finite-start": ("run", {"objective": _COSH, **_FO, "init": {**_AT, "values": [800.0, 0.0]}}),
     "sweep-non-finite-start": ("sweep", {"objective": _COSH, **_FO, "init": {**_AT, "values": [800.0, 0.0]}}),
     "run-mid-run-numeric-failure": ("run", {"objective": _COSH, **_FO, "rates": {"eta_x": 1e10, "eta_y": 0},
@@ -90,6 +94,8 @@ _ERRORS = {  # as _CASES: one config error (exit 2) each, named config-error-<na
     "points-entry-a-bool": ("probe", {"trajectory": {**_POINTS, "points": [[True, 2, 3]]}}),
     "constants-negative": ("plan --constants", {"sigma": -1.0}), "plan-no-horizon": ("plan --estimate", {"T": None}),
     "constants-no-n": ("plan --constants", {"n": None}), "plan-arguments": ("plan --constants", {}, "--config", CONFIG),
+    "plan-lone-epsilon": ("plan --constants", {"T": 10, "delta": None}),
+    "plan-seed-with-constants": ("plan --constants", {}, "--seed", "3"),
     "plan-f-star-required": ("plan --estimate", {"objective": {"kind": "linear", "d_x": 1, "d_y": 1, "n": 1,
                                                                "seed": 1}}),
     "duplicate-key": ("run", '{"seed": 1, "seed": 2}\n'), "invalid-json": ("run", '{"seed": 1,}\n'),
