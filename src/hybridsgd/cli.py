@@ -35,7 +35,7 @@ from .core import (_REQUIRED, BlockLayout, HybridPoint, NumericError, RngStream,
                    _read_section, _signature_keys, _write_csv, fmt17, sample_gaussian)
 from .estimator import ZoConfig
 from .objectives import FiniteSumObjective, objective_from_dict
-from .optimizer import OptimizerConfig, run, write_trace_csv
+from .optimizer import OptimizerConfig, RunResult, run, write_trace_csv
 from .oracle import _check_suite
 from .planner import SmoothnessConstants, epoch_budget, estimate_constants, plan_rates
 from .probe import ProbeConfig, trajectory_scan, write_probe_csv
@@ -156,6 +156,16 @@ def _write_meta(out_path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _run_exit(result: RunResult) -> int:
+    """EXIT_OK, or for a run that tripped the guard its divergence line on stderr and EXIT_DIVERGED."""
+    if not result.diverged:
+        return EXIT_OK
+    rep = result.trace[-1]
+    print(f"diverged at epoch={rep.epoch} step={rep.step} f={fmt17(rep.f_value)} "
+          f"(threshold {fmt17(result.divergence_threshold)})", file=sys.stderr)
+    return EXIT_DIVERGED
+
+
 def _report(text: str, out) -> None:
     """Print a text report, and write it to out when given."""
     print(text)
@@ -175,19 +185,13 @@ def cmd_run(args) -> int:
     rng = RngStream(cfg["seed"], RUN_STREAM_ID).child(0)
     result = run(obj, w0, opt, rng)
     write_trace_csv(result.trace, args.out)
-    guard = result.divergence_threshold
     _write_meta(args.out, _run_meta("run", cfg, opt, rates={"eta_x": opt.eta_x, "eta_y": opt.eta_y},
-                                     divergence_threshold_resolved=guard))
+                                     divergence_threshold_resolved=result.divergence_threshold))
     print(
         f"final_f={fmt17(result.trace[-1].f_value)} min_grad_sq={fmt17(result.min_grad_sq)} "
         f"epochs_completed={result.epochs_completed} diverged={str(result.diverged).lower()}"
     )
-    if result.diverged:
-        rep = result.trace[-1]
-        print(f"diverged at epoch={rep.epoch} step={rep.step} f={fmt17(rep.f_value)} "
-              f"(threshold {fmt17(guard)})", file=sys.stderr)
-        return EXIT_DIVERGED
-    return EXIT_OK
+    return _run_exit(result)
 
 
 # -- sweep -------------------------------------------------------------------
@@ -230,22 +234,22 @@ def cmd_sweep(args) -> int:
 # -- probe -------------------------------------------------------------------
 
 
-def _trajectory(spec, obj: FiniteSumObjective, seed: int) -> list:
+def _trajectory(spec, obj: FiniteSumObjective, seed: int) -> tuple[list, RunResult | None]:
     traj = _read_section("trajectory", spec, {"kind": (None, _REQUIRED)}, _TRAJECTORY_KINDS)
     if traj["kind"] == "points":
-        return _point_list(traj["points"], obj)
+        return _point_list(traj["points"], obj), None
     opt = _optimizer_config(traj, traj["rates"])
     every = obj.n if traj["snapshot_every"] is None else traj["snapshot_every"]
     w0 = _initial_point(traj["init"], obj.layout, seed)
     result = run(obj, w0, opt, RngStream(seed, RUN_STREAM_ID).child(0), snapshot_every=every)
-    return [point for _, point in result.snapshots]
+    return [point for _, point in result.snapshots], result
 
 
 def cmd_probe(args) -> int:
     cfg = _config(args)
     obj = _objective(cfg["objective"], args.config)
     pcfg = ProbeConfig(**_read_section("probe", cfg["probe"], _signature_keys(ProbeConfig)))
-    points = _trajectory(cfg["trajectory"], obj, cfg["seed"])
+    points, result = _trajectory(cfg["trajectory"], obj, cfg["seed"])
     rows = trajectory_scan(obj, points, pcfg, RngStream(cfg["seed"], PROBE_STREAM_ID))
     write_probe_csv(rows, args.out)
     meta = {
@@ -258,7 +262,7 @@ def cmd_probe(args) -> int:
     }
     _write_meta(args.out, meta)
     print(f"points={len(rows)} out={args.out}")
-    return EXIT_OK
+    return EXIT_OK if result is None else _run_exit(result)
 
 
 # -- plan -------------------------------------------------------------------

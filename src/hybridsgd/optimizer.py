@@ -142,27 +142,27 @@ def run_epoch(obj: FiniteSumObjective, values: np.ndarray, cfg: OptimizerConfig,
     """One reshuffled pass over all n samples: run's per-epoch body, on raw arrays.
 
     Validates nothing: values is a checked float64 array and guard the run's
-    resolved divergence threshold.  Appends one TraceRecord per step (metrics
-    at the updated point) and, when snapshot_every > 0, a (steps taken,
-    HybridPoint) pair to snapshots every snapshot_every steps.  Returns the
-    values after the epoch and False, or stops at the first step whose f
-    exceeds the guard or goes non-finite and returns the values after that
-    step and True; that step's record is the trace's last.
+    resolved divergence threshold.  Appends, and never removes, one TraceRecord per
+    step (metrics at the updated point) and, when snapshot_every > 0, a (steps
+    taken, HybridPoint) pair to snapshots every snapshot_every steps.  Returns the
+    values after the epoch and False, or stops at the first step whose f exceeds
+    the guard or goes non-finite and returns the values after that step and True;
+    that step's record is the trace's last.
 
     The blocks are ``_row_blocks(n, obj._full_row_cost())``: a block takes its
     steps through :func:`step`, then reads their trace rows from one full-kernel
-    call, which gives each row the bits of a one-row call, and commits the rows up to
-    the first guard trip in one pass: one ``_norm`` call each for g, its x block and
-    its y block, and one extend of the trace and of the snapshots.  A block of more than
-    one row runs first in the context speculative (a :func:`_speculative` one),
-    where the numpy errors the caller does not ignore and the
-    estimator's underflow warning raise instead of printing.  Both are context
-    variables, not warnings filters, whose every change resets Python's
-    once-per-location registry.  If the block raises there or trips the guard,
-    the stream state, trace and snapshots are restored and it is replayed as
-    blocks of one row in the caller's context: the step-by-step loop.  So step
-    runs once per committed step, plus once per step of a replayed block; a row
-    cost over ``_ROW_BUDGET`` gives blocks of one row and no speculation.
+    call, which gives each row the bits of a one-row call, and commits all its rows
+    or none: one ``_norm`` call each for g, its x block and its y block, and one
+    extend of the trace and of the snapshots.  A block of more than one row runs
+    first in the context speculative (a :func:`_speculative` one), where the numpy
+    errors the caller does not ignore and the estimator's underflow warning raise
+    instead of printing.  Both are context variables, not warnings filters, whose
+    every change resets Python's once-per-location registry.  If the block raises
+    there or trips the guard, it has committed nothing: the stream state is restored
+    and it is replayed as blocks of one row in the caller's context, the
+    step-by-step loop.  So step runs once per committed step, plus once per step of
+    a replayed block; a row cost over ``_ROW_BUDGET`` gives blocks of one row and no
+    speculation.
     """
     layout, d_x, first = obj.layout, obj.layout.d_x, epoch * obj.n
     order = shuffle_permutation(rng, obj.n).tolist()
@@ -177,21 +177,21 @@ def run_epoch(obj: FiniteSumObjective, values: np.ndarray, cfg: OptimizerConfig,
             points.append(values)
         fs, gs = obj.full_values_and_grads_at_points(np.array(points))
         fs = fs.tolist()
-        # the rows up to the first guard trip (all of them if none trips) are committed
-        trip = next((r for r, f in enumerate(fs) if not math.isfinite(f) or f > guard), None)
-        steps = range(first + rows.start, first + (rows.stop if trip is None else rows.start + trip + 1))
-        g = gs[:len(steps)]
-        norms = (_norm(a).tolist() for a in (g, g[:, :d_x], g[:, d_x:]))
+        diverged = any(not math.isfinite(f) or f > guard for f in fs)
+        if diverged and len(rows) > 1:  # commits nothing: the caller replays it step by step
+            return values, True
+        steps = range(first + rows.start, first + rows.stop)
+        norms = (_norm(a).tolist() for a in (gs, gs[:, :d_x], gs[:, d_x:]))
         trace.extend(map(TraceRecord, repeat(epoch), steps, fs, *norms))
         if snapshot_every:
             snapshots.extend((s + 1, HybridPoint(layout, p)) for s, p in zip(steps, points)
                              if (s + 1) % snapshot_every == 0)
-        return points[len(steps) - 1], trip is not None
+        return values, diverged
 
     for sl in _row_blocks(obj.n, obj._full_row_cost()):
         rows = range(sl.start, sl.stop)
         if len(rows) > 1:
-            state, marks = rng.generator.bit_generator.state, (len(trace), len(snapshots))
+            state = rng.generator.bit_generator.state
             try:
                 after, diverged = speculative.run(block, rows, values)
                 if not diverged:
@@ -200,7 +200,6 @@ def run_epoch(obj: FiniteSumObjective, values: np.ndarray, cfg: OptimizerConfig,
             except Exception:  # the replay raises it again if the step-by-step loop reaches it
                 pass
             rng.generator.bit_generator.state = state
-            del trace[marks[0]:], snapshots[marks[1]:]
         for k in rows:
             values, diverged = block(range(k, k + 1), values)
             if diverged:

@@ -559,6 +559,22 @@ def test_divergent_run_exits_3(tmp_path, capsys):
     assert err == f"diverged at epoch={epoch} step={step} f={f} (threshold {threshold})\n"
 
 
+def test_diverging_probe_run_trajectory_exits_3_after_writing_its_probes(tmp_path, capsys):
+    # y steps of 5 on a_y = 1 trip the guard within a few epochs: probe writes the snapshots
+    # up to the trip, one per step, then reports the divergence exactly as run does
+    section = {"rates": {"eta_x": 0.01, "eta_y": 5.0}, "epochs": 400}
+    code, trace = _main_on(tmp_path, "run", {**COMMANDS["run"][1], **section}, tmp_path / "trace.csv")
+    assert code == EXIT_DIVERGED
+    diverged = capsys.readouterr().err
+    probe = COMMANDS["probe"][1]
+    code, out = _main_on(tmp_path, "probe", {**probe, "trajectory": {**probe["trajectory"], **section}})
+    assert code == EXIT_DIVERGED
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (f"points={len(_read_csv(trace)) + 1} out={out}\n", diverged)
+    meta = json.loads((tmp_path / "out.csv.meta.json").read_text(encoding="utf-8"))
+    assert meta["points_probed"] == len(_read_csv(out)) == len(_read_csv(trace)) + 1
+
+
 # A child interpreter with Python's default warning filters: its stderr is what a user sees.
 _CHILD = "import sys; from hybridsgd.cli import main; sys.exit(main(sys.argv[1:]))"
 

@@ -526,8 +526,8 @@ def test_underflow_warning_inside_blocks_is_issued_step_by_step(monkeypatch):
 def test_replayed_block_keeps_nothing_of_its_speculative_pass(monkeypatch, mu):
     # FO steps of 3 on a_y = 1 double y's distance to the center: f passes the guard at
     # step 10, row 4 of epoch 1, and the steps after it stay finite.  The speculative pass
-    # of that block records rows and snapshots past the trip (mu = 1e-3), and its ZO
-    # steps would each warn (mu = 1e-30); the replay keeps none of it.
+    # of that block steps past the trip (mu = 1e-3), and its ZO steps would each warn
+    # (mu = 1e-30); the run keeps none of it.
     obj = objective_from_dict({**FAMILY_SPECS["block_quadratic"], "d_x": 4, "d_y": 3, "n": 6,
                                "seed": 33})
     w0 = HybridPoint(obj.layout, sample_gaussian(RngStream(33, 1), obj.layout.d))
@@ -611,6 +611,38 @@ def test_one_row_blocks_never_speculate(monkeypatch):
         trace = []
         optimizer.run_epoch(obj, w0.values, cfg, RngStream(32, 2), 0, np.inf, trace, [], 0, Watched())
         assert entered == want and len(trace) == 5
+
+
+class _AppendOnly(list):
+    """A list that fails on any deletion."""
+
+    def __delitem__(self, key):
+        raise AssertionError(f"del [{key!r}]")
+
+
+@pytest.mark.parametrize("rows", [3, 6])
+def test_a_tripping_block_commits_nothing_so_trace_and_snapshots_only_grow(monkeypatch, rows):
+    # the run of test_replayed_block_keeps_nothing_of_its_speculative_pass: f passes the
+    # guard at row 4 of epoch 1, inside a block of 3 or 6 rows whose speculative pass
+    # trips; run_epoch appends the rows and snapshots of run's step-by-step loop only
+    obj = objective_from_dict({**FAMILY_SPECS["block_quadratic"], "d_x": 4, "d_y": 3, "n": 6,
+                               "seed": 33})
+    w0 = HybridPoint(obj.layout, sample_gaussian(RngStream(33, 1), obj.layout.d))
+    cfg = OptimizerConfig(0.02, 3.0, Mode.ZO, Mode.FO, zo=ZoConfig(mu=1e-3), epochs=4)
+    _set_block_rows(monkeypatch, obj, 0)
+    want = run(obj, w0, cfg, RngStream(33, 2), snapshot_every=1)
+    _set_block_rows(monkeypatch, obj, rows)
+    values, rng, speculative = w0.values, RngStream(33, 2), optimizer._speculative()
+    trace, snapshots = _AppendOnly(), _AppendOnly([(0, w0)])
+    for epoch in range(cfg.epochs):
+        values, diverged = optimizer.run_epoch(obj, values, cfg, rng, epoch, want.divergence_threshold,
+                                               trace, snapshots, 1, speculative)
+        if diverged:
+            break
+    assert (epoch, len(trace), len(snapshots)) == (1, 11, 1 + 11)
+    assert trace == want.trace and values.tobytes() == want.point.values.tobytes()
+    assert [(k, p.values.tobytes()) for k, p in snapshots] == [
+        (k, p.values.tobytes()) for k, p in want.snapshots]
 
 
 # -- the oracle's batched central differences against the per-coordinate loop -

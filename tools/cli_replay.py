@@ -46,6 +46,9 @@ _CASES = {
     "plan-constants": ("plan --constants", {}),
     "probe-run-trajectory": ("probe", {"objective": {"kind": "logistic", "d_x": 3, "d_y": 2, "n": 6, "lam": 0.1,
         "seed": 40}, "probe": {"probes": 20}, "trajectory": {"kind": "run", **_RUN, "snapshot_every": 6}, "seed": 4}),
+    # y steps of 5 on a_y = 1 trip the guard in epoch 1: the snapshots up to the trip are probed, then exit 3
+    "probe-run-trajectory-diverges": ("probe", {"trajectory": {"kind": "run", **_RUN, "rates": {"eta_x": 0.01,
+        "eta_y": 5.0}, "epochs": 400}}),
     **{f"hybrid-run-{kind}": ("run", {"objective": {"kind": kind, "d_x": 3, "d_y": 2, "n": 4, "seed": 50 + k, **data}})
        for k, (kind, data) in enumerate(_FAMILIES.items())},
     **{f"modes-{x}-{y}": ("run", {"objective": {"kind": "cosh", "d_x": 2, "d_y": 2, "n": 4, "shift_spread": 0.5,
