@@ -19,7 +19,6 @@ boundaries.
 from __future__ import annotations
 
 import contextvars
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -35,10 +34,10 @@ __all__ = [
 
 _EPS = float(np.finfo(np.float64).eps)
 
-# Set while optimizer.run_epoch runs a trace block speculatively: a block that would warn is
-# replayed step by step, so there the warning is raised, not printed.  A context variable, like
-# numpy's error state, and not a warnings filter, whose every change resets the warnings registry.
-_SPECULATIVE = contextvars.ContextVar("_SPECULATIVE", default=False)
+# A list where optimizer.run_epoch runs a trace block speculatively: there _two_point_rows appends its
+# directions to it and skips its checks, which the block makes for all its steps at once.  A context
+# variable, like numpy's error state: a warnings filter's every change resets the warnings registry.
+_SPECULATIVE = contextvars.ContextVar("_SPECULATIVE", default=None)
 
 
 class PerturbationUnderflowWarning(UserWarning):
@@ -57,6 +56,12 @@ class ZoConfig:
         object.__setattr__(self, "directions_per_step", _check_int("directions_per_step", self.directions_per_step))
 
 
+def _underflows(mu: float, directions: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Whether mu times the shortest of the (..., q, dim) directions is under 1e3 eps of the norm of x (..., dim),
+    per leading index: min and the correctly rounded sqrt commute, so these are the bits of sqrt(min v . v)."""
+    return mu * _norm(directions).min(-1) < 1e3 * _EPS * _norm(x)
+
+
 def _two_point_rows(obj: FiniteSumObjective, values: np.ndarray, i: int, mu: float,
                     directions: np.ndarray, sl: slice) -> np.ndarray:
     """Raw-array estimates [(f(values + mu v~; i) - f(values; i)) / mu] * v, one
@@ -64,21 +69,19 @@ def _two_point_rows(obj: FiniteSumObjective, values: np.ndarray, i: int, mu: flo
 
     v~ is v placed in the perturbed block's slice ``sl`` of values.  The base
     value and the m shifted values come from one ``values_at_points`` call of
-    m + 1 rows (row 0 the base), so the rows cost m + 1 objective values.  An
-    underflow warning names the caller of this function's caller; while _SPECULATIVE is set
-    it is raised instead.
+    m + 1 rows (row 0 the base), so the rows cost m + 1 objective values.  It
+    raises on a non-finite value and warns, naming its caller's caller, if the directions
+    :func:`_underflows`; while _SPECULATIVE holds a list it appends directions to it instead.
     """
     vals = obj.values_at_points(_shifted_rows(values, sl, mu * directions), i)
-    # count_nonzero and argmin: less fixed cost per call than the ufunc reductions all() and min()
-    if np.count_nonzero(np.isfinite(vals)) < len(vals):
+    unchecked = _SPECULATIVE.get()
+    if unchecked is not None:
+        unchecked.append(directions)
+    elif np.count_nonzero(np.isfinite(vals)) < len(vals):  # less fixed cost per call than all()
         raise NumericError(
             f"objective returned a non-finite value in a two-point probe (sample {i})"
         )
-    # mu * sqrt(.) is monotone, so the shortest direction decides whether any falls under.
-    sq = np.vecdot(directions, directions)
-    if mu * math.sqrt(sq[sq.argmin()]) < 1e3 * _EPS * _norm(values[sl]):
-        if _SPECULATIVE.get():
-            raise PerturbationUnderflowWarning
+    elif _underflows(mu, directions, values[sl]):
         warnings.warn(
             "two-point perturbation mu*||v|| is below 1e3*eps of the block norm; "
             "the returned estimate is dominated by rounding error",

@@ -37,7 +37,7 @@ import numpy as np
 
 from .core import (Block, HybridPoint, NumericError, RngStream, _check_int, _check_real, _check_type, _norm,
                    _write_csv, shuffle_permutation)
-from .estimator import _SPECULATIVE, ZoConfig, estimate_block_gradient
+from .estimator import _SPECULATIVE, PerturbationUnderflowWarning, ZoConfig, _underflows, estimate_block_gradient
 from .objectives import FiniteSumObjective, _row_blocks
 
 __all__ = [
@@ -122,17 +122,16 @@ def step(obj: FiniteSumObjective, values: np.ndarray, i: int, cfg: OptimizerConf
             new_values[sl] -= eta * grad[sl]
         elif mode is Mode.ZO:
             new_values[sl] -= eta * estimate_block_gradient(obj, values, i, cfg.zo, rng, block)
-    if not np.isfinite(new_values).all():
+    if _SPECULATIVE.get() is None and not np.isfinite(new_values).all():  # a speculative block checks its own
         raise NumericError(f"non-finite update from sample {i}")
     return new_values
 
 
 def _speculative() -> contextvars.Context:
     """A copy of the calling context in which the numpy errors that the caller does
-    not ignore, and the estimator's underflow warning, are raised, not printed."""
+    not ignore raise, not print; a trace block run there sets ``_SPECULATIVE``."""
     context = contextvars.copy_context()
     context.run(np.seterr, **{k: v if v == "ignore" else "raise" for k, v in np.geterr().items()})
-    context.run(_SPECULATIVE.set, True)
     return context
 
 
@@ -153,29 +152,41 @@ def run_epoch(obj: FiniteSumObjective, values: np.ndarray, cfg: OptimizerConfig,
     steps through :func:`step`, then reads their trace rows from one full-kernel
     call, which gives each row the bits of a one-row call, and commits all its rows
     or none: one ``_norm`` call each for g, its x block and its y block, and one
-    extend of the trace and of the snapshots.  A block of more than one row runs
-    first in the context speculative (a :func:`_speculative` one), where the numpy
-    errors the caller does not ignore and the estimator's underflow warning raise
-    instead of printing.  Both are context variables, not warnings filters, whose
-    every change resets Python's once-per-location registry.  If the block raises
-    there or trips the guard, it has committed nothing: the stream state is restored
-    and it is replayed as blocks of one row in the caller's context, the
-    step-by-step loop.  So step runs once per committed step, plus once per step of
-    a replayed block; a row cost over ``_ROW_BUDGET`` gives blocks of one row and no
-    speculation.
+    extend of the trace and of the snapshots.  A step checks its two-point values and
+    its update for non-finite values and warns if a ZO direction underflows.  A block
+    of more than one row runs first in the context speculative (a :func:`_speculative`
+    one), where the numpy errors the caller does not ignore raise and the steps skip
+    those checks; the block makes them once, before its kernel call: every point is
+    finite (a non-finite two-point value makes its step's point so, or a numpy error
+    raises first) and no step ``_underflows``.  If the block raises there or trips the
+    guard, it has committed nothing: the stream state is restored and it is replayed as
+    blocks of one row in the caller's context, the step-by-step loop.  So step runs
+    once per committed step, plus once per step of a replayed block; a row cost over
+    ``_ROW_BUDGET`` gives blocks of one row and no speculation.
     """
     layout, d_x, first = obj.layout, obj.layout.d_x, epoch * obj.n
     order = shuffle_permutation(rng, obj.n).tolist()
+    zo = [sl for sl, mode in ((slice(0, d_x), cfg.x_mode), (slice(d_x, None), cfg.y_mode)) if mode is Mode.ZO]
 
     def block(rows: range, values: np.ndarray) -> tuple[np.ndarray, bool]:
-        points = []
+        if len(rows) > 1:  # run in the speculative context: the steps leave their checks to the block
+            _SPECULATIVE.set(unchecked := [])  # each ZO step's directions, x before y
+        points = [values]  # the incoming point, then each step's
         for k in rows:
             try:
                 values = step(obj, values, order[k], cfg, rng)
             except NumericError as exc:
                 raise NumericError(f"epoch {epoch}, step {first + k}: {exc}") from exc
             points.append(values)
-        fs, gs = obj.full_values_and_grads_at_points(np.array(points))
+        stacked = np.array(points[1:])
+        if len(rows) > 1:  # the checks that the steps skipped, once for the block
+            if not np.isfinite(stacked).all():
+                raise NumericError("non-finite update in a speculative block")
+            incoming = np.array(points[:-1])
+            for j, sl in enumerate(zo):
+                if _underflows(cfg.zo.mu, np.array(unchecked[j::len(zo)]), incoming[:, sl]).any():
+                    raise PerturbationUnderflowWarning
+        fs, gs = obj.full_values_and_grads_at_points(stacked)
         fs = fs.tolist()
         diverged = any(not math.isfinite(f) or f > guard for f in fs)
         if diverged and len(rows) > 1:  # commits nothing: the caller replays it step by step
@@ -184,7 +195,7 @@ def run_epoch(obj: FiniteSumObjective, values: np.ndarray, cfg: OptimizerConfig,
         norms = (_norm(a).tolist() for a in (gs, gs[:, :d_x], gs[:, d_x:]))
         trace.extend(map(TraceRecord, repeat(epoch), steps, fs, *norms))
         if snapshot_every:
-            snapshots.extend((s + 1, HybridPoint(layout, p)) for s, p in zip(steps, points)
+            snapshots.extend((s + 1, HybridPoint(layout, p)) for s, p in zip(steps, points[1:])
                              if (s + 1) % snapshot_every == 0)
         return values, diverged
 

@@ -19,6 +19,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hybridsgd import objectives
+
 ROOT = Path(__file__).resolve().parents[1]
 MANIFEST = json.loads((ROOT / "tests" / "golden" / "manifest.json").read_text(encoding="utf-8"))
 _SPEC = importlib.util.spec_from_file_location("cli_replay", ROOT / "tools" / "cli_replay.py")
@@ -30,12 +32,23 @@ CHILD = "import sys; from hybridsgd.cli import main; sys.exit(main(sys.argv[1:])
 LOCATION = re.compile(r"^.*\.py:\d+: (\w+: .*\n)(?:[ \t]+.*\n)?", re.M)
 
 
-@pytest.mark.parametrize("entry", MANIFEST["entries"], ids=[e["name"] for e in MANIFEST["entries"]])
-def test_golden_entry_replays_to_its_manifest_bytes(entry, tmp_path):
+# objectives._ROW_BUDGET sets the rows of every batched call: trace blocks, probe groups and the oracle's
+# central differences.  1 gives one-row blocks and no speculative trace block, 37 blocks cut anywhere and
+# 2^20 one block for most calls; no block boundary may move a byte, so every budget replays the one set of
+# digests.  An entry keeps its name as its id at the default budget.
+BUDGETS = (1, 37, objectives._ROW_BUDGET, 1 << 20)
+REPLAYS = [pytest.param(entry, budget, id=entry["name"] if budget == objectives._ROW_BUDGET
+                        else f"{entry['name']}-budget-{budget}")
+           for budget in BUDGETS for entry in MANIFEST["entries"]]
+
+
+@pytest.mark.parametrize(("entry", "budget"), REPLAYS)
+def test_golden_entry_replays_to_its_manifest_bytes(entry, budget, tmp_path, monkeypatch):
+    monkeypatch.setattr(objectives, "_ROW_BUDGET", budget)
     got = cli_replay.golden_replay(entry, tmp_path)
     assert got == {key: entry[key] for key in got}, (
-        f"{entry['name']} moved (manifest numpy {MANIFEST['numpy']}, running numpy {np.__version__}); "
-        f"argv {' '.join(entry['argv'])}")
+        f"{entry['name']} moved at _ROW_BUDGET {budget} (manifest numpy {MANIFEST['numpy']}, running numpy "
+        f"{np.__version__}); argv {' '.join(entry['argv'])}")
 
 
 def test_golden_write_names_each_moved_entry_and_its_moved_fields():

@@ -43,7 +43,7 @@ from hybridsgd import (
     run,
     sample_gaussian,
 )
-from hybridsgd import objectives, optimizer, oracle
+from hybridsgd import estimator, objectives, optimizer, oracle
 from hybridsgd.cli import main
 from hybridsgd.core import Block, NumericError, _check_int, shuffle_permutation
 from hybridsgd.estimator import PerturbationUnderflowWarning, _two_point_rows, estimate_block_gradient
@@ -520,6 +520,83 @@ def test_underflow_warning_inside_blocks_is_issued_step_by_step(monkeypatch):
     assert (outcome["epochs"], outcome["diverged"]) == (2, False)
     assert [w[0] for w in caught] == [PerturbationUnderflowWarning] * 12
     assert all(w[2].endswith("optimizer.py") for w in caught)
+
+
+def _underflow_draws(rows, q, dim, seed):
+    """(rows, q, dim) directions, (rows, dim) blocks x and a mu = 2^-10, with the shortest direction of
+    every third row sitting exactly at 1e3 eps ||x|| / mu and of the next row one ulp under it."""
+    rng = np.random.default_rng(seed)
+    mu = 2.0 ** -10
+    x = rng.standard_normal((rows, dim)) * 10.0 ** rng.integers(-3, 12, (rows, 1))
+    directions = rng.standard_normal((rows, q, dim)) * 10.0 ** rng.integers(-12, 3, (rows, q, 1))
+    at = 1e3 * estimator._EPS * np.sqrt(np.vecdot(x, x)) / mu  # exact: mu is a power of two
+    for r in range(0, rows - 1, 3):
+        for row, length in ((r, at[r]), (r + 1, np.nextafter(at[r + 1], 0.0))):
+            k = rng.integers(q)  # the shortest direction sits anywhere among the q
+            directions[row] *= 2.0 * at[row] / np.sqrt(np.vecdot(directions[row], directions[row]))[:, None]
+            directions[row, k] = 0.0
+            directions[row, k, rng.integers(dim)] = length  # sqrt(fl(t * t)) == t
+    return mu, directions, x
+
+
+@pytest.mark.parametrize(("rows", "q", "dim"), [(12, 1, 1), (30, 3, 4), (31, 8, 7), (9, 2, 20)])
+def test_underflows_on_stacked_draws_is_the_per_step_decision(rows, q, dim):
+    # the block check reads _underflows once on all its steps; each row must decide as a step's
+    # own check does, and as the argmin and math.sqrt form that check was written in
+    mu, directions, x = _underflow_draws(rows, q, dim, 100 * q + dim)
+    got = estimator._underflows(mu, directions, x)
+    assert got.shape == (rows,) and got[0:rows - 1:3].tolist() == [False] * len(range(0, rows - 1, 3))
+    assert got[1:rows:3].all()
+    obj = objectives.BlockQuadratic(BlockLayout(dim, 1), np.zeros((1, dim + 1)), 1.0, 1.0)
+    for r in range(rows):
+        sq = np.vecdot(directions[r], directions[r])
+        assert got[r] == (mu * math.sqrt(sq[sq.argmin()]) < 1e3 * estimator._EPS * math.sqrt(np.vecdot(x[r], x[r])))
+        assert got[r] == estimator._underflows(mu, directions[r], x[r])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _two_point_rows(obj, np.append(x[r], 0.0), 0, mu, directions[r], slice(0, dim))
+        assert got[r] == bool(caught) and all(w.category is PerturbationUnderflowWarning for w in caught)
+
+
+def test_underflow_of_the_y_block_alone_inside_blocks_is_issued_step_by_step(monkeypatch):
+    # ZO on both blocks: a block's direction list holds each step's x directions, then its y ones.
+    # ||y|| = 3e9 puts y's threshold 1e3 eps ||y|| / mu near its shortest of two directions, so some
+    # y steps warn and some do not, while x (||x|| ~ 1) never does
+    obj = objective_from_dict({**FAMILY_SPECS["block_quadratic"], "d_x": 4, "d_y": 3, "n": 6, "seed": 37})
+    w0 = HybridPoint(obj.layout, np.append(sample_gaussian(RngStream(37, 1), 4), [3e9, 0.0, 0.0]))
+    cfg = OptimizerConfig(0.02, 1e-12, Mode.ZO, Mode.ZO, zo=ZoConfig(mu=1e-3, directions_per_step=2),
+                          epochs=3)
+    outcome, caught, kernel_rows = _assert_blocks_match_step_by_step(monkeypatch, obj, w0, cfg, 37, (2, 3, 6))
+    assert (outcome["epochs"], outcome["diverged"]) == (3, False)
+    assert 0 < len(caught) < 18 and {w[0] for w in caught} == {PerturbationUnderflowWarning}
+    # a block with a warning step is replayed row by row; one without commits in one call
+    assert 6 in kernel_rows[6] and 1 in kernel_rows[6][1:]
+
+
+class ClampedCosh(objectives.CoshObjective):
+    """Cosh whose full kernel reads a non-finite f as 0: only the block's own finiteness check
+    can then see a non-finite point, since the guard passes 0."""
+
+    def full_values_and_grads_at_points(self, points):
+        fs, gs = super().full_values_and_grads_at_points(points)
+        return np.where(np.isfinite(fs), fs, 0.0), gs
+
+
+def test_a_non_finite_point_the_kernel_clamps_stops_at_its_step(monkeypatch):
+    # the setup of test_numeric_error_mid_block_keeps_its_step_context_and_warning, with the caller
+    # ignoring overflow and invalid, so no numpy error ends a speculative pass: the block sees step 5's
+    # infinite point itself, before its kernel call, and the replay raises from step 5
+    obj = ClampedCosh(BlockLayout(1, 1), [[0.0, 0.0]] * 7 + [[0.0, 5.0]])
+    w0 = HybridPoint(obj.layout, [1.0, 0.0])
+    cfg = OptimizerConfig(0.01, 1e307, Mode.FO, Mode.FO, epochs=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        outcome, caught, kernel_rows = _assert_blocks_match_step_by_step(
+            monkeypatch, obj, w0, cfg, 2, (2, 3, 7, 8))
+    assert outcome == {"error": (NumericError, "epoch 0, step 5: non-finite update from sample 7")}
+    assert caught == []
+    # the start row, then the replayed rows 0 to 4; steps 5, 6 and 7 ran in the speculative pass
+    assert kernel_rows[8] == [1, 1, 1, 1, 1, 1]
+    assert kernel_rows[2] == [1, 2, 2, 1]
 
 
 @pytest.mark.parametrize("mu", [1e-3, 1e-30])
