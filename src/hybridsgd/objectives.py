@@ -39,8 +39,8 @@ Z_1 = max_i sum_j |z_ij| and Z = max |z_ij|; linear d W S and S, with S = max |s
 Dots are ``np.vecdot``, or ``np.matvec`` with the square dense Hessian: ``@``,
 ``matmul``, ``einsum`` and ``np.matvec`` with a wide matrix can round differently with
 the BLAS thread count.
-Batched calls go in the in-order row blocks of ``_row_blocks``, at most ``_ROW_BUDGET``
-elements each; ``_full_row_cost`` is what one row of a family's full kernel holds.
+Batched calls go in row blocks of ``_block_rows`` rows, at most ``_ROW_BUDGET`` elements
+each (``_row_blocks`` cuts a range into them); ``_full_row_cost`` is one full-kernel row.
 Data arrays are read through ``core._check_array``, so a bool or a string
 in them is an error.  :func:`objective_from_dict` reads a spec through the key
 table of its path, read once off the kind's ``__init__`` (explicit data) or
@@ -80,9 +80,14 @@ ALL = slice(None)
 _ROW_BUDGET = 1 << 14
 
 
+def _block_rows(row_cost: int) -> int:
+    """The rows of row_cost elements a block holds: max(1, _ROW_BUDGET // row_cost), read at call time."""
+    return max(1, _ROW_BUDGET // row_cost)
+
+
 def _row_blocks(total: int, row_cost: int) -> list[slice]:
-    """range(total) as in-order slices of max(1, _ROW_BUDGET // row_cost) rows of row_cost elements."""
-    rows = max(1, _ROW_BUDGET // row_cost)
+    """range(total) as in-order slices of _block_rows(row_cost) rows of row_cost elements."""
+    rows = _block_rows(row_cost)
     return [slice(k, min(k + rows, total)) for k in range(0, total, rows)]
 
 

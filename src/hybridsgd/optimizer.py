@@ -20,9 +20,9 @@ the validated boundary: it checks its config, stream and start point once,
 resolves the divergence guard, steps on raw arrays, and builds a
 :class:`HybridPoint` only for snapshots and the result.
 
-The trace is read in row blocks of steps, one full-kernel call a block.  A
-block that would print, raise or trip the guard is replayed step by step, so a
-run prints, raises and stops as a step-by-step loop does (see :func:`run_epoch`).
+The trace is read in row blocks of steps that cross epochs, one full-kernel call a
+block.  A block that would print, raise or trip the guard is replayed step by step,
+so a run prints, raises and stops as a step-by-step loop does (see :func:`run_epoch`).
 """
 from __future__ import annotations
 
@@ -30,7 +30,6 @@ import contextvars
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -38,7 +37,7 @@ import numpy as np
 from .core import (Block, HybridPoint, NumericError, RngStream, _check_int, _check_real, _check_type, _norm,
                    _write_csv, shuffle_permutation)
 from .estimator import _SPECULATIVE, PerturbationUnderflowWarning, ZoConfig, _underflows, estimate_block_gradient
-from .objectives import FiniteSumObjective, _row_blocks
+from .objectives import FiniteSumObjective, _block_rows
 
 __all__ = [
     "Mode",
@@ -127,56 +126,52 @@ def step(obj: FiniteSumObjective, values: np.ndarray, i: int, cfg: OptimizerConf
     return new_values
 
 
-def _speculative() -> contextvars.Context:
-    """A copy of the calling context in which the numpy errors that the caller does
-    not ignore raise, not print; a trace block run there sets ``_SPECULATIVE``."""
-    context = contextvars.copy_context()
-    context.run(np.seterr, **{k: v if v == "ignore" else "raise" for k, v in np.geterr().items()})
-    return context
+def run_epoch(obj: FiniteSumObjective, values: np.ndarray, cfg: OptimizerConfig, rng: RngStream, epochs: int,
+              guard: float, trace: list, snapshots: list, snapshot_every: int) -> tuple[np.ndarray, bool]:
+    """epochs reshuffled passes over all n samples from values: run's body, on raw arrays.
 
+    Validates nothing: values is a checked float64 array and guard the run's resolved
+    divergence threshold.  Appends, and never removes, one TraceRecord per step (metrics
+    at the updated point) and, when snapshot_every > 0, a (steps taken, HybridPoint)
+    pair to snapshots every snapshot_every steps.  Returns the last values and False, or
+    stops at the first step whose f exceeds the guard or goes non-finite and returns the
+    values after it and True; that step's record is the trace's last.
 
-def run_epoch(obj: FiniteSumObjective, values: np.ndarray, cfg: OptimizerConfig, rng: RngStream,
-              epoch: int, guard: float, trace: list, snapshots: list, snapshot_every: int,
-              speculative: contextvars.Context) -> tuple[np.ndarray, bool]:
-    """One reshuffled pass over all n samples: run's per-epoch body, on raw arrays.
-
-    Validates nothing: values is a checked float64 array and guard the run's
-    resolved divergence threshold.  Appends, and never removes, one TraceRecord per
-    step (metrics at the updated point) and, when snapshot_every > 0, a (steps
-    taken, HybridPoint) pair to snapshots every snapshot_every steps.  Returns the
-    values after the epoch and False, or stops at the first step whose f exceeds
-    the guard or goes non-finite and returns the values after that step and True;
-    that step's record is the trace's last.
-
-    The blocks are ``_row_blocks(n, obj._full_row_cost())``: a block takes its
-    steps through :func:`step`, then reads their trace rows from one full-kernel
-    call, which gives each row the bits of a one-row call, and commits all its rows
-    or none: one ``_norm`` call each for g, its x block and its y block, and one
-    extend of the trace and of the snapshots.  A step checks its two-point values and
-    its update for non-finite values and warns if a ZO direction underflows.  A block
-    of more than one row runs first in the context speculative (a :func:`_speculative`
-    one), where the numpy errors the caller does not ignore raise and the steps skip
-    those checks; the block makes them once, before its kernel call: every point is
-    finite (a non-finite two-point value makes its step's point so, or a numpy error
-    raises first) and no step ``_underflows``.  If the block raises there or trips the
-    guard, it has committed nothing: the stream state is restored and it is replayed as
-    blocks of one row in the caller's context, the step-by-step loop.  So step runs
-    once per committed step, plus once per step of a replayed block; a row cost over
-    ``_ROW_BUDGET`` gives blocks of one row and no speculation.
+    A block is a slice of the run's step index k and may cross epoch boundaries: step k
+    draws epoch k // n's permutation when k % n == 0, as the step-by-step loop does.  A
+    block from step k holds min(``_block_rows(obj._full_row_cost())``, the steps left,
+    max(n, k)) rows.  It takes its steps through :func:`step`, reads their trace rows from
+    one full-kernel call (each with the bits of a one-row call) and commits all of them or
+    none: one ``_norm`` each for g, its x block and its y block, and one extend of the
+    trace and of the snapshots.  A step checks its two-point values and update for
+    non-finite values and warns if a ZO direction underflows.  A block of more than one
+    row runs first in speculative, a copy of the caller's context in which the numpy
+    errors the caller does not ignore raise; there the steps skip those checks, and the
+    block makes them once, before its kernel call: every point is finite (a non-finite
+    two-point value makes its step's point so, or a numpy error raises first) and no
+    step ``_underflows``.  If it raises there or trips the guard, it has committed
+    nothing: the stream state and the permutation of the epoch in progress are restored,
+    and it is replayed as blocks of one row in the caller's context, the step-by-step
+    loop.  So step runs once per committed step plus once per step of a replayed block:
+    a run that trips calls it at most len(trace) + max(n, len(trace)) times.  A row cost
+    over ``_ROW_BUDGET`` gives blocks of one row and no speculation.
     """
-    layout, d_x, first = obj.layout, obj.layout.d_x, epoch * obj.n
-    order = shuffle_permutation(rng, obj.n).tolist()
+    n, layout, d_x = obj.n, obj.layout, obj.layout.d_x
     zo = [sl for sl, mode in ((slice(0, d_x), cfg.x_mode), (slice(d_x, None), cfg.y_mode)) if mode is Mode.ZO]
+    order = []  # the permutation of the epoch in progress
 
     def block(rows: range, values: np.ndarray) -> tuple[np.ndarray, bool]:
+        nonlocal order
         if len(rows) > 1:  # run in the speculative context: the steps leave their checks to the block
             _SPECULATIVE.set(unchecked := [])  # each ZO step's directions, x before y
         points = [values]  # the incoming point, then each step's
         for k in rows:
+            if k % n == 0:
+                order = shuffle_permutation(rng, n).tolist()
             try:
-                values = step(obj, values, order[k], cfg, rng)
+                values = step(obj, values, order[k % n], cfg, rng)
             except NumericError as exc:
-                raise NumericError(f"epoch {epoch}, step {first + k}: {exc}") from exc
+                raise NumericError(f"epoch {k // n}, step {k}: {exc}") from exc
             points.append(values)
         stacked = np.array(points[1:])
         if len(rows) > 1:  # the checks that the steps skipped, once for the block
@@ -191,18 +186,21 @@ def run_epoch(obj: FiniteSumObjective, values: np.ndarray, cfg: OptimizerConfig,
         diverged = any(not math.isfinite(f) or f > guard for f in fs)
         if diverged and len(rows) > 1:  # commits nothing: the caller replays it step by step
             return values, True
-        steps = range(first + rows.start, first + rows.stop)
         norms = (_norm(a).tolist() for a in (gs, gs[:, :d_x], gs[:, d_x:]))
-        trace.extend(map(TraceRecord, repeat(epoch), steps, fs, *norms))
+        trace.extend(map(TraceRecord, [k // n for k in rows], rows, fs, *norms))
         if snapshot_every:
-            snapshots.extend((s + 1, HybridPoint(layout, p)) for s, p in zip(steps, points[1:])
-                             if (s + 1) % snapshot_every == 0)
+            snapshots.extend((k + 1, HybridPoint(layout, p)) for k, p in zip(rows, points[1:])
+                             if (k + 1) % snapshot_every == 0)
         return values, diverged
 
-    for sl in _row_blocks(obj.n, obj._full_row_cost()):
-        rows = range(sl.start, sl.stop)
+    speculative = contextvars.copy_context()  # a trace block run there sets _SPECULATIVE
+    speculative.run(np.seterr, **{k: v if v == "ignore" else "raise" for k, v in np.geterr().items()})
+    rows_max, total, start = _block_rows(obj._full_row_cost()), epochs * n, 0
+    while start < total:
+        rows = range(start, min(total, start + rows_max, start + max(n, start)))
+        start = rows.stop
         if len(rows) > 1:
-            state = rng.generator.bit_generator.state
+            state, epoch_order = rng.generator.bit_generator.state, order
             try:
                 after, diverged = speculative.run(block, rows, values)
                 if not diverged:
@@ -210,7 +208,7 @@ def run_epoch(obj: FiniteSumObjective, values: np.ndarray, cfg: OptimizerConfig,
                     continue
             except Exception:  # the replay raises it again if the step-by-step loop reaches it
                 pass
-            rng.generator.bit_generator.state = state
+            rng.generator.bit_generator.state, order = state, epoch_order
         for k in rows:
             values, diverged = block(range(k, k + 1), values)
             if diverged:
@@ -262,14 +260,10 @@ def run(obj: FiniteSumObjective, w0: HybridPoint, cfg: OptimizerConfig, rng: Rng
     min_grad_sq = _norm(gs).tolist()[0] ** 2  # an epoch end's formula: its trace row's grad_norm squared
     trace: list[TraceRecord] = []
     snapshots: list[tuple[int, HybridPoint]] = [(0, w0)] if snapshot_every > 0 else []
-    speculative = _speculative()  # one per run: the caller's numpy error state does not change in it
-    for epoch in range(cfg.epochs):
-        values, diverged = run_epoch(obj, values, cfg, rng, epoch, guard, trace, snapshots, snapshot_every,
-                                     speculative)
-        if diverged:
-            break
-        min_grad_sq = min(min_grad_sq, trace[-1].grad_norm ** 2)
-    completed = epoch if diverged else cfg.epochs
+    values, diverged = run_epoch(obj, values, cfg, rng, cfg.epochs, guard, trace, snapshots, snapshot_every)
+    for record in trace[obj.n - 1:len(trace) - diverged:obj.n]:  # the epoch ends, less a tripping step
+        min_grad_sq = min(min_grad_sq, record.grad_norm ** 2)
+    completed = trace[-1].epoch if diverged else cfg.epochs
     return RunResult(HybridPoint(obj.layout, values), trace, completed, diverged, min_grad_sq, snapshots, guard)
 
 

@@ -19,6 +19,7 @@ Traces, final iterates, run results and output files must agree bit for bit,
 so the check holds on any BLAS build without hard-coded hashes.
 """
 import contextlib
+import dataclasses
 import inspect
 import itertools
 import json
@@ -434,17 +435,19 @@ BLOCK_PAIRINGS = ("zo-fo", "fo-fo", "zo-zo", "frozen-fo")
 @pytest.mark.parametrize("pairing", BLOCK_PAIRINGS)
 @pytest.mark.parametrize("kind", [*sorted(FAMILY_SPECS), "offset"])
 def test_trace_in_row_blocks_matches_step_by_step_loop(monkeypatch, kind, pairing):
-    # blocks of 1, 2, 3, n - 1 and n rows; "offset" writes only value_at/grad_at
+    # budgets of 1, 2, 3, n - 1, n, n + 2 and 16 rows over 4 epochs of n = 5 steps; "offset"
+    # writes only value_at/grad_at
     obj = _oracle_objective(kind, 5, 28)
     w0 = HybridPoint(obj.layout, sample_gaussian(RngStream(28, 1), obj.layout.d))
     cfg = OptimizerConfig(0.02, 0.05, *PAIRINGS[pairing],
-                          zo=ZoConfig(mu=1e-3, directions_per_step=3), epochs=3)
+                          zo=ZoConfig(mu=1e-3, directions_per_step=3), epochs=4)
     outcome, caught, kernel_rows = _assert_blocks_match_step_by_step(
-        monkeypatch, obj, w0, cfg, 28, (1, 2, 3, 4, 5), snapshot_every=4)
-    assert (outcome["epochs"], outcome["diverged"], caught) == (3, False, [])
-    for rows, calls in kernel_rows.items():  # the start row's one-row call, then the blocks
-        per_epoch = [min(rows, 5 - k) for k in range(0, 5, rows)]
-        assert calls == [1] + 3 * per_epoch, (rows, calls)
+        monkeypatch, obj, w0, cfg, 28, (1, 2, 3, 4, 5, 7, 16), snapshot_every=4)
+    assert (outcome["epochs"], outcome["diverged"], caught) == (4, False, [])
+    # the start row's one-row call, then the blocks of the run's 20 steps: a block starting at step k
+    # holds min(budget, steps left, max(n, k)) rows, across epoch boundaries
+    assert kernel_rows == {1: [1] + [1] * 20, 2: [1] + [2] * 10, 3: [1] + [3] * 6 + [2], 4: [1] + [4] * 5,
+                           5: [1] + [5] * 4, 7: [1, 5, 5, 7, 3], 16: [1, 5, 5, 10]}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # cosh's gradient norm overflows at 1e3
@@ -668,26 +671,27 @@ def test_caller_error_state_stops_every_block_size_at_the_same_step(monkeypatch,
 
 
 def test_one_row_blocks_never_speculate(monkeypatch):
-    # a row cost over _ROW_BUDGET: every block holds one row and runs the step-by-step loop
+    # a row cost over _ROW_BUDGET: every block holds one row and runs the step-by-step loop;
+    # at two rows, all five blocks of the two epochs speculate, the third across their boundary.
+    # A step runs speculatively when it finds the block's direction list set
     obj = _oracle_objective("logistic", 5, 32)
     w0 = HybridPoint(obj.layout, sample_gaussian(RngStream(32, 1), obj.layout.d))
-    cfg = OptimizerConfig(0.02, 0.05, Mode.ZO, Mode.FO, zo=ZoConfig(mu=1e-3), epochs=1)
-    entered = []
+    cfg = OptimizerConfig(0.02, 0.05, Mode.ZO, Mode.FO, zo=ZoConfig(mu=1e-3), epochs=2)
+    speculating = []
+    original_step = optimizer.step
 
-    class Watched:
-        def __init__(self):
-            self.context = optimizer._speculative()
+    def watched_step(*args):
+        speculating.append(estimator._SPECULATIVE.get() is not None)
+        return original_step(*args)
 
-        def run(self, fn, rows, values):
-            entered.append(len(rows))
-            return self.context.run(fn, rows, values)
-
-    for rows, want in ((0, []), (2, [2, 2])):
+    monkeypatch.setattr(optimizer, "step", watched_step)
+    for rows, want in ((0, [False] * 10), (2, [True] * 10)):
         _set_block_rows(monkeypatch, obj, rows)
-        entered.clear()
+        speculating.clear()
         trace = []
-        optimizer.run_epoch(obj, w0.values, cfg, RngStream(32, 2), 0, np.inf, trace, [], 0, Watched())
-        assert entered == want and len(trace) == 5
+        optimizer.run_epoch(obj, w0.values, cfg, RngStream(32, 2), cfg.epochs, np.inf, trace, [], 0)
+        assert speculating == want and len(trace) == 10
+    assert estimator._SPECULATIVE.get() is None  # the caller's context never holds the list
 
 
 class _AppendOnly(list):
@@ -701,7 +705,7 @@ class _AppendOnly(list):
 def test_a_tripping_block_commits_nothing_so_trace_and_snapshots_only_grow(monkeypatch, rows):
     # the run of test_replayed_block_keeps_nothing_of_its_speculative_pass: f passes the
     # guard at row 4 of epoch 1, inside a block of 3 or 6 rows whose speculative pass
-    # trips; run_epoch appends the rows and snapshots of run's step-by-step loop only
+    # trips; the one run_epoch call appends the rows and snapshots of run's step-by-step loop only
     obj = objective_from_dict({**FAMILY_SPECS["block_quadratic"], "d_x": 4, "d_y": 3, "n": 6,
                                "seed": 33})
     w0 = HybridPoint(obj.layout, sample_gaussian(RngStream(33, 1), obj.layout.d))
@@ -709,17 +713,49 @@ def test_a_tripping_block_commits_nothing_so_trace_and_snapshots_only_grow(monke
     _set_block_rows(monkeypatch, obj, 0)
     want = run(obj, w0, cfg, RngStream(33, 2), snapshot_every=1)
     _set_block_rows(monkeypatch, obj, rows)
-    values, rng, speculative = w0.values, RngStream(33, 2), optimizer._speculative()
     trace, snapshots = _AppendOnly(), _AppendOnly([(0, w0)])
-    for epoch in range(cfg.epochs):
-        values, diverged = optimizer.run_epoch(obj, values, cfg, rng, epoch, want.divergence_threshold,
-                                               trace, snapshots, 1, speculative)
-        if diverged:
-            break
-    assert (epoch, len(trace), len(snapshots)) == (1, 11, 1 + 11)
+    values, diverged = optimizer.run_epoch(obj, w0.values, cfg, RngStream(33, 2), cfg.epochs,
+                                           want.divergence_threshold, trace, snapshots, 1)
+    assert (diverged, trace[-1].epoch, len(trace), len(snapshots)) == (True, 1, 11, 1 + 11)
     assert trace == want.trace and values.tobytes() == want.point.values.tobytes()
     assert [(k, p.values.tobytes()) for k, p in snapshots] == [
         (k, p.values.tobytes()) for k, p in want.snapshots]
+
+
+class ReciprocalQuadratic(objectives.BlockQuadratic):
+    """A block quadratic whose full kernel reports 1 / f: on a converging run the reported f
+    grows while the gradient norm falls, so a guard on it trips at a chosen step."""
+
+    def full_values_and_grads_at_points(self, points):
+        fs, gs = super().full_values_and_grads_at_points(points)
+        return 1.0 / fs, gs
+
+
+@pytest.mark.parametrize("trip", [19, 20])
+def test_a_guard_trip_at_an_epoch_boundary_inside_a_block_is_the_step_by_step_loop(monkeypatch, trip):
+    # n = 4: the guard trips on the last step of epoch 4 (step 19) or the first of epoch 5 (step 20),
+    # inside blocks of 1, n - 1, n + 1 and 3n rows; in the last three the tripping block holds both
+    # steps, across the boundary.  Each epoch end has the smallest gradient norm so far, so
+    # min_grad_sq takes step 15's row at a trip on step 19, whose own row it must leave out, and
+    # step 19's at a trip on step 20
+    n = 4
+    obj = ReciprocalQuadratic.random(BlockLayout(3, 2), n, 4.0, 1.0, RngStream(40, 0xDA7A), center_spread=0.5)
+    w0 = HybridPoint(obj.layout, 3.0 + sample_gaussian(RngStream(40, 1), obj.layout.d))
+    cfg = OptimizerConfig(0.01, 0.05, Mode.ZO, Mode.FO, zo=ZoConfig(mu=1e-3, directions_per_step=2), epochs=8,
+                          divergence_threshold=math.inf)
+    free = run(obj, w0, cfg, RngStream(40, 2)).trace
+    fs, ends = [r.f_value for r in free], [r.grad_norm for r in free[n - 1::n]]
+    assert fs[trip] > max(fs[:trip]) and ends == sorted(ends, reverse=True)
+    cfg = dataclasses.replace(cfg, divergence_threshold=max(fs[:trip]))
+    outcome, caught, kernel_rows = _assert_blocks_match_step_by_step(
+        monkeypatch, obj, w0, cfg, 40, (1, n - 1, n + 1, 3 * n), snapshot_every=3)
+    assert (outcome["steps"], outcome["epochs"], outcome["diverged"], caught) == (
+        list(range(trip + 1)), trip // n, True, [])
+    assert outcome["min_grad_sq"] == repr(free[trip // n * n - 1].grad_norm ** 2)
+    # the start row, the committed blocks, the tripping block's speculative call, then its replay
+    # from the block's first step, 18 or 16, up to the trip
+    assert kernel_rows[n + 1] == [1, 4, 4, 5, 5, 5] + [1] * (trip - 17)
+    assert kernel_rows[3 * n] == [1, 4, 4, 8, 12] + [1] * (trip - 15)
 
 
 # -- the oracle's batched central differences against the per-coordinate loop -

@@ -1,4 +1,6 @@
 """Reshuffled per-sample updates, divergence guard, and trace output."""
+import math
+
 import numpy as np
 import pytest
 
@@ -111,18 +113,17 @@ def test_run_single_epoch_equals_run_epoch():
     cfg = OptimizerConfig(0.01, 0.01, *FO, epochs=1)
     result = run(obj, w0, cfg, RngStream(50, 1))
     trace = []
-    end, diverged = optimizer.run_epoch(obj, w0.values, cfg, RngStream(50, 1), 0, np.inf, trace, [], 0,
-                                        optimizer._speculative())
+    end, diverged = optimizer.run_epoch(obj, w0.values, cfg, RngStream(50, 1), 1, np.inf, trace, [], 0)
     assert np.array_equal(result.point.values, end) and not diverged
     assert result.trace == trace
 
 
 @pytest.mark.parametrize("modes", [FO, (Mode.ZO, Mode.FO)], ids=["fo-fo", "zo-fo"])
 def test_every_step_goes_through_the_module_level_step(monkeypatch, modes):
-    # The step and the epoch are units of work that profilers and the benchmark
-    # count, by wrapping the module globals: run must call run_epoch once per
-    # epoch, and run_epoch step once per committed step plus once per step of a
-    # replayed trace block.  Here an epoch is one block of 5 steps.
+    # The step and the engine are units of work that profilers and the benchmark
+    # count, by wrapping the module globals: run must call run_epoch once, with the
+    # epoch count, and run_epoch step once per committed step plus once per step of
+    # a replayed trace block.  Here the three epochs are three blocks of 5 steps.
     samples, epochs = [], []
     original_step, original_epoch = optimizer.step, optimizer.run_epoch
 
@@ -130,9 +131,9 @@ def test_every_step_goes_through_the_module_level_step(monkeypatch, modes):
         samples.append(i)
         return original_step(obj, values, i, cfg, rng)
 
-    def counting_epoch(obj, values, cfg, rng, epoch, *rest):
-        epochs.append(epoch)
-        return original_epoch(obj, values, cfg, rng, epoch, *rest)
+    def counting_epoch(obj, values, cfg, rng, count, *rest):
+        epochs.append(count)
+        return original_epoch(obj, values, cfg, rng, count, *rest)
 
     monkeypatch.setattr(optimizer, "step", counting_step)
     monkeypatch.setattr(optimizer, "run_epoch", counting_epoch)
@@ -141,18 +142,44 @@ def test_every_step_goes_through_the_module_level_step(monkeypatch, modes):
     cfg = OptimizerConfig(0.01, 0.01, *modes, zo=ZoConfig(mu=1e-3), epochs=3)
     result = run(obj, w0, cfg, RngStream(53, 1))
     assert len(samples) == 3 * 5 == len(result.trace)
-    assert epochs == [0, 1, 2]
+    assert epochs == [3]
     # y steps of 3 on a_y = 1 pass the guard inside epoch 0's block, after the
     # block's speculative pass took all 5 steps; the replay runs up to the trip
     samples.clear(), epochs.clear()
     cfg = OptimizerConfig(0.01, 3.0, *modes, zo=ZoConfig(mu=1e-3), epochs=3,
                           divergence_threshold=200.0)
     result = run(obj, w0, cfg, RngStream(53, 1))
-    assert result.diverged and epochs == [0] and 1 < len(result.trace) < 5
+    assert result.diverged and epochs == [3] and 1 < len(result.trace) < 5
     assert len(samples) == len(result.trace) + 5
     samples.clear()
-    original_epoch(obj, w0.values, cfg, RngStream(53, 1), 0, np.inf, [], [], 0, optimizer._speculative())
+    original_epoch(obj, w0.values, cfg, RngStream(53, 1), 1, np.inf, [], [], 0)
     assert sorted(samples) == list(range(5))
+
+
+@pytest.mark.parametrize("modes", [FO, (Mode.ZO, Mode.FO)], ids=["fo-fo", "zo-fo"])
+def test_speculation_is_bounded_by_the_steps_committed(monkeypatch, modes):
+    # A block starting at step k holds at most max(n, k) rows, so a run that trips calls step at
+    # most len(trace) + max(n, len(trace)) times.  y steps of 2.1 on a_y = 1 grow f by about 1.21
+    # a step: the default guard trips in epoch 19 or 20 of 50, inside the block of steps 64-127
+    calls = []
+    original_step = optimizer.step
+
+    def counting_step(*args):
+        calls.append(None)
+        return original_step(*args)
+
+    monkeypatch.setattr(optimizer, "step", counting_step)
+    n, epochs = 4, 50
+    obj = _quad(BlockLayout(2, 2), 2.0, 1.0, n=n, spread=0.5)
+    w0 = HybridPoint(obj.layout, np.ones(4))
+    cfg = OptimizerConfig(0.01, 2.1, *modes, zo=ZoConfig(mu=1e-3), epochs=epochs)
+    result = run(obj, w0, cfg, RngStream(62, 1))
+    assert result.diverged and result.epochs_completed >= 10
+    assert len(calls) <= len(result.trace) + max(n, len(result.trace))
+    calls.clear()
+    result = run(obj, w0, OptimizerConfig(0.01, 2.1, *modes, zo=ZoConfig(mu=1e-3), epochs=epochs,
+                                          divergence_threshold=math.inf), RngStream(62, 1))
+    assert not result.diverged and len(calls) == epochs * n == len(result.trace)
 
 
 def test_fo_trajectory_matches_minimal_reshuffled_sgd():
