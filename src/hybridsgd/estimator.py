@@ -11,7 +11,9 @@ estimate costs q + 1 objective values, as in the two-point scheme of
 Nesterov & Spokoiny (Random Gradient-Free Minimization of Convex Functions,
 FoCM 2017).  The q directions are drawn as one (q, dim) block, and the base
 value and the q shifted values are read with one ``values_at_points`` call
-of q + 1 rows.  ``estimate_block_gradient`` is the one entry point: like
+of q + 1 rows.  In a speculative trace block (``optimizer.run_epoch``) they come
+instead, with their mu-scaled shifts, from the block's draws, in the same order.
+``estimate_block_gradient`` is the one entry point: like
 ``optimizer.step``, its caller, it takes raw arrays and validates nothing;
 ``optimizer.run`` and ``oracle.check_estimator_bounds`` are the validated
 boundaries.
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Block, NumericError, RngStream, _check_int, _check_real, _norm, _shifted_rows, sample_gaussian
+from .core import Block, NumericError, RngStream, _check_int, _check_real, _norm, sample_gaussian
 from .objectives import FiniteSumObjective
 
 __all__ = [
@@ -34,9 +36,10 @@ __all__ = [
 
 _EPS = float(np.finfo(np.float64).eps)
 
-# A list where optimizer.run_epoch runs a trace block speculatively: there _two_point_rows appends its
-# directions to it and skips its checks, which the block makes for all its steps at once.  A context
-# variable, like numpy's error state: a warnings filter's every change resets the warnings registry.
+# An iterator where optimizer.run_epoch runs a trace block speculatively: each ZO step's (directions,
+# mu * directions) from the block's draws, in stream order, x before y.  There estimate_block_gradient takes
+# its pair from it and _two_point_rows skips its checks, which the block makes for all its steps at once.
+# A context variable, like numpy's error state: a warnings filter's every change resets the warnings registry.
 _SPECULATIVE = contextvars.ContextVar("_SPECULATIVE", default=None)
 
 
@@ -63,31 +66,28 @@ def _underflows(mu: float, directions: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _two_point_rows(obj: FiniteSumObjective, values: np.ndarray, i: int, mu: float,
-                    directions: np.ndarray, sl: slice) -> np.ndarray:
+                    directions: np.ndarray, sl: slice, shifts: np.ndarray | None = None) -> np.ndarray:
     """Raw-array estimates [(f(values + mu v~; i) - f(values; i)) / mu] * v, one
-    row per row v of directions; inputs assumed validated.
+    row per row v of the (m, dim) directions; inputs assumed validated.
 
     v~ is v placed in the perturbed block's slice ``sl`` of values.  The base
     value and the m shifted values come from one ``values_at_points`` call of
-    m + 1 rows (row 0 the base), so the rows cost m + 1 objective values.  It
-    raises on a non-finite value and warns, naming its caller's caller, if the directions
-    :func:`_underflows`; while _SPECULATIVE holds a list it appends directions to it instead.
+    m + 1 rows (row 0 the base, a plain copy of values; row k + 1 bit for bit
+    ``values.copy()`` after ``[sl] += mu * directions[k]``), so the rows cost
+    m + 1 objective values.  It raises on a non-finite value and warns, naming
+    its caller's caller, if the directions :func:`_underflows`.  Given shifts,
+    a speculative block's mu * directions, it adds those and skips both checks.
     """
-    vals = obj.values_at_points(_shifted_rows(values, sl, mu * directions), i)
-    unchecked = _SPECULATIVE.get()
-    if unchecked is not None:
-        unchecked.append(directions)
-    elif np.count_nonzero(np.isfinite(vals)) < len(vals):  # less fixed cost per call than all()
-        raise NumericError(
-            f"objective returned a non-finite value in a two-point probe (sample {i})"
-        )
-    elif _underflows(mu, directions, values[sl]):
-        warnings.warn(
-            "two-point perturbation mu*||v|| is below 1e3*eps of the block norm; "
-            "the returned estimate is dominated by rounding error",
-            PerturbationUnderflowWarning,
-            stacklevel=3,
-        )
+    points = np.empty((len(directions) + 1, len(values)))
+    points[:] = values
+    points[1:, sl] += mu * directions if shifts is None else shifts
+    vals = obj.values_at_points(points, i)
+    if shifts is None:
+        if np.count_nonzero(np.isfinite(vals)) < len(vals):  # less fixed cost per call than all()
+            raise NumericError(f"objective returned a non-finite value in a two-point probe (sample {i})")
+        if _underflows(mu, directions, values[sl]):
+            warnings.warn("two-point perturbation mu*||v|| is below 1e3*eps of the block norm; the returned "
+                          "estimate is dominated by rounding error", PerturbationUnderflowWarning, stacklevel=3)
     return ((vals[1:] - vals[0]) / mu)[:, None] * directions
 
 
@@ -98,12 +98,17 @@ def estimate_block_gradient(obj: FiniteSumObjective, values: np.ndarray, i: int,
     The base value f(values; i) is read once and shared by every direction,
     so the estimate costs directions_per_step + 1 objective values.  The q
     directions are one (q, dim) draw, which consumes the stream exactly as q
-    draws of dim, and the rows are summed in draw order.
+    draws of dim, and the rows are summed in draw order.  In a speculative
+    trace block the directions and their shifts are the block's next pair.
     """
     q = cfg.directions_per_step
     sl = obj.layout.slice_of(block)
-    directions = sample_gaussian(rng, q * (sl.stop - sl.start)).reshape(q, -1)
-    rows = _two_point_rows(obj, values, i, cfg.mu, directions, sl)
+    drawn = _SPECULATIVE.get()
+    if drawn is None:
+        directions, shifts = sample_gaussian(rng, q * (sl.stop - sl.start)).reshape(q, -1), None
+    else:
+        directions, shifts = next(drawn)
+    rows = _two_point_rows(obj, values, i, cfg.mu, directions, sl, shifts)
     # The rows are summed in draw order from +0.0.  add.accumulate adds them
     # one after another (a reduce over axis 0 turns pairwise once dim == 1
     # and q >= 8), and + 0.0 turns a -0.0 total into the +0.0 that a sum

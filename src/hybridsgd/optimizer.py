@@ -149,21 +149,45 @@ def run_epoch(obj: FiniteSumObjective, values: np.ndarray, cfg: OptimizerConfig,
     errors the caller does not ignore raise; there the steps skip those checks, and the
     block makes them once, before its kernel call: every point is finite (a non-finite
     two-point value makes its step's point so, or a numpy error raises first) and no
-    step ``_underflows``.  If it raises there or trips the guard, it has committed
-    nothing: the stream state and the permutation of the epoch in progress are restored,
-    and it is replayed as blocks of one row in the caller's context, the step-by-step
-    loop.  So step runs once per committed step plus once per step of a replayed block:
-    a run that trips calls it at most len(trace) + max(n, len(trace)) times.  A row cost
-    over ``_ROW_BUDGET`` gives blocks of one row and no speculation.
+    step ``_underflows``.  There a ZO step takes its directions from the block's draws:
+    one ``standard_normal((m, q * width))`` per epoch segment of m steps (width the ZO
+    blocks' summed dimension, x's columns first), called when its first step asks, after
+    the epoch's permutation, so in the loop's stream order and bits.  A segment ends at the
+    block end, the epoch end or ``_block_rows(q * width)`` steps.  If it raises there or
+    trips the guard, it has committed nothing: the stream state and the permutation of the
+    epoch in progress are restored, and it is replayed as blocks of one row in the caller's
+    context, the step-by-step loop.  So step runs once per committed step plus once per
+    step of a replayed block: a run that trips calls it at most len(trace) + max(n,
+    len(trace)) times.  A row cost over ``_ROW_BUDGET`` gives blocks of one row and no
+    speculation.
     """
     n, layout, d_x = obj.n, obj.layout, obj.layout.d_x
-    zo = [sl for sl, mode in ((slice(0, d_x), cfg.x_mode), (slice(d_x, None), cfg.y_mode)) if mode is Mode.ZO]
+    q = cfg.zo.directions_per_step if cfg.zo else 0
+    zo, columns = [], 0  # each ZO block's slice and its q * dim columns in a step's draws, x's before y's
+    for sl, mode in ((slice(0, d_x), cfg.x_mode), (slice(d_x, layout.d), cfg.y_mode)):
+        if mode is Mode.ZO:
+            zo.append((sl, slice(columns, columns + q * (sl.stop - sl.start))))
+            columns = zo[-1][1].stop
     order = []  # the permutation of the epoch in progress
+
+    def draws(rows: range, segments: list):
+        """Each ZO step's (directions, mu * directions) over rows, in stream order: one (m, columns) draw per
+        epoch segment of m <= _block_rows(columns) steps, made when its first step asks, and kept in segments."""
+        k, cap = rows.start, _block_rows(columns)
+        while k < rows.stop:
+            m = min(rows.stop, k + cap, (k // n + 1) * n) - k
+            segments.append(drawn := rng.generator.standard_normal((m, columns)))
+            shifts = cfg.zo.mu * drawn
+            pairs = [(drawn[:, cols].reshape(m, q, -1), shifts[:, cols].reshape(m, q, -1)) for _, cols in zo]
+            for r in range(m):
+                for directions, shifted in pairs:
+                    yield directions[r], shifted[r]
+            k += m
 
     def block(rows: range, values: np.ndarray) -> tuple[np.ndarray, bool]:
         nonlocal order
         if len(rows) > 1:  # run in the speculative context: the steps leave their checks to the block
-            _SPECULATIVE.set(unchecked := [])  # each ZO step's directions, x before y
+            _SPECULATIVE.set(draws(rows, segments := []))
         points = [values]  # the incoming point, then each step's
         for k in rows:
             if k % n == 0:
@@ -178,8 +202,9 @@ def run_epoch(obj: FiniteSumObjective, values: np.ndarray, cfg: OptimizerConfig,
             if not np.isfinite(stacked).all():
                 raise NumericError("non-finite update in a speculative block")
             incoming = np.array(points[:-1])
-            for j, sl in enumerate(zo):
-                if _underflows(cfg.zo.mu, np.array(unchecked[j::len(zo)]), incoming[:, sl]).any():
+            for sl, cols in zo:
+                directions = np.concatenate([drawn[:, cols] for drawn in segments]).reshape(len(rows), q, -1)
+                if _underflows(cfg.zo.mu, directions, incoming[:, sl]).any():
                     raise PerturbationUnderflowWarning
         fs, gs = obj.full_values_and_grads_at_points(stacked)
         fs = fs.tolist()

@@ -32,11 +32,12 @@ CHILD = "import sys; from hybridsgd.cli import main; sys.exit(main(sys.argv[1:])
 LOCATION = re.compile(r"^.*\.py:\d+: (\w+: .*\n)(?:[ \t]+.*\n)?", re.M)
 
 
-# objectives._ROW_BUDGET sets the rows of every batched call: trace blocks, probe groups and the oracle's
-# central differences.  1 gives one-row blocks and no speculative trace block, 37 blocks cut anywhere and
-# 2^20 one block for most calls; no block boundary may move a byte, so every budget replays the one set of
-# digests.  An entry keeps its name as its id at the default budget.
-BUDGETS = (1, 37, objectives._ROW_BUDGET, 1 << 20)
+# objectives._ROW_BUDGET sets the rows of every batched call: trace blocks, probe groups, the oracle's
+# central differences and a trace block's ZO draws.  1 gives one-row blocks and no speculative trace block,
+# 37 blocks cut anywhere, 200 sweep-quadratic trace blocks of up to 12 steps whose draws the cap of 3
+# steps, not the epoch end, cuts, and 2^20 one block for most calls; no block boundary may move a byte,
+# so every budget replays the one set of digests.  An entry keeps its name as its id at the default budget.
+BUDGETS = (1, 37, 200, objectives._ROW_BUDGET, 1 << 20)
 REPLAYS = [pytest.param(entry, budget, id=entry["name"] if budget == objectives._ROW_BUDGET
                         else f"{entry['name']}-budget-{budget}")
            for budget in BUDGETS for entry in MANIFEST["entries"]]

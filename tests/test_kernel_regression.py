@@ -18,6 +18,7 @@ its kernel row as in production.
 Traces, final iterates, run results and output files must agree bit for bit,
 so the check holds on any BLAS build without hard-coded hashes.
 """
+import collections
 import contextlib
 import dataclasses
 import inspect
@@ -46,7 +47,7 @@ from hybridsgd import (
 )
 from hybridsgd import estimator, objectives, optimizer, oracle
 from hybridsgd.cli import main
-from hybridsgd.core import Block, NumericError, _check_int, shuffle_permutation
+from hybridsgd.core import Block, NumericError, _check_int, _shifted_rows, shuffle_permutation
 from hybridsgd.estimator import PerturbationUnderflowWarning, _two_point_rows, estimate_block_gradient
 from hybridsgd.optimizer import RunResult, TraceRecord
 from conftest import OffsetObjective
@@ -562,7 +563,7 @@ def test_underflows_on_stacked_draws_is_the_per_step_decision(rows, q, dim):
 
 
 def test_underflow_of_the_y_block_alone_inside_blocks_is_issued_step_by_step(monkeypatch):
-    # ZO on both blocks: a block's direction list holds each step's x directions, then its y ones.
+    # ZO on both blocks: a block's draws hold each step's x directions, then its y ones.
     # ||y|| = 3e9 puts y's threshold 1e3 eps ||y|| / mu near its shortest of two directions, so some
     # y steps warn and some do not, while x (||x|| ~ 1) never does
     obj = objective_from_dict({**FAMILY_SPECS["block_quadratic"], "d_x": 4, "d_y": 3, "n": 6, "seed": 37})
@@ -673,7 +674,7 @@ def test_caller_error_state_stops_every_block_size_at_the_same_step(monkeypatch,
 def test_one_row_blocks_never_speculate(monkeypatch):
     # a row cost over _ROW_BUDGET: every block holds one row and runs the step-by-step loop;
     # at two rows, all five blocks of the two epochs speculate, the third across their boundary.
-    # A step runs speculatively when it finds the block's direction list set
+    # A step runs speculatively when it finds the block's draws set
     obj = _oracle_objective("logistic", 5, 32)
     w0 = HybridPoint(obj.layout, sample_gaussian(RngStream(32, 1), obj.layout.d))
     cfg = OptimizerConfig(0.02, 0.05, Mode.ZO, Mode.FO, zo=ZoConfig(mu=1e-3), epochs=2)
@@ -691,7 +692,7 @@ def test_one_row_blocks_never_speculate(monkeypatch):
         trace = []
         optimizer.run_epoch(obj, w0.values, cfg, RngStream(32, 2), cfg.epochs, np.inf, trace, [], 0)
         assert speculating == want and len(trace) == 10
-    assert estimator._SPECULATIVE.get() is None  # the caller's context never holds the list
+    assert estimator._SPECULATIVE.get() is None  # the caller's context never holds the draws
 
 
 class _AppendOnly(list):
@@ -756,6 +757,145 @@ def test_a_guard_trip_at_an_epoch_boundary_inside_a_block_is_the_step_by_step_lo
     # from the block's first step, 18 or 16, up to the trip
     assert kernel_rows[n + 1] == [1, 4, 4, 5, 5, 5] + [1] * (trip - 17)
     assert kernel_rows[3 * n] == [1, 4, 4, 8, 12] + [1] * (trip - 15)
+
+
+# -- a block's ZO draws, one per epoch segment, against the step-by-step stream -
+
+
+class _RecordedGenerator:
+    """A numpy Generator that records each standard_normal call made inside a speculative block."""
+
+    def __init__(self, generator, draws):
+        self._generator, self._draws = generator, draws
+
+    def __getattr__(self, name):
+        return getattr(self._generator, name)
+
+    def standard_normal(self, size=None, *args, **kwargs):
+        if estimator._SPECULATIVE.get() is not None:
+            self._draws[objectives._ROW_BUDGET].append(size)
+        return self._generator.standard_normal(size, *args, **kwargs)
+
+
+@pytest.fixture
+def block_draws(monkeypatch):
+    """{_ROW_BUDGET: [the size of each standard_normal call of a speculative block]} of the RngStreams made
+    while it is active, each with a _RecordedGenerator as its generator."""
+    draws = collections.defaultdict(list)
+    post_init = RngStream.__post_init__
+
+    def recorded(rng):
+        post_init(rng)
+        rng._generator = _RecordedGenerator(rng._generator, draws)
+
+    monkeypatch.setattr(RngStream, "__post_init__", recorded)
+    return draws
+
+
+DRAW_PAIRINGS = {"zo-fo": (Mode.ZO, Mode.FO), "fo-zo": (Mode.FO, Mode.ZO), "zo-zo": (Mode.ZO, Mode.ZO),
+                 "zo-frozen": (Mode.ZO, Mode.FROZEN)}
+
+
+@pytest.mark.parametrize("pairing", sorted(DRAW_PAIRINGS))
+def test_block_draws_replay_the_step_by_step_stream(monkeypatch, block_draws, pairing):
+    # logistic on d = 4 + 3, n = 5 and q = 6 over 4 epochs: a row cost of n + d = 12 against a step's draws of
+    # 6 d_x, 6 d_y or 6 d columns.  Budgets of 1, 3, 7 and 16 trace rows give one-row blocks, blocks across
+    # epoch boundaries and, at 7, segments that the draw cap _block_rows(q * width) ends inside an epoch
+    obj = _oracle_objective("logistic", 5, 41)
+    w0 = HybridPoint(obj.layout, sample_gaussian(RngStream(41, 1), obj.layout.d))
+    cfg = OptimizerConfig(0.02, 0.05, *DRAW_PAIRINGS[pairing], zo=ZoConfig(mu=1e-3, directions_per_step=6),
+                          epochs=4)
+    outcome, caught, _ = _assert_blocks_match_step_by_step(monkeypatch, obj, w0, cfg, 41, (1, 3, 7, 16),
+                                                           snapshot_every=3)
+    assert (outcome["epochs"], outcome["diverged"], caught) == (4, False, [])
+    width = {"zo-fo": 24, "fo-zo": 18, "zo-zo": 42, "zo-frozen": 24}[pairing]
+    # blocks of 7 trace rows are steps 0-4, 5-9, 10-16 and 17-19; a draw cap of 84 // width steps cuts the
+    # epoch segments 0-4, 5-9, 10-14, 15-16 and 17-19
+    rows = {24: [3, 2, 3, 2, 3, 2, 2, 3], 18: [4, 1, 4, 1, 4, 1, 2, 3], 42: [2, 2, 1] * 2 + [2, 2, 1, 2, 2, 1]}
+    assert block_draws[7 * 12] == [(m, width) for m in rows[width]]
+    assert sorted(block_draws) == [3 * 12, 7 * 12, 16 * 12]  # one-row blocks draw per step, outside a block
+
+
+def test_a_guard_trip_mid_block_restores_the_stream_of_its_draws(monkeypatch, block_draws):
+    # ZO on both blocks of test_a_guard_trip_at_an_epoch_boundary_inside_a_block_is_the_step_by_step_loop's
+    # objective, whose reported f grows at every step: a guard of f at step 12 trips at step 13, inside the
+    # block of steps 8-15, after its speculative pass drew both its epoch segments; the replay then draws
+    # step by step from the restored stream
+    n = 4
+    obj = ReciprocalQuadratic.random(BlockLayout(3, 2), n, 4.0, 1.0, RngStream(40, 0xDA7A), center_spread=0.5)
+    w0 = HybridPoint(obj.layout, 3.0 + sample_gaussian(RngStream(40, 1), obj.layout.d))
+    cfg = OptimizerConfig(0.01, 0.05, Mode.ZO, Mode.ZO, zo=ZoConfig(mu=1e-3, directions_per_step=2), epochs=8,
+                          divergence_threshold=math.inf)
+    fs = [r.f_value for r in run(obj, w0, cfg, RngStream(40, 2)).trace]
+    assert all(a < b for a, b in zip(fs, fs[1:]))
+    cfg = dataclasses.replace(cfg, divergence_threshold=fs[12])
+    outcome, caught, kernel_rows = _assert_blocks_match_step_by_step(monkeypatch, obj, w0, cfg, 40, (3 * n,))
+    assert (outcome["steps"], outcome["diverged"], caught) == (list(range(14)), True, [])
+    # the start row, the blocks of steps 0-3 and 4-7, the tripping block's speculative call, then its replay
+    assert kernel_rows[3 * n] == [1, 4, 4, 8] + [1] * 6
+    assert block_draws[3 * n * obj._full_row_cost()] == [(n, 2 * 5)] * 4
+
+
+@pytest.mark.parametrize("pairing", ["zo-fo", "zo-zo"])
+def test_a_block_draw_holds_at_most_the_row_budget_or_one_step(monkeypatch, block_draws, pairing):
+    # q = 64 on d_x = 72 makes a step's draws 64 * 72 or 64 * 80 columns, so an epoch segment of n = 4 steps
+    # would be over 2^14 elements: near the default budget the cap cuts each into 3 + 1 steps, and under one
+    # step's draws into single steps
+    obj = objective_from_dict({**FAMILY_SPECS["logistic"], "d_x": 72, "d_y": 8, "n": 4, "seed": 42})
+    w0 = HybridPoint(obj.layout, sample_gaussian(RngStream(42, 1), obj.layout.d))
+    cfg = OptimizerConfig(0.01, 0.05, *DRAW_PAIRINGS[pairing], zo=ZoConfig(mu=1e-3, directions_per_step=64),
+                          epochs=6)
+    cost, width = obj._full_row_cost(), 64 * (72 if pairing == "zo-fo" else 80)
+    near_default = objectives._ROW_BUDGET // cost
+    _assert_blocks_match_step_by_step(monkeypatch, obj, w0, cfg, 42, (4, near_default))
+    assert sorted(block_draws) == [4 * cost, near_default * cost] and 4 * cost < width
+    for budget, sizes in block_draws.items():
+        assert all(math.prod(size) <= max(width, budget) for size in sizes), budget
+    assert block_draws[4 * cost] == [(1, width)] * 24
+    assert block_draws[near_default * cost] == [(3, width), (1, width)] * 6
+
+
+@pytest.mark.parametrize("q", [1, 8, 2000])
+def test_two_point_rows_builds_the_shifted_rows_of_core(q):
+    # the estimator's 2-D build of its q + 1 points is core._shifted_rows bit for bit on either block, with
+    # -0.0 entries in values (a values + 0.0 copy would make them +0.0); given the shifts mu * directions,
+    # it returns the same rows unchecked
+    obj = _oracle_objective("logistic", 5, 43)
+    values = sample_gaussian(RngStream(43, 1), obj.layout.d)
+    values[[1, 5]] = -0.0
+    mu, seen = 1e-3, []
+    batched = obj.values_at_points
+
+    def recorded(points, i):
+        seen.append(points.copy())
+        return batched(points, i)
+
+    obj.values_at_points = recorded
+    for block in (Block.X, Block.Y):
+        sl = obj.layout.slice_of(block)
+        directions = sample_gaussian(RngStream(43, 2), q * (sl.stop - sl.start)).reshape(q, -1)
+        seen.clear()
+        rows = _two_point_rows(obj, values, 2, mu, directions, sl)
+        unchecked = _two_point_rows(obj, values, 2, mu, directions, sl, mu * directions)
+        points = _shifted_rows(values, sl, mu * directions)
+        assert seen[0].tobytes() == seen[1].tobytes() == points.tobytes()
+        assert np.signbit(points[:, 5 if block is Block.X else 1]).all() and np.signbit(points[0, [1, 5]]).all()
+        vals = batched(points, 2)
+        assert rows.tobytes() == unchecked.tobytes() == (((vals[1:] - vals[0]) / mu)[:, None] * directions).tobytes()
+
+
+def test_check_estimator_bounds_keeps_the_bits_of_the_shifted_rows_build(monkeypatch):
+    # the oracle's 2000 directions through _two_point_rows, against the same rows built by core._shifted_rows
+    obj = _oracle_objective("logistic", 5, 44)
+    w = HybridPoint(obj.layout, sample_gaussian(RngStream(44, 1), obj.layout.d))
+    got = oracle.check_estimator_bounds(obj, w, 3, 1e-3, 2000, RngStream(44, 2))
+
+    def shifted_rows(obj, values, i, mu, directions, sl):
+        vals = obj.values_at_points(_shifted_rows(values, sl, mu * directions), i)
+        return ((vals[1:] - vals[0]) / mu)[:, None] * directions
+
+    monkeypatch.setattr(oracle, "_two_point_rows", shifted_rows)
+    assert repr(got) == repr(oracle.check_estimator_bounds(obj, w, 3, 1e-3, 2000, RngStream(44, 2)))
 
 
 # -- the oracle's batched central differences against the per-coordinate loop -
