@@ -11,8 +11,8 @@ estimate costs q + 1 objective values, as in the two-point scheme of
 Nesterov & Spokoiny (Random Gradient-Free Minimization of Convex Functions,
 FoCM 2017).  The q directions are drawn as one (q, dim) block, and the base
 value and the q shifted values are read with one ``values_at_points`` call
-of q + 1 rows.  In a speculative trace block (``optimizer.run_epoch``) they come
-instead, with their mu-scaled shifts, from the block's draws, in the same order.
+of q + 1 rows.  Given a pair, a trace block's draws for the step (see
+``optimizer.run_epoch``), the directions and their mu-scaled shifts come from it.
 ``estimate_block_gradient`` is the one entry point: like
 ``optimizer.step``, its caller, it takes raw arrays and validates nothing;
 ``optimizer.run`` and ``oracle.check_estimator_bounds`` are the validated
@@ -20,7 +20,6 @@ boundaries.
 """
 from __future__ import annotations
 
-import contextvars
 import warnings
 from dataclasses import dataclass
 
@@ -35,12 +34,6 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
-
-# An iterator where optimizer.run_epoch runs a trace block speculatively: each ZO step's (directions,
-# mu * directions) from the block's draws, in stream order, x before y.  There estimate_block_gradient takes
-# its pair from it and _two_point_rows skips its checks, which the block makes for all its steps at once.
-# A context variable, like numpy's error state: a warnings filter's every change resets the warnings registry.
-_SPECULATIVE = contextvars.ContextVar("_SPECULATIVE", default=None)
 
 
 class PerturbationUnderflowWarning(UserWarning):
@@ -92,22 +85,18 @@ def _two_point_rows(obj: FiniteSumObjective, values: np.ndarray, i: int, mu: flo
 
 
 def estimate_block_gradient(obj: FiniteSumObjective, values: np.ndarray, i: int, cfg: ZoConfig,
-                            rng: RngStream, block: Block) -> np.ndarray:
+                            rng: RngStream, block: Block, pair: tuple | None = None) -> np.ndarray:
     """Raw-array mean of cfg.directions_per_step Gaussian-direction estimates of block X or Y.
 
     The base value f(values; i) is read once and shared by every direction,
     so the estimate costs directions_per_step + 1 objective values.  The q
     directions are one (q, dim) draw, which consumes the stream exactly as q
-    draws of dim, and the rows are summed in draw order.  In a speculative
-    trace block the directions and their shifts are the block's next pair.
+    draws of dim, and the rows are summed in draw order.  Given a pair
+    (directions, mu * directions), a trace block's draws, it uses those.
     """
     q = cfg.directions_per_step
     sl = obj.layout.slice_of(block)
-    drawn = _SPECULATIVE.get()
-    if drawn is None:
-        directions, shifts = sample_gaussian(rng, q * (sl.stop - sl.start)).reshape(q, -1), None
-    else:
-        directions, shifts = next(drawn)
+    directions, shifts = pair or (sample_gaussian(rng, q * (sl.stop - sl.start)).reshape(q, -1), None)
     rows = _two_point_rows(obj, values, i, cfg.mu, directions, sl, shifts)
     # The rows are summed in draw order from +0.0.  add.accumulate adds them
     # one after another (a reduce over axis 0 turns pairwise once dim == 1

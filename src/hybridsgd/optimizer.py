@@ -26,17 +26,16 @@ so a run prints, raises and stops as a step-by-step loop does (see :func:`run_ep
 """
 from __future__ import annotations
 
-import contextvars
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .core import (Block, HybridPoint, NumericError, RngStream, _check_int, _check_real, _check_type, _norm,
                    _write_csv, shuffle_permutation)
-from .estimator import _SPECULATIVE, PerturbationUnderflowWarning, ZoConfig, _underflows, estimate_block_gradient
+from .estimator import ZoConfig, _underflows, estimate_block_gradient
 from .objectives import FiniteSumObjective, _block_rows
 
 __all__ = [
@@ -100,7 +99,7 @@ class TraceRecord(NamedTuple):
 
 
 def step(obj: FiniteSumObjective, values: np.ndarray, i: int, cfg: OptimizerConfig,
-         rng: RngStream) -> np.ndarray:
+         rng: RngStream, drawn: Iterator | None = None) -> np.ndarray:
     """Raw-array simultaneous update of both blocks from the incoming values.
 
     Inputs are assumed validated (run checks the start point once); returns
@@ -109,6 +108,8 @@ def step(obj: FiniteSumObjective, values: np.ndarray, i: int, cfg: OptimizerConf
     incoming values: ZO draws come from rng x first, so a replay with an equal
     stream reproduces the step bit for bit.  The FO gradient is evaluated at
     most once and shared by the two blocks; a frozen block is copied unchanged.
+    Given drawn, a trace block's iterator of (directions, mu * directions) pairs,
+    each ZO block takes its next pair and the update is left to the block to check.
     """
     d_x = obj.layout.d_x
     grad = None
@@ -120,8 +121,9 @@ def step(obj: FiniteSumObjective, values: np.ndarray, i: int, cfg: OptimizerConf
                 grad = obj.grad_at(values, i)
             new_values[sl] -= eta * grad[sl]
         elif mode is Mode.ZO:
-            new_values[sl] -= eta * estimate_block_gradient(obj, values, i, cfg.zo, rng, block)
-    if _SPECULATIVE.get() is None and not np.isfinite(new_values).all():  # a speculative block checks its own
+            pair = None if drawn is None else next(drawn)
+            new_values[sl] -= eta * estimate_block_gradient(obj, values, i, cfg.zo, rng, block, pair)
+    if drawn is None and not np.isfinite(new_values).all():
         raise NumericError(f"non-finite update from sample {i}")
     return new_values
 
@@ -145,18 +147,18 @@ def run_epoch(obj: FiniteSumObjective, values: np.ndarray, cfg: OptimizerConfig,
     none: one ``_norm`` each for g, its x block and its y block, and one extend of the
     trace and of the snapshots.  A step checks its two-point values and update for
     non-finite values and warns if a ZO direction underflows.  A block of more than one
-    row runs first in speculative, a copy of the caller's context in which the numpy
-    errors the caller does not ignore raise; there the steps skip those checks, and the
-    block makes them once, before its kernel call: every point is finite (a non-finite
-    two-point value makes its step's point so, or a numpy error raises first) and no
-    step ``_underflows``.  There a ZO step takes its directions from the block's draws:
-    one ``standard_normal((m, q * width))`` per epoch segment of m steps (width the ZO
-    blocks' summed dimension, x's columns first), called when its first step asks, after
-    the epoch's permutation, so in the loop's stream order and bits.  A segment ends at the
-    block end, the epoch end or ``_block_rows(q * width)`` steps.  If it raises there or
-    trips the guard, it has committed nothing: the stream state and the permutation of the
-    epoch in progress are restored, and it is replayed as blocks of one row in the caller's
-    context, the step-by-step loop.  So step runs once per committed step plus once per
+    row runs first speculatively, under an ``np.errstate`` in which the numpy errors the
+    caller does not ignore raise; there it hands its steps its draws, so they skip those
+    checks, and it makes them once, before its kernel call: every point is finite (a
+    non-finite two-point value makes its step's point so, or a numpy error raises first)
+    and no step ``_underflows``.  The draws are one ``standard_normal((m, q * width))``
+    per epoch segment of m steps (width the ZO blocks' summed dimension, x's columns
+    first), called when its first step asks, after the epoch's permutation, so in the
+    loop's stream order and bits.  A segment ends at the block end, the epoch end or
+    ``_block_rows(q * width)`` steps.  If it raises there, fails a check or trips the
+    guard, it has committed nothing: the stream state and the permutation of the epoch
+    in progress are restored, and it is replayed as blocks of one row under the caller's
+    error state, the step-by-step loop.  So step runs once per committed step plus once per
     step of a replayed block: a run that trips calls it at most len(trace) + max(n,
     len(trace)) times.  A row cost over ``_ROW_BUDGET`` gives blocks of one row and no
     speculation.
@@ -176,9 +178,9 @@ def run_epoch(obj: FiniteSumObjective, values: np.ndarray, cfg: OptimizerConfig,
         k, cap = rows.start, _block_rows(columns)
         while k < rows.stop:
             m = min(rows.stop, k + cap, (k // n + 1) * n) - k
-            segments.append(drawn := rng.generator.standard_normal((m, columns)))
-            shifts = cfg.zo.mu * drawn
-            pairs = [(drawn[:, cols].reshape(m, q, -1), shifts[:, cols].reshape(m, q, -1)) for _, cols in zo]
+            segments.append(segment := rng.generator.standard_normal((m, columns)))
+            shifts = cfg.zo.mu * segment
+            pairs = [(segment[:, cols].reshape(m, q, -1), shifts[:, cols].reshape(m, q, -1)) for _, cols in zo]
             for r in range(m):
                 for directions, shifted in pairs:
                     yield directions[r], shifted[r]
@@ -186,30 +188,29 @@ def run_epoch(obj: FiniteSumObjective, values: np.ndarray, cfg: OptimizerConfig,
 
     def block(rows: range, values: np.ndarray) -> tuple[np.ndarray, bool]:
         nonlocal order
-        if len(rows) > 1:  # run in the speculative context: the steps leave their checks to the block
-            _SPECULATIVE.set(draws(rows, segments := []))
+        drawn = draws(rows, segments := []) if len(rows) > 1 else None  # given it, the steps skip their checks
         points = [values]  # the incoming point, then each step's
         for k in rows:
             if k % n == 0:
                 order = shuffle_permutation(rng, n).tolist()
             try:
-                values = step(obj, values, order[k % n], cfg, rng)
+                values = step(obj, values, order[k % n], cfg, rng, drawn)
             except NumericError as exc:
                 raise NumericError(f"epoch {k // n}, step {k}: {exc}") from exc
             points.append(values)
         stacked = np.array(points[1:])
-        if len(rows) > 1:  # the checks that the steps skipped, once for the block
+        if drawn is not None:  # the checks that the steps skipped, once for the block: a failure replays it
             if not np.isfinite(stacked).all():
-                raise NumericError("non-finite update in a speculative block")
+                return values, True
             incoming = np.array(points[:-1])
             for sl, cols in zo:
-                directions = np.concatenate([drawn[:, cols] for drawn in segments]).reshape(len(rows), q, -1)
+                directions = np.concatenate([segment[:, cols] for segment in segments]).reshape(len(rows), q, -1)
                 if _underflows(cfg.zo.mu, directions, incoming[:, sl]).any():
-                    raise PerturbationUnderflowWarning
+                    return values, True
         fs, gs = obj.full_values_and_grads_at_points(stacked)
         fs = fs.tolist()
         diverged = any(not math.isfinite(f) or f > guard for f in fs)
-        if diverged and len(rows) > 1:  # commits nothing: the caller replays it step by step
+        if diverged and drawn is not None:  # commits nothing: the caller replays it step by step
             return values, True
         norms = (_norm(a).tolist() for a in (gs, gs[:, :d_x], gs[:, d_x:]))
         trace.extend(map(TraceRecord, [k // n for k in rows], rows, fs, *norms))
@@ -218,8 +219,7 @@ def run_epoch(obj: FiniteSumObjective, values: np.ndarray, cfg: OptimizerConfig,
                              if (k + 1) % snapshot_every == 0)
         return values, diverged
 
-    speculative = contextvars.copy_context()  # a trace block run there sets _SPECULATIVE
-    speculative.run(np.seterr, **{k: v if v == "ignore" else "raise" for k, v in np.geterr().items()})
+    raising = {k: v if v == "ignore" else "raise" for k, v in np.geterr().items()}
     rows_max, total, start = _block_rows(obj._full_row_cost()), epochs * n, 0
     while start < total:
         rows = range(start, min(total, start + rows_max, start + max(n, start)))
@@ -227,7 +227,8 @@ def run_epoch(obj: FiniteSumObjective, values: np.ndarray, cfg: OptimizerConfig,
         if len(rows) > 1:
             state, epoch_order = rng.generator.bit_generator.state, order
             try:
-                after, diverged = speculative.run(block, rows, values)
+                with np.errstate(**raising):
+                    after, diverged = block(rows, values)
                 if not diverged:
                     values = after
                     continue

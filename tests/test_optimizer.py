@@ -127,9 +127,9 @@ def test_every_step_goes_through_the_module_level_step(monkeypatch, modes):
     samples, epochs = [], []
     original_step, original_epoch = optimizer.step, optimizer.run_epoch
 
-    def counting_step(obj, values, i, cfg, rng):
+    def counting_step(obj, values, i, cfg, rng, *rest):
         samples.append(i)
-        return original_step(obj, values, i, cfg, rng)
+        return original_step(obj, values, i, cfg, rng, *rest)
 
     def counting_epoch(obj, values, cfg, rng, count, *rest):
         epochs.append(count)
