@@ -332,9 +332,9 @@ def _plan_points(spec, obj: FiniteSumObjective, seed: int) -> list:
     points = _read_section("points", spec, {"kind": (None, "gaussian")}, _POINTS_KINDS)
     if points["kind"] == "explicit":
         return _point_list(points["points"], obj)
-    # one (count d) draw: the stream and bits of count draws of d, and a count too large fails at once
-    rows = sample_gaussian(RngStream(seed, INIT_STREAM_ID), points["count"] * obj.layout.d)
-    return [HybridPoint(obj.layout, points["scale"] * row) for row in rows.reshape(points["count"], -1)]
+    # one (count, d) sample_gaussian draw, so a count too large fails at once
+    rows = sample_gaussian(RngStream(seed, INIT_STREAM_ID), points["count"], obj.layout.d)
+    return [HybridPoint(obj.layout, points["scale"] * row) for row in rows]
 
 
 # -- check -------------------------------------------------------------------

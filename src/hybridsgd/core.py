@@ -4,6 +4,7 @@ Every stochastic component in the package draws from an :class:`RngStream`,
 a counter-based generator keyed by ``(seed, stream_id)``.  Equal keys replay
 the exact same sequence on every platform and run; distinct stream ids give
 statistically independent streams, so concurrent consumers never share state.
+:func:`sample_gaussian` is the package's one Gaussian draw, of any shape.
 
 Config values enter through ``_load_json`` and ``_read_section``, which reads
 a JSON object section through a key table (as a rule ``_signature_keys``, the
@@ -301,10 +302,11 @@ class RngStream:
         return RngStream(self.seed, derived)
 
 
-def sample_gaussian(rng: RngStream, dim: int) -> np.ndarray:
-    """Draw a standard Gaussian vector of the given dimension."""
-    dim = _check_int("dim", dim)
-    return rng.generator.standard_normal(dim)
+def sample_gaussian(rng: RngStream, *shape: int) -> np.ndarray:
+    """A standard Gaussian array of the given shape, one or more ints >= 1 (a vector for one).  The stream
+    rule: an (m, d) draw consumes the stream exactly as m draws of d in row order, so it has their bits."""
+    _check_int("number of dimensions", len(shape))
+    return rng.generator.standard_normal([_check_int("dim", n) for n in shape])
 
 
 def _norm(a: np.ndarray) -> np.ndarray:
@@ -332,22 +334,21 @@ def sample_unit_sphere(rng: RngStream, dim: int) -> np.ndarray:
     A zero draw (possible only in degenerate floating-point corners) is
     rejected and redrawn, so the result always has unit norm.
     """
-    return _unit_sphere_rows(rng, 1, _check_int("dim", dim))[0]
+    return _unit_sphere_rows(rng, 1, dim)[0]
 
 
 def _unit_sphere_rows(rng: RngStream, m: int, dim: int) -> np.ndarray:
     """m unit-sphere draws as the rows of an (m, dim) array.
 
-    Equal bit for bit, and in stream position, to m sequential
-    :func:`sample_unit_sphere` calls: the (m, dim) Gaussian block consumes the
-    stream in the same order as m draws of dim, and a zero row is dropped and
-    the block topped up from the stream in order, as the sequential redraw
-    would.  Each row is divided by its :func:`_norm`, taken again after a top-up.
+    Equal bit for bit, and in stream position, to m sequential :func:`sample_unit_sphere` calls: the
+    (m, dim) block is one :func:`sample_gaussian` draw, and a zero row is dropped and the block topped
+    up from the stream in order, as the sequential redraw would.  Each row is divided by its
+    :func:`_norm`, taken again after a top-up.
     """
-    rows = rng.generator.standard_normal((m, dim))
+    rows = sample_gaussian(rng, m, dim)
     while not (norms := _norm(rows)).all():
         keep = norms > 0.0
-        rows = np.concatenate([rows[keep], rng.generator.standard_normal((m - np.count_nonzero(keep), dim))])
+        rows = np.concatenate([rows[keep], sample_gaussian(rng, m - np.count_nonzero(keep), dim)])
     return rows / norms[:, None]
 
 

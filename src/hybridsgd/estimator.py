@@ -9,9 +9,9 @@ behaviour are validated in the oracle module.
 q directions at one point share the base value f(x; i), so a q-direction
 estimate costs q + 1 objective values, as in the two-point scheme of
 Nesterov & Spokoiny (Random Gradient-Free Minimization of Convex Functions,
-FoCM 2017).  The q directions are drawn as one (q, dim) block, and the base
-value and the q shifted values are read with one ``values_at_points`` call
-of q + 1 rows.  Given a pair, a trace block's draws for the step (see
+FoCM 2017).  The q directions are one ``sample_gaussian(rng, q, dim)`` draw,
+and the base value and the q shifted values are read with one
+``values_at_points`` call of q + 1 rows.  Given a pair, a trace block's draws for the step (see
 ``optimizer.run_epoch``), the directions and their mu-scaled shifts come from it.
 ``estimate_block_gradient`` is the one entry point: like
 ``optimizer.step``, its caller, it takes raw arrays and validates nothing;
@@ -90,13 +90,12 @@ def estimate_block_gradient(obj: FiniteSumObjective, values: np.ndarray, i: int,
 
     The base value f(values; i) is read once and shared by every direction,
     so the estimate costs directions_per_step + 1 objective values.  The q
-    directions are one (q, dim) draw, which consumes the stream exactly as q
-    draws of dim, and the rows are summed in draw order.  Given a pair
-    (directions, mu * directions), a trace block's draws, it uses those.
+    directions are one ``sample_gaussian(rng, q, dim)`` draw, and the rows are summed in draw order.
+    Given a pair (directions, mu * directions), a trace block's draws, it uses those.
     """
     q = cfg.directions_per_step
     sl = obj.layout.slice_of(block)
-    directions, shifts = pair or (sample_gaussian(rng, q * (sl.stop - sl.start)).reshape(q, -1), None)
+    directions, shifts = pair or (sample_gaussian(rng, q, sl.stop - sl.start), None)
     rows = _two_point_rows(obj, values, i, cfg.mu, directions, sl, shifts)
     # The rows are summed in draw order from +0.0.  add.accumulate adds them
     # one after another (a reduce over axis 0 turns pairwise once dim == 1

@@ -381,7 +381,7 @@ class LogisticObjective(FiniteSumObjective):
         lam: float = 0.0,
         feature_scale: float = 1.0,
     ) -> "LogisticObjective":
-        features = feature_scale * sample_gaussian(rng, n * layout.d).reshape(n, layout.d)
+        features = feature_scale * sample_gaussian(rng, n, layout.d)
         labels = np.where(rng.generator.random(n) < 0.5, -1.0, 1.0)
         return cls(layout, features, labels, lam)
 
@@ -419,7 +419,7 @@ class LinearObjective(FiniteSumObjective):
     def random(
         cls, layout: BlockLayout, n: int, rng: RngStream, *, slope_scale: float = 1.0
     ) -> "LinearObjective":
-        slopes = slope_scale * sample_gaussian(rng, n * layout.d).reshape(n, layout.d)
+        slopes = slope_scale * sample_gaussian(rng, n, layout.d)
         return cls(layout, slopes)
 
 
@@ -481,7 +481,7 @@ class DenseQuadratic(FiniteSumObjective):
         center_scale: float = 0.0,
     ) -> "DenseQuadratic":
         d = layout.d
-        g = entry_scale * sample_gaussian(rng, d * d).reshape(d, d)
+        g = entry_scale * sample_gaussian(rng, d, d)
         hessian = 0.5 * (g + g.T)
         centers = _spread_rows(d, n, rng, center_scale, 0.0)
         return cls(layout, hessian, centers)
@@ -494,7 +494,7 @@ def _spread_rows(
     base = scale * sample_gaussian(rng, d)
     rows = np.tile(base, (n, 1))
     if spread != 0.0:
-        rows = rows + spread * sample_gaussian(rng, n * d).reshape(n, d)
+        rows = rows + spread * sample_gaussian(rng, n, d)
     return rows
 
 

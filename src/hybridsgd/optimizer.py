@@ -34,7 +34,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .core import (Block, HybridPoint, NumericError, RngStream, _check_int, _check_real, _check_type, _norm,
-                   _write_csv, shuffle_permutation)
+                   _write_csv, sample_gaussian, shuffle_permutation)
 from .estimator import ZoConfig, _underflows, estimate_block_gradient
 from .objectives import FiniteSumObjective, _block_rows
 
@@ -151,7 +151,7 @@ def run_epoch(obj: FiniteSumObjective, values: np.ndarray, cfg: OptimizerConfig,
     caller does not ignore raise; there it hands its steps its draws, so they skip those
     checks, and it makes them once, before its kernel call: every point is finite (a
     non-finite two-point value makes its step's point so, or a numpy error raises first)
-    and no step ``_underflows``.  The draws are one ``standard_normal((m, q * width))``
+    and no step ``_underflows``.  The draws are one ``sample_gaussian(rng, m, q * width)``
     per epoch segment of m steps (width the ZO blocks' summed dimension, x's columns
     first), called when its first step asks, after the epoch's permutation, so in the
     loop's stream order and bits.  A segment ends at the block end, the epoch end or
@@ -178,7 +178,7 @@ def run_epoch(obj: FiniteSumObjective, values: np.ndarray, cfg: OptimizerConfig,
         k, cap = rows.start, _block_rows(columns)
         while k < rows.stop:
             m = min(rows.stop, k + cap, (k // n + 1) * n) - k
-            segments.append(segment := rng.generator.standard_normal((m, columns)))
+            segments.append(segment := sample_gaussian(rng, m, columns))
             shifts = cfg.zo.mu * segment
             pairs = [(segment[:, cols].reshape(m, q, -1), shifts[:, cols].reshape(m, q, -1)) for _, cols in zo]
             for r in range(m):
@@ -189,7 +189,7 @@ def run_epoch(obj: FiniteSumObjective, values: np.ndarray, cfg: OptimizerConfig,
     def block(rows: range, values: np.ndarray) -> tuple[np.ndarray, bool]:
         nonlocal order
         drawn = draws(rows, segments := []) if len(rows) > 1 else None  # given it, the steps skip their checks
-        points = [values]  # the incoming point, then each step's
+        points = [values]
         for k in rows:
             if k % n == 0:
                 order = shuffle_permutation(rng, n).tolist()
@@ -198,16 +198,15 @@ def run_epoch(obj: FiniteSumObjective, values: np.ndarray, cfg: OptimizerConfig,
             except NumericError as exc:
                 raise NumericError(f"epoch {k // n}, step {k}: {exc}") from exc
             points.append(values)
-        stacked = np.array(points[1:])
+        stacked = np.array(points)  # the incoming point, then each step's
         if drawn is not None:  # the checks that the steps skipped, once for the block: a failure replays it
-            if not np.isfinite(stacked).all():
+            if not np.isfinite(stacked[1:]).all():
                 return values, True
-            incoming = np.array(points[:-1])
             for sl, cols in zo:
                 directions = np.concatenate([segment[:, cols] for segment in segments]).reshape(len(rows), q, -1)
-                if _underflows(cfg.zo.mu, directions, incoming[:, sl]).any():
+                if _underflows(cfg.zo.mu, directions, stacked[:-1, sl]).any():
                     return values, True
-        fs, gs = obj.full_values_and_grads_at_points(stacked)
+        fs, gs = obj.full_values_and_grads_at_points(stacked[1:])
         fs = fs.tolist()
         diverged = any(not math.isfinite(f) or f > guard for f in fs)
         if diverged and drawn is not None:  # commits nothing: the caller replays it step by step

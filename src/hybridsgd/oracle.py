@@ -11,8 +11,8 @@ optimizer, estimator, probe and planner never import this module; tests and the
 CLI's ``check`` command use it, so that agreement is evidence rather than the
 same formula evaluated twice.  The check suite also compares the curvature
 probes with exact block curvatures and with this module's dense Hessian.  The
-Monte Carlo draws of one bound check are a single (draws, d_x) Gaussian block
-evaluated through the estimator's row helper, the same bits as drawing and
+Monte Carlo draws of one bound check are a single (draws, d_x) ``sample_gaussian``
+block evaluated through the estimator's row helper, the same bits as drawing and
 evaluating them one at a time.
 """
 from __future__ import annotations
@@ -160,7 +160,7 @@ def check_estimator_bounds(
     g = obj.grad_at(values, i)[:d_x]
     g_norm = float(_norm(g))
 
-    directions = sample_gaussian(rng, trials * d_x).reshape(trials, d_x)
+    directions = sample_gaussian(rng, trials, d_x)
     err = _two_point_rows(obj, values, i, float(mu), directions, slice(0, d_x))
     err -= g
     bias = np.vecdot(err, g)

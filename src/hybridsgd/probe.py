@@ -14,9 +14,9 @@ K probes at one point are batched: one (K, dim) unit-sphere draw, and the base
 and K perturbed gradients in ``full_values_and_grads_at_points`` calls over row
 blocks for the full objective.  Per-sample probes (``sample=ALL``) go in groups
 of samples: one (g K, dim) draw and one ``grads_at_points`` call on g(K + 1)
-rows with an int-array sample selector.  A draw consumes the stream exactly as
-its sequential draws would, so the statistics are the same bits as probing one
-direction, and one sample, at a time.  The validated entry points are
+rows with an int-array sample selector.  A draw is one ``core.sample_gaussian``
+block, so the statistics are the same bits as probing one direction, and one
+sample, at a time.  The validated entry points are
 ``estimate_block_lipschitz`` and ``trajectory_scan``.
 """
 from __future__ import annotations
@@ -133,7 +133,7 @@ def estimate_block_lipschitz(
     A base gradient is evaluated once and shared by its K probes, so K probes
     cost K + 1 gradients, and n K per-sample probes n(K + 1).  Samples go in the
     groups of ``_row_blocks``, (K + 1) d elements a sample: a group's directions are one
-    (g K, dim) draw, which consumes the stream as g sequential (K, dim) draws,
+    (g K, dim) ``sample_gaussian`` draw, the bits of g sequential (K, dim) draws,
     and its g(K + 1) gradients one batched evaluation (see ``_hvp_rows``).
     """
     _check_type("cfg", cfg, ProbeConfig)

@@ -393,8 +393,8 @@ sys.exit(main(sys.argv[1:]))
                                            ("plan", ("points", "count"))])
 def test_a_size_too_large_to_allocate_is_a_config_error(tmp_path, command, path):
     # 10**12 generated samples, probe directions or plan points is an array of 7 to 22 TiB;
-    # the plan points are one draw of 10**12 d = 3 * 10**12 entries
-    shape = f"({3 * 10**12},)" if command == "plan" else f"({10**12}, "
+    # the plan points are one (10**12, d) draw with d = 3
+    shape = f"({10**12}, 3)" if command == "plan" else f"({10**12}, "
     words, cfg = COMMANDS[command]
     config, out = _write_config(tmp_path, "c.json", _set(cfg, path, 10**12)), tmp_path / "out.csv"
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",

@@ -128,6 +128,27 @@ def test_gaussian_shape_and_dim_validation():
         sample_gaussian(RngStream(1, 1), 0)
 
 
+@pytest.mark.parametrize("a, b", [(1, 1), (1, 5), (4, 1), (3, 7)])
+def test_a_block_draw_is_its_rows_drawn_one_by_one(a, b):
+    # the stream rule sample_gaussian states: an (a, b) draw consumes the stream exactly as a draws of b
+    block_rng, row_rng = RngStream(77, 3), RngStream(77, 3)
+    block = sample_gaussian(block_rng, a, b)
+    rows = [sample_gaussian(row_rng, b) for _ in range(a)]
+    assert block.shape == (a, b) and all(row.shape == (b,) for row in rows)
+    assert block.tobytes() == np.stack(rows).tobytes()
+    assert repr(block_rng.generator.bit_generator.state) == repr(row_rng.generator.bit_generator.state)
+    assert sample_gaussian(block_rng, 2).tobytes() == sample_gaussian(row_rng, 2).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(0,), (-1,), (True,), (2.0,), (), (3, 0), (2, True), (2.0, 3)])
+def test_every_gaussian_dimension_is_an_int_of_at_least_one(shape):
+    rng = RngStream(1, 1)
+    state = repr(rng.generator.bit_generator.state)
+    with pytest.raises(ValueError, match="must be an integer >= 1"):
+        sample_gaussian(rng, *shape)
+    assert repr(rng.generator.bit_generator.state) == state  # a rejected shape draws nothing
+
+
 def test_gaussian_moments_scalar_stream():
     # K scalar draws: mean within 4/sqrt(K) of 0, variance within 5% of 1.
     rng = RngStream(2024, 1)
@@ -319,6 +340,14 @@ def test_validation_idioms_live_only_in_core():
     assert norm_idioms.search("return [np.sqrt(np.vecdot(g, g)).tolist() for g in rows]")
     assert norm_idioms.search("scale = max(float(np.linalg.norm(exact)), 1e-12)")
     assert not norm_idioms.search("margin = self.labels[i] * float(np.dot(self.features[i], values))")
+    # A Gaussian draw has one home, core.sample_gaussian: no standard_normal( outside it, and a block of
+    # draws is one shaped call, never a reshaped vector.
+    normal_idiom, reshape_idiom = re.compile(r"\bstandard_normal\("), re.compile(r"sample_gaussian\(.*\)\.reshape\(")
+    assert normal_idiom.search("segments.append(segment := rng.generator.standard_normal((m, columns)))")
+    assert reshape_idiom.search("g = entry_scale * sample_gaussian(rng, d * d).reshape(d, d)")
+    assert reshape_idiom.search("directions = sample_gaussian(rng, q * dim).reshape(q, -1)")
+    assert not normal_idiom.search("xs = rng.generator.normal(size=3)")
+    assert not reshape_idiom.search("g = entry_scale * sample_gaussian(rng, d, d)")
     # "value is an instance of cls" has one home too, core._check_type.  Outside
     # core an isinstance test may guard a raise only in the rule that a ZO block
     # needs a zo config, which is not a type check of one value.
@@ -330,10 +359,11 @@ def test_validation_idioms_live_only_in_core():
         found += [f"{path.name}:{lineno}: {line.strip()}"
                   for lineno, line in enumerate(source.splitlines(), 1) if mean_idioms.search(line)]
         tree = ast.parse(source)
-        norm_lines = {n for node in tree.body if getattr(node, "name", None) == "_norm" and path.name == "core.py"
-                      for n in range(node.lineno, node.end_lineno + 1)}
+        homes = {name: {n for node in tree.body if getattr(node, "name", None) == name and path.name == "core.py"
+                        for n in range(node.lineno, node.end_lineno + 1)} for name in ("_norm", "sample_gaussian")}
         found += [f"{path.name}:{lineno}: {line.strip()}" for lineno, line in enumerate(source.splitlines(), 1)
-                  if norm_idioms.search(line) and lineno not in norm_lines]
+                  if (norm_idioms.search(line) and lineno not in homes["_norm"]) or reshape_idiom.search(line)
+                  or (normal_idiom.search(line) and lineno not in homes["sample_gaussian"])]
         for node in ast.walk(tree):
             imported = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
                         else [node.module] if isinstance(node, ast.ImportFrom) else [])

@@ -8,6 +8,7 @@ since those move with source lines.  Only ``python tools/cli_replay.py golden --
 manifest; a change that moves bytes on purpose rewrites it and lists each moved entry, which this
 test names by its id.  Digests depend on numpy's kernels, so a mismatch names both numpy versions.
 """
+import csv
 import importlib.util
 import json
 import os
@@ -50,6 +51,30 @@ def test_golden_entry_replays_to_its_manifest_bytes(entry, budget, tmp_path, mon
     assert got == {key: entry[key] for key in got}, (
         f"{entry['name']} moved at _ROW_BUDGET {budget} (manifest numpy {MANIFEST['numpy']}, running numpy "
         f"{np.__version__}); argv {' '.join(entry['argv'])}")
+
+
+# Every run that ends with a trace row: exit 0, or 3 for a guard trip.  A run that fails numerically (exit 4)
+# writes no trace today, so it has no last f to hold a sweep to.
+RUNS = [entry for entry in MANIFEST["entries"] if entry["argv"][0] == "run" and entry["exit"] in (0, 3)]
+
+
+@pytest.mark.parametrize("entry", RUNS, ids=[entry["name"] for entry in RUNS])
+def test_a_one_cell_sweep_ends_where_its_run_ends(entry, tmp_path):
+    # the entry replayed as a 1x1 sweep: the same inputs and flags, with its rates turned into one-element
+    # grids; cmd_run draws from sweep cell 0's stream, so the cell ends on the run's last trace row
+    config = dict(entry["inputs"]["config.json"])
+    rates = config.pop("rates")
+    config.update(eta_x_grid=[rates["eta_x"]], eta_y_grid=[rates["eta_y"]])
+    sweep = {**entry, "argv": ["sweep", *entry["argv"][1:]], "inputs": {**entry["inputs"], "config.json": config}}
+    (run_ws := tmp_path / "run").mkdir()
+    (sweep_ws := tmp_path / "sweep").mkdir()
+    code, stdout, _, _ = cli_replay.golden_run(entry, run_ws)
+    assert code == entry["exit"] and cli_replay.golden_run(sweep, sweep_ws)[0] == 0
+    with open(run_ws / "out", encoding="utf-8") as run_out, open(sweep_ws / "out", encoding="utf-8") as sweep_out:
+        last, [cell] = list(csv.DictReader(run_out))[-1], list(csv.DictReader(sweep_out))
+    assert cell["final_f"] == last["f"]
+    assert f"diverged={cell['diverged']}" in stdout.split()
+    assert cell["diverged"] == ("true" if entry["exit"] == 3 else "false")
 
 
 def test_golden_write_names_each_moved_entry_and_its_moved_fields():

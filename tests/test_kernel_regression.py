@@ -797,34 +797,17 @@ def test_a_guard_trip_at_an_epoch_boundary_inside_a_block_is_the_step_by_step_lo
 # -- a block's ZO draws, one per epoch segment, against the step-by-step stream -
 
 
-class _RecordedGenerator:
-    """A numpy Generator that records the size of each 2-D standard_normal call: a speculative block's
-    (m, columns) draws, since a step that draws for itself asks for an int size."""
-
-    def __init__(self, generator, draws):
-        self._generator, self._draws = generator, draws
-
-    def __getattr__(self, name):
-        return getattr(self._generator, name)
-
-    def standard_normal(self, size=None, *args, **kwargs):
-        if isinstance(size, tuple) and len(size) == 2:
-            self._draws[objectives._ROW_BUDGET].append(size)
-        return self._generator.standard_normal(size, *args, **kwargs)
-
-
 @pytest.fixture
 def block_draws(monkeypatch):
-    """{_ROW_BUDGET: [the size of each standard_normal call of a speculative block]} of the RngStreams made
-    while it is active, each with a _RecordedGenerator as its generator."""
+    """{_ROW_BUDGET: [the shape of each draw of a speculative block]} while it is active: a trace block draws
+    through optimizer.sample_gaussian, which a step that draws for itself never calls."""
     draws = collections.defaultdict(list)
-    post_init = RngStream.__post_init__
 
-    def recorded(rng):
-        post_init(rng)
-        rng._generator = _RecordedGenerator(rng._generator, draws)
+    def recorded(rng, *shape):
+        draws[objectives._ROW_BUDGET].append(shape)
+        return sample_gaussian(rng, *shape)
 
-    monkeypatch.setattr(RngStream, "__post_init__", recorded)
+    monkeypatch.setattr(optimizer, "sample_gaussian", recorded)
     return draws
 
 
